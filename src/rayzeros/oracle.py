@@ -12,13 +12,14 @@ The annulus comes from growth estimates alone: outside
 R = max(1, (2c+2)^{1/(m-|k|)}) + 1 the degree-m term dominates, and near the
 origin either |p| >= 1 - ... (k > 0) or the middle term forces
 r^|k| >= 2 c sin(pi/(2m)) / 3 at any zero (k < 0).
+
+numpy is imported by the scan functions, not by the module, so importing
+rayzeros (and every command but verify) does not load it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .family import FamilyParams
 
@@ -105,12 +106,14 @@ def _newton(m: int, k: int, c: float, z: complex, r_lo: float, r_hi: float) -> c
     return z if abs(_p(m, k, c, z)) <= REFINE_TOL else None
 
 
-def _mixed(vals: np.ndarray) -> bool:
+def _mixed(vals) -> bool:
     return bool(vals.min() < 0.0 < vals.max())
 
 
 def _scan_cell(m, k, c, lr0, lr1, th0, th1, r_lo, r_hi, depth) -> list[complex]:
     """Subdivide a candidate cell, trying Newton from each mixed subcell center."""
+    import numpy as np
+
     if depth > _MAX_SUBDIVISIONS:
         raise ResolutionTooCoarse(
             f"ambiguous cell near r={math.exp(0.5 * (lr0 + lr1)):.3g}, "
@@ -140,6 +143,8 @@ def find_zeros_grid(params: FamilyParams, resolution: int = 256) -> OracleResult
     resolution sets the radial grid; the angular grid is at least as fine and
     always finer than pi/m so no cell can straddle two sign sectors of Im p.
     """
+    import numpy as np
+
     if resolution < 64:
         raise ValueError(f"need resolution >= 64, got {resolution}")
     m, k, c = params.m, params.k, params.c
@@ -160,7 +165,7 @@ def find_zeros_grid(params: FamilyParams, resolution: int = 256) -> OracleResult
         u = rg ** m * np.cos(m * tg) + 2.0 * c * rg ** float(k) * np.cos(k * tg) - 1.0
         v = rg ** m * np.sin(m * tg)
 
-    def both_signs(w: np.ndarray) -> np.ndarray:
+    def both_signs(w):
         corners = np.stack([w[:-1, :-1], w[1:, :-1], w[:-1, 1:], w[1:, 1:]])
         return (corners.min(axis=0) < 0.0) & (corners.max(axis=0) > 0.0)
 

@@ -7,15 +7,16 @@ one zero for all c and each odd positive-alpha ray eventually gains a pair;
 for k < 0 the persistent rays are the even nonpositive-alpha and odd
 positive-alpha ones, and each even positive-alpha ray starts with a pair it
 later loses.  The two routes agreeing for every coprime pair is a machine
-check of the whole case analysis.
+check of the whole case analysis.  The exact count at one c is a bisection
+over the ray table's sorted thresholds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from .family import FamilyParams, validate
-from .rays import DEGENERACY_RTOL, analyze_ray
+from .family import FamilyParams
+# analyze_ray is unused here but stays bound: perfbench/tracing.py wraps predict.analyze_ray
+from .rays import analyze_ray, ray_table  # noqa: F401
 from .unity import census
 
 __all__ = ["CountPrediction", "predict_table", "predict_census", "predict_at"]
@@ -81,30 +82,8 @@ def predict_census(params: FamilyParams) -> CountPrediction:
     return CountPrediction(lo, hi, _direction(params.k), source="census")
 
 
-@lru_cache(maxsize=4096)
-def _count_profiles(m: int, k: int) -> tuple[tuple[float | None, int, int, int], ...]:
-    # c0 and the count profile are independent of c, so analyze with a dummy c
-    params = validate(m, k, 1.0)
-    rows = []
-    for j in range(2 * m):
-        a = analyze_ray(params, j)
-        p = a.profile
-        rows.append((a.c0, p.below, p.at_threshold, p.above))
-    return tuple(rows)
-
-
 def predict_at(params: FamilyParams, c: float) -> int:
     """Exact zero count at parameter c: the sum of every ray's count there."""
     if c <= 0:
         raise ValueError(f"need c > 0, got {c}")
-    total = 0
-    for c0, below, at, above in _count_profiles(params.m, params.k):
-        if c0 is None:
-            total += below
-        elif abs(c - c0) <= DEGENERACY_RTOL * c0:
-            total += at
-        elif c < c0:
-            total += below
-        else:
-            total += above
-    return total
+    return ray_table(params.m, params.k).count(c)

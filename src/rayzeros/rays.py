@@ -23,17 +23,26 @@ r0 = (2 c |k| alpha / m)^{1/(m-k)} whose value crosses 0 at
 
 beta is evaluated in the log domain; the exponent m/(m-k) grows like m when
 |k| is close to m and would otherwise over/underflow.
+
+Ray j and ray 2m-j have the same parity and the residues t and 2m-t, so they
+carry the same alpha and the same radial function.  The c-independent facts
+of the m+1 conjugate groups live in one cached RayTable per (m, k), the single
+source of c0; analyze_ray, thresholds and the global count all read it.
 """
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .family import (
     FamilyParams,
     RayDescriptor,
     Sign,
+    _alpha_sign_from_residue,
     alpha_from_residue,
     classify_ray,
     power_term,
@@ -44,6 +53,7 @@ __all__ = [
     "CountProfile",
     "RayAnalysis",
     "Threshold",
+    "RayTable",
     "DEGENERACY_RTOL",
     "f_value",
     "f_derivative",
@@ -52,11 +62,15 @@ __all__ = [
     "degenerate_at",
     "extremum_radius",
     "thresholds",
+    "ray_table",
 ]
 
 # relative half-width of the band around c0 treated as an exact tangency;
 # shared with the root finder so predicted counts always match emitted zeros
 DEGENERACY_RTOL = 1e-9
+
+# ray tables kept per process; one at m = 500 holds about 17 KB
+_TABLE_CACHE_SIZE = 16
 
 
 class RayCase(Enum):
@@ -72,29 +86,29 @@ class RayCase(Enum):
     NEG_K_EVEN_POS = "neg_k_even_pos"
 
 
-# (count below c0, count at c0, count above c0); constant cases repeat one value
-_PROFILES: dict[RayCase, tuple[int, int, int]] = {
-    RayCase.EVEN_ALPHA_ZERO: (1, 1, 1),
-    RayCase.ODD_ALPHA_ZERO: (0, 0, 0),
-    RayCase.POS_K_EVEN_POS: (1, 1, 1),
-    RayCase.POS_K_ODD_NEG: (0, 0, 0),
-    RayCase.POS_K_EVEN_NEG: (1, 1, 1),
-    RayCase.POS_K_ODD_POS: (0, 1, 2),
-    RayCase.NEG_K_ODD_NEG: (0, 0, 0),
-    RayCase.NEG_K_EVEN_NEG: (1, 1, 1),
-    RayCase.NEG_K_ODD_POS: (1, 1, 1),
-    RayCase.NEG_K_EVEN_POS: (2, 1, 0),
-}
-
-THRESHOLD_CASES = frozenset({RayCase.POS_K_ODD_POS, RayCase.NEG_K_EVEN_POS})
-EXTREMUM_CASES = THRESHOLD_CASES | {RayCase.POS_K_EVEN_NEG}
-
-
 @dataclass(frozen=True, slots=True)
 class CountProfile:
     below: int
     at_threshold: int
     above: int
+
+
+# count below c0, at c0 and above c0; constant cases repeat one value
+_PROFILES: dict[RayCase, CountProfile] = {
+    RayCase.EVEN_ALPHA_ZERO: CountProfile(1, 1, 1),
+    RayCase.ODD_ALPHA_ZERO: CountProfile(0, 0, 0),
+    RayCase.POS_K_EVEN_POS: CountProfile(1, 1, 1),
+    RayCase.POS_K_ODD_NEG: CountProfile(0, 0, 0),
+    RayCase.POS_K_EVEN_NEG: CountProfile(1, 1, 1),
+    RayCase.POS_K_ODD_POS: CountProfile(0, 1, 2),
+    RayCase.NEG_K_ODD_NEG: CountProfile(0, 0, 0),
+    RayCase.NEG_K_EVEN_NEG: CountProfile(1, 1, 1),
+    RayCase.NEG_K_ODD_POS: CountProfile(1, 1, 1),
+    RayCase.NEG_K_EVEN_POS: CountProfile(2, 1, 0),
+}
+
+THRESHOLD_CASES = frozenset({RayCase.POS_K_ODD_POS, RayCase.NEG_K_EVEN_POS})
+EXTREMUM_CASES = THRESHOLD_CASES | {RayCase.POS_K_EVEN_NEG}
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,7 +118,7 @@ class RayAnalysis:
     ``r0`` is the extremum radius at params.c (None when f is monotone on the
     ray); ``c0``/``beta`` exist only for the two threshold cases and do not
     depend on c.  ``log_beta`` backs beta for parameter ranges where exp
-    under/overflows.
+    under/overflows.  ``alpha``, ``case`` and ``c0`` come from the ray table.
     """
 
     params: FamilyParams
@@ -140,12 +154,19 @@ def _case_of(k: int, parity: int, alpha_sign: Sign) -> RayCase:
     return RayCase.NEG_K_ODD_POS if alpha_sign > 0 else RayCase.NEG_K_ODD_NEG
 
 
-def f_value(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
-    """(-1)^j r^m + 2 c alpha r^k - 1, with overflow resolved by dominance."""
+def f_value(
+    params: FamilyParams, ray: RayDescriptor, r: float, alpha: float | None = None
+) -> float:
+    """(-1)^j r^m + 2 c alpha r^k - 1, with overflow resolved by dominance.
+
+    ``alpha`` is the ray's folded cosine, recomputed from its residue when the
+    caller does not hold it already.
+    """
     if r <= 0:
         raise ValueError(f"need r > 0, got {r}")
     sgn = -1.0 if ray.parity else 1.0
-    alpha = alpha_from_residue(params.m, ray.residue)
+    if alpha is None:
+        alpha = alpha_from_residue(params.m, ray.residue)
     tm = power_term(sgn, r, params.m)
     tk = power_term(2.0 * params.c * alpha, r, params.k)
     if math.isinf(tm) and math.isinf(tk) and (tm > 0) != (tk > 0):
@@ -153,12 +174,15 @@ def f_value(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
     return tm + tk - 1.0
 
 
-def f_derivative(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
-    """f'(r) = (-1)^j m r^{m-1} + 2 c k alpha r^{k-1}."""
+def f_derivative(
+    params: FamilyParams, ray: RayDescriptor, r: float, alpha: float | None = None
+) -> float:
+    """f'(r) = (-1)^j m r^{m-1} + 2 c k alpha r^{k-1}; ``alpha`` as in f_value."""
     if r <= 0:
         raise ValueError(f"need r > 0, got {r}")
     sgn = -1.0 if ray.parity else 1.0
-    alpha = alpha_from_residue(params.m, ray.residue)
+    if alpha is None:
+        alpha = alpha_from_residue(params.m, ray.residue)
     tm = power_term(sgn * params.m, r, params.m - 1)
     tk = power_term(2.0 * params.c * params.k * alpha, r, params.k - 1)
     if math.isinf(tm) and math.isinf(tk) and (tm > 0) != (tk > 0):
@@ -188,27 +212,126 @@ def _r0(m: int, k: int, alpha: float, c: float) -> float:
     )
 
 
+def _in_band(c: float, c0: float) -> bool:
+    """True when c sits in the tangency band around c0."""
+    return abs(c - c0) <= DEGENERACY_RTOL * c0
+
+
+def _count(profile: CountProfile, c0: float | None, c: float) -> int:
+    """A ray's zero count at c; inside the tangency band the merged pair counts as 1."""
+    if c0 is None:
+        return profile.below
+    if _in_band(c, c0):
+        return profile.at_threshold
+    return profile.below if c < c0 else profile.above
+
+
+def _multiplicity(m: int, row: int) -> int:
+    """Rays in a row's conjugate group: 1 for the axis rows 0 and m, else 2."""
+    return 1 if row in (0, m) else 2
+
+
+@dataclass(frozen=True, slots=True)
+class RayTable:
+    """The c-independent facts of every ray of one (m, k), one row per conjugate group.
+
+    Row j (0 <= j <= m) stands for ray j and its mirror 2m - j; parity, rays,
+    residue class and count profile follow from j and the case.  ``alpha``,
+    ``case`` and ``c0`` (None outside the two threshold cases) are indexed by
+    row.  ``order`` lists the threshold rows by increasing c0 and ``c0s`` holds
+    their c0 in that order; ``steps[i]`` is the count gained when the first i
+    of them are passed, and ``base`` is the count below every threshold.
+    """
+
+    m: int
+    k: int
+    alpha: array
+    case: tuple[RayCase, ...]
+    c0: tuple[float | None, ...]
+    order: array
+    c0s: array
+    steps: array
+    base: int
+
+    def row(self, j: int) -> int:
+        return min(j, 2 * self.m - j)
+
+    def rays(self, row: int) -> tuple[int, ...]:
+        return (row,) if _multiplicity(self.m, row) == 1 else (row, 2 * self.m - row)
+
+    def residue_class(self, row: int) -> int:
+        t = (self.k * row) % (2 * self.m)
+        return min(t, 2 * self.m - t)
+
+    def count(self, c: float) -> int:
+        """Total zero count at c.
+
+        Bisection finds the thresholds c has certainly passed; the exact band
+        test runs only on the rows whose c0 lies within twice the band of c.
+        """
+        lo = bisect_left(self.c0s, c * (1.0 - 2.0 * DEGENERACY_RTOL))
+        hi = bisect_right(self.c0s, c * (1.0 + 2.0 * DEGENERACY_RTOL), lo)
+        total = self.base + self.steps[lo]
+        for i in range(lo, hi):
+            row = self.order[i]
+            profile = _PROFILES[self.case[row]]
+            total += _multiplicity(self.m, row) * (_count(profile, self.c0s[i], c) - profile.below)
+        return total
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def ray_table(m: int, k: int) -> RayTable:
+    """The ray table of (m, k), built once and kept in a small LRU cache."""
+    alphas = array("d")
+    cases = []
+    c0: list[float | None] = []
+    base = 0
+    for j in range(m + 1):
+        t = (k * j) % (2 * m)
+        alpha = alpha_from_residue(m, t)
+        case = _case_of(k, j % 2, _alpha_sign_from_residue(m, t))
+        alphas.append(alpha)
+        cases.append(case)
+        base += _multiplicity(m, j) * _PROFILES[case].below
+        threshold = case in THRESHOLD_CASES
+        c0.append(math.exp(-(m - k) / m * _log_beta(m, k, alpha)) if threshold else None)
+    order = sorted((row for row in range(m + 1) if c0[row] is not None), key=c0.__getitem__)
+    steps = array("q", [0])
+    for row in order:
+        profile = _PROFILES[cases[row]]
+        steps.append(steps[-1] + _multiplicity(m, row) * (profile.above - profile.below))
+    return RayTable(
+        m=m,
+        k=k,
+        alpha=alphas,
+        case=tuple(cases),
+        c0=tuple(c0),
+        order=array("q", order),
+        c0s=array("d", (c0[row] for row in order)),
+        steps=steps,
+        base=base,
+    )
+
+
 def analyze_ray(params: FamilyParams, j: int) -> RayAnalysis:
     """Case label, count profile, and the closed-form critical quantities for ray j."""
     ray = classify_ray(params, j)
-    alpha = alpha_from_residue(params.m, ray.residue)
-    case = _case_of(params.k, ray.parity, ray.alpha_sign)
-    below, at, above = _PROFILES[case]
-    profile = CountProfile(below=below, at_threshold=at, above=above)
+    table = ray_table(params.m, params.k)
+    row = table.row(j)
+    alpha, case, c0 = table.alpha[row], table.case[row], table.c0[row]
 
-    r0 = beta = log_beta = c0 = None
+    r0 = beta = log_beta = None
     if case in EXTREMUM_CASES:
         r0 = _r0(params.m, params.k, alpha, params.c)
-    if case in THRESHOLD_CASES:
+    if c0 is not None:
         log_beta = _log_beta(params.m, params.k, alpha)
         beta = math.exp(log_beta)
-        c0 = math.exp(-(params.m - params.k) / params.m * log_beta)
     return RayAnalysis(
         params=params,
         ray=ray,
         alpha=alpha,
         case=case,
-        profile=profile,
+        profile=_PROFILES[case],
         r0=r0,
         beta=beta,
         log_beta=log_beta,
@@ -218,7 +341,7 @@ def analyze_ray(params: FamilyParams, j: int) -> RayAnalysis:
 
 def degenerate_at(analysis: RayAnalysis, c: float) -> bool:
     """True when c sits in the tangency band around the ray's threshold."""
-    return analysis.c0 is not None and abs(c - analysis.c0) <= DEGENERACY_RTOL * analysis.c0
+    return analysis.c0 is not None and _in_band(c, analysis.c0)
 
 
 def count_at(analysis: RayAnalysis, c: float) -> int:
@@ -229,12 +352,7 @@ def count_at(analysis: RayAnalysis, c: float) -> int:
     """
     if c <= 0:
         raise ValueError(f"need c > 0, got {c}")
-    p = analysis.profile
-    if analysis.c0 is None:
-        return p.below
-    if degenerate_at(analysis, c):
-        return p.at_threshold
-    return p.below if c < analysis.c0 else p.above
+    return _count(analysis.profile, analysis.c0, c)
 
 
 def extremum_radius(analysis: RayAnalysis, c: float) -> float | None:
@@ -252,20 +370,16 @@ def thresholds(params: FamilyParams) -> list[Threshold]:
     Rays are grouped by the residue class min(t, 2m-t): two rays have equal
     alpha (hence exactly equal c0) iff their residues agree up to that
     reflection, so deduplication is exact integer bookkeeping, never a
-    floating-point comparison.
+    floating-point comparison.  Within one parity that class is exactly the
+    conjugate group of a table row.
     """
-    m = params.m
-    groups: dict[int, list[int]] = {}
-    for j in range(2 * m):
-        ray = classify_ray(params, j)
-        case = _case_of(params.k, ray.parity, ray.alpha_sign)
-        if case in THRESHOLD_CASES:
-            cls = min(ray.residue, 2 * m - ray.residue)
-            groups.setdefault(cls, []).append(j)
-    out = []
-    for cls, rays in groups.items():
-        alpha = alpha_from_residue(m, cls)
-        c0 = math.exp(-(m - params.k) / m * _log_beta(m, params.k, alpha))
-        out.append(Threshold(c0=c0, rays=tuple(sorted(rays)), alpha=alpha, residue_class=cls))
-    out.sort(key=lambda th: th.c0)
-    return out
+    table = ray_table(params.m, params.k)
+    return [
+        Threshold(
+            c0=table.c0[row],
+            rays=table.rays(row),
+            alpha=table.alpha[row],
+            residue_class=table.residue_class(row),
+        )
+        for row in table.order
+    ]

@@ -7,7 +7,8 @@ That yields one strict sign-change interval per zero: monotone cases bracket
 directly, unimodal cases split at r0.  Radii are refined by bisection to a
 relative width, then polished with the derivative; every accepted record
 re-evaluates the full complex function and must pass the scaled residual
-bound.
+bound.  Ray 2m-j carries the same radial function as ray j, so all_zeros
+solves each conjugate pair once and emits its radii on both rays.
 """
 from __future__ import annotations
 
@@ -115,19 +116,19 @@ def bracket(analysis: RayAnalysis, c: float) -> list[tuple[float, float]]:
     params = analysis.params
     if c != params.c:
         params = FamilyParams(params.m, params.k, float(c))
-        analysis = analyze_ray(params, analysis.ray.j)
     n = count_at(analysis, c)
     if n == 0:
         return []
+    r0 = extremum_radius(analysis, c)
     if degenerate_at(analysis, c):
-        raise DegenerateTangency(extremum_radius(analysis, c))
+        raise DegenerateTangency(r0)
 
     m, k = params.m, params.k
     ray = analysis.ray
     alpha = analysis.alpha
 
     def f(r: float) -> float:
-        return f_value(params, ray, r)
+        return f_value(params, ray, r, alpha)
 
     hi = outer_radius(m, k, c)
     case = analysis.case
@@ -138,7 +139,7 @@ def bracket(analysis: RayAnalysis, c: float) -> list[tuple[float, float]]:
         return [(lo, _seek_hi(f, hi, want_negative=False))]
     if case is RayCase.POS_K_EVEN_NEG:
         # dips to a strictly negative minimum at r0, then climbs; split there
-        lo = _seek_lo(f, analysis.r0, want_negative=True)
+        lo = _seek_lo(f, r0, want_negative=True)
         return [(lo, _seek_hi(f, hi, want_negative=False))]
     if case is RayCase.NEG_K_EVEN_NEG:
         # increasing from -inf; f(1) = 2 c alpha < 0
@@ -151,12 +152,10 @@ def bracket(analysis: RayAnalysis, c: float) -> list[tuple[float, float]]:
         return [(lo, _seek_hi(f, hi, want_negative=True))]
     if case is RayCase.POS_K_ODD_POS:
         # c above c0: maximum at r0 is strictly positive, tails are negative
-        r0 = extremum_radius(analysis, c)
         lo = _seek_lo(f, min(sys.float_info.min * 4.0, r0 / 2.0), want_negative=True)
         return [(lo, r0), (r0, _seek_hi(f, hi, want_negative=True))]
     if case is RayCase.NEG_K_EVEN_POS:
         # c below c0: minimum at r0 is strictly negative, both tails positive
-        r0 = extremum_radius(analysis, c)
         start = 0.9 * min(r0, 1.0, math.exp((math.log(c) + math.log(alpha)) / abs(k)))
         lo = _seek_lo(f, start, want_negative=False)
         return [(lo, r0), (r0, _seek_hi(f, hi, want_negative=False))]
@@ -226,11 +225,13 @@ def solve_ray(
             f"expected {n} brackets on ray {analysis.ray.j}, built {len(intervals)}"
         )
 
+    ray, alpha = analysis.ray, analysis.alpha
+
     def f(r: float) -> float:
-        return f_value(params, analysis.ray, r)
+        return f_value(params, ray, r, alpha)
 
     def fp(r: float) -> float:
-        return f_derivative(params, analysis.ray, r)
+        return f_derivative(params, ray, r, alpha)
 
     records = [
         _record(params, analysis.ray.j, _refine(f, fp, lo, hi, tol.radius_rtol), False, tol)
@@ -241,8 +242,15 @@ def solve_ray(
 
 
 def all_zeros(params: FamilyParams, tolerances: Tolerances | None = None) -> list[ZeroRecord]:
-    """Every zero of p, ordered by ray index then radius."""
-    out: list[ZeroRecord] = []
-    for j in range(2 * params.m):
-        out.extend(solve_ray(params, analyze_ray(params, j), tolerances))
+    """Every zero of p, ordered by ray index then radius.
+
+    Rays 0..m are solved in order; ray j > m reuses the radii of its mirror
+    2m - j, and each of its records passes its own residual gate.
+    """
+    tol = tolerances or Tolerances()
+    m = params.m
+    solved = [solve_ray(params, analyze_ray(params, j), tol) for j in range(m + 1)]
+    out = [rec for recs in solved for rec in recs]
+    for j in range(m + 1, 2 * m):
+        out.extend(_record(params, j, rec.r, rec.degenerate, tol) for rec in solved[2 * m - j])
     return out

@@ -4,7 +4,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import pytest
+
+import rayzeros
 from rayzeros.cli import main
 
 
@@ -198,3 +205,33 @@ class TestToleranceConfig:
             capsys, "zeros", "--m", "5", "--k", "4", "--c", "1", "--tol-radius", "1e-11"
         )
         assert json.loads(out)["meta"]["tolerances"]["radius"] == 1e-11
+
+
+class TestLazyNumpy:
+    """Only the oracle needs numpy, so only verify loads it."""
+
+    SCRIPT = (
+        "import contextlib, io, sys\n"
+        "import rayzeros\n"
+        "from rayzeros import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(sys.argv[1:])\n"
+        "print(rc, 'numpy' in sys.modules)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["predict", "--m", "5", "--k", "-4"], False),
+            (["zeros", "--m", "5", "--k", "4", "--c", "3"], False),
+            (["verify", "--m", "5", "--k", "4", "--c", "1"], True),
+        ],
+    )
+    def test_numpy_loaded_only_by_verify(self, argv, loaded):
+        src = str(pathlib.Path(rayzeros.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert proc.stdout.split() == ["0", str(loaded)]
