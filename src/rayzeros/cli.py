@@ -22,16 +22,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .family import ParameterError, Sign, validate
-from .oracle import ResolutionTooCoarse, compare, find_zeros_grid
+from .oracle import _MIN_RESOLUTION, ResolutionTooCoarse, compare, find_zeros_grid
 from .predict import predict_at, predict_census, predict_table
 from .rays import analyze_ray, count_at, thresholds
-from .roots import BracketFailure, Tolerances, all_zeros
+from .roots import Tolerances, all_zeros
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 ENV_PREFIX = "RAYZEROS_"
 
@@ -39,22 +38,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_MISMATCH = 2
 EXIT_NUMERICAL = 3
-
-
-@dataclass(slots=True)
-class RunConfig:
-    command: str
-    m: int
-    k: int
-    c: float = 1.0
-    c_min: float | None = None
-    c_max: float | None = None
-    steps: int | None = None
-    spacing: str = "linear"
-    format: str = "json"
-    output: str | None = None
-    resolution: int = 256
-    tolerances: Tolerances = Tolerances()
 
 
 def _fmt(value) -> str:
@@ -69,8 +52,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(config: RunConfig, rows: list[dict], meta_extra: dict | None = None) -> str:
-    if config.format == "csv":
+def _emit(args, rows: list[dict], meta_extra: dict | None = None) -> str:
+    if args.format == "csv":
         buf = io.StringIO()
         if rows:
             writer = csv.writer(buf, lineterminator="\n")
@@ -81,21 +64,21 @@ def _emit(config: RunConfig, rows: list[dict], meta_extra: dict | None = None) -
     meta = {
         "version": __version__,
         "tolerances": {
-            "radius": config.tolerances.radius_rtol,
-            "residual": config.tolerances.residual_rtol,
+            "radius": args.tolerances.radius_rtol,
+            "residual": args.tolerances.residual_rtol,
         },
     }
     if meta_extra:
         meta.update(meta_extra)
     doc = {
-        "params": {"m": config.m, "k": config.k, "c": config.c},
+        "params": {"m": args.m, "k": args.k, "c": args.c},
         "results": rows,
         "meta": meta,
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _cmd_classify(config: RunConfig, params) -> list[dict]:
+def _cmd_classify(args, params) -> list[dict]:
     rows = []
     for j in range(2 * params.m):
         a = analyze_ray(params, j)
@@ -115,7 +98,7 @@ def _cmd_classify(config: RunConfig, params) -> list[dict]:
     return rows
 
 
-def _cmd_predict(config: RunConfig, params) -> list[dict]:
+def _cmd_predict(args, params) -> list[dict]:
     rows = []
     for pred in (predict_table(params), predict_census(params)):
         rows.append(
@@ -129,7 +112,7 @@ def _cmd_predict(config: RunConfig, params) -> list[dict]:
     return rows
 
 
-def _cmd_zeros(config: RunConfig, params) -> list[dict]:
+def _cmd_zeros(args, params) -> list[dict]:
     return [
         {
             "j": rec.j,
@@ -139,20 +122,20 @@ def _cmd_zeros(config: RunConfig, params) -> list[dict]:
             "residual": rec.residual,
             "degenerate": rec.degenerate,
         }
-        for rec in all_zeros(params, config.tolerances)
+        for rec in all_zeros(params, args.tolerances)
     ]
 
 
-def _cmd_thresholds(config: RunConfig, params) -> list[dict]:
+def _cmd_thresholds(args, params) -> list[dict]:
     return [
         {"c0": th.c0, "rays": list(th.rays), "alpha": th.alpha}
         for th in thresholds(params)
     ]
 
 
-def _sweep_grid(config: RunConfig) -> list[float]:
-    lo, hi, n = config.c_min, config.c_max, config.steps
-    if config.spacing == "log":
+def _sweep_grid(args) -> list[float]:
+    lo, hi, n = args.c_min, args.c_max, args.steps
+    if args.spacing == "log":
         return [math.exp(x) for x in _linspace(math.log(lo), math.log(hi), n)]
     return _linspace(lo, hi, n)
 
@@ -161,11 +144,11 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def _cmd_sweep(config: RunConfig, params) -> tuple[list[dict], dict]:
+def _cmd_sweep(args, params) -> tuple[list[dict], dict]:
     ths = thresholds(params)
     rows = []
     prev = None
-    for c in _sweep_grid(config):
+    for c in _sweep_grid(args):
         crossed = (
             []
             if prev is None
@@ -177,7 +160,7 @@ def _cmd_sweep(config: RunConfig, params) -> tuple[list[dict], dict]:
     return rows, overlay
 
 
-def _cmd_verify(config: RunConfig, params) -> tuple[list[dict], bool]:
+def _cmd_verify(args, params) -> tuple[list[dict], bool]:
     rows = []
     ok = True
 
@@ -193,7 +176,7 @@ def _cmd_verify(config: RunConfig, params) -> tuple[list[dict], bool]:
         }
     )
 
-    records = all_zeros(params, config.tolerances)
+    records = all_zeros(params, args.tolerances)
     predicted = predict_at(params, params.c)
     agree = len(records) == predicted
     ok &= agree
@@ -205,7 +188,7 @@ def _cmd_verify(config: RunConfig, params) -> tuple[list[dict], bool]:
         }
     )
 
-    oracle_res = find_zeros_grid(params, config.resolution)
+    oracle_res = find_zeros_grid(params, args.resolution)
     report = compare(params, oracle_res, records)
     agree = report.clean and len(oracle_res.zeros) == len(records) and report.max_distance < 1e-6
     ok &= agree
@@ -222,63 +205,18 @@ def _cmd_verify(config: RunConfig, params) -> tuple[list[dict], bool]:
     return rows, ok
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    try:
-        params = validate(config.m, config.k, config.c)
-    except ParameterError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-    if config.command == "sweep":
-        if config.c_min is None or config.c_max is None or config.steps is None:
-            print("error: sweep needs --c-min, --c-max and --steps", file=sys.stderr)
-            return EXIT_INVALID
-        if not (0 < config.c_min < config.c_max) or config.steps < 2:
-            print("error: sweep needs 0 < c-min < c-max and steps >= 2", file=sys.stderr)
-            return EXIT_INVALID
-
-    status = EXIT_OK
-    meta_extra = None
-    try:
-        if config.command == "classify":
-            rows = _cmd_classify(config, params)
-        elif config.command == "predict":
-            rows = _cmd_predict(config, params)
-        elif config.command == "zeros":
-            rows = _cmd_zeros(config, params)
-        elif config.command == "thresholds":
-            rows = _cmd_thresholds(config, params)
-        elif config.command == "sweep":
-            rows, meta_extra = _cmd_sweep(config, params)
-        elif config.command == "verify":
-            rows, ok = _cmd_verify(config, params)
-            if not ok:
-                status = EXIT_MISMATCH
-        else:
-            print(f"error: unknown command {config.command!r}", file=sys.stderr)
-            return EXIT_INVALID
-    except (BracketFailure, ResolutionTooCoarse) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
-    text = _emit(config, rows, meta_extra)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return status
-
-
-def _env_float(name: str, default: float) -> float:
+def _env_tolerance(name: str, default: float) -> float:
+    """RAYZEROS_<name>, which must be a finite positive float when set."""
     raw = os.environ.get(ENV_PREFIX + name)
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        return default
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise ValueError(f"{ENV_PREFIX}{name} must be a finite positive float, got {raw!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -319,25 +257,57 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _invalid(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INVALID
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Execute one command; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    radius = args.tol_radius if args.tol_radius is not None else _env_float("TOL_RADIUS", 1e-12)
-    residual = args.tol_residual if args.tol_residual is not None else _env_float("TOL_RESIDUAL", 1e-10)
-    config = RunConfig(
-        command=args.command,
-        m=args.m,
-        k=args.k,
-        c=args.c,
-        c_min=getattr(args, "c_min", None),
-        c_max=getattr(args, "c_max", None),
-        steps=getattr(args, "steps", None),
-        spacing=getattr(args, "spacing", "linear"),
-        format=args.format,
-        output=args.output,
-        resolution=getattr(args, "resolution", 256),
-        tolerances=Tolerances(radius_rtol=radius, residual_rtol=residual),
-    )
-    return run(config)
+    try:
+        params = validate(args.m, args.k, args.c)
+    except ParameterError as exc:
+        return _invalid(f"{type(exc).__name__}: {exc}")
+    try:
+        radius = args.tol_radius if args.tol_radius is not None else _env_tolerance("TOL_RADIUS", 1e-12)
+        residual = args.tol_residual if args.tol_residual is not None else _env_tolerance("TOL_RESIDUAL", 1e-10)
+    except ValueError as exc:
+        return _invalid(str(exc))
+    args.tolerances = Tolerances(radius_rtol=radius, residual_rtol=residual)
+    if args.command == "sweep" and (not (0 < args.c_min < args.c_max) or args.steps < 2):
+        return _invalid("sweep needs 0 < c-min < c-max and steps >= 2")
+    if args.command == "verify" and args.resolution < _MIN_RESOLUTION:
+        return _invalid(f"verify needs --resolution >= {_MIN_RESOLUTION}, got {args.resolution}")
+
+    status = EXIT_OK
+    meta_extra = None
+    try:
+        if args.command == "classify":
+            rows = _cmd_classify(args, params)
+        elif args.command == "predict":
+            rows = _cmd_predict(args, params)
+        elif args.command == "zeros":
+            rows = _cmd_zeros(args, params)
+        elif args.command == "thresholds":
+            rows = _cmd_thresholds(args, params)
+        elif args.command == "sweep":
+            rows, meta_extra = _cmd_sweep(args, params)
+        elif args.command == "verify":
+            rows, ok = _cmd_verify(args, params)
+            if not ok:
+                status = EXIT_MISMATCH
+    except (ArithmeticError, ResolutionTooCoarse) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+
+    text = _emit(args, rows, meta_extra)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return status
 
 
 if __name__ == "__main__":

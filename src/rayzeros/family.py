@@ -203,6 +203,17 @@ def power_term(coeff: float, r: float, p: int) -> float:
     return coeff * rp
 
 
+def _dominant_sum(tm: float, tk: float) -> float:
+    """tm + tk under the overflow rule: opposite infinities resolve to the degree-m term tm.
+
+    Both powers overflow only for r > 1 with k > 0.  evaluate, f_value and
+    f_derivative all resolve overflow here.
+    """
+    if math.isinf(tm) and math.isinf(tk) and (tm > 0) != (tk > 0):
+        return tm
+    return tm + tk
+
+
 def evaluate(params: FamilyParams, z: complex) -> complex:
     """p(z) through the polar decomposition.
 
@@ -220,10 +231,5 @@ def evaluate(params: FamilyParams, z: complex) -> complex:
     r, theta = cmath.polar(z)
     tm = power_term(math.cos(m * theta), r, m)
     tk = power_term(2.0 * c * math.cos(k * theta), r, k)
-    if math.isinf(tm) and math.isinf(tk) and (tm > 0) != (tk > 0):
-        # both overflow only for r > 1 with k > 0, where the degree-m term wins
-        re = tm
-    else:
-        re = tm + tk - 1.0
     im = power_term(math.sin(m * theta), r, m)
-    return complex(re, im)
+    return complex(_dominant_sum(tm, tk) - 1.0, im)

@@ -27,6 +27,7 @@ __all__ = ["OracleResult", "ComparisonReport", "ResolutionTooCoarse", "find_zero
 
 REFINE_TOL = 1e-8  # accepted candidates satisfy |p(z)| <= REFINE_TOL
 _MAX_SUBDIVISIONS = 4
+_MIN_RESOLUTION = 64
 
 
 class ResolutionTooCoarse(RuntimeError):
@@ -38,7 +39,6 @@ class OracleResult:
     zeros: list[complex]
     grid_resolution: int
     annulus: tuple[float, float]
-    matched_count: int | None = None
     params: FamilyParams | None = None
 
 
@@ -145,8 +145,8 @@ def find_zeros_grid(params: FamilyParams, resolution: int = 256) -> OracleResult
     """
     import numpy as np
 
-    if resolution < 64:
-        raise ValueError(f"need resolution >= 64, got {resolution}")
+    if resolution < _MIN_RESOLUTION:
+        raise ValueError(f"need resolution >= {_MIN_RESOLUTION}, got {resolution}")
     m, k, c = params.m, params.k, params.c
     r_lo, r_hi = _annulus(m, k, c)
 
@@ -220,11 +220,9 @@ def compare(params: FamilyParams, oracle_res: OracleResult, ray_zeros) -> Compar
         used_b.add(jj)
         matched += 1
         max_distance = max(max_distance, dist)
-    report = ComparisonReport(
+    return ComparisonReport(
         matched=matched,
         max_distance=max_distance,
         unmatched_oracle=tuple(z for i, z in enumerate(a) if i not in used_a),
         unmatched_ray=tuple(z for jj, z in enumerate(b) if jj not in used_b),
     )
-    oracle_res.matched_count = matched
-    return report

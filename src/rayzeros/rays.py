@@ -27,7 +27,8 @@ beta is evaluated in the log domain; the exponent m/(m-k) grows like m when
 Ray j and ray 2m-j have the same parity and the residues t and 2m-t, so they
 carry the same alpha and the same radial function.  The c-independent facts
 of the m+1 conjugate groups live in one cached RayTable per (m, k), the single
-source of c0; analyze_ray, thresholds and the global count all read it.
+source of c0; analyze_ray, thresholds, the census and the global count all
+read it.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from .family import (
     RayDescriptor,
     Sign,
     _alpha_sign_from_residue,
+    _dominant_sum,
     alpha_from_residue,
     classify_ray,
     power_term,
@@ -116,9 +118,8 @@ class RayAnalysis:
     """Everything the counting and root finding need to know about one ray.
 
     ``r0`` is the extremum radius at params.c (None when f is monotone on the
-    ray); ``c0``/``beta`` exist only for the two threshold cases and do not
-    depend on c.  ``log_beta`` backs beta for parameter ranges where exp
-    under/overflows.  ``alpha``, ``case`` and ``c0`` come from the ray table.
+    ray); ``c0``/``log_beta`` exist only for the two threshold cases and do not
+    depend on c.  ``alpha``, ``case`` and ``c0`` come from the ray table.
     """
 
     params: FamilyParams
@@ -127,9 +128,18 @@ class RayAnalysis:
     case: RayCase
     profile: CountProfile
     r0: float | None = None
-    beta: float | None = None
     log_beta: float | None = None
     c0: float | None = None
+
+    @property
+    def beta(self) -> float | None:
+        """exp(log_beta), inf where that overflows (|k| close to m)."""
+        if self.log_beta is None:
+            return None
+        try:
+            return math.exp(self.log_beta)
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,9 +179,7 @@ def f_value(
         alpha = alpha_from_residue(params.m, ray.residue)
     tm = power_term(sgn, r, params.m)
     tk = power_term(2.0 * params.c * alpha, r, params.k)
-    if math.isinf(tm) and math.isinf(tk) and (tm > 0) != (tk > 0):
-        return tm  # both overflow only for r > 1, k > 0: degree m wins
-    return tm + tk - 1.0
+    return _dominant_sum(tm, tk) - 1.0
 
 
 def f_derivative(
@@ -185,9 +193,7 @@ def f_derivative(
         alpha = alpha_from_residue(params.m, ray.residue)
     tm = power_term(sgn * params.m, r, params.m - 1)
     tk = power_term(2.0 * params.c * params.k * alpha, r, params.k - 1)
-    if math.isinf(tm) and math.isinf(tk) and (tm > 0) != (tk > 0):
-        return tm
-    return tm + tk
+    return _dominant_sum(tm, tk)
 
 
 def _log_beta(m: int, k: int, alpha: float) -> float:
@@ -241,6 +247,8 @@ class RayTable:
     row.  ``order`` lists the threshold rows by increasing c0 and ``c0s`` holds
     their c0 in that order; ``steps[i]`` is the count gained when the first i
     of them are passed, and ``base`` is the count below every threshold.
+    ``census`` counts the 2m rays by parity and exact alpha sign, in the field
+    order of unity.ParityCensus.
     """
 
     m: int
@@ -252,6 +260,7 @@ class RayTable:
     c0s: array
     steps: array
     base: int
+    census: tuple[int, ...]
 
     def row(self, j: int) -> int:
         return min(j, 2 * self.m - j)
@@ -286,13 +295,17 @@ def ray_table(m: int, k: int) -> RayTable:
     cases = []
     c0: list[float | None] = []
     base = 0
+    tally = [0] * 6  # rays by parity, then by alpha sign from positive to negative
     for j in range(m + 1):
         t = (k * j) % (2 * m)
         alpha = alpha_from_residue(m, t)
-        case = _case_of(k, j % 2, _alpha_sign_from_residue(m, t))
+        sign = _alpha_sign_from_residue(m, t)
+        case = _case_of(k, j % 2, sign)
         alphas.append(alpha)
         cases.append(case)
-        base += _multiplicity(m, j) * _PROFILES[case].below
+        n = _multiplicity(m, j)
+        base += n * _PROFILES[case].below
+        tally[3 * (j % 2) + 1 - sign] += n
         threshold = case in THRESHOLD_CASES
         c0.append(math.exp(-(m - k) / m * _log_beta(m, k, alpha)) if threshold else None)
     order = sorted((row for row in range(m + 1) if c0[row] is not None), key=c0.__getitem__)
@@ -310,6 +323,7 @@ def ray_table(m: int, k: int) -> RayTable:
         c0s=array("d", (c0[row] for row in order)),
         steps=steps,
         base=base,
+        census=tuple(tally),
     )
 
 
@@ -320,12 +334,11 @@ def analyze_ray(params: FamilyParams, j: int) -> RayAnalysis:
     row = table.row(j)
     alpha, case, c0 = table.alpha[row], table.case[row], table.c0[row]
 
-    r0 = beta = log_beta = None
+    r0 = log_beta = None
     if case in EXTREMUM_CASES:
         r0 = _r0(params.m, params.k, alpha, params.c)
     if c0 is not None:
         log_beta = _log_beta(params.m, params.k, alpha)
-        beta = math.exp(log_beta)
     return RayAnalysis(
         params=params,
         ray=ray,
@@ -333,7 +346,6 @@ def analyze_ray(params: FamilyParams, j: int) -> RayAnalysis:
         case=case,
         profile=_PROFILES[case],
         r0=r0,
-        beta=beta,
         log_beta=log_beta,
         c0=c0,
     )

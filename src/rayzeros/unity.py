@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .family import FamilyParams, Sign, classify_ray
+# classify_ray is unused here but stays bound: perfbench/tracing.py counts unity.classify_ray
+from .family import FamilyParams, classify_ray  # noqa: F401
+from .rays import ray_table
 
 __all__ = ["ParityCensus", "positive_halfplane_count", "census", "group_order"]
 
@@ -45,28 +47,10 @@ def group_order(params: FamilyParams) -> int:
 
 
 def census(params: FamilyParams) -> ParityCensus:
-    """Six-way parity/sign census by direct enumeration of the 2m rays.
+    """Six-way parity/sign census of the 2m rays, tallied from the ray table.
 
-    Uses the exact integer classifier, so boundary rays (Re omega^j = 0)
-    are never miscounted.  Which power lands on which point of the circle is
-    irrelevant here; only the counts matter.  Independent of c.
+    Each of the table's m+1 rows counts once for the axis rays 0 and m and
+    twice otherwise; its alpha sign comes from the exact integer classifier,
+    so boundary rays (Re omega^j = 0) are never miscounted.  Independent of c.
     """
-    counts = {
-        (0, Sign.POSITIVE): 0,
-        (0, Sign.ZERO): 0,
-        (0, Sign.NEGATIVE): 0,
-        (1, Sign.POSITIVE): 0,
-        (1, Sign.ZERO): 0,
-        (1, Sign.NEGATIVE): 0,
-    }
-    for j in range(2 * params.m):
-        ray = classify_ray(params, j)
-        counts[(ray.parity, ray.alpha_sign)] += 1
-    return ParityCensus(
-        even_pos=counts[(0, Sign.POSITIVE)],
-        even_zero=counts[(0, Sign.ZERO)],
-        even_neg=counts[(0, Sign.NEGATIVE)],
-        odd_pos=counts[(1, Sign.POSITIVE)],
-        odd_zero=counts[(1, Sign.ZERO)],
-        odd_neg=counts[(1, Sign.NEGATIVE)],
-    )
+    return ParityCensus(*ray_table(params.m, params.k).census)

@@ -89,6 +89,14 @@ class TestClassifyCommand:
         assert rows[0]["case"] == "pos_k_even_pos"
         assert rows[0]["count"] == 1
 
+    def test_beta_overflow_pair(self, capsys):
+        # ray 1509 has log_beta 712.4 > log(max float); its c0 is 0.70
+        code, out, _ = run_cli(capsys, "classify", "--m", "2000", "--k", "1999")
+        assert code == 0
+        rows = json.loads(out)["results"]
+        assert len(rows) == 4000
+        assert 0.69 < rows[1509]["c0"] < 0.71
+
 
 class TestThresholdsCommand:
     def test_grouped_rows(self, capsys):
@@ -175,6 +183,25 @@ class TestExitCodes:
         assert code == 3
         assert "BracketFailure" in err
 
+    def test_overflow_is_numerical_failure(self, capsys, monkeypatch):
+        import rayzeros.cli as cli_mod
+
+        def boom(params, tolerances=None):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli_mod, "all_zeros", boom)
+        code, _, err = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1")
+        assert code == 3
+        assert "OverflowError" in err
+
+    def test_resolution_below_minimum(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--m", "5", "--k", "4", "--c", "1", "--resolution", "32"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--resolution" in err
+
     def test_numerical_failure_from_oracle(self, capsys, monkeypatch):
         from rayzeros.oracle import ResolutionTooCoarse
         import rayzeros.cli as cli_mod
@@ -205,6 +232,15 @@ class TestToleranceConfig:
             capsys, "zeros", "--m", "5", "--k", "4", "--c", "1", "--tol-radius", "1e-11"
         )
         assert json.loads(out)["meta"]["tolerances"]["radius"] == 1e-11
+
+    @pytest.mark.parametrize("name", ["RAYZEROS_TOL_RADIUS", "RAYZEROS_TOL_RESIDUAL"])
+    @pytest.mark.parametrize("raw", ["abc", "", "0", "-1e-10", "nan", "inf"])
+    def test_bad_env_value_is_invalid(self, capsys, monkeypatch, name, raw):
+        monkeypatch.setenv(name, raw)
+        code, out, err = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and name in err
 
 
 class TestLazyNumpy:

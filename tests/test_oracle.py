@@ -59,7 +59,6 @@ class TestCompare:
         assert report.matched == 7
         assert report.clean
         assert report.max_distance < 1e-6
-        assert res.matched_count == 7
 
     def test_large_c(self):
         p = validate(3, 2, 10.0)

@@ -14,12 +14,14 @@ from rayzeros import (
     classify_ray,
     count_at,
     degenerate_at,
+    evaluate,
     extremum_radius,
     f_derivative,
     f_value,
     thresholds,
     validate,
 )
+from rayzeros.family import unit_direction
 
 from conftest import brute_ray_count, valid_k_choices, valid_pairs
 
@@ -43,6 +45,18 @@ class TestFValue:
         val = f_value(p, classify_ray(p, 0), 1.0)
         assert math.isclose(val, 0.4, rel_tol=1e-15)
         assert val == evaluate(p, 1.0).real
+
+    @pytest.mark.parametrize("r", [1e100, 1e300])
+    def test_both_powers_overflow_degree_m_wins(self, r):
+        """Where r^m and r^k both overflow with opposite signs, f, f' and Re p
+        all take the sign of the degree-m term, (-1)^j."""
+        p = validate(5, 4, 1.0)
+        for j in range(3, 8):  # rays whose middle term has the sign opposite to (-1)^j
+            ray = classify_ray(p, j)
+            want = -math.inf if j % 2 else math.inf
+            assert f_value(p, ray, r) == want
+            assert f_derivative(p, ray, r) == want
+            assert evaluate(p, r * unit_direction(5, j)).real == want
 
     def test_rejects_nonpositive_radius(self):
         p = validate(3, 1, 1.0)
@@ -215,6 +229,14 @@ class TestAnalysisFields:
                         a.c0, math.exp(-(m - k) / m * a.log_beta), rel_tol=1e-14
                     )
                     assert math.isclose(a.beta, math.exp(a.log_beta), rel_tol=1e-14)
+
+    def test_beta_overflow_leaves_c0_finite(self):
+        """log_beta is 712.4 on (2000, 1999) ray 1509: beta overflows, c0 does not."""
+        a = analyze_ray(validate(2000, 1999, 1.0), 1509)
+        assert a.case is RayCase.POS_K_ODD_POS
+        assert math.isfinite(a.c0) and 0.69 < a.c0 < 0.71
+        assert a.log_beta > 709.0
+        assert a.beta == math.inf
 
     def test_counts_in_range(self):
         for m, k in valid_pairs(9):

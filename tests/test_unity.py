@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from rayzeros import ParityCensus, census, group_order, positive_halfplane_count, validate
+from rayzeros import ParityCensus, Sign, census, classify_ray, group_order, positive_halfplane_count, validate
 
 from conftest import brute_halfplane_count, valid_pairs
 
@@ -71,6 +71,34 @@ class TestCensus:
                 assert cen.even_pos + cen.odd_pos == positive_halfplane_count(2 * m)
             else:
                 assert cen.even_pos == cen.odd_pos == positive_halfplane_count(m)
+
+
+def reference_census(params):
+    """Tally of all 2m rays by parity and exact alpha sign, one classify_ray per ray."""
+    counts = {(p, s): 0 for p in (0, 1) for s in Sign}
+    for j in range(2 * params.m):
+        ray = classify_ray(params, j)
+        counts[ray.parity, ray.alpha_sign] += 1
+    return ParityCensus(
+        *(counts[p, s] for p in (0, 1) for s in (Sign.POSITIVE, Sign.ZERO, Sign.NEGATIVE))
+    )
+
+
+class TestCensusFromTable:
+    """census tallies the ray table's m+1 rows; it must equal the 2m-ray tally."""
+
+    def test_every_pair_up_to_60(self):
+        for m, k in valid_pairs(60):
+            p = validate(m, k, 1.0)
+            assert census(p) == reference_census(p), (m, k)
+
+    @pytest.mark.parametrize("m,k", [(2048, 1023), (4093, -2000), (10, 3), (10, -3)])
+    def test_large_and_boundary_pairs(self, m, k):
+        p = validate(m, k, 1.0)
+        cen = census(p)
+        assert cen == reference_census(p)
+        if m % 2 == 0:
+            assert cen.even_zero + cen.odd_zero > 0  # even m has alpha = 0 rays
 
 
 class TestStructuralFacts:
