@@ -79,8 +79,9 @@ def _emit(args, rows: list[dict], meta_extra: dict | None = None) -> str:
 
 
 def _cmd_classify(args, params) -> list[dict]:
+    m = params.m
     rows = []
-    for j in range(2 * params.m):
+    for j in range(m + 1):
         a = analyze_ray(params, j)
         rows.append(
             {
@@ -95,6 +96,8 @@ def _cmd_classify(args, params) -> list[dict]:
                 "c0": a.c0,
             }
         )
+    # ray 2m - j shares row j's radial function; only its index and angle differ
+    rows += [dict(rows[2 * m - j], j=j, angle=j * math.pi / m) for j in range(m + 1, 2 * m)]
     return rows
 
 
@@ -205,17 +208,24 @@ def _cmd_verify(args, params) -> tuple[list[dict], bool]:
     return rows, ok
 
 
-def _env_tolerance(name: str, default: float) -> float:
-    """RAYZEROS_<name>, which must be a finite positive float when set."""
-    raw = os.environ.get(ENV_PREFIX + name)
+def _tolerance(args, name: str, default: float) -> float:
+    """--tol-<x> if given, else RAYZEROS_TOL_<X> if set, else the default.
+
+    A value given either way must be a finite positive float.
+    """
+    source = "--" + name.lower().replace("_", "-")
+    raw = getattr(args, name.lower())
     if raw is None:
-        return default
+        source = ENV_PREFIX + name
+        raw = os.environ.get(source)
+        if raw is None:
+            return default
     try:
         value = float(raw)
     except ValueError:
         value = math.nan
     if not 0 < value < math.inf:
-        raise ValueError(f"{ENV_PREFIX}{name} must be a finite positive float, got {raw!r}")
+        raise ValueError(f"{source} must be a finite positive float, got {raw!r}")
     return value
 
 
@@ -270,8 +280,8 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         return _invalid(f"{type(exc).__name__}: {exc}")
     try:
-        radius = args.tol_radius if args.tol_radius is not None else _env_tolerance("TOL_RADIUS", 1e-12)
-        residual = args.tol_residual if args.tol_residual is not None else _env_tolerance("TOL_RESIDUAL", 1e-10)
+        radius = _tolerance(args, "TOL_RADIUS", 1e-12)
+        residual = _tolerance(args, "TOL_RESIDUAL", 1e-10)
     except ValueError as exc:
         return _invalid(str(exc))
     args.tolerances = Tolerances(radius_rtol=radius, residual_rtol=residual)

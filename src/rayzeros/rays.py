@@ -164,6 +164,15 @@ def _case_of(k: int, parity: int, alpha_sign: Sign) -> RayCase:
     return RayCase.NEG_K_ODD_POS if alpha_sign > 0 else RayCase.NEG_K_ODD_NEG
 
 
+def _terms(
+    params: FamilyParams, ray: RayDescriptor, alpha: float | None
+) -> tuple[tuple[float, int], ...]:
+    """f's (coefficient, power) terms: (-1)^j r^m, 2 c alpha r^k and -1; ``alpha`` as in f_value."""
+    if alpha is None:
+        alpha = alpha_from_residue(params.m, ray.residue)
+    return ((-1.0 if ray.parity else 1.0, params.m), (2.0 * params.c * alpha, params.k), (-1.0, 0))
+
+
 def f_value(
     params: FamilyParams, ray: RayDescriptor, r: float, alpha: float | None = None
 ) -> float:
@@ -174,12 +183,54 @@ def f_value(
     """
     if r <= 0:
         raise ValueError(f"need r > 0, got {r}")
-    sgn = -1.0 if ray.parity else 1.0
-    if alpha is None:
-        alpha = alpha_from_residue(params.m, ray.residue)
-    tm = power_term(sgn, r, params.m)
-    tk = power_term(2.0 * params.c * alpha, r, params.k)
-    return _dominant_sum(tm, tk) - 1.0
+    (cm, m), (ck, k), _ = _terms(params, ray, alpha)
+    return _dominant_sum(power_term(cm, r, m), power_term(ck, r, k)) - 1.0
+
+
+# one side of f's log split: its terms as (log |coefficient|, power)
+_Side = tuple[tuple[float, int], ...]
+
+
+def _log_split(params: FamilyParams, ray: RayDescriptor, alpha: float | None) -> tuple[_Side, _Side]:
+    """f's terms split by sign into the sides P > 0 and N > 0 of f = P - N.
+
+    Each side lists its terms as (log |coefficient|, power), so a term is
+    exp(log |coefficient| + power * log r).  A zero coefficient (alpha = 0)
+    drops out.  N always holds the constant 1.
+    """
+    pos: list[tuple[float, int]] = []
+    neg: list[tuple[float, int]] = []
+    for coeff, power in _terms(params, ray, alpha):
+        if coeff:
+            (pos if coeff > 0 else neg).append((math.log(abs(coeff)), power))
+    return tuple(pos), tuple(neg)
+
+
+def _log_side(side: _Side, s: float) -> tuple[float, int, float, float]:
+    """One side of the split at s = log r: its dominant term's (log coefficient,
+    power), the log of the side's sum over that term, and the slope of the
+    side's log, which is the weighted mean of its powers."""
+    if len(side) == 1:
+        (a, p), = side
+        return a, p, 0.0, float(p)
+    (a1, p1), (a2, p2) = side
+    d = (a2 - a1) + (p2 - p1) * s
+    if d > 0:
+        a1, p1, p2, d = a2, p2, p1, -d
+    w = math.exp(d)
+    return a1, p1, math.log1p(w), (p1 + p2 * w) / (1.0 + w)
+
+
+def _log_f(split: tuple[_Side, _Side], s: float) -> tuple[float, float]:
+    """F(s) = log P - log N at s = log r, and F'(s).
+
+    F has the sign of f and never overflows.  The dominant terms of the two
+    sides are combined before s is scaled, so rounding grows with the
+    difference of their powers, not with the powers themselves.
+    """
+    ap, pp, lp, dp = _log_side(split[0], s)
+    an, pn, ln, dn = _log_side(split[1], s)
+    return (ap - an) + (pp - pn) * s + (lp - ln), dp - dn
 
 
 def f_derivative(

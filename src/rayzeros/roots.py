@@ -4,11 +4,13 @@ Each case shape pins down the sign of f at small radii, at the
 extremum r0 (when there is one), and at the outer bound
 R = max(1, (2c+2)^{1/(m-|k|)}) + 1, beyond which the degree-m term dominates.
 That yields one strict sign-change interval per zero: monotone cases bracket
-directly, unimodal cases split at r0.  Radii are refined by bisection to a
-relative width, then polished with the derivative; every accepted record
-re-evaluates the full complex function and must pass the scaled residual
-bound.  Ray 2m-j carries the same radial function as ray j, so all_zeros
-solves each conjugate pair once and emits its radii on both rays.
+directly, unimodal cases split at r0.  Each radius is refined by safeguarded
+Newton in s = log r on F = log P - log N, where P and N are f's positive and
+negative terms, so F has f's sign and never overflows; steps that leave the
+bracket bisect it in s.  Every accepted record re-evaluates the full complex
+function and must pass the scaled residual bound.  Ray 2m-j carries the same
+radial function as ray j, so all_zeros solves each conjugate pair once and
+emits its radii on both rays.
 """
 from __future__ import annotations
 
@@ -20,13 +22,16 @@ from .family import FamilyParams, evaluate, power_term, unit_direction
 from .rays import (
     RayAnalysis,
     RayCase,
+    _log_f,
+    _log_split,
     analyze_ray,
     count_at,
     degenerate_at,
     extremum_radius,
-    f_derivative,
     f_value,
 )
+# f_derivative is unused here but stays bound: perfbench/tracing.py wraps roots.f_derivative
+from .rays import f_derivative  # noqa: F401
 
 __all__ = [
     "Tolerances",
@@ -38,6 +43,11 @@ __all__ = [
     "solve_ray",
     "all_zeros",
 ]
+
+
+# bound on the Newton-or-bisection steps per zero; bisection alone takes the
+# widest bracket in s, about 1400, to 1e-12 in 51 steps
+_NEWTON_STEPS = 100
 
 
 class BracketFailure(ArithmeticError):
@@ -57,7 +67,8 @@ class DegenerateTangency(Exception):
 class Tolerances:
     """Refinement and acceptance tolerances.
 
-    radius_rtol: relative bracket width at which bisection stops.
+    radius_rtol: the Newton step in log r (a relative change of r) at which
+        refinement stops.
     residual_rtol: accepted records must satisfy
         |p(z)| <= residual_rtol * max(1, |z|^m).
     """
@@ -162,37 +173,37 @@ def bracket(analysis: RayAnalysis, c: float) -> list[tuple[float, float]]:
     raise BracketFailure(f"case {case} should have no zeros to bracket")
 
 
-def _refine(f, fprime, lo: float, hi: float, radius_rtol: float) -> float:
-    """Bisection to relative width, then a short derivative polish inside the bracket."""
+def _refine(f, split, lo: float, hi: float, radius_rtol: float) -> float:
+    """Safeguarded Newton on F(s) = log P - log N in s = log r inside the bracket.
+
+    f checks the bracket's endpoint signs.  A Newton step that leaves the
+    bracket bisects it in s instead.  The step size is tested before sign(F)
+    moves the bracket: at the root |F| is at rounding level and its sign may
+    be wrong.
+    """
     flo = f(lo)
     fhi = f(hi)
     if not (flo < 0) != (fhi < 0):
         raise BracketFailure(f"endpoint signs agree on [{lo}, {hi}]")
     lo_neg = flo < 0
-    for _ in range(2000):
-        if hi - lo <= radius_rtol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # float grid exhausted
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0) == lo_neg:
-            lo = mid
+    a, b = math.log(lo), math.log(hi)
+    s = 0.5 * (a + b)
+    for _ in range(_NEWTON_STEPS):
+        value, slope = _log_f(split, s)
+        step = value / slope if slope else math.inf
+        t = s - step
+        if abs(step) <= radius_rtol or t == s:
+            return math.exp(t)
+        if (value < 0) == lo_neg:
+            a = s
         else:
-            hi = mid
-    r = 0.5 * (lo + hi)
-    for _ in range(4):
-        d = fprime(r)
-        if d == 0.0 or not math.isfinite(d):
-            break
-        step = f(r) / d
-        rn = r - step
-        if not (lo <= rn <= hi) or rn == r:
-            break
-        r = rn
-    return r
+            b = s
+        if not a < t < b:
+            t = 0.5 * (a + b)
+            if not a < t < b:
+                break  # float grid exhausted
+        s = t
+    return math.exp(s)
 
 
 def _record(params: FamilyParams, j: int, r: float, degenerate: bool, tol: Tolerances) -> ZeroRecord:
@@ -230,11 +241,9 @@ def solve_ray(
     def f(r: float) -> float:
         return f_value(params, ray, r, alpha)
 
-    def fp(r: float) -> float:
-        return f_derivative(params, ray, r, alpha)
-
+    split = _log_split(params, ray, alpha)
     records = [
-        _record(params, analysis.ray.j, _refine(f, fp, lo, hi, tol.radius_rtol), False, tol)
+        _record(params, analysis.ray.j, _refine(f, split, lo, hi, tol.radius_rtol), False, tol)
         for lo, hi in intervals
     ]
     records.sort(key=lambda rec: rec.r)

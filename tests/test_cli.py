@@ -12,6 +12,8 @@ import sys
 import pytest
 
 import rayzeros
+import rayzeros.cli as cli_mod
+from rayzeros import Sign, count_at
 from rayzeros.cli import main
 
 
@@ -88,6 +90,43 @@ class TestClassifyCommand:
         assert rows[1]["parity"] == "odd"
         assert rows[0]["case"] == "pos_k_even_pos"
         assert rows[0]["count"] == 1
+
+    @staticmethod
+    def classify_every_ray(args, params):
+        """The plain loop: one analyze_ray per ray on all 2m rays."""
+        rows = []
+        for j in range(2 * params.m):
+            a = cli_mod.analyze_ray(params, j)
+            rows.append(
+                {
+                    "j": j,
+                    "angle": a.ray.angle,
+                    "parity": "even" if a.ray.parity == 0 else "odd",
+                    "alpha_sign": Sign(a.ray.alpha_sign).name.lower(),
+                    "alpha": a.alpha,
+                    "case": a.case.value,
+                    "count": count_at(a, params.c),
+                    "r0": a.r0,
+                    "c0": a.c0,
+                }
+            )
+        return rows
+
+    # even m with alpha = 0 rays, k < 0, both sides of a threshold, odd m
+    @pytest.mark.parametrize(
+        "m, k, c", [(2, 1, 1.0), (4, 1, 2.0), (8, -3, 0.7), (12, 5, 1.3), (5, -4, 0.2), (64, -31, 1e-3), (31, 7, 40.0)]
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rows_equal_every_ray_loop(self, capsys, monkeypatch, m, k, c, fmt):
+        calls = []
+        analyze = cli_mod.analyze_ray
+        monkeypatch.setattr(cli_mod, "analyze_ray", lambda p, j: calls.append(j) or analyze(p, j))
+        argv = ("classify", "--m", str(m), "--k", str(k), "--c", repr(c), "--format", fmt)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert calls == list(range(m + 1))
+        monkeypatch.setattr(cli_mod, "_cmd_classify", self.classify_every_ray)
+        assert run_cli(capsys, *argv) == (0, out, "")
 
     def test_beta_overflow_pair(self, capsys):
         # ray 1509 has log_beta 712.4 > log(max float); its c0 is 0.70
@@ -201,6 +240,14 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "--resolution" in err
+
+    @pytest.mark.parametrize("flag", ["--tol-radius", "--tol-residual"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_tolerance_flag_is_invalid(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1", flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and flag in err
 
     def test_numerical_failure_from_oracle(self, capsys, monkeypatch):
         from rayzeros.oracle import ResolutionTooCoarse
