@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .family import FamilyParams
+from .rays import ray_table
 # analyze_ray is unused here but stays bound: perfbench/tracing.py wraps predict.analyze_ray
-from .rays import analyze_ray, ray_table  # noqa: F401
+from .rays import analyze_ray  # noqa: F401
 from .unity import census
 
 __all__ = ["CountPrediction", "predict_table", "predict_census", "predict_at"]

@@ -164,13 +164,17 @@ def _case_of(k: int, parity: int, alpha_sign: Sign) -> RayCase:
     return RayCase.NEG_K_ODD_POS if alpha_sign > 0 else RayCase.NEG_K_ODD_NEG
 
 
-def _terms(
-    params: FamilyParams, ray: RayDescriptor, alpha: float | None
-) -> tuple[tuple[float, int], ...]:
-    """f's (coefficient, power) terms: (-1)^j r^m, 2 c alpha r^k and -1; ``alpha`` as in f_value."""
-    if alpha is None:
-        alpha = alpha_from_residue(params.m, ray.residue)
-    return ((-1.0 if ray.parity else 1.0, params.m), (2.0 * params.c * alpha, params.k), (-1.0, 0))
+def _terms(parity: int, m: int, k: int, c: float, alpha: float) -> tuple[float, int, float, int]:
+    """f's terms on a ray as _f and _log_split take them: (sgn, m, b, k) with
+    sgn = (-1)^j and b = 2 c alpha."""
+    return (-1.0 if parity else 1.0, m, 2.0 * c * alpha, k)
+
+
+def _f(sgn: float, m: int, b: float, k: int, r: float) -> float:
+    """f on one ray, sgn r^m + b r^k - 1, with overflow resolved by dominance."""
+    if r <= 0:
+        raise ValueError(f"need r > 0, got {r}")
+    return _dominant_sum(power_term(sgn, r, m), power_term(b, r, k)) - 1.0
 
 
 def f_value(
@@ -181,18 +185,18 @@ def f_value(
     ``alpha`` is the ray's folded cosine, recomputed from its residue when the
     caller does not hold it already.
     """
-    if r <= 0:
-        raise ValueError(f"need r > 0, got {r}")
-    (cm, m), (ck, k), _ = _terms(params, ray, alpha)
-    return _dominant_sum(power_term(cm, r, m), power_term(ck, r, k)) - 1.0
+    if alpha is None:
+        alpha = alpha_from_residue(params.m, ray.residue)
+    return _f(*_terms(ray.parity, params.m, params.k, params.c, alpha), r)
 
 
 # one side of f's log split: its terms as (log |coefficient|, power)
 _Side = tuple[tuple[float, int], ...]
 
 
-def _log_split(params: FamilyParams, ray: RayDescriptor, alpha: float | None) -> tuple[_Side, _Side]:
-    """f's terms split by sign into the sides P > 0 and N > 0 of f = P - N.
+def _log_split(sgn: float, m: int, b: float, k: int) -> tuple[_Side, _Side]:
+    """The terms of _f's sgn r^m + b r^k - 1 split by sign into the sides P > 0
+    and N > 0 of f = P - N.
 
     Each side lists its terms as (log |coefficient|, power), so a term is
     exp(log |coefficient| + power * log r).  A zero coefficient (alpha = 0)
@@ -200,7 +204,7 @@ def _log_split(params: FamilyParams, ray: RayDescriptor, alpha: float | None) ->
     """
     pos: list[tuple[float, int]] = []
     neg: list[tuple[float, int]] = []
-    for coeff, power in _terms(params, ray, alpha):
+    for coeff, power in ((sgn, m), (b, k), (-1.0, 0)):
         if coeff:
             (pos if coeff > 0 else neg).append((math.log(abs(coeff)), power))
     return tuple(pos), tuple(neg)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .family import FamilyParams
 # classify_ray is unused here but stays bound: perfbench/tracing.py counts unity.classify_ray
-from .family import FamilyParams, classify_ray  # noqa: F401
+from .family import classify_ray  # noqa: F401
 from .rays import ray_table
 
 __all__ = ["ParityCensus", "positive_halfplane_count", "census", "group_order"]

@@ -79,18 +79,21 @@ class TestAllZerosEquivalence:
         assert recs == reference_zeros(p)
         assert any(rec.degenerate for rec in recs)
 
-    def test_failure_matches_reference_loop(self):
-        p = validate(13, 12, 1e50)
+    # (4, 3, c): ray 2 fails the residual gate before a later row loses its
+    # bracket, so each row must be gated before the next row is solved
+    @pytest.mark.parametrize("m, k, c", [(13, 12, 1e50), (4, 3, 5.516689610200797e134)])
+    def test_failure_matches_reference_loop(self, m, k, c):
+        p = validate(m, k, c)
         with pytest.raises(BracketFailure) as new:
             all_zeros(p)
         with pytest.raises(BracketFailure) as ref:
             reference_zeros(p)
         assert str(new.value) == str(ref.value)
 
-    def test_one_analysis_per_group_and_f_through_roots(self, monkeypatch):
-        """all_zeros analyzes each conjugate group once and evaluates f through
-        the roots module's own binding."""
-        calls = {"analyze_ray": 0, "f_value": 0}
+    def test_one_table_no_analysis_and_newton_through_roots(self, monkeypatch):
+        """all_zeros reads the ray table once, never builds a per-ray analysis,
+        and takes every Newton step through the roots module's own binding."""
+        calls = {"ray_table": 0, "analyze_ray": 0, "_log_f": 0}
         for name in calls:
             fn = getattr(roots, name)
 
@@ -100,8 +103,9 @@ class TestAllZerosEquivalence:
 
             monkeypatch.setattr(roots, name, counted)
         all_zeros(validate(8, 3, 0.7))
-        assert calls["analyze_ray"] == 8 + 1
-        assert calls["f_value"] > 0
+        assert calls["ray_table"] == 1
+        assert calls["analyze_ray"] == 0
+        assert calls["_log_f"] > 0
 
 
 class TestPredictAtEquivalence:
