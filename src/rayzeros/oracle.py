@@ -13,11 +13,13 @@ R = max(1, (2c+2)^{1/(m-|k|)}) + 1 the degree-m term dominates, and near the
 origin either |p| >= 1 - ... (k > 0) or the middle term forces
 r^|k| >= 2 c sin(pi/(2m)) / 3 at any zero (k < 0).
 
-numpy is imported by the scan functions, not by the module, so importing
-rayzeros (and every command but verify) does not load it.
+The scan is pure Python, like the rest of the library: the cosines and sines
+are taken once per grid column and the powers once per row, and each cell's
+corner signs are folded from one byte per node, a whole row at a time.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -79,8 +81,8 @@ def _newton(m: int, k: int, c: float, z: complex, r_lo: float, r_hi: float) -> c
     """
     for _ in range(80):
         pz = _p(m, k, c, z)
-        dh = m * z ** (m - 1) + c * k * z ** (k - 1)  # analytic part
         dg = c * k * z ** (k - 1)  # conjugated part
+        dh = m * z ** (m - 1) + dg  # analytic part
         fx = dh + dg.conjugate()
         fy = 1j * (dh - dg.conjugate())
         a, b = fx.real, fy.real
@@ -106,14 +108,33 @@ def _newton(m: int, k: int, c: float, z: complex, r_lo: float, r_hi: float) -> c
     return z if abs(_p(m, k, c, z)) <= REFINE_TOL else None
 
 
-def _mixed(vals) -> bool:
-    return bool(vals.min() < 0.0 < vals.max())
+def _pow(x: float, e: float) -> float:
+    """x ** e for x > 0, overflowing to inf as IEEE arithmetic does."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.inf
+
+
+def _sign_codes(us, vs) -> bytes:
+    """One byte per node: bits 0-1 for u > 0 and u < 0, bits 2-3 the same for v,
+    bit 4 for a nan.  A cell is a candidate iff the OR of its corners' bytes is
+    _CANDIDATE: both parts change sign and no corner is nan (inf - inf can
+    only happen far outside the zero-carrying region)."""
+    return bytes(
+        [
+            (u > 0.0) | (u < 0.0) << 1 | (v > 0.0) << 2 | (v < 0.0) << 3 | (u != u or v != v) << 4
+            for u, v in zip(us, vs)
+        ]
+    )
+
+
+_CANDIDATE = 0b01111
+_IS_CANDIDATE = bytes(b == _CANDIDATE for b in range(256))  # translate table
 
 
 def _scan_cell(m, k, c, lr0, lr1, th0, th1, r_lo, r_hi, depth) -> list[complex]:
     """Subdivide a candidate cell, trying Newton from each mixed subcell center."""
-    import numpy as np
-
     if depth > _MAX_SUBDIVISIONS:
         raise ResolutionTooCoarse(
             f"ambiguous cell near r={math.exp(0.5 * (lr0 + lr1)):.3g}, "
@@ -128,11 +149,14 @@ def _scan_cell(m, k, c, lr0, lr1, th0, th1, r_lo, r_hi, depth) -> list[complex]:
     found: list[complex] = []
     for a0, a1 in ((lr0, lrm), (lrm, lr1)):
         for b0, b1 in ((th0, thm), (thm, th1)):
-            rs = np.exp([a0, a0, a1, a1])
-            ts = np.array([b0, b1, b0, b1])
-            u = rs ** m * np.cos(m * ts) + 2 * c * rs ** float(k) * np.cos(k * ts) - 1.0
-            v = rs ** m * np.sin(m * ts)
-            if _mixed(u) and _mixed(v):
+            corners = [(math.exp(a), t) for a in (a0, a1) for t in (b0, b1)]
+            us = [
+                _pow(r, m) * math.cos(m * t) + 2.0 * c * _pow(r, k) * math.cos(k * t) - 1.0
+                for r, t in corners
+            ]
+            vs = [_pow(r, m) * math.sin(m * t) for r, t in corners]
+            a, b, d, e = _sign_codes(us, vs)
+            if (a | b | d | e) == _CANDIDATE:
                 found.extend(_scan_cell(m, k, c, a0, a1, b0, b1, r_lo, r_hi, depth + 1))
     return found
 
@@ -143,8 +167,6 @@ def find_zeros_grid(params: FamilyParams, resolution: int = 256) -> OracleResult
     resolution sets the radial grid; the angular grid is at least as fine and
     always finer than pi/m so no cell can straddle two sign sectors of Im p.
     """
-    import numpy as np
-
     if resolution < _MIN_RESOLUTION:
         raise ValueError(f"need resolution >= {_MIN_RESOLUTION}, got {resolution}")
     m, k, c = params.m, params.k, params.c
@@ -152,38 +174,53 @@ def find_zeros_grid(params: FamilyParams, resolution: int = 256) -> OracleResult
 
     n_r = resolution
     n_th = max(resolution, 6 * m)
-    log_r = np.linspace(math.log(r_lo), math.log(r_hi), n_r + 1)
+    lr_lo, lr_hi = math.log(r_lo), math.log(r_hi)
+    step = (lr_hi - lr_lo) / n_r
+    log_r = [i * step + lr_lo for i in range(n_r)] + [lr_hi]
     # offset keeps grid lines away from the symmetry angles of both sign fields
-    theta = (np.arange(n_th + 1) + 0.381966) * (2.0 * math.pi / n_th)
+    theta = [(j + 0.381966) * (2.0 * math.pi / n_th) for j in range(n_th + 1)]
+    cos_m = [math.cos(m * t) for t in theta]
+    sin_m = [math.sin(m * t) for t in theta]
+    cos_k = [math.cos(k * t) for t in theta]
 
-    rg = np.exp(log_r)[:, None]
-    tg = theta[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # overflow to inf keeps the sign information; nan corners (inf - inf)
-        # can only happen far outside the zero-carrying region and simply
-        # disqualify their cells
-        u = rg ** m * np.cos(m * tg) + 2.0 * c * rg ** float(k) * np.cos(k * tg) - 1.0
-        v = rg ** m * np.sin(m * tg)
-
-    def both_signs(w):
-        corners = np.stack([w[:-1, :-1], w[1:, :-1], w[:-1, 1:], w[1:, 1:]])
-        return (corners.min(axis=0) < 0.0) & (corners.max(axis=0) > 0.0)
-
-    cand = both_signs(u) & both_signs(v)
+    # each row's node bytes packed little-endian into an int, so ORing a row
+    # with itself shifted one byte and with the next row folds every cell's
+    # four corners into the cell's byte
     raw: list[complex] = []
-    for i, jj in zip(*np.nonzero(cand)):
-        raw.extend(
-            _scan_cell(
-                m, k, c,
-                log_r[i], log_r[i + 1], theta[jj], theta[jj + 1],
-                r_lo, r_hi, depth=0,
-            )
-        )
+    prev = 0
+    for i, lr in enumerate(log_r):
+        r = math.exp(lr)
+        rm = _pow(r, m)
+        rk = 2.0 * c * _pow(r, k)
+        us = [rm * a + rk * b - 1.0 for a, b in zip(cos_m, cos_k)]
+        vs = [rm * s for s in sin_m]
+        row = int.from_bytes(_sign_codes(us, vs), "little")
+        if i:
+            cells = (prev | prev >> 8 | row | row >> 8).to_bytes(n_th + 1, "little")
+            flags = cells.translate(_IS_CANDIDATE)
+            jj = flags.find(1, 0, n_th)
+            while jj >= 0:
+                raw.extend(
+                    _scan_cell(
+                        m, k, c,
+                        log_r[i - 1], lr, theta[jj], theta[jj + 1],
+                        r_lo, r_hi, depth=0,
+                    )
+                )
+                jj = flags.find(1, jj + 1, n_th)
+        prev = row
 
+    # raw hits come in ascending |z|, and a kept zero w within 10 REFINE_TOL of
+    # z has |w| >= |z| - 10 REFINE_TOL, so only the kept zeros past that radius
+    # (padded to twice the distance against rounding) are compared
     zeros: list[complex] = []
+    radii: list[float] = []
     for z in sorted(raw, key=lambda w: (abs(w), math.atan2(w.imag, w.real))):
-        if all(abs(z - w) > 10.0 * REFINE_TOL for w in zeros):
+        rz = abs(z)
+        near = bisect.bisect_left(radii, rz - 2.0 * 10.0 * REFINE_TOL)
+        if all(abs(z - w) > 10.0 * REFINE_TOL for w in zeros[near:]):
             zeros.append(z)
+            radii.append(rz)
     zeros.sort(key=lambda w: (math.atan2(w.imag, w.real), abs(w)))
     return OracleResult(
         zeros=zeros, grid_resolution=resolution, annulus=(r_lo, r_hi), params=params
@@ -203,17 +240,25 @@ def compare(params: FamilyParams, oracle_res: OracleResult, ray_zeros) -> Compar
     cap = 1e-3
     a = list(oracle_res.zeros)
     b = [rec.z for rec in ray_zeros]
-    pairs = sorted(
-        ((abs(za - zb), i, jj) for i, za in enumerate(a) for jj, zb in enumerate(b)),
-        key=lambda t: t[0],
-    )
+    # only pairs within the cap can match: window b by real part (padded to
+    # 2 cap against rounding), keep the pairs in (i, jj) order and sort them
+    # stably by distance, so ties resolve as in an all-pairs sort
+    by_re = sorted(range(len(b)), key=lambda jj: b[jj].real)
+    re_b = [b[jj].real for jj in by_re]
+    pairs = []
+    for i, za in enumerate(a):
+        lo = bisect.bisect_left(re_b, za.real - 2.0 * cap)
+        hi = bisect.bisect_right(re_b, za.real + 2.0 * cap)
+        for jj in sorted(by_re[lo:hi]):
+            dist = abs(za - b[jj])
+            if dist <= cap:
+                pairs.append((dist, i, jj))
+    pairs.sort(key=lambda t: t[0])
     used_a: set[int] = set()
     used_b: set[int] = set()
     matched = 0
     max_distance = 0.0
     for dist, i, jj in pairs:
-        if dist > cap:
-            break
         if i in used_a or jj in used_b:
             continue
         used_a.add(i)
