@@ -16,6 +16,7 @@ variables > defaults.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import io
 import json
@@ -149,16 +150,14 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 
 def _cmd_sweep(args, params) -> tuple[list[dict], dict]:
     ths = thresholds(params)
+    c0s = [th.c0 for th in ths]  # thresholds() lists them by increasing c0
     rows = []
-    prev = None
+    passed = None  # thresholds at or below the previous grid point
     for c in _sweep_grid(args):
-        crossed = (
-            []
-            if prev is None
-            else [th.c0 for th in ths if prev < th.c0 <= c]
-        )
+        upto = bisect.bisect_right(c0s, c)
+        crossed = [] if passed is None else c0s[passed:upto]
         rows.append({"c": c, "count": predict_at(params, c), "crossed": crossed})
-        prev = c
+        passed = upto
     overlay = {"thresholds": [{"c0": th.c0, "rays": list(th.rays)} for th in ths]}
     return rows, overlay
 

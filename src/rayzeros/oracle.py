@@ -74,38 +74,41 @@ def _p(m: int, k: int, c: float, z: complex) -> complex:
 
 
 def _newton(m: int, k: int, c: float, z: complex, r_lo: float, r_hi: float) -> complex | None:
-    """Damped Newton on the (Re, Im) system; None if it leaves the annulus or stalls.
+    """Damped Newton on the (Re, Im) system; None if it leaves the annulus, stalls or overflows.
 
     Runs to step stagnation rather than stopping at the acceptance gate, so
     positions end up machine-accurate, not merely inside the residual gate.
     """
-    for _ in range(80):
-        pz = _p(m, k, c, z)
-        dg = c * k * z ** (k - 1)  # conjugated part
-        dh = m * z ** (m - 1) + dg  # analytic part
-        fx = dh + dg.conjugate()
-        fy = 1j * (dh - dg.conjugate())
-        a, b = fx.real, fy.real
-        cc, d = fx.imag, fy.imag
-        det = a * d - b * cc
-        if det == 0.0 or not math.isfinite(det):
-            break
-        u, v = pz.real, pz.imag
-        dx = (-u * d + v * b) / det
-        dy = (-v * a + u * cc) / det
-        step = complex(dx, dy)
-        zn = z + step
-        r = abs(zn)
-        if not (0.5 * r_lo <= r <= 2.0 * r_hi) or not math.isfinite(r):
-            step *= 0.25  # keep the iterate inside a padded annulus
+    try:
+        for _ in range(80):
+            pz = _p(m, k, c, z)
+            dg = c * k * z ** (k - 1)  # conjugated part
+            dh = m * z ** (m - 1) + dg  # analytic part
+            fx = dh + dg.conjugate()
+            fy = 1j * (dh - dg.conjugate())
+            a, b = fx.real, fy.real
+            cc, d = fx.imag, fy.imag
+            det = a * d - b * cc
+            if det == 0.0 or not math.isfinite(det):
+                break
+            u, v = pz.real, pz.imag
+            dx = (-u * d + v * b) / det
+            dy = (-v * a + u * cc) / det
+            step = complex(dx, dy)
             zn = z + step
-            if not (0.5 * r_lo <= abs(zn) <= 2.0 * r_hi):
-                return None
-        if abs(step) <= 1e-15 * (1.0 + abs(z)):
+            r = abs(zn)
+            if not (0.5 * r_lo <= r <= 2.0 * r_hi) or not math.isfinite(r):
+                step *= 0.25  # keep the iterate inside a padded annulus
+                zn = z + step
+                if not (0.5 * r_lo <= abs(zn) <= 2.0 * r_hi):
+                    return None
+            if abs(step) <= 1e-15 * (1.0 + abs(z)):
+                z = zn
+                break
             z = zn
-            break
-        z = zn
-    return z if abs(_p(m, k, c, z)) <= REFINE_TOL else None
+        return z if abs(_p(m, k, c, z)) <= REFINE_TOL else None
+    except OverflowError:  # complex ** raises where a float power gives inf
+        return None
 
 
 def _pow(x: float, e: float) -> float:

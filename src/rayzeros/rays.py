@@ -28,22 +28,26 @@ Ray j and ray 2m-j have the same parity and the residues t and 2m-t, so they
 carry the same alpha and the same radial function.  The c-independent facts
 of the m+1 conjugate groups live in one cached RayTable per (m, k), the single
 source of c0; analyze_ray, thresholds, the census and the global count all
-read it.
+read it.  A row's facts follow from its parity and its folded residue
+s = min(t, 2m-t), so the table is built in whole-table passes: alpha once per
+s <= m/2 (alpha(m-s) = -alpha(s)), the case and count profile once per parity
+and alpha sign, and every threshold row's c0 from one _log_betas call.
 """
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate, compress, cycle
 
 from .family import (
     FamilyParams,
     RayDescriptor,
     Sign,
-    _alpha_sign_from_residue,
     _dominant_sum,
     alpha_from_residue,
     classify_ray,
@@ -251,17 +255,13 @@ def f_derivative(
     return _dominant_sum(tm, tk)
 
 
-def _log_beta(m: int, k: int, alpha: float) -> float:
-    """log of the threshold constant, for alpha > 0.
-
-    Uses the factored forms
-      k > 0: beta = (2a)^{m/(m-k)} (k/m)^{k/(m-k)} (m-k)/m
-      k < 0: beta = (2a)^{m/(m-k)} (|k|/m)^{k/(m-k)} (m+|k|)/m
-    which keep every factor positive.
-    """
-    a = abs(k)
-    core = (m * math.log(2.0 * alpha) + k * math.log(a / m)) / (m - k)
-    return core + math.log((m - k) / m if k > 0 else (m + a) / m)
+def _log_betas(m: int, k: int, alphas) -> list[float]:
+    """log of the threshold constant for each alpha > 0 in alphas, from the factored
+    form beta = (2a)^{m/(m-k)} (|k|/m)^{k/(m-k)} (m-k)/m, whose factors are all
+    positive for either sign of k."""
+    k_term = k * math.log(abs(k) / m)
+    tail = math.log((m - k) / m)
+    return [(m * math.log(2.0 * alpha) + k_term) / (m - k) + tail for alpha in alphas]
 
 
 def _r0(m: int, k: int, alpha: float, c: float) -> float:
@@ -345,39 +345,36 @@ class RayTable:
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def ray_table(m: int, k: int) -> RayTable:
-    """The ray table of (m, k), built once and kept in a small LRU cache."""
-    alphas = array("d")
-    cases = []
-    c0: list[float | None] = []
-    base = 0
-    tally = [0] * 6  # rays by parity, then by alpha sign from positive to negative
-    for j in range(m + 1):
-        t = (k * j) % (2 * m)
-        alpha = alpha_from_residue(m, t)
-        sign = _alpha_sign_from_residue(m, t)
-        case = _case_of(k, j % 2, sign)
-        alphas.append(alpha)
-        cases.append(case)
-        n = _multiplicity(m, j)
-        base += n * _PROFILES[case].below
-        tally[3 * (j % 2) + 1 - sign] += n
-        threshold = case in THRESHOLD_CASES
-        c0.append(math.exp(-(m - k) / m * _log_beta(m, k, alpha)) if threshold else None)
-    order = sorted((row for row in range(m + 1) if c0[row] is not None), key=c0.__getitem__)
-    steps = array("q", [0])
-    for row in order:
-        profile = _PROFILES[cases[row]]
-        steps.append(steps[-1] + _multiplicity(m, row) * (profile.above - profile.below))
+    """The ray table of (m, k), built by folded residue and kept in a small LRU cache."""
+    two_m = 2 * m
+    folded = [t if t <= m else two_m - t for t in [u % two_m for u in range(0, k * (m + 1), k)]]
+    # beyond s = m/2 alpha_from_residue reflects: alpha(s) = -alpha(m - s)
+    half = [alpha_from_residue(m, s) for s in range(m // 2 + 1)]
+    alpha_of = half + [-half[m - s] for s in range(m // 2 + 1, m + 1)]
+    # a row's kind is the slot of its alpha sign (positive, zero, negative) + 3 * parity,
+    # the census order; alpha > 0 iff 2s < m and alpha = 0 iff 2s = m
+    slot_of = [0] * ((m + 1) // 2) + [1] * (1 - m % 2) + [2] * ((m + 1) // 2)
+    kinds = bytearray(map(operator.add, map(slot_of.__getitem__, folded), cycle((0, 3))))
+    cases = [_case_of(k, parity, sign) for parity in (0, 1) for sign in (Sign.POSITIVE, Sign.ZERO, Sign.NEGATIVE)]
+    profiles = [_PROFILES[case] for case in cases]
+    # rays per kind: every row but the axis rows 0 and m stands for two
+    tally = [2 * kinds.count(kind) - (kinds[0] == kind) - (kinds[m] == kind) for kind in range(6)]
+    is_threshold = bytes(case in THRESHOLD_CASES for case in cases).ljust(256, b"\0")  # translate table
+    rows = list(compress(range(m + 1), kinds.translate(is_threshold)))
+    log_betas = _log_betas(m, k, [alpha_of[folded[row]] for row in rows])
+    c0 = dict(zip(rows, [math.exp(-(m - k) / m * log_beta) for log_beta in log_betas]))
+    order = sorted(rows, key=c0.__getitem__)
+    gains = (_multiplicity(m, row) * (profiles[kinds[row]].above - profiles[kinds[row]].below) for row in order)
     return RayTable(
         m=m,
         k=k,
-        alpha=alphas,
-        case=tuple(cases),
-        c0=tuple(c0),
+        alpha=array("d", map(alpha_of.__getitem__, folded)),
+        case=tuple(map(cases.__getitem__, kinds)),
+        c0=tuple(map(c0.get, range(m + 1))),
         order=array("q", order),
-        c0s=array("d", (c0[row] for row in order)),
-        steps=steps,
-        base=base,
+        c0s=array("d", map(c0.__getitem__, order)),
+        steps=array("q", accumulate(gains, initial=0)),
+        base=sum(count * profile.below for count, profile in zip(tally, profiles)),
         census=tuple(tally),
     )
 
@@ -393,7 +390,7 @@ def analyze_ray(params: FamilyParams, j: int) -> RayAnalysis:
     if case in EXTREMUM_CASES:
         r0 = _r0(params.m, params.k, alpha, params.c)
     if c0 is not None:
-        log_beta = _log_beta(params.m, params.k, alpha)
+        log_beta = _log_betas(params.m, params.k, (alpha,))[0]
     return RayAnalysis(
         params=params,
         ray=ray,

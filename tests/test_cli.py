@@ -161,6 +161,20 @@ class TestSweepCommand:
         crossed = [c0 for row in doc["results"] for c0 in row["crossed"]]
         assert crossed == sorted(th["c0"] for th in doc["meta"]["thresholds"])
 
+    @pytest.mark.parametrize("m, k, spacing", [(61, 30, "linear"), (64, -33, "log"), (257, -100, "linear")])
+    def test_crossed_are_the_thresholds_passed_since_the_last_step(self, capsys, m, k, spacing):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--m", str(m), "--k", str(k),
+            "--c-min", "0.01", "--c-max", "100", "--steps", "7", "--spacing", spacing,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        c0s = [th["c0"] for th in doc["meta"]["thresholds"]]
+        cs = [row["c"] for row in doc["results"]]
+        expected = [[]] + [[c0 for c0 in c0s if a < c0 <= b] for a, b in zip(cs, cs[1:])]
+        assert [row["crossed"] for row in doc["results"]] == expected
+        assert sum(map(len, expected)) > len(cs)  # several thresholds per step
+
     def test_requires_ordered_range(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--m", "5", "--k", "4",
@@ -260,6 +274,11 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "verify", "--m", "5", "--k", "4", "--c", "1")
         assert code == 3
         assert "ResolutionTooCoarse" in err
+
+    def test_oracle_overflow_is_too_coarse(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--m", "2", "--k", "1", "--c", "1.7e170")
+        assert code == 3
+        assert "ResolutionTooCoarse" in err and "OverflowError" not in err
 
 
 class TestToleranceConfig:

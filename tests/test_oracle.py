@@ -55,6 +55,16 @@ class TestFindZerosGrid:
         with pytest.raises(ValueError):
             find_zeros_grid(validate(5, 4, 1.0), 32)
 
+    def test_overflowing_power_rejects_the_candidate(self):
+        # complex ** raises OverflowError where a float power would give inf
+        assert _newton(2, 1, 1.0, 1e200 + 0j, 1.0, 1e300) is None
+
+    def test_overflow_in_newton_ends_as_too_coarse(self):
+        # a candidate cell where z^m overflows: the scan subdivides it and
+        # gives up with the documented error instead of an OverflowError
+        with pytest.raises(ResolutionTooCoarse):
+            find_zeros_grid(validate(2, 1, 1.7e170))
+
 
 def numpy_scan_cell(m, k, c, lr0, lr1, th0, th1, r_lo, r_hi, depth):
     """The vectorized subdivision the pure-Python scan replaced, kept as its reference."""

@@ -7,7 +7,9 @@ loops they replace.
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -21,8 +23,19 @@ from rayzeros import (
     thresholds,
     validate,
 )
-from rayzeros.rays import DEGENERACY_RTOL, ray_table
-from rayzeros import roots
+from rayzeros.family import _alpha_sign_from_residue, alpha_from_residue
+from rayzeros.rays import (
+    _PROFILES,
+    DEGENERACY_RTOL,
+    EXTREMUM_CASES,
+    THRESHOLD_CASES,
+    RayTable,
+    _case_of,
+    _multiplicity,
+    _r0,
+    ray_table,
+)
+from rayzeros import rays, roots
 
 from conftest import valid_pairs
 
@@ -51,6 +64,131 @@ class TestTable:
                 a = analyze_ray(p, j)
                 row = t.row(j)
                 assert (a.alpha, a.case, a.c0) == (t.alpha[row], t.case[row], t.c0[row])
+
+
+def reference_log_beta(m, k, alpha):
+    """The threshold constant's log as one formula per row, the form the table's
+    batched _log_betas must reproduce bit for bit."""
+    a = abs(k)
+    core = (m * math.log(2.0 * alpha) + k * math.log(a / m)) / (m - k)
+    return core + math.log((m - k) / m if k > 0 else (m + a) / m)
+
+
+def reference_table(m, k):
+    """The ray table built by a plain per-row loop: every row folds its own
+    residue, takes alpha, sign, case and profile through the per-ray functions,
+    and computes its own c0."""
+    alphas = array("d")
+    cases = []
+    c0 = []
+    base = 0
+    tally = [0] * 6  # rays by parity, then by alpha sign from positive to negative
+    for j in range(m + 1):
+        t = (k * j) % (2 * m)
+        alpha = alpha_from_residue(m, t)
+        sign = _alpha_sign_from_residue(m, t)
+        case = _case_of(k, j % 2, sign)
+        alphas.append(alpha)
+        cases.append(case)
+        n = _multiplicity(m, j)
+        base += n * _PROFILES[case].below
+        tally[3 * (j % 2) + 1 - sign] += n
+        threshold = case in THRESHOLD_CASES
+        c0.append(math.exp(-(m - k) / m * reference_log_beta(m, k, alpha)) if threshold else None)
+    order = sorted((row for row in range(m + 1) if c0[row] is not None), key=c0.__getitem__)
+    steps = array("q", [0])
+    for row in order:
+        profile = _PROFILES[cases[row]]
+        steps.append(steps[-1] + _multiplicity(m, row) * (profile.above - profile.below))
+    return RayTable(
+        m=m,
+        k=k,
+        alpha=alphas,
+        case=tuple(cases),
+        c0=tuple(c0),
+        order=array("q", order),
+        c0s=array("d", (c0[row] for row in order)),
+        steps=steps,
+        base=base,
+        census=tuple(tally),
+    )
+
+
+def bits(x):
+    """A float (or None) in a form that tells -0.0 from 0.0 and every ulp apart."""
+    return None if x is None else x.hex()
+
+
+def table_bits(t):
+    return (
+        t.m, t.k,
+        t.alpha.typecode, [bits(a) for a in t.alpha],
+        t.case,
+        [bits(c) for c in t.c0],
+        t.order.typecode, list(t.order),
+        t.c0s.typecode, [bits(c) for c in t.c0s],
+        t.steps.typecode, list(t.steps),
+        t.base, t.census,
+    )
+
+
+def sampled_pairs(n, max_m, seed):
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < n:
+        m = rng.randint(61, max_m)
+        a = rng.randint(1, m - 1)
+        if math.gcd(m, a) == 1:
+            pairs.append((m, rng.choice((a, -a))))
+    return pairs
+
+
+class TestTableBuild:
+    """The table built by folded residue equals the per-row loop bit for bit."""
+
+    def test_bitwise_equal_to_per_row_loop_small_m(self):
+        pairs = list(valid_pairs(60))
+        assert len(pairs) > 2000
+        # even m has alpha = 0 rows, which must keep their exact 0.0
+        assert any(0.0 in ray_table(m, k).alpha for m, k in pairs if m % 2 == 0)
+        for m, k in pairs:
+            assert table_bits(ray_table(m, k)) == table_bits(reference_table(m, k)), (m, k)
+
+    LARGE = sampled_pairs(24, 10_000, seed=8) + [(10000, 9999), (10000, -9999), (10000, 1), (9999, -2)]
+
+    @pytest.mark.parametrize("m, k", LARGE)
+    def test_bitwise_equal_to_per_row_loop_large_m(self, m, k):
+        assert table_bits(ray_table(m, k)) == table_bits(reference_table(m, k))
+
+    @pytest.mark.parametrize("m, k, c", [(12, 5, 0.8), (13, -6, 2.0), (31, -30, 1.0), (60, 7, 1e-3), (257, -101, 3.0)])
+    def test_analyze_ray_unchanged(self, m, k, c):
+        p = validate(m, k, c)
+        ref = reference_table(m, k)
+        for j in range(2 * m):
+            a = analyze_ray(p, j)
+            row = min(j, 2 * m - j)
+            alpha, case = ref.alpha[row], ref.case[row]
+            r0 = _r0(m, k, alpha, c) if case in EXTREMUM_CASES else None
+            log_beta = reference_log_beta(m, k, alpha) if ref.c0[row] is not None else None
+            got = (bits(a.alpha), a.case, bits(a.c0), bits(a.log_beta), bits(a.r0))
+            assert got == (bits(alpha), case, bits(ref.c0[row]), bits(log_beta), bits(r0)), (m, k, j)
+
+    @pytest.mark.parametrize("m, k", [(8, 3), (9, -2), (61, -30), (64, 33), (1001, 500)])
+    def test_build_is_per_residue_not_per_row(self, monkeypatch, m, k):
+        """One build folds the cosine at most once per residue s <= m/2 and never
+        analyzes or classifies a ray, so a per-row loop cannot come back unnoticed."""
+        calls = {"alpha_from_residue": 0, "classify_ray": 0, "analyze_ray": 0}
+        for name in calls:
+            fn = getattr(rays, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(rays, name, counted)
+        ray_table.__wrapped__(m, k)
+        assert 0 < calls["alpha_from_residue"] <= m // 2 + 1
+        assert calls["classify_ray"] == calls["analyze_ray"] == 0
 
 
 class TestAllZerosEquivalence:
