@@ -230,6 +230,6 @@ def evaluate(params: FamilyParams, z: complex) -> complex:
         return complex(-1.0, 0.0)
     r, theta = cmath.polar(z)
     tm = power_term(math.cos(m * theta), r, m)
-    tk = power_term(2.0 * c * math.cos(k * theta), r, k)
+    tk = 2.0 * power_term(c * math.cos(k * theta), r, k)
     im = power_term(math.sin(m * theta), r, m)
     return complex(_dominant_sum(tm, tk) - 1.0, im)

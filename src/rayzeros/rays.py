@@ -78,6 +78,8 @@ DEGENERACY_RTOL = 1e-9
 # ray tables kept per process; one at m = 500 holds about 17 KB
 _TABLE_CACHE_SIZE = 16
 
+_LOG2 = math.log(2.0)
+
 
 class RayCase(Enum):
     EVEN_ALPHA_ZERO = "even_alpha_zero"
@@ -168,19 +170,6 @@ def _case_of(k: int, parity: int, alpha_sign: Sign) -> RayCase:
     return RayCase.NEG_K_ODD_POS if alpha_sign > 0 else RayCase.NEG_K_ODD_NEG
 
 
-def _terms(parity: int, m: int, k: int, c: float, alpha: float) -> tuple[float, int, float, int]:
-    """f's terms on a ray as _f and _log_split take them: (sgn, m, b, k) with
-    sgn = (-1)^j and b = 2 c alpha."""
-    return (-1.0 if parity else 1.0, m, 2.0 * c * alpha, k)
-
-
-def _f(sgn: float, m: int, b: float, k: int, r: float) -> float:
-    """f on one ray, sgn r^m + b r^k - 1, with overflow resolved by dominance."""
-    if r <= 0:
-        raise ValueError(f"need r > 0, got {r}")
-    return _dominant_sum(power_term(sgn, r, m), power_term(b, r, k)) - 1.0
-
-
 def f_value(
     params: FamilyParams, ray: RayDescriptor, r: float, alpha: float | None = None
 ) -> float:
@@ -189,28 +178,33 @@ def f_value(
     ``alpha`` is the ray's folded cosine, recomputed from its residue when the
     caller does not hold it already.
     """
+    if r <= 0:
+        raise ValueError(f"need r > 0, got {r}")
     if alpha is None:
         alpha = alpha_from_residue(params.m, ray.residue)
-    return _f(*_terms(ray.parity, params.m, params.k, params.c, alpha), r)
+    tm = power_term(-1.0 if ray.parity else 1.0, r, params.m)
+    return _dominant_sum(tm, 2.0 * power_term(params.c * alpha, r, params.k)) - 1.0
 
 
 # one side of f's log split: its terms as (log |coefficient|, power)
 _Side = tuple[tuple[float, int], ...]
 
 
-def _log_split(sgn: float, m: int, b: float, k: int) -> tuple[_Side, _Side]:
-    """The terms of _f's sgn r^m + b r^k - 1 split by sign into the sides P > 0
-    and N > 0 of f = P - N.
+def _log_split(parity: int, m: int, k: int, c: float, alpha: float) -> tuple[_Side, _Side]:
+    """The terms of f = (-1)^j r^m + 2 c alpha r^k - 1 split by sign into the
+    sides P > 0 and N > 0 of f = P - N.
 
     Each side lists its terms as (log |coefficient|, power), so a term is
-    exp(log |coefficient| + power * log r).  A zero coefficient (alpha = 0)
-    drops out.  N always holds the constant 1.
+    exp(log |coefficient| + power * log r).  log |2 c alpha| is a sum of logs,
+    so no coefficient overflows.  alpha = 0 drops out; N always holds the
+    constant 1.
     """
     pos: list[tuple[float, int]] = []
     neg: list[tuple[float, int]] = []
-    for coeff, power in ((sgn, m), (b, k), (-1.0, 0)):
-        if coeff:
-            (pos if coeff > 0 else neg).append((math.log(abs(coeff)), power))
+    (neg if parity else pos).append((0.0, m))
+    if alpha:
+        (pos if alpha > 0 else neg).append((_LOG2 + math.log(c) + math.log(abs(alpha)), k))
+    neg.append((0.0, 0))
     return tuple(pos), tuple(neg)
 
 
@@ -264,13 +258,14 @@ def _log_betas(m: int, k: int, alphas) -> list[float]:
     return [(m * math.log(2.0 * alpha) + k_term) / (m - k) + tail for alpha in alphas]
 
 
-def _r0(m: int, k: int, alpha: float, c: float) -> float:
-    # (2 c |k| |alpha| / m)^{1/(m-k)}; covers the k>0 even/negative-alpha case
+def _log_r0(m: int, k: int, alpha: float, c: float) -> float:
+    # log (2 c |k| |alpha| / m)^{1/(m-k)}; covers the k>0 even/negative-alpha case
     # where the sign of alpha is absorbed by the sign of k in the derivative
-    return math.exp(
-        (math.log(2.0 * c) + math.log(abs(k)) + math.log(abs(alpha)) - math.log(m))
-        / (m - k)
-    )
+    return (_LOG2 + math.log(c) + math.log(abs(k)) + math.log(abs(alpha)) - math.log(m)) / (m - k)
+
+
+def _r0(m: int, k: int, alpha: float, c: float) -> float:
+    return math.exp(_log_r0(m, k, alpha, c))
 
 
 def _in_band(c: float, c0: float) -> bool:

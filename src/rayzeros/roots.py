@@ -1,42 +1,39 @@
-"""Locate every zero radius on a ray from brackets the case analysis guarantees.
+"""Locate every zero radius on a ray from brackets read off its term lines.
 
 all_zeros is one pass over the rows of the cached ray table.  Row j stands
 for ray j and its mirror 2m - j, which carry the same radial function
 f(r) = (-1)^j r^m + 2 c alpha r^k - 1; its count and tangency at c come from
-the row's case and c0.  The case pins down the sign of f at small radii, at
-the extremum r0 (when there is one), and at the outer bound
-R = max(1, (2c+2)^{1/(m-|k|)}) + 1, beyond which the degree-m term dominates.
-That yields one strict sign-change interval per zero: monotone cases bracket
-directly, unimodal cases split at r0.  f is evaluated once at each bracket
-endpoint, by the seek that finds it (at r0, once for both intervals), and
-that value is the endpoint's sign check.  Each radius is refined by
-safeguarded Newton in s = log r on F = log P - log N, where P and N are f's
-positive and negative terms, so F has f's sign and never overflows; steps
-that leave the bracket bisect it in s.  Every record re-evaluates the full
-complex function and must pass the scaled residual bound: ray j's records as
-soon as its row is solved, ray 2m - j's, with the same radii, after the last
-row.  bracket and solve_ray run the same per-row code for one analyzed ray.
+the row's case and c0.  In s = log r each of f's at most three terms is a
+line log |coefficient| + power * s.  One unit beyond the outermost pairwise
+crossing of these lines the tail term beats each other term by a factor
+e > 2, so there f has that term's sign: the two ends bracket a single zero,
+and a pair of zeros is split at s0 = log r0.  Every sign is read from
+F = log P - log N, where P and N are f's positive and negative terms, so F
+has f's sign and never overflows.  Each radius is refined by safeguarded
+Newton on F in s; steps that leave the bracket bisect it.  Every record
+re-evaluates the full complex function and must pass the residual gate,
+scaled by r^m where r^m overflows: ray j's records as soon as its row is
+solved, ray 2m - j's, with the same radii, after the last row.  bracket and
+solve_ray run the same per-row code for one analyzed ray.
 """
 from __future__ import annotations
 
+import cmath
 import math
-import sys
 from dataclasses import dataclass
-from functools import partial
+from itertools import combinations
 
 from .family import FamilyParams, evaluate, power_term, unit_direction
 from .rays import (
     _PROFILES,
-    EXTREMUM_CASES,
     RayAnalysis,
     RayCase,
     _count,
-    _f,
     _in_band,
     _log_f,
+    _log_r0,
     _log_split,
     _r0,
-    _terms,
     count_at,
     degenerate_at,
     extremum_radius,
@@ -63,8 +60,9 @@ _NEWTON_STEPS = 100
 
 
 class BracketFailure(ArithmeticError):
-    """A sign change the case analysis promised could not be realized, or a
-    refined zero failed the residual bound.  Never silently drops a zero."""
+    """A sign change the case analysis promised could not be realized, a
+    refined zero failed the residual bound, or its radius exceeds the float
+    range.  Never silently drops a zero."""
 
 
 class DegenerateTangency(Exception):
@@ -82,7 +80,10 @@ class Tolerances:
     radius_rtol: the Newton step in log r (a relative change of r) at which
         refinement stops.
     residual_rtol: accepted records must satisfy
-        |p(z)| <= residual_rtol * max(1, |z|^m).
+        |p(z)| <= residual_rtol * max(1, |z|^m).  Where |z|^m overflows the
+        bound is tested divided through by r^m = |z|^m, with theta = arg z:
+        |cos m theta + 2 c cos k theta r^(k-m) - r^(-m) + i sin m theta|
+        <= residual_rtol.
     """
 
     radius_rtol: float = 1e-12
@@ -105,109 +106,66 @@ def outer_radius(m: int, k: int, c: float) -> float:
     return max(1.0, (2.0 * c + 2.0) ** (1.0 / (m - abs(k)))) + 1.0
 
 
-def _sign_ok(v: float, want_negative: bool) -> bool:
-    return (v < 0) if want_negative else (v > 0)
+def _failure(m: int, k: int, c: float, j: int, case: RayCase, what: str) -> BracketFailure:
+    return BracketFailure(f"{what}: m={m}, k={k}, c={c!r}, ray {j}, case {case.value}")
 
 
-def _seek_lo(f, lo: float, want_negative: bool) -> tuple[float, float]:
-    """Shrink lo toward 0 until f(lo) has the required strict sign; returns (lo, f(lo))."""
-    for _ in range(600):
-        value = f(lo)
-        if _sign_ok(value, want_negative):
-            return lo, value
-        lo /= 4.0
-        if lo == 0.0:
-            break
-    raise BracketFailure("could not realize the inner bracket endpoint sign")
+def _log_brackets(m: int, k: int, c: float, parity: int, alpha: float, pair: bool):
+    """The row's log split and one interval in s = log r per zero of its f, as
+    (a, F(a), b, F(b)).
 
-
-def _seek_hi(f, hi: float, want_negative: bool) -> tuple[float, float]:
-    """Grow hi until f(hi) has the required strict sign; returns (hi, f(hi))
-    (defensive; one pass normally suffices because R is already dominant)."""
-    for _ in range(80):
-        value = f(hi)
-        if _sign_ok(value, want_negative):
-            return hi, value
-        hi *= 2.0
-    raise BracketFailure("could not realize the outer bracket endpoint sign")
-
-
-def _row_brackets(
-    case: RayCase, terms: tuple[float, int, float, int], c: float, alpha: float, r0: float | None
-) -> list[tuple[float, float, float, float]]:
-    """One strict sign-change interval per zero of a row's f at c, as (lo, f(lo), hi, f(hi)).
-
-    ``terms`` are the row's _terms.  Each endpoint's f value is the one its
-    seek tested; f(r0) is evaluated once for both intervals of a pair.
+    The ends lie one unit beyond the outermost crossing of f's term lines
+    a + p s.  The powers are distinct integers, so there the tail term beats
+    each other term by a factor e > 2 and gives F its sign.  A pair of zeros
+    is split at s0 = log r0.
     """
-    f = partial(_f, *terms)
-    _, m, _, k = terms
-    hi = outer_radius(m, k, c)
-
-    if case in (RayCase.EVEN_ALPHA_ZERO, RayCase.POS_K_EVEN_POS):
-        # f(0+) = -1, increasing to +inf
-        return [_seek_lo(f, 0.5, want_negative=True) + _seek_hi(f, hi, want_negative=False)]
-    if case is RayCase.POS_K_EVEN_NEG:
-        # dips to a strictly negative minimum at r0, then climbs; split there
-        return [_seek_lo(f, r0, want_negative=True) + _seek_hi(f, hi, want_negative=False)]
-    if case is RayCase.NEG_K_EVEN_NEG:
-        # increasing from -inf; f(1) = 2 c alpha < 0
-        return [_seek_lo(f, 1.0, want_negative=True) + _seek_hi(f, hi, want_negative=False)]
-    if case is RayCase.NEG_K_ODD_POS:
-        # decreasing from +inf; the middle term dominates below (c*alpha/2)^(1/|k|)
-        start = 0.9 * min(1.0, math.exp((math.log(c) + math.log(alpha) - math.log(2.0)) / abs(k)))
-        return [_seek_lo(f, start, want_negative=False) + _seek_hi(f, hi, want_negative=True)]
-    if case is RayCase.POS_K_ODD_POS:
-        # c above c0: maximum at r0 is strictly positive, tails are negative
-        lo = _seek_lo(f, min(sys.float_info.min * 4.0, r0 / 2.0), want_negative=True)
-        hi = _seek_hi(f, hi, want_negative=True)
-    elif case is RayCase.NEG_K_EVEN_POS:
-        # c below c0: minimum at r0 is strictly negative, both tails positive
-        start = 0.9 * min(r0, 1.0, math.exp((math.log(c) + math.log(alpha)) / abs(k)))
-        lo = _seek_lo(f, start, want_negative=False)
-        hi = _seek_hi(f, hi, want_negative=False)
-    else:
-        raise BracketFailure(f"case {case} should have no zeros to bracket")
-    mid = (r0, f(r0))
-    return [lo + mid, mid + hi]
+    split = _log_split(parity, m, k, c, alpha)
+    lines = split[0] + split[1]
+    cross = [(a2 - a1) / (p1 - p2) for (a1, p1), (a2, p2) in combinations(lines, 2)]
+    ends = [min(cross) - 1.0, max(cross) + 1.0]
+    if pair:
+        ends.insert(1, _log_r0(m, k, alpha, c))
+    points = [(s, _log_f(split, s)[0]) for s in ends]
+    return split, [lo + hi for lo, hi in zip(points, points[1:])]
 
 
 def bracket(analysis: RayAnalysis, c: float) -> list[tuple[float, float]]:
     """One strict sign-change interval per zero of f on the ray at parameter c.
 
     Raises DegenerateTangency inside the tangency band (the caller should
-    report the single merged zero at r0 instead).
+    report the single merged zero at r0 instead), and BracketFailure where an
+    end exceeds the float range.
     """
-    if count_at(analysis, c) == 0:
+    n = count_at(analysis, c)
+    if n == 0:
         return []
-    r0 = extremum_radius(analysis, c)
     if degenerate_at(analysis, c):
-        raise DegenerateTangency(r0)
-    params, alpha = analysis.params, analysis.alpha
-    terms = _terms(analysis.ray.parity, params.m, params.k, c, alpha)
-    return [(lo, hi) for lo, _, hi, _ in _row_brackets(analysis.case, terms, c, alpha, r0)]
+        raise DegenerateTangency(extremum_radius(analysis, c))
+    m, k = analysis.params.m, analysis.params.k
+    _, intervals = _log_brackets(m, k, c, analysis.ray.parity, analysis.alpha, n == 2)
+    try:
+        return [(math.exp(a), math.exp(b)) for a, _, b, _ in intervals]
+    except OverflowError:
+        what = f"bracket end at log r = {intervals[-1][2]} beyond the float range"
+        raise _failure(m, k, c, analysis.ray.j, analysis.case, what) from None
 
 
-def _refine(split, lo: float, flo: float, hi: float, fhi: float, radius_rtol: float) -> float:
-    """Safeguarded Newton on F(s) = log P - log N in s = log r inside the bracket.
+def _refine(split, a: float, b: float, a_neg: bool, radius_rtol: float) -> float:
+    """Safeguarded Newton on F(s) = log P - log N inside the bracket [a, b] in
+    s = log r, where F(a) < 0 iff a_neg; returns s at the zero.
 
-    flo and fhi are f at the bracket's ends and must differ in sign.  A Newton
-    step that leaves the bracket bisects it in s instead.  The step size is
-    tested before sign(F) moves the bracket: at the root |F| is at rounding
+    A Newton step that leaves the bracket bisects it instead.  The step size
+    is tested before sign(F) moves the bracket: at the root |F| is at rounding
     level and its sign may be wrong.
     """
-    if not (flo < 0) != (fhi < 0):
-        raise BracketFailure(f"endpoint signs agree on [{lo}, {hi}]")
-    lo_neg = flo < 0
-    a, b = math.log(lo), math.log(hi)
     s = 0.5 * (a + b)
     for _ in range(_NEWTON_STEPS):
         value, slope = _log_f(split, s)
         step = value / slope if slope else math.inf
         t = s - step
         if abs(step) <= radius_rtol or t == s:
-            return math.exp(t)
-        if (value < 0) == lo_neg:
+            return t
+        if (value < 0) == a_neg:
             a = s
         else:
             b = s
@@ -216,21 +174,31 @@ def _refine(split, lo: float, flo: float, hi: float, fhi: float, radius_rtol: fl
             if not a < t < b:
                 break  # float grid exhausted
         s = t
-    return math.exp(s)
+    return s
+
+
+def _scaled_p(params: FamilyParams, z: complex) -> complex:
+    """p(z) / |z|^m through the polar decomposition, finite where |z|^m overflows."""
+    m, k = params.m, params.k
+    r, theta = cmath.polar(z)
+    middle = 2.0 * power_term(params.c * math.cos(k * theta), r, k - m)
+    return complex(math.cos(m * theta) + middle - power_term(1.0, r, -m), math.sin(m * theta))
 
 
 def _record(
-    params: FamilyParams, j: int, r: float, u: complex, degenerate: bool, tol: Tolerances
+    params: FamilyParams, j: int, case: RayCase, r: float, u: complex, degenerate: bool, tol: Tolerances
 ) -> ZeroRecord:
     """The record of the zero at radius r on ray j, whose unit direction is u."""
     z = r * u
     residual = abs(evaluate(params, z))
     if not degenerate:
-        bound = tol.residual_rtol * max(1.0, power_term(1.0, r, params.m))
-        if not residual <= bound:
-            raise BracketFailure(
-                f"residual {residual} exceeds {bound} at ray {j}, r={r}"
-            )
+        scale = power_term(1.0, r, params.m)
+        if scale == math.inf:  # the bound divided through by r^m
+            label, size, bound = "residual |p(z)|/r^m", abs(_scaled_p(params, z)), tol.residual_rtol
+        else:
+            label, size, bound = "residual", residual, tol.residual_rtol * max(1.0, scale)
+        if not size <= bound:
+            raise _failure(params.m, params.k, params.c, j, case, f"{label} {size} exceeds {bound} at r={r}")
     return ZeroRecord(j=j, r=r, z=z, residual=residual, degenerate=degenerate)
 
 
@@ -243,21 +211,21 @@ def _solve_row(
     n = _count(_PROFILES[case], c0, c)
     if n == 0:
         return []
-    r0 = _r0(m, k, alpha, c) if case in EXTREMUM_CASES else None
     u = unit_direction(m, j)
     if c0 is not None and _in_band(c, c0):
-        return [_record(params, j, r0, u, True, tol)]
+        return [_record(params, j, case, _r0(m, k, alpha, c), u, True, tol)]
 
-    terms = _terms(j % 2, m, k, c, alpha)
-    intervals = _row_brackets(case, terms, c, alpha, r0)
-    if len(intervals) != n:
-        raise BracketFailure(f"expected {n} brackets on ray {j}, built {len(intervals)}")
-    split = _log_split(*terms)
-    records = [
-        _record(params, j, _refine(split, *interval, tol.radius_rtol), u, False, tol)
-        for interval in intervals
-    ]
-    records.sort(key=lambda rec: rec.r)
+    split, intervals = _log_brackets(m, k, c, j % 2, alpha, n == 2)
+    records = []
+    for a, fa, b, fb in intervals:
+        if (fa < 0) == (fb < 0):
+            raise _failure(m, k, c, j, case, f"endpoint signs agree on log r in [{a}, {b}]")
+        s = _refine(split, a, b, fa < 0, tol.radius_rtol)
+        try:
+            r = math.exp(s)
+        except OverflowError:
+            raise _failure(m, k, c, j, case, f"zero at log r = {s} beyond the float range") from None
+        records.append(_record(params, j, case, r, u, False, tol))
     return records
 
 
@@ -287,5 +255,6 @@ def all_zeros(params: FamilyParams, tolerances: Tolerances | None = None) -> lis
         mirror = solved[2 * m - j]
         if mirror:
             u = unit_direction(m, j)
-            out.extend(_record(params, j, rec.r, u, rec.degenerate, tol) for rec in mirror)
+            case = cases[2 * m - j]
+            out.extend(_record(params, j, case, rec.r, u, rec.degenerate, tol) for rec in mirror)
     return out

@@ -16,8 +16,9 @@ polish lands 1.4e-12 of r away on the other side.
 """
 from __future__ import annotations
 
+import math
+import random
 import struct
-import sys
 
 import mpmath
 import pytest
@@ -31,6 +32,7 @@ from rayzeros import (
     bracket,
     count_at,
     degenerate_at,
+    predict_at,
     solve_ray,
     thresholds,
     validate,
@@ -118,13 +120,25 @@ class TestAgainstReference:
             RayCase.NEG_K_EVEN_NEG, RayCase.NEG_K_ODD_POS, RayCase.NEG_K_EVEN_POS,
         }
 
-    def test_tiny_inner_bracket_of_odd_positive_rays(self):
-        # above c0 the inner zero of a k > 0, odd, alpha > 0 ray is bracketed from 4 * float_min
-        p = validate(5, 4, 3.0)
-        a = analyze_ray(p, 3)
-        assert a.case is RayCase.POS_K_ODD_POS
-        assert bracket(a, 3.0)[0][0] == 4.0 * sys.float_info.min
-        check_against_reference(5, 4, 3.0, rows=[3])
+    def test_bracket_ends_have_strict_opposite_signs(self):
+        # the ends one unit beyond the term-line crossings, and r0 between a
+        # pair, have strict opposite signs of the exact f at any float64 c
+        rng = random.Random(7)
+        for _ in range(60):
+            m = rng.randint(2, 64)
+            k = rng.choice([k for k in range(1 - m, m) if k and math.gcd(m, abs(k)) == 1])
+            c = 10.0 ** rng.uniform(-300, 300)
+            p = validate(m, k, c)
+            for j in range(m + 1):
+                a = analyze_ray(p, j)
+                if degenerate_at(a, c):
+                    continue
+                f, _ = exact_f(p, a)
+                intervals = bracket(a, c)
+                assert len(intervals) == count_at(a, c)
+                for lo, hi in intervals:
+                    assert 0 < lo < hi
+                    assert f(lo) * f(hi) < 0, (m, k, c, j, lo, hi)
 
     @pytest.mark.parametrize("m, k", [(3, 1), (5, -4), (12, 5), (13, -6), (40, -13), (99, 34)])
     def test_next_to_the_tangency_band(self, m, k):
@@ -168,16 +182,77 @@ class TestSteps:
             assert rec.residual <= tol.residual_rtol * max(1.0, rec.r ** p.m)
 
 
-class TestFailureMessages:
-    # the endpoint check and the overflow rule are unchanged, so are these messages
+_GATE_CTX = mpmath.mp.clone()
+_GATE_CTX.dps = 30
+
+
+def passes_gate(p, rec) -> bool:
+    """|p(z)| <= residual_rtol * max(1, |z|^m) at the record's z; where |z|^m
+    overflows, |p(z)| / |z|^m is evaluated exactly (30 digits) instead:
+    |e^{i m theta} + 2 c r^{k-m} cos(k theta) - r^{-m}| with z = r e^{i theta}."""
+    gate = Tolerances().residual_rtol
+    try:
+        return rec.residual <= gate * max(1.0, rec.r ** p.m)
+    except OverflowError:
+        ctx = _GATE_CTX
+        r, theta = ctx.polar(ctx.mpc(rec.z))
+        value = ctx.expj(p.m * theta) + 2 * p.c * r ** (p.k - p.m) * ctx.cos(p.k * theta) - r ** -p.m
+        return abs(value) <= gate
+
+
+class TestFloatRange:
+    # the first seven failed with "endpoint signs agree" while f's sign came
+    # from float powers; at (5, -4, 9e307) 2c overflowed
     @pytest.mark.parametrize(
-        "m, k, c, message",
-        [
-            (13, 12, 1e50, "endpoint signs agree on [8.900295434028806e-308, 2.225292558559781e+49]"),
-            (2000, 1999, 1.0, "endpoint signs agree on [8.900295434028806e-308, 1.4289630101676918]"),
-        ],
+        "m, k, c",
+        [(13, 12, 1e50), (5, 4, 1e200), (7, 2, 1e300), (2000, 1999, 1.0), (3000, 2999, 1.0),
+         (5000, 4999, 1.0), (10000, 9999, 1.0), (5, -4, 9e307)],
     )
-    def test_message(self, m, k, c, message):
+    def test_cases_solve(self, m, k, c):
+        p = validate(m, k, c)
+        recs = all_zeros(p)
+        assert len(recs) == predict_at(p, c)
+        assert all(passes_gate(p, rec) for rec in recs)
+
+    def test_moved_record_fails_the_scaled_gate(self, monkeypatch):
+        # at (13, 12, 1e50) the outer radii reach 2e49, where r^13 overflows
+        p = validate(13, 12, 1e50)
+        refine = roots._refine
+
+        def moved(*args):
+            s = refine(*args)
+            return s + 1e-6 if p.m * s > 710.0 else s
+
+        monkeypatch.setattr(roots, "_refine", moved)
+        with pytest.raises(BracketFailure, match=r"residual \|p\(z\)\|/r\^m .* exceeds 1e-10"):
+            all_zeros(p)
+
+    def test_zero_beyond_max_float_raises_bracket_failure(self):
+        # ray 2 of (2, 1) has its zero near 2c, above max_float
+        p = validate(2, 1, 9e307)
         with pytest.raises(BracketFailure) as err:
-            all_zeros(validate(m, k, c))
-        assert str(err.value) == message
+            all_zeros(p)
+        assert str(err.value) == (
+            "zero at log r = 709.7839953070682 beyond the float range: m=2, k=1, c=9e+307, ray 2, case pos_k_even_neg"
+        )
+        with pytest.raises(BracketFailure, match="bracket end at log r = .* beyond the float range"):
+            bracket(analyze_ray(p, 2), p.c)
+
+
+class TestFailureMessages:
+    # failure_class in the benchmark keys on "endpoint signs agree" and "residual ... exceeds"
+    def test_residual_message_names_the_row(self):
+        with pytest.raises(BracketFailure) as err:
+            all_zeros(validate(4, 3, 5.516689610200797e134))
+        assert str(err.value) == (
+            "residual 2.0267988819065597e+119 exceeds 1e-10 at r=1.0: "
+            "m=4, k=3, c=5.516689610200797e+134, ray 2, case even_alpha_zero"
+        )
+
+    def test_endpoint_message_names_the_row(self, monkeypatch):
+        # a split point below the inner end leaves [a, s0] with one sign
+        monkeypatch.setattr(roots, "_log_r0", lambda *args: -50.0)
+        with pytest.raises(BracketFailure) as err:
+            all_zeros(validate(5, 4, 3.0))
+        assert str(err.value).startswith("endpoint signs agree on log r in [")
+        assert str(err.value).endswith(": m=5, k=4, c=3.0, ray 3, case pos_k_odd_pos")
