@@ -43,7 +43,6 @@ from .roots import (
     bracket,
     solve_ray,
     all_zeros,
-    outer_radius,
 )
 from .predict import CountPrediction, predict_table, predict_census, predict_at
 from .oracle import (
@@ -92,7 +91,6 @@ __all__ = [
     "bracket",
     "solve_ray",
     "all_zeros",
-    "outer_radius",
     "CountPrediction",
     "predict_table",
     "predict_census",

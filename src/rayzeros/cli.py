@@ -279,8 +279,8 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         return _invalid(f"{type(exc).__name__}: {exc}")
     try:
-        radius = _tolerance(args, "TOL_RADIUS", 1e-12)
-        residual = _tolerance(args, "TOL_RESIDUAL", 1e-10)
+        radius = _tolerance(args, "TOL_RADIUS", Tolerances().radius_rtol)
+        residual = _tolerance(args, "TOL_RESIDUAL", Tolerances().residual_rtol)
     except ValueError as exc:
         return _invalid(str(exc))
     args.tolerances = Tolerances(radius_rtol=radius, residual_rtol=residual)

@@ -11,7 +11,8 @@ The cosine weight of ray j is alpha = cos(k j pi / m), and its sign is
 decided here exactly, with integer arithmetic on the residue
 t = k*j mod 2m: alpha > 0 iff 2t < m or 2t > 3m, alpha = 0 iff 2t = m or
 2t = 3m, alpha < 0 otherwise.  Floating point never gets a vote on the
-classification.
+classification.  Where r^m overflows, a real part is the signed infinity of
+its sum divided through by r^m (_over_power), so every term votes on its sign.
 """
 from __future__ import annotations
 
@@ -203,24 +204,26 @@ def power_term(coeff: float, r: float, p: int) -> float:
     return coeff * rp
 
 
-def _dominant_sum(tm: float, tk: float) -> float:
-    """tm + tk under the overflow rule: opposite infinities resolve to the degree-m term tm.
+def _over_power(lead: float, mid: float, r: float, m: int, k: int, one: float = 1.0) -> float:
+    """(lead r^m + 2 mid r^k - one) / r^m, finite where r^m overflows: the one
+    overflow rule of evaluate, f_value, f_derivative and the residual gate."""
+    return lead + 2.0 * power_term(mid, r, k - m) - power_term(one, r, -m)
 
-    Both powers overflow only for r > 1 with k > 0.  evaluate, f_value and
-    f_derivative all resolve overflow here.
-    """
-    if math.isinf(tm) and math.isinf(tk) and (tm > 0) != (tk > 0):
-        return tm
-    return tm + tk
+
+def _radial_sum(lead: float, mid: float, r: float, m: int, k: int) -> float:
+    """lead r^m + 2 mid r^k - 1; where lead r^m overflows, _over_power scaled back."""
+    tm = power_term(lead, r, m)
+    if math.isinf(tm):
+        return power_term(_over_power(lead, mid, r, m, k), r, m)
+    return tm + 2.0 * power_term(mid, r, k) - 1.0
 
 
 def evaluate(params: FamilyParams, z: complex) -> complex:
     """p(z) through the polar decomposition.
 
     Returns r^m cos(m theta) + 2 c r^k cos(k theta) - 1 + i r^m sin(m theta).
-    z = 0 is the constant -1 for k > 0 and a pole for k < 0.  When a power
-    overflows, the dominant term decides a signed-infinite real part rather
-    than raising.
+    z = 0 is the constant -1 for k > 0 and a pole for k < 0.  Where r^m
+    overflows, the real part is the signed infinity of Re p / r^m.
     """
     m, k, c = params.m, params.k, params.c
     z = complex(z)
@@ -229,7 +232,5 @@ def evaluate(params: FamilyParams, z: complex) -> complex:
             raise PoleAtOriginError("z = 0 is a pole when k < 0")
         return complex(-1.0, 0.0)
     r, theta = cmath.polar(z)
-    tm = power_term(math.cos(m * theta), r, m)
-    tk = 2.0 * power_term(c * math.cos(k * theta), r, k)
-    im = power_term(math.sin(m * theta), r, m)
-    return complex(_dominant_sum(tm, tk) - 1.0, im)
+    re = _radial_sum(math.cos(m * theta), c * math.cos(k * theta), r, m, k)
+    return complex(re, power_term(math.sin(m * theta), r, m))

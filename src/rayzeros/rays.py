@@ -48,7 +48,8 @@ from .family import (
     FamilyParams,
     RayDescriptor,
     Sign,
-    _dominant_sum,
+    _over_power,
+    _radial_sum,
     alpha_from_residue,
     classify_ray,
     power_term,
@@ -123,9 +124,9 @@ EXTREMUM_CASES = THRESHOLD_CASES | {RayCase.POS_K_EVEN_NEG}
 class RayAnalysis:
     """Everything the counting and root finding need to know about one ray.
 
-    ``r0`` is the extremum radius at params.c (None when f is monotone on the
-    ray); ``c0``/``log_beta`` exist only for the two threshold cases and do not
-    depend on c.  ``alpha``, ``case`` and ``c0`` come from the ray table.
+    ``r0`` is the extremum radius at params.c (None when f is monotone, inf
+    beyond the float range).  ``c0`` and ``log_beta`` exist only in the two
+    threshold cases; ``alpha``, ``case`` and ``c0`` come from the ray table.
     """
 
     params: FamilyParams
@@ -140,12 +141,7 @@ class RayAnalysis:
     @property
     def beta(self) -> float | None:
         """exp(log_beta), inf where that overflows (|k| close to m)."""
-        if self.log_beta is None:
-            return None
-        try:
-            return math.exp(self.log_beta)
-        except OverflowError:
-            return math.inf
+        return None if self.log_beta is None else _exp(self.log_beta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,20 +166,13 @@ def _case_of(k: int, parity: int, alpha_sign: Sign) -> RayCase:
     return RayCase.NEG_K_ODD_POS if alpha_sign > 0 else RayCase.NEG_K_ODD_NEG
 
 
-def f_value(
-    params: FamilyParams, ray: RayDescriptor, r: float, alpha: float | None = None
-) -> float:
-    """(-1)^j r^m + 2 c alpha r^k - 1, with overflow resolved by dominance.
-
-    ``alpha`` is the ray's folded cosine, recomputed from its residue when the
-    caller does not hold it already.
-    """
+def f_value(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
+    """(-1)^j r^m + 2 c alpha r^k - 1; where r^m overflows, the signed infinity
+    of the sum divided through by r^m."""
     if r <= 0:
         raise ValueError(f"need r > 0, got {r}")
-    if alpha is None:
-        alpha = alpha_from_residue(params.m, ray.residue)
-    tm = power_term(-1.0 if ray.parity else 1.0, r, params.m)
-    return _dominant_sum(tm, 2.0 * power_term(params.c * alpha, r, params.k)) - 1.0
+    alpha = alpha_from_residue(params.m, ray.residue)
+    return _radial_sum(-1.0 if ray.parity else 1.0, params.c * alpha, r, params.m, params.k)
 
 
 # one side of f's log split: its terms as (log |coefficient|, power)
@@ -235,18 +224,18 @@ def _log_f(split: tuple[_Side, _Side], s: float) -> tuple[float, float]:
     return (ap - an) + (pp - pn) * s + (lp - ln), dp - dn
 
 
-def f_derivative(
-    params: FamilyParams, ray: RayDescriptor, r: float, alpha: float | None = None
-) -> float:
-    """f'(r) = (-1)^j m r^{m-1} + 2 c k alpha r^{k-1}; ``alpha`` as in f_value."""
+def f_derivative(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
+    """f'(r) = (-1)^j m r^{m-1} + 2 c k alpha r^{k-1}, under f_value's overflow
+    rule: where the first term overflows, f' / (m r^{m-1}) decides."""
     if r <= 0:
         raise ValueError(f"need r > 0, got {r}")
+    m, k, c = params.m, params.k, params.c
+    alpha = alpha_from_residue(m, ray.residue)
     sgn = -1.0 if ray.parity else 1.0
-    if alpha is None:
-        alpha = alpha_from_residue(params.m, ray.residue)
-    tm = power_term(sgn * params.m, r, params.m - 1)
-    tk = power_term(2.0 * params.c * params.k * alpha, r, params.k - 1)
-    return _dominant_sum(tm, tk)
+    tm = power_term(sgn * m, r, m - 1)
+    if math.isinf(tm):  # |k alpha / m| < 1, so no coefficient overflows
+        return power_term(m * _over_power(sgn, c * (k * alpha / m), r, m - 1, k - 1, 0.0), r, m - 1)
+    return tm + power_term(2.0 * c * k * alpha, r, k - 1)
 
 
 def _log_betas(m: int, k: int, alphas) -> list[float]:
@@ -264,8 +253,16 @@ def _log_r0(m: int, k: int, alpha: float, c: float) -> float:
     return (_LOG2 + math.log(c) + math.log(abs(k)) + math.log(abs(alpha)) - math.log(m)) / (m - k)
 
 
+def _exp(x: float) -> float:
+    """exp(x), inf where that overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _r0(m: int, k: int, alpha: float, c: float) -> float:
-    return math.exp(_log_r0(m, k, alpha, c))
+    return _exp(_log_r0(m, k, alpha, c))
 
 
 def _in_band(c: float, c0: float) -> bool:
@@ -415,7 +412,7 @@ def count_at(analysis: RayAnalysis, c: float) -> int:
 
 
 def extremum_radius(analysis: RayAnalysis, c: float) -> float | None:
-    """The critical radius r0 recomputed at an arbitrary c (None if f is monotone)."""
+    """r0 recomputed at an arbitrary c: None if f is monotone, inf beyond the float range."""
     if analysis.case not in EXTREMUM_CASES:
         return None
     if c <= 0:

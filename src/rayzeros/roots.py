@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .family import FamilyParams, evaluate, power_term, unit_direction
+from .family import FamilyParams, _over_power, evaluate, power_term, unit_direction
 from .rays import (
     _PROFILES,
     RayAnalysis,
@@ -33,7 +33,6 @@ from .rays import (
     _log_f,
     _log_r0,
     _log_split,
-    _r0,
     count_at,
     degenerate_at,
     extremum_radius,
@@ -47,7 +46,6 @@ __all__ = [
     "ZeroRecord",
     "BracketFailure",
     "DegenerateTangency",
-    "outer_radius",
     "bracket",
     "solve_ray",
     "all_zeros",
@@ -99,11 +97,6 @@ class ZeroRecord:
     z: complex
     residual: float
     degenerate: bool
-
-
-def outer_radius(m: int, k: int, c: float) -> float:
-    """R with |r^m| strictly dominant for r >= R on every ray."""
-    return max(1.0, (2.0 * c + 2.0) ** (1.0 / (m - abs(k)))) + 1.0
 
 
 def _failure(m: int, k: int, c: float, j: int, case: RayCase, what: str) -> BracketFailure:
@@ -177,28 +170,31 @@ def _refine(split, a: float, b: float, a_neg: bool, radius_rtol: float) -> float
     return s
 
 
-def _scaled_p(params: FamilyParams, z: complex) -> complex:
-    """p(z) / |z|^m through the polar decomposition, finite where |z|^m overflows."""
-    m, k = params.m, params.k
-    r, theta = cmath.polar(z)
-    middle = 2.0 * power_term(params.c * math.cos(k * theta), r, k - m)
-    return complex(math.cos(m * theta) + middle - power_term(1.0, r, -m), math.sin(m * theta))
+def _radius(m: int, k: int, c: float, j: int, case: RayCase, s: float) -> float:
+    """The radius e^s of a zero on ray j; BracketFailure where it exceeds the float range."""
+    try:
+        return math.exp(s)
+    except OverflowError:
+        raise _failure(m, k, c, j, case, f"zero at log r = {s} beyond the float range") from None
 
 
 def _record(
     params: FamilyParams, j: int, case: RayCase, r: float, u: complex, degenerate: bool, tol: Tolerances
 ) -> ZeroRecord:
     """The record of the zero at radius r on ray j, whose unit direction is u."""
+    m, k, c = params.m, params.k, params.c
     z = r * u
     residual = abs(evaluate(params, z))
     if not degenerate:
-        scale = power_term(1.0, r, params.m)
+        scale = power_term(1.0, r, m)
         if scale == math.inf:  # the bound divided through by r^m
-            label, size, bound = "residual |p(z)|/r^m", abs(_scaled_p(params, z)), tol.residual_rtol
+            rz, theta = cmath.polar(z)
+            real = _over_power(math.cos(m * theta), c * math.cos(k * theta), rz, m, k)
+            label, size, bound = "residual |p(z)|/r^m", abs(complex(real, math.sin(m * theta))), tol.residual_rtol
         else:
             label, size, bound = "residual", residual, tol.residual_rtol * max(1.0, scale)
         if not size <= bound:
-            raise _failure(params.m, params.k, params.c, j, case, f"{label} {size} exceeds {bound} at r={r}")
+            raise _failure(m, k, c, j, case, f"{label} {size} exceeds {bound} at r={r}")
     return ZeroRecord(j=j, r=r, z=z, residual=residual, degenerate=degenerate)
 
 
@@ -213,18 +209,14 @@ def _solve_row(
         return []
     u = unit_direction(m, j)
     if c0 is not None and _in_band(c, c0):
-        return [_record(params, j, case, _r0(m, k, alpha, c), u, True, tol)]
+        return [_record(params, j, case, _radius(m, k, c, j, case, _log_r0(m, k, alpha, c)), u, True, tol)]
 
     split, intervals = _log_brackets(m, k, c, j % 2, alpha, n == 2)
     records = []
     for a, fa, b, fb in intervals:
         if (fa < 0) == (fb < 0):
             raise _failure(m, k, c, j, case, f"endpoint signs agree on log r in [{a}, {b}]")
-        s = _refine(split, a, b, fa < 0, tol.radius_rtol)
-        try:
-            r = math.exp(s)
-        except OverflowError:
-            raise _failure(m, k, c, j, case, f"zero at log r = {s} beyond the float range") from None
+        r = _radius(m, k, c, j, case, _refine(split, a, b, fa < 0, tol.radius_rtol))
         records.append(_record(params, j, case, r, u, False, tol))
     return records
 

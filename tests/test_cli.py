@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -135,6 +136,16 @@ class TestClassifyCommand:
         rows = json.loads(out)["results"]
         assert len(rows) == 4000
         assert 0.69 < rows[1509]["c0"] < 0.71
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_r0_beyond_max_float_is_inf(self, capsys, fmt):
+        # ray 3's r0 exceeds max_float: a value of the table, not a numerical failure
+        code, out, err = run_cli(capsys, "classify", "--m", "3", "--k", "2", "--c", "1.7e308", "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert json.loads(out)["results"][3]["r0"] == math.inf
+        else:
+            assert parse_csv(out)[3]["r0"] == "inf"
 
 
 class TestThresholdsCommand:
@@ -286,6 +297,12 @@ class TestToleranceConfig:
         _, out, _ = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1")
         meta = json.loads(out)["meta"]
         assert meta["tolerances"] == {"radius": 1e-12, "residual": 1e-10}
+
+    def test_defaults_come_from_tolerances(self, capsys, monkeypatch):
+        defaults = {"radius_rtol": 1e-11, "residual_rtol": 1e-9}
+        monkeypatch.setattr(cli_mod, "Tolerances", lambda **given: rayzeros.Tolerances(**{**defaults, **given}))
+        _, out, _ = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1")
+        assert json.loads(out)["meta"]["tolerances"] == {"radius": 1e-11, "residual": 1e-9}
 
     def test_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("RAYZEROS_TOL_RADIUS", "1e-10")

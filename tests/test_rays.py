@@ -1,9 +1,11 @@
 """Case dispatch, per-ray counts, extremum and threshold closed forms."""
 from __future__ import annotations
 
+import cmath
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +23,7 @@ from rayzeros import (
     thresholds,
     validate,
 )
-from rayzeros.family import unit_direction
+from rayzeros.family import alpha_from_residue, power_term, unit_direction
 
 from conftest import brute_ray_count, valid_k_choices, valid_pairs
 
@@ -62,6 +64,97 @@ class TestFValue:
         p = validate(3, 1, 1.0)
         with pytest.raises(ValueError):
             f_value(p, classify_ray(p, 0), 0.0)
+
+
+def reference_dominant_sum(tm: float, tk: float) -> float:
+    """The overflow rule before the divide-through form: opposite infinities
+    resolve to the degree-m term tm."""
+    if math.isinf(tm) and math.isinf(tk) and (tm > 0) != (tk > 0):
+        return tm
+    return tm + tk
+
+
+def reference_values(p, j: int, r: float, z: complex) -> tuple[float, float, float]:
+    """f, f' and Re p(z) from the dominant-sum formulas, term by term."""
+    m, k, c = p.m, p.k, p.c
+    alpha = alpha_from_residue(m, k * j)
+    sgn = -1.0 if j % 2 else 1.0
+    f = reference_dominant_sum(power_term(sgn, r, m), 2.0 * power_term(c * alpha, r, k)) - 1.0
+    fd = reference_dominant_sum(power_term(sgn * m, r, m - 1), power_term(2.0 * c * k * alpha, r, k - 1))
+    rz, theta = cmath.polar(z)
+    tm = power_term(math.cos(m * theta), rz, m)
+    re = reference_dominant_sum(tm, 2.0 * power_term(c * math.cos(k * theta), rz, k)) - 1.0
+    return f, fd, re
+
+
+def exact_values(p, j: int, r: float, z: complex) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf]:
+    """f, f' and Re p(z) at 50 digits, on the same float r, z and c."""
+    m, k = p.m, p.k
+    c, rr = mpmath.mpf(p.c), mpmath.mpf(r)
+    alpha = mpmath.cospi(mpmath.mpf(k * j) / m)
+    sgn = -1 if j % 2 else 1
+    rz, theta = mpmath.polar(mpmath.mpc(z.real, z.imag))
+    return (
+        sgn * rr**m + 2 * c * alpha * rr**k - 1,
+        sgn * m * rr ** (m - 1) + 2 * c * k * alpha * rr ** (k - 1),
+        rz**m * mpmath.cos(m * theta) + 2 * c * rz**k * mpmath.cos(k * theta) - 1,
+    )
+
+
+def library_values(p, j: int, r: float, z: complex) -> tuple[float, float, float]:
+    ray = classify_ray(p, j)
+    return f_value(p, ray, r), f_derivative(p, ray, r), evaluate(p, z).real
+
+
+def random_points(n: int, seed: int):
+    """(params, j, r, z) with m up to 3000, c and r log-uniform in [1e-300, 1e300],
+    z on ray j or a relative 1e-9 off it."""
+    rnd = random.Random(seed)
+    for _ in range(n):
+        m = rnd.choice((rnd.randint(2, 12), rnd.randint(2, 300), rnd.randint(2, 3000)))
+        k = rnd.choice([a for a in range(1 - m, m) if a and math.gcd(m, abs(a)) == 1])
+        p = validate(m, k, 10 ** rnd.uniform(-300, 300))
+        j = rnd.randrange(2 * m)
+        r = 10 ** rnd.uniform(-300, 300)
+        yield p, j, r, r * unit_direction(m, j) * complex(1.0, rnd.uniform(-1e-9, 1e-9))
+
+
+class TestOverflowRule:
+    """One overflow rule: where r^m overflows, the sum divided through by r^m
+    decides the sign; wherever the old dominant-sum formulas are finite, the
+    values are bitwise theirs."""
+
+    def test_sign_at_large_c_is_exact(self):
+        # at (5, 4, 1e300) and r = 1e80, 2 c alpha r^4 outweighs r^5 on every ray
+        p = validate(5, 4, 1e300)
+        r = 1e80
+        for j in range(10):
+            z = r * unit_direction(5, j)
+            got = library_values(p, j, r, z)
+            assert all(math.isinf(v) for v in got), (j, got)
+            want = [mpmath.sign(v) for v in exact_values(p, j, r, z)]
+            assert [math.copysign(1.0, v) for v in got] == want, j
+
+    def test_bitwise_equal_to_dominant_sum_where_finite(self):
+        finite = 0
+        for p, j, r, z in random_points(3000, seed=10):
+            for got, ref in zip(library_values(p, j, r, z), reference_values(p, j, r, z)):
+                if math.isfinite(ref):
+                    finite += 1
+                    assert got.hex() == ref.hex(), (p, j, r, z)
+        assert finite > 2500
+
+    def test_overflowed_values_take_the_exact_sign(self):
+        infinite = 0
+        for p, j, r, z in random_points(3000, seed=11):
+            got = library_values(p, j, r, z)
+            if not any(math.isinf(v) for v in got):
+                continue
+            for value, exact in zip(got, exact_values(p, j, r, z)):
+                if math.isinf(value):
+                    infinite += 1
+                    assert math.copysign(1.0, value) == mpmath.sign(exact), (p, j, r, z, value)
+        assert infinite > 1000
 
 
 class TestDispatch:

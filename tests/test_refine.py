@@ -32,6 +32,7 @@ from rayzeros import (
     bracket,
     count_at,
     degenerate_at,
+    extremum_radius,
     predict_at,
     solve_ray,
     thresholds,
@@ -237,6 +238,32 @@ class TestFloatRange:
         )
         with pytest.raises(BracketFailure, match="bracket end at log r = .* beyond the float range"):
             bracket(analyze_ray(p, 2), p.c)
+
+
+class TestR0BeyondFloatRange:
+    # r0 = exp(log r0) exceeds max_float on these rays
+    @pytest.mark.parametrize("m, k, j", [(3, 2, 3), (7, 6, 5)])
+    def test_r0_is_inf_and_solve_ray_fails_like_all_zeros(self, m, k, j):
+        p = validate(m, k, 1.7e308)
+        a = analyze_ray(p, j)
+        assert a.r0 == math.inf
+        assert extremum_radius(a, p.c) == math.inf
+        with pytest.raises(BracketFailure) as whole:
+            all_zeros(p)
+        with pytest.raises(BracketFailure) as one:
+            solve_ray(p, a)
+        assert str(one.value) == str(whole.value)
+        assert "beyond the float range" in str(one.value)
+
+    def test_tangency_beyond_float_range_raises(self, monkeypatch):
+        # no real tangency lies beyond max_float; a patched log r0 puts one there
+        c0 = thresholds(validate(5, 4, 1.0))[0].c0
+        monkeypatch.setattr(roots, "_log_r0", lambda *args: 800.0)
+        with pytest.raises(BracketFailure) as err:
+            all_zeros(validate(5, 4, c0))
+        assert str(err.value) == (
+            f"zero at log r = 800.0 beyond the float range: m=5, k=4, c={c0!r}, ray 5, case pos_k_odd_pos"
+        )
 
 
 class TestFailureMessages:
