@@ -7,7 +7,8 @@ JSON (default) or CSV.  JSON output is a single object
 
 and CSV carries the same result rows field-for-field after a header line.
 Floats are printed with shortest round-trip formatting so outputs are stable
-and diff-friendly.
+and diff-friendly; non-finite ones are the strings "inf", "-inf" and "nan" in
+both formats.
 
 Exit codes: 0 success, 1 invalid parameters, 2 verification mismatch,
 3 numerical failure.  Tolerances resolve as flags > RAYZEROS_* environment
@@ -53,6 +54,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    """value with each non-finite float as the string CSV writes for it; JSON
+    (RFC 8259) has no literal for inf or nan, and null means "none"."""
+    return repr(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit(args, rows: list[dict], meta_extra: dict | None = None) -> str:
     if args.format == "csv":
         buf = io.StringIO()
@@ -73,7 +80,7 @@ def _emit(args, rows: list[dict], meta_extra: dict | None = None) -> str:
         meta.update(meta_extra)
     doc = {
         "params": {"m": args.m, "k": args.k, "c": args.c},
-        "results": rows,
+        "results": [{key: _json_value(v) for key, v in row.items()} for row in rows],
         "meta": meta,
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -151,7 +151,6 @@ class Threshold:
     c0: float
     rays: tuple[int, ...]
     alpha: float
-    residue_class: int
 
 
 def _case_of(k: int, parity: int, alpha_sign: Sign) -> RayCase:
@@ -235,7 +234,10 @@ def f_derivative(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
     tm = power_term(sgn * m, r, m - 1)
     if math.isinf(tm):  # |k alpha / m| < 1, so no coefficient overflows
         return power_term(m * _over_power(sgn, c * (k * alpha / m), r, m - 1, k - 1, 0.0), r, m - 1)
-    return tm + power_term(2.0 * c * k * alpha, r, k - 1)
+    b = 2.0 * c * k * alpha
+    if not math.isfinite(b):  # 2 c k overflowed: apply r^(k-1) before k, so no inf meets a 0
+        return tm + 2.0 * k * power_term(c * alpha, r, k - 1)
+    return tm + power_term(b, r, k - 1)
 
 
 def _log_betas(m: int, k: int, alphas) -> list[float]:
@@ -288,10 +290,10 @@ def _multiplicity(m: int, row: int) -> int:
 class RayTable:
     """The c-independent facts of every ray of one (m, k), one row per conjugate group.
 
-    Row j (0 <= j <= m) stands for ray j and its mirror 2m - j; parity, rays,
-    residue class and count profile follow from j and the case.  ``alpha``,
-    ``case`` and ``c0`` (None outside the two threshold cases) are indexed by
-    row.  ``order`` lists the threshold rows by increasing c0 and ``c0s`` holds
+    Row j (0 <= j <= m) stands for ray j and its mirror 2m - j; parity, rays
+    and count profile follow from j and the case.  ``alpha``, ``case`` and
+    ``c0`` (None outside the two threshold cases) are indexed by row.
+    ``order`` lists the threshold rows by increasing c0 and ``c0s`` holds
     their c0 in that order; ``steps[i]`` is the count gained when the first i
     of them are passed, and ``base`` is the count below every threshold.
     ``census`` counts the 2m rays by parity and exact alpha sign, in the field
@@ -314,10 +316,6 @@ class RayTable:
 
     def rays(self, row: int) -> tuple[int, ...]:
         return (row,) if _multiplicity(self.m, row) == 1 else (row, 2 * self.m - row)
-
-    def residue_class(self, row: int) -> int:
-        t = (self.k * row) % (2 * self.m)
-        return min(t, 2 * self.m - t)
 
     def count(self, c: float) -> int:
         """Total zero count at c.
@@ -430,12 +428,4 @@ def thresholds(params: FamilyParams) -> list[Threshold]:
     conjugate group of a table row.
     """
     table = ray_table(params.m, params.k)
-    return [
-        Threshold(
-            c0=table.c0[row],
-            rays=table.rays(row),
-            alpha=table.alpha[row],
-            residue_class=table.residue_class(row),
-        )
-        for row in table.order
-    ]
+    return [Threshold(c0=table.c0[row], rays=table.rays(row), alpha=table.alpha[row]) for row in table.order]

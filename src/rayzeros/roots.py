@@ -10,11 +10,13 @@ e > 2, so there f has that term's sign: the two ends bracket a single zero,
 and a pair of zeros is split at s0 = log r0.  Every sign is read from
 F = log P - log N, where P and N are f's positive and negative terms, so F
 has f's sign and never overflows.  Each radius is refined by safeguarded
-Newton on F in s; steps that leave the bracket bisect it.  Every record
-re-evaluates the full complex function and must pass the residual gate,
-scaled by r^m where r^m overflows: ray j's records as soon as its row is
-solved, ray 2m - j's, with the same radii, after the last row.  bracket and
-solve_ray run the same per-row code for one analyzed ray.
+Newton on F in s; steps that leave the bracket bisect it.  Each record of
+ray j re-evaluates the full complex function and must pass the residual
+gate, scaled by r^m where r^m overflows, as soon as its row is solved.
+Since p(conj z) = conj p(z), ray 2m - j's records are the exact conjugates
+of ray j's, with the same residual; they are built after the last row
+without a second evaluation.  bracket and solve_ray run the same per-row
+code for one analyzed ray.
 """
 from __future__ import annotations
 
@@ -233,20 +235,17 @@ def solve_ray(
 def all_zeros(params: FamilyParams, tolerances: Tolerances | None = None) -> list[ZeroRecord]:
     """Every zero of p, ordered by ray index then radius.
 
-    One pass over the ray table's rows 0..m solves ray j of each row; ray
-    j > m reuses the radii of its mirror 2m - j, and each of its records
-    passes its own residual gate.
+    One pass over the ray table's rows 0..m solves and gates ray j of each
+    row.  Ray 2m - j carries row j's f, and p(conj z) = conj p(z), so its
+    records are the conjugates of row j's, with the same residual.
     """
     tol = tolerances or Tolerances()
     m = params.m
     table = ray_table(m, params.k)
     cases, alphas, c0s = table.case, table.alpha, table.c0
     solved = [_solve_row(params, j, cases[j], alphas[j], c0s[j], tol) for j in range(m + 1)]
-    out = [rec for recs in solved for rec in recs]
-    for j in range(m + 1, 2 * m):
-        mirror = solved[2 * m - j]
-        if mirror:
-            u = unit_direction(m, j)
-            case = cases[2 * m - j]
-            out.extend(_record(params, j, case, rec.r, u, rec.degenerate, tol) for rec in mirror)
-    return out
+    return [rec for recs in solved for rec in recs] + [
+        ZeroRecord(2 * m - j, rec.r, rec.z.conjugate(), rec.residual, rec.degenerate)
+        for j in range(m - 1, 0, -1)
+        for rec in solved[j]
+    ]

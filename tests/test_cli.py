@@ -4,7 +4,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import pathlib
 import subprocess
@@ -143,9 +142,25 @@ class TestClassifyCommand:
         code, out, err = run_cli(capsys, "classify", "--m", "3", "--k", "2", "--c", "1.7e308", "--format", fmt)
         assert (code, err) == (0, "")
         if fmt == "json":
-            assert json.loads(out)["results"][3]["r0"] == math.inf
+            assert json.loads(out)["results"][3]["r0"] == "inf"
         else:
             assert parse_csv(out)[3]["r0"] == "inf"
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (("zeros", "--m", "13", "--k", "12", "--c", "1e50"), "residual"),
+            (("classify", "--m", "3", "--k", "2", "--c", "1.7e308"), "r0"),
+        ],
+    )
+    def test_json_is_strict_with_non_finite_values(self, capsys, argv, key):
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        rows = json.loads(out, parse_constant=reject)["results"]
+        assert "inf" in [row[key] for row in rows]
 
 
 class TestThresholdsCommand:

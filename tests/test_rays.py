@@ -4,6 +4,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -23,7 +24,7 @@ from rayzeros import (
     thresholds,
     validate,
 )
-from rayzeros.family import alpha_from_residue, power_term, unit_direction
+from rayzeros.family import _over_power, alpha_from_residue, power_term, unit_direction
 
 from conftest import brute_ray_count, valid_k_choices, valid_pairs
 
@@ -155,6 +156,50 @@ class TestOverflowRule:
                     infinite += 1
                     assert math.copysign(1.0, value) == mpmath.sign(exact), (p, j, r, z, value)
         assert infinite > 1000
+
+
+def reference_f_derivative(p, j: int, r: float) -> float:
+    """f' with the middle coefficient 2 c k alpha formed first, as before it was
+    guarded: nan where 2 c k overflows and meets alpha = 0 or r^(k-1) = 0."""
+    m, k, c = p.m, p.k, p.c
+    alpha = alpha_from_residue(m, k * j)
+    sgn = -1.0 if j % 2 else 1.0
+    tm = power_term(sgn * m, r, m - 1)
+    if math.isinf(tm):
+        return power_term(m * _over_power(sgn, c * (k * alpha / m), r, m - 1, k - 1, 0.0), r, m - 1)
+    return tm + power_term(2.0 * c * k * alpha, r, k - 1)
+
+
+class TestDerivativeCoefficientOverflow:
+    def test_alpha_zero_at_huge_c(self):
+        # ray 3 of (2, 1) has alpha = 0, so f' = -2r, but 2 c k alone is inf
+        p = validate(2, 1, 9.85e307)
+        r = 1.97e45
+        assert math.isnan(reference_f_derivative(p, 3, r))
+        assert f_derivative(p, classify_ray(p, 3), r) == -2.0 * r
+
+    def test_never_nan_and_bitwise_equal_where_normal(self):
+        rnd = random.Random(20261018)
+        normal = was_nan = 0
+        for _ in range(20000):
+            m = rnd.choice((rnd.randint(2, 12), rnd.randint(2, 300), rnd.randint(2, 3000)))
+            k = 0
+            while not (k and math.gcd(m, abs(k)) == 1):
+                k = rnd.randint(1 - m, m - 1)
+            c = rnd.choice((10 ** rnd.uniform(-300, 308), rnd.uniform(1e306, 1.7e308)))
+            p = validate(m, k, c)
+            j = rnd.randrange(2 * m)
+            r = 10 ** rnd.uniform(-300, 300)
+            got, ref = f_derivative(p, classify_ray(p, j), r), reference_f_derivative(p, j, r)
+            assert not math.isnan(got), (m, k, c, j, r)
+            if math.isnan(ref):
+                was_nan += 1
+                if math.isinf(got):
+                    assert math.copysign(1.0, got) == mpmath.sign(exact_values(p, j, r, complex(r))[1])
+            elif math.isfinite(ref) and abs(ref) >= sys.float_info.min:
+                normal += 1
+                assert got.hex() == ref.hex(), (m, k, c, j, r)
+        assert normal > 1500 and was_nan > 1500
 
 
 class TestDispatch:

@@ -11,11 +11,14 @@ from rayzeros import (
     all_zeros,
     analyze_ray,
     bracket,
+    evaluate,
     f_value,
     predict_at,
     solve_ray,
+    thresholds,
     validate,
 )
+from rayzeros import roots
 
 from conftest import valid_k_choices
 
@@ -135,13 +138,30 @@ class TestAllZeros:
                 assert best <= 1e-12 * max(1.0, abs(z))
 
     def test_mirror_rays_pair_radii(self):
-        """Rays j and 2m-j carry the same radii (f is identical on both)."""
-        for m, k, c in ((5, 4, 3.0), (5, -4, 0.1), (8, 5, 2.5)):
+        """Ray 2m-j's records are exactly the conjugates of ray j's: f is identical
+        on both rays and p(conj z) = conj p(z).  (13, 12, 1e50) has r^m beyond the
+        float range and residual inf; (3, 1, c0) is a tangency."""
+        c0 = thresholds(validate(3, 1, 1.0))[0].c0
+        for m, k, c in ((5, 4, 3.0), (5, -4, 0.1), (8, 5, 2.5), (13, 12, 1e50), (3, 1, c0)):
+            by_ray = {}
+            for rec in records_for(m, k, c):
+                by_ray.setdefault(rec.j, []).append(rec)
+            assert any(by_ray.get(j) for j in range(1, m)), (m, k, c)
+            for j in range(1, m):
+                rows, partners = by_ray.get(j, []), by_ray.get(2 * m - j, [])
+                assert len(rows) == len(partners), (m, k, c, j)
+                for rec, partner in zip(rows, partners):
+                    assert (partner.r, partner.residual, partner.degenerate) == (rec.r, rec.residual, rec.degenerate)
+                    assert partner.z == rec.z.conjugate(), (rec, partner)
+
+    def test_each_conjugate_pair_is_evaluated_once(self, monkeypatch):
+        """all_zeros evaluates p once per record on rays 0..m and never on their mirrors."""
+        calls = []
+        monkeypatch.setattr(roots, "evaluate", lambda params, z: calls.append(z) or evaluate(params, z))
+        for m, k, c in ((5, 4, 3.0), (8, 5, 2.5), (13, 12, 1e50)):
+            calls.clear()
             recs = records_for(m, k, c)
-            for rec in recs:
-                if 0 < rec.j < m:
-                    partners = [o.r for o in recs if o.j == 2 * m - rec.j]
-                    assert any(abs(rec.r - r) <= 1e-12 * rec.r for r in partners), rec
+            assert calls == [rec.z for rec in recs if rec.j <= m], (m, k, c)
 
     def test_residual_bound(self):
         for m, k, c in ((5, 4, 3.0), (5, -4, 0.2), (9, -8, 0.3), (11, 3, 10.0)):
