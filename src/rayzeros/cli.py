@@ -41,6 +41,8 @@ EXIT_INVALID = 1
 EXIT_MISMATCH = 2
 EXIT_NUMERICAL = 3
 
+_LOG_MAX = math.log(sys.float_info.max)  # exp(x) is finite for x <= _LOG_MAX
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -147,12 +149,15 @@ def _cmd_thresholds(args, params) -> list[dict]:
 def _sweep_grid(args) -> list[float]:
     lo, hi, n = args.c_min, args.c_max, args.steps
     if args.spacing == "log":
-        return [math.exp(x) for x in _linspace(math.log(lo), math.log(hi), n)]
+        # a log point past log(max_float) is log(hi) rounded up
+        return [math.exp(x) if x <= _LOG_MAX else hi for x in _linspace(math.log(lo), math.log(hi), n)]
     return _linspace(lo, hi, n)
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    span = hi - lo
+    # span * i overflows only for bounds near max_float; there divide first
+    return [lo + (span * i / (n - 1) if span * i < math.inf else span * (i / (n - 1))) for i in range(n)]
 
 
 def _cmd_sweep(args, params) -> tuple[list[dict], dict]:
@@ -291,8 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         return _invalid(str(exc))
     args.tolerances = Tolerances(radius_rtol=radius, residual_rtol=residual)
-    if args.command == "sweep" and (not (0 < args.c_min < args.c_max) or args.steps < 2):
-        return _invalid("sweep needs 0 < c-min < c-max and steps >= 2")
+    if args.command == "sweep" and (not (0 < args.c_min < args.c_max < math.inf) or args.steps < 2):
+        return _invalid("sweep needs 0 < c-min < c-max < inf and steps >= 2")
     if args.command == "verify" and args.resolution < _MIN_RESOLUTION:
         return _invalid(f"verify needs --resolution >= {_MIN_RESOLUTION}, got {args.resolution}")
 

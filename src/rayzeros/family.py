@@ -218,12 +218,27 @@ def _radial_sum(lead: float, mid: float, r: float, m: int, k: int) -> float:
     return tm + 2.0 * power_term(mid, r, k) - 1.0
 
 
+def _polar_trig(m: int, k: int, z: complex) -> tuple[float, float, float, float]:
+    """r = |z| and cos(m theta), cos(k theta), sin(m theta) at theta = arg z.
+
+    On the axes theta is exactly q pi / 2, and the three values come from the
+    folded cosine as in unit_direction, so a zero cosine is exactly 0.0.
+    """
+    r, theta = cmath.polar(z)
+    if (z.real and z.imag) or math.isnan(theta):
+        return r, math.cos(m * theta), math.cos(k * theta), math.sin(m * theta)
+    q = round(theta / (0.5 * math.pi))
+    # sin(m q pi / 2) = cos((m q - 1) pi / 2)
+    return r, alpha_from_residue(2, m * q), alpha_from_residue(2, k * q), alpha_from_residue(2, m * q - 1)
+
+
 def evaluate(params: FamilyParams, z: complex) -> complex:
     """p(z) through the polar decomposition.
 
-    Returns r^m cos(m theta) + 2 c r^k cos(k theta) - 1 + i r^m sin(m theta).
-    z = 0 is the constant -1 for k > 0 and a pole for k < 0.  Where r^m
-    overflows, the real part is the signed infinity of Re p / r^m.
+    Returns r^m cos(m theta) + 2 c r^k cos(k theta) - 1 + i r^m sin(m theta),
+    with the trigonometric values exact on the axes.  z = 0 is the constant -1
+    for k > 0 and a pole for k < 0.  Where r^m overflows, the real part is the
+    signed infinity of Re p / r^m.
     """
     m, k, c = params.m, params.k, params.c
     z = complex(z)
@@ -231,6 +246,5 @@ def evaluate(params: FamilyParams, z: complex) -> complex:
         if k < 0:
             raise PoleAtOriginError("z = 0 is a pole when k < 0")
         return complex(-1.0, 0.0)
-    r, theta = cmath.polar(z)
-    re = _radial_sum(math.cos(m * theta), c * math.cos(k * theta), r, m, k)
-    return complex(re, power_term(math.sin(m * theta), r, m))
+    r, cos_m, cos_k, sin_m = _polar_trig(m, k, z)
+    return complex(_radial_sum(cos_m, c * cos_k, r, m, k), power_term(sin_m, r, m))

@@ -15,7 +15,9 @@ r^|k| >= 2 c sin(pi/(2m)) / 3 at any zero (k < 0).
 
 The scan is pure Python, like the rest of the library: the cosines and sines
 are taken once per grid column and the powers once per row, and each cell's
-corner signs are folded from one byte per node, a whole row at a time.
+corner signs are folded from one byte per node, a whole row at a time.  A
+candidate cell whose center does not converge is subdivided by the same scan
+over the cell's 2-by-2 sub-grid, so one kernel evaluates every node.
 """
 from __future__ import annotations
 
@@ -136,8 +138,8 @@ _CANDIDATE = 0b01111
 _IS_CANDIDATE = bytes(b == _CANDIDATE for b in range(256))  # translate table
 
 
-def _scan_cell(m, k, c, lr0, lr1, th0, th1, r_lo, r_hi, depth) -> list[complex]:
-    """Subdivide a candidate cell, trying Newton from each mixed subcell center."""
+def _cell(m, k, c, lr0, lr1, th0, th1, r_lo, r_hi, depth) -> list[complex]:
+    """Newton from a candidate cell's center; if it fails, scan the cell's 2x2 sub-grid."""
     if depth > _MAX_SUBDIVISIONS:
         raise ResolutionTooCoarse(
             f"ambiguous cell near r={math.exp(0.5 * (lr0 + lr1)):.3g}, "
@@ -145,47 +147,18 @@ def _scan_cell(m, k, c, lr0, lr1, th0, th1, r_lo, r_hi, depth) -> list[complex]:
         )
     lrm = 0.5 * (lr0 + lr1)
     thm = 0.5 * (th0 + th1)
-    z = math.exp(lrm) * complex(math.cos(thm), math.sin(thm))
-    hit = _newton(m, k, c, z, r_lo, r_hi)
+    hit = _newton(m, k, c, math.exp(lrm) * complex(math.cos(thm), math.sin(thm)), r_lo, r_hi)
     if hit is not None:
         return [hit]
-    found: list[complex] = []
-    for a0, a1 in ((lr0, lrm), (lrm, lr1)):
-        for b0, b1 in ((th0, thm), (thm, th1)):
-            corners = [(math.exp(a), t) for a in (a0, a1) for t in (b0, b1)]
-            us = [
-                _pow(r, m) * math.cos(m * t) + 2.0 * c * _pow(r, k) * math.cos(k * t) - 1.0
-                for r, t in corners
-            ]
-            vs = [_pow(r, m) * math.sin(m * t) for r, t in corners]
-            a, b, d, e = _sign_codes(us, vs)
-            if (a | b | d | e) == _CANDIDATE:
-                found.extend(_scan_cell(m, k, c, a0, a1, b0, b1, r_lo, r_hi, depth + 1))
-    return found
+    return _scan(m, k, c, [lr0, lrm, lr1], [th0, thm, th1], r_lo, r_hi, depth + 1)
 
 
-def find_zeros_grid(params: FamilyParams, resolution: int = 256) -> OracleResult:
-    """Locate all zeros of p by annulus scan plus local 2D refinement.
-
-    resolution sets the radial grid; the angular grid is at least as fine and
-    always finer than pi/m so no cell can straddle two sign sectors of Im p.
-    """
-    if resolution < _MIN_RESOLUTION:
-        raise ValueError(f"need resolution >= {_MIN_RESOLUTION}, got {resolution}")
-    m, k, c = params.m, params.k, params.c
-    r_lo, r_hi = _annulus(m, k, c)
-
-    n_r = resolution
-    n_th = max(resolution, 6 * m)
-    lr_lo, lr_hi = math.log(r_lo), math.log(r_hi)
-    step = (lr_hi - lr_lo) / n_r
-    log_r = [i * step + lr_lo for i in range(n_r)] + [lr_hi]
-    # offset keeps grid lines away from the symmetry angles of both sign fields
-    theta = [(j + 0.381966) * (2.0 * math.pi / n_th) for j in range(n_th + 1)]
+def _scan(m, k, c, log_r, theta, r_lo, r_hi, depth) -> list[complex]:
+    """Newton hits from every candidate cell of the polar grid log_r x theta, in row order."""
+    n_th = len(theta) - 1
     cos_m = [math.cos(m * t) for t in theta]
     sin_m = [math.sin(m * t) for t in theta]
     cos_k = [math.cos(k * t) for t in theta]
-
     # each row's node bytes packed little-endian into an int, so ORing a row
     # with itself shifted one byte and with the next row folds every cell's
     # four corners into the cell's byte
@@ -203,15 +176,30 @@ def find_zeros_grid(params: FamilyParams, resolution: int = 256) -> OracleResult
             flags = cells.translate(_IS_CANDIDATE)
             jj = flags.find(1, 0, n_th)
             while jj >= 0:
-                raw.extend(
-                    _scan_cell(
-                        m, k, c,
-                        log_r[i - 1], lr, theta[jj], theta[jj + 1],
-                        r_lo, r_hi, depth=0,
-                    )
-                )
+                raw.extend(_cell(m, k, c, log_r[i - 1], lr, theta[jj], theta[jj + 1], r_lo, r_hi, depth))
                 jj = flags.find(1, jj + 1, n_th)
         prev = row
+    return raw
+
+
+def find_zeros_grid(params: FamilyParams, resolution: int = 256) -> OracleResult:
+    """Locate all zeros of p by annulus scan plus local 2D refinement.
+
+    resolution sets the radial grid; the angular grid is at least as fine and
+    always finer than pi/m so no cell can straddle two sign sectors of Im p.
+    """
+    if resolution < _MIN_RESOLUTION:
+        raise ValueError(f"need resolution >= {_MIN_RESOLUTION}, got {resolution}")
+    m, k, c = params.m, params.k, params.c
+    r_lo, r_hi = _annulus(m, k, c)
+
+    n_th = max(resolution, 6 * m)
+    lr_lo, lr_hi = math.log(r_lo), math.log(r_hi)
+    step = (lr_hi - lr_lo) / resolution
+    log_r = [i * step + lr_lo for i in range(resolution)] + [lr_hi]
+    # offset keeps grid lines away from the symmetry angles of both sign fields
+    theta = [(j + 0.381966) * (2.0 * math.pi / n_th) for j in range(n_th + 1)]
+    raw = _scan(m, k, c, log_r, theta, r_lo, r_hi, 0)
 
     # raw hits come in ascending |z|, and a kept zero w within 10 REFINE_TOL of
     # z has |w| >= |z| - 10 REFINE_TOL, so only the kept zeros past that radius

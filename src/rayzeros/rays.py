@@ -235,9 +235,14 @@ def f_derivative(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
     if math.isinf(tm):  # |k alpha / m| < 1, so no coefficient overflows
         return power_term(m * _over_power(sgn, c * (k * alpha / m), r, m - 1, k - 1, 0.0), r, m - 1)
     b = 2.0 * c * k * alpha
-    if not math.isfinite(b):  # 2 c k overflowed: apply r^(k-1) before k, so no inf meets a 0
-        return tm + 2.0 * k * power_term(c * alpha, r, k - 1)
-    return tm + power_term(b, r, k - 1)
+    if math.isfinite(b):
+        mid = power_term(b, r, k - 1)
+    else:  # 2 c k overflowed: apply r^(k-1) before k, so no inf meets a 0
+        mid = 2.0 * k * power_term(c * alpha, r, k - 1)
+    if mid == 0.0 and alpha:  # r^(k-1) underflowed, the product may not have: take it from logs
+        log_mid = _LOG2 + math.log(c) + math.log(abs(k * alpha)) + (k - 1) * math.log(r)
+        mid = math.copysign(math.exp(log_mid), k * alpha)
+    return tm + mid
 
 
 def _log_betas(m: int, k: int, alphas) -> list[float]:

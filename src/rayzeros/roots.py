@@ -20,12 +20,11 @@ code for one analyzed ray.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .family import FamilyParams, _over_power, evaluate, power_term, unit_direction
+from .family import FamilyParams, _over_power, _polar_trig, evaluate, power_term, unit_direction
 from .rays import (
     _PROFILES,
     RayAnalysis,
@@ -190,9 +189,9 @@ def _record(
     if not degenerate:
         scale = power_term(1.0, r, m)
         if scale == math.inf:  # the bound divided through by r^m
-            rz, theta = cmath.polar(z)
-            real = _over_power(math.cos(m * theta), c * math.cos(k * theta), rz, m, k)
-            label, size, bound = "residual |p(z)|/r^m", abs(complex(real, math.sin(m * theta))), tol.residual_rtol
+            rz, cos_m, cos_k, sin_m = _polar_trig(m, k, z)
+            real = _over_power(cos_m, c * cos_k, rz, m, k)
+            label, size, bound = "residual |p(z)|/r^m", abs(complex(real, sin_m)), tol.residual_rtol
         else:
             label, size, bound = "residual", residual, tol.residual_rtol * max(1.0, scale)
         if not size <= bound:

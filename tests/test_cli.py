@@ -216,6 +216,33 @@ class TestSweepCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("c_min, c_max", [("1", "inf"), ("1", "nan"), ("nan", "2")])
+    def test_rejects_non_finite_bounds(self, capsys, c_min, c_max):
+        code, out, err = run_cli(
+            capsys, "sweep", "--m", "3", "--k", "1",
+            "--c-min", c_min, "--c-max", c_max, "--steps", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: sweep needs 0 < c-min < c-max")
+
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    @pytest.mark.parametrize("c_max", ["1.7e308", "1.7976931348623157e308"])
+    def test_grid_stays_finite_near_max_float(self, capsys, spacing, c_max):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--m", "3", "--k", "1",
+            "--c-min", "1e-300", "--c-max", c_max, "--steps", "7", "--spacing", spacing,
+        )
+        assert code == 0
+        cs = [row["c"] for row in json.loads(out)["results"]]
+        assert len(cs) == 7 and cs == sorted(cs)
+        assert all(0.0 < c <= float(c_max) for c in cs)
+        assert cs[0] == pytest.approx(1e-300, rel=1e-12) and cs[-1] == pytest.approx(float(c_max), rel=1e-12)
+
+    def test_linear_grid_unchanged_where_finite(self):
+        for lo, hi, n in ((0.01, 100.0, 7), (1e-300, 1e307, 11), (0.05, 5.0, 200), (1.0, 8e307, 3)):
+            assert cli_mod._linspace(lo, hi, n) == [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
 
 class TestVerifyCommand:
     def test_clean_run(self, capsys):
@@ -300,6 +327,21 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "verify", "--m", "5", "--k", "4", "--c", "1")
         assert code == 3
         assert "ResolutionTooCoarse" in err
+
+    def test_oracle_mismatch_exits_two(self, capsys, monkeypatch):
+        real = cli_mod.find_zeros_grid
+
+        def drop_one(params, resolution=256):
+            res = real(params, resolution)
+            res.zeros = res.zeros[1:]
+            return res
+
+        monkeypatch.setattr(cli_mod, "find_zeros_grid", drop_one)
+        code, out, _ = run_cli(capsys, "verify", "--m", "5", "--k", "4", "--c", "1", "--resolution", "128")
+        assert code == 2
+        rows = {r["check"]: r for r in json.loads(out)["results"]}
+        assert rows["oracle_agreement"]["passed"] is False
+        assert rows["table_census_equivalence"]["passed"] and rows["ray_count_vs_prediction"]["passed"]
 
     def test_oracle_overflow_is_too_coarse(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--m", "2", "--k", "1", "--c", "1.7e170")

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -197,6 +199,23 @@ class TestEvaluate:
         p = validate(5, 4, 1.0)
         z = evaluate(p, complex(1e80, 1e80))
         assert math.isinf(z.real) or math.isinf(z.imag)
+
+    @pytest.mark.parametrize("m, k", [(4, 3), (4, -1), (12, -1), (12, 5), (5, 4), (5, -2), (13, 6), (13, -12)])
+    @pytest.mark.parametrize("c", [1e-300, 1.0, 5.516689610200797e134, 1e300])
+    def test_exact_on_the_axes(self, m, k, c):
+        """At +-r and +-ir the angle is a multiple of pi/2, so the cosines and the
+        sine are exact and p(z) is the 60-digit value within rounding of its terms."""
+        p = validate(m, k, c)
+        eps = sys.float_info.epsilon
+        with mpmath.workdps(60):
+            for r in (0.5, 1.0, 1.3):
+                for z in (complex(r, 0.0), complex(-r, 0.0), complex(0.0, r), complex(0.0, -r)):
+                    got = evaluate(p, z)
+                    w = mpmath.mpc(z.real, z.imag)
+                    exact = w**m + c * (w**k + mpmath.conj(w) ** k) - 1
+                    scale = r**m + 2.0 * c * r**k + 1.0
+                    assert abs(got.real - exact.real) <= 4 * eps * scale, (z, got, exact)
+                    assert abs(got.imag - exact.imag) <= 2 * eps * r**m, (z, got, exact)
 
     @given(
         st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),

@@ -156,6 +156,13 @@ class TestGridIdentity:
             (5, -2, 1e250, 256),  # r^m overflows to inf on the outer rows
             (3, 2, 1e300, 256),  # inf - inf: nan corners
             (7, 3, 1e305, 64),  # a nan corner on a cell whose other corners change sign
+            # subdivision-heavy: too coarse, then solved
+            (30, -29, 1.0, 256),
+            (60, 59, 1.0, 256),
+            (45, -44, 6.982168640717276, 256),
+            (40, -17, 0.5019073433065202, 256),
+            (50, -3, 1.0, 256),
+            (55, 21, 0.3, 256),
         ],
     )
     def test_matches_vectorized_scan(self, m, k, c, resolution):

@@ -201,6 +201,8 @@ class TestAllZerosEquivalence:
         (5, 4, 3.0), (64, 31, 1.0), (201, -61, 124.5),
         # extreme c that still solves
         (10, 3, 1e-300), (7, 2, 1e-200), (16, -7, 1e-30), (26, 3, 7826.9),
+        # huge c with a zero at r = 1 on an alpha = 0 ray
+        (4, 3, 5.516689610200797e134), (12, -1, 2.2234963889684092e131),
     )
 
     @pytest.mark.parametrize("m, k, c", CASES)
@@ -217,9 +219,9 @@ class TestAllZerosEquivalence:
         assert recs == reference_zeros(p)
         assert any(rec.degenerate for rec in recs)
 
-    # (4, 3, c): ray 2 fails the residual gate, so each row must be gated
-    # before the next row is solved
-    @pytest.mark.parametrize("m, k, c", [(4, 3, 5.516689610200797e134)])
+    # (1987, -1528, c): ray 1487 fails the residual gate, so each row must be
+    # gated before the next row is solved
+    @pytest.mark.parametrize("m, k, c", [(1987, -1528, 34.42266034645957)])
     def test_failure_matches_reference_loop(self, m, k, c):
         p = validate(m, k, c)
         with pytest.raises(BracketFailure) as new:

@@ -270,10 +270,10 @@ class TestFailureMessages:
     # failure_class in the benchmark keys on "endpoint signs agree" and "residual ... exceeds"
     def test_residual_message_names_the_row(self):
         with pytest.raises(BracketFailure) as err:
-            all_zeros(validate(4, 3, 5.516689610200797e134))
+            all_zeros(validate(1987, -1528, 34.42266034645957))
         assert str(err.value) == (
-            "residual 2.0267988819065597e+119 exceeds 1e-10 at r=1.0: "
-            "m=4, k=3, c=5.516689610200797e+134, ray 2, case even_alpha_zero"
+            "residual 1.236630797763174e-10 exceeds 1e-10 at r=0.998761195021707: "
+            "m=1987, k=-1528, c=34.42266034645957, ray 1487, case neg_k_odd_pos"
         )
 
     def test_endpoint_message_names_the_row(self, monkeypatch):
