@@ -6,99 +6,15 @@ positive parameter c (including the critical values where pairs appear or
 disappear), locates every zero from guaranteed brackets, and cross-checks
 the whole construction against a ray-agnostic planar grid oracle.
 """
-from .family import (
-    FamilyParams,
-    RayDescriptor,
-    Sign,
-    ParameterError,
-    NonCoprimeError,
-    DegreeOrderError,
-    NonPositiveCError,
-    ZeroKError,
-    RayIndexError,
-    PoleAtOriginError,
-    validate,
-    classify_ray,
-    evaluate,
-)
-from .unity import ParityCensus, census, group_order, positive_halfplane_count
-from .rays import (
-    RayCase,
-    RayAnalysis,
-    CountProfile,
-    Threshold,
-    f_value,
-    f_derivative,
-    analyze_ray,
-    count_at,
-    degenerate_at,
-    extremum_radius,
-    thresholds,
-)
-from .roots import (
-    Tolerances,
-    ZeroRecord,
-    BracketFailure,
-    DegenerateTangency,
-    bracket,
-    solve_ray,
-    all_zeros,
-)
-from .predict import CountPrediction, predict_table, predict_census, predict_at
-from .oracle import (
-    OracleResult,
-    ComparisonReport,
-    ResolutionTooCoarse,
-    find_zeros_grid,
-    compare,
-)
+from .family import *
+from .unity import *
+from .rays import *
+from .roots import *
+from .predict import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FamilyParams",
-    "RayDescriptor",
-    "Sign",
-    "ParameterError",
-    "NonCoprimeError",
-    "DegreeOrderError",
-    "NonPositiveCError",
-    "ZeroKError",
-    "RayIndexError",
-    "PoleAtOriginError",
-    "validate",
-    "classify_ray",
-    "evaluate",
-    "ParityCensus",
-    "census",
-    "group_order",
-    "positive_halfplane_count",
-    "RayCase",
-    "RayAnalysis",
-    "CountProfile",
-    "Threshold",
-    "f_value",
-    "f_derivative",
-    "analyze_ray",
-    "count_at",
-    "degenerate_at",
-    "extremum_radius",
-    "thresholds",
-    "Tolerances",
-    "ZeroRecord",
-    "BracketFailure",
-    "DegenerateTangency",
-    "bracket",
-    "solve_ray",
-    "all_zeros",
-    "CountPrediction",
-    "predict_table",
-    "predict_census",
-    "predict_at",
-    "OracleResult",
-    "ComparisonReport",
-    "ResolutionTooCoarse",
-    "find_zeros_grid",
-    "compare",
-    "__version__",
-]
+# each module's __all__ is its share of the public API
+__all__ = family.__all__ + unity.__all__ + rays.__all__ + roots.__all__ + predict.__all__ + oracle.__all__
+__all__ += ["__version__"]

@@ -35,9 +35,6 @@ __all__ = [
     "validate",
     "classify_ray",
     "evaluate",
-    "alpha_from_residue",
-    "unit_direction",
-    "power_term",
 ]
 
 
@@ -116,9 +113,15 @@ def validate(m: int, k: int, c: float) -> FamilyParams:
         raise DegreeOrderError(f"need m > |k|, got m={m}, k={k}")
     if math.gcd(m, abs(k)) != 1:
         raise NonCoprimeError(f"need gcd(m, |k|) = 1, got gcd({m}, {abs(k)}) = {math.gcd(m, abs(k))}")
-    if not (c > 0) or math.isinf(c):
-        raise NonPositiveCError(f"need finite c > 0, got c={c}")
+    _check_c(c)
     return FamilyParams(m=m, k=k, c=c)
+
+
+def _check_c(c: float) -> None:
+    """The one rule for a valid c wherever it arrives from outside: 0 < c < inf,
+    which nan fails."""
+    if not 0.0 < c < math.inf:
+        raise NonPositiveCError(f"need finite c > 0, got c={c}")
 
 
 def alpha_from_residue(m: int, t: int) -> float:

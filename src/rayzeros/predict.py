@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .family import FamilyParams
+from .family import FamilyParams, _check_c
 from .rays import ray_table
 # analyze_ray is unused here but stays bound: perfbench/tracing.py wraps predict.analyze_ray
 from .rays import analyze_ray  # noqa: F401
@@ -85,6 +85,5 @@ def predict_census(params: FamilyParams) -> CountPrediction:
 
 def predict_at(params: FamilyParams, c: float) -> int:
     """Exact zero count at parameter c: the sum of every ray's count there."""
-    if c <= 0:
-        raise ValueError(f"need c > 0, got {c}")
+    _check_c(c)
     return ray_table(params.m, params.k).count(c)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -48,6 +49,7 @@ from .family import (
     FamilyParams,
     RayDescriptor,
     Sign,
+    _check_c,
     _over_power,
     _radial_sum,
     alpha_from_residue,
@@ -60,8 +62,6 @@ __all__ = [
     "CountProfile",
     "RayAnalysis",
     "Threshold",
-    "RayTable",
-    "DEGENERACY_RTOL",
     "f_value",
     "f_derivative",
     "analyze_ray",
@@ -69,7 +69,6 @@ __all__ = [
     "degenerate_at",
     "extremum_radius",
     "thresholds",
-    "ray_table",
 ]
 
 # relative half-width of the band around c0 treated as an exact tangency;
@@ -168,7 +167,7 @@ def _case_of(k: int, parity: int, alpha_sign: Sign) -> RayCase:
 def f_value(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
     """(-1)^j r^m + 2 c alpha r^k - 1; where r^m overflows, the signed infinity
     of the sum divided through by r^m."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError(f"need r > 0, got {r}")
     alpha = alpha_from_residue(params.m, ray.residue)
     return _radial_sum(-1.0 if ray.parity else 1.0, params.c * alpha, r, params.m, params.k)
@@ -226,7 +225,7 @@ def _log_f(split: tuple[_Side, _Side], s: float) -> tuple[float, float]:
 def f_derivative(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
     """f'(r) = (-1)^j m r^{m-1} + 2 c k alpha r^{k-1}, under f_value's overflow
     rule: where the first term overflows, f' / (m r^{m-1}) decides."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError(f"need r > 0, got {r}")
     m, k, c = params.m, params.k, params.c
     alpha = alpha_from_residue(m, ray.residue)
@@ -239,7 +238,8 @@ def f_derivative(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
         mid = power_term(b, r, k - 1)
     else:  # 2 c k overflowed: apply r^(k-1) before k, so no inf meets a 0
         mid = 2.0 * k * power_term(c * alpha, r, k - 1)
-    if mid == 0.0 and alpha:  # r^(k-1) underflowed, the product may not have: take it from logs
+    if alpha and (mid == 0.0 or power_term(1.0, r, k - 1) < sys.float_info.min):
+        # r^(k-1) underflowed to a subnormal or 0, losing digits the product keeps: take it from logs
         log_mid = _LOG2 + math.log(c) + math.log(abs(k * alpha)) + (k - 1) * math.log(r)
         mid = math.copysign(math.exp(log_mid), k * alpha)
     return tm + mid
@@ -400,6 +400,7 @@ def analyze_ray(params: FamilyParams, j: int) -> RayAnalysis:
 
 def degenerate_at(analysis: RayAnalysis, c: float) -> bool:
     """True when c sits in the tangency band around the ray's threshold."""
+    _check_c(c)
     return analysis.c0 is not None and _in_band(c, analysis.c0)
 
 
@@ -409,17 +410,15 @@ def count_at(analysis: RayAnalysis, c: float) -> int:
     Inside the tangency band the merged pair counts as 1; degenerate_at
     carries the flag.
     """
-    if c <= 0:
-        raise ValueError(f"need c > 0, got {c}")
+    _check_c(c)
     return _count(analysis.profile, analysis.c0, c)
 
 
 def extremum_radius(analysis: RayAnalysis, c: float) -> float | None:
     """r0 recomputed at an arbitrary c: None if f is monotone, inf beyond the float range."""
+    _check_c(c)
     if analysis.case not in EXTREMUM_CASES:
         return None
-    if c <= 0:
-        raise ValueError(f"need c > 0, got {c}")
     return _r0(analysis.params.m, analysis.params.k, analysis.alpha, c)
 
 

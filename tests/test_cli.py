@@ -244,6 +244,39 @@ class TestSweepCommand:
             assert cli_mod._linspace(lo, hi, n) == [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
+class TestCsvListColumns:
+    """A list cell is its values' shortest reprs joined by ';', empty for no values."""
+
+    def test_threshold_rays(self, capsys):
+        _, out, _ = run_cli(capsys, "thresholds", "--m", "5", "--k", "-4", "--format", "csv")
+        assert [row["rays"] for row in parse_csv(out)] == ["0", "2;8"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("thresholds", "--m", "61", "--k", "30"),
+            ("sweep", "--m", "61", "--k", "30", "--c-min", "0.01", "--c-max", "100", "--steps", "7"),
+        ],
+    )
+    def test_csv_rows_match_json_rows(self, capsys, argv):
+        _, jout, _ = run_cli(capsys, *argv, "--format", "json")
+        _, cout, _ = run_cli(capsys, *argv, "--format", "csv")
+        jrows, crows = json.loads(jout)["results"], parse_csv(cout)
+        assert len(jrows) == len(crows) > 1
+        lists = 0
+        for jr, cr in zip(jrows, crows):
+            assert set(cr) == set(jr)
+            for field, value in jr.items():
+                if isinstance(value, list):
+                    lists += len(value) > 1
+                    assert cr[field] == ";".join(map(repr, value))
+                else:
+                    assert cr[field] == repr(value)
+        assert lists > 0
+        if argv[0] == "sweep":
+            assert crows[0]["crossed"] == ""
+
+
 class TestVerifyCommand:
     def test_clean_run(self, capsys):
         code, out, _ = run_cli(
