@@ -3,8 +3,16 @@
 Every command validates (m, k, c) first, then emits machine-readable rows as
 JSON (default) or CSV.  JSON output is a single object
 
-    {"params": {...}, "results": [...], "meta": {"version": ..., "tolerances": {...}}}
+    {
+      "params": {...},
+      "results": [
+        {...},
+        ...
+      ],
+      "meta": {"version": ..., "tolerances": {...}}
+    }
 
+with each result row on a line of its own ("results": [] when there are none),
 and CSV carries the same result rows field-for-field after a header line.
 Floats are printed with shortest round-trip formatting so outputs are stable
 and diff-friendly; non-finite ones are the strings "inf", "-inf" and "nan" in
@@ -80,12 +88,18 @@ def _emit(args, rows: list[dict], meta_extra: dict | None = None) -> str:
     }
     if meta_extra:
         meta.update(meta_extra)
-    doc = {
-        "params": {"m": args.m, "k": args.k, "c": args.c},
-        "results": [{key: _json_value(v) for key, v in row.items()} for row in rows],
-        "meta": meta,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    # params, each result row and meta on a line of their own, each dumped
+    # without indent so CPython's C encoder runs.  json.dumps writes a
+    # non-finite float as Infinity, -Infinity or NaN, so only a row whose line
+    # holds one of these is dumped again with _json_value's strings
+    lines = [json.dumps(row) for row in rows]
+    lines = [
+        json.dumps({key: _json_value(v) for key, v in row.items()}) if "Infinity" in line or "NaN" in line else line
+        for row, line in zip(rows, lines)
+    ]
+    results = "[\n    " + ",\n    ".join(lines) + "\n  ]" if rows else "[]"
+    params = json.dumps({"m": args.m, "k": args.k, "c": args.c})
+    return f'{{\n  "params": {params},\n  "results": {results},\n  "meta": {json.dumps(meta)}\n}}\n'
 
 
 def _cmd_classify(args, params) -> list[dict]:

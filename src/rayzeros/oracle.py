@@ -15,14 +15,22 @@ r^|k| >= 2 c sin(pi/(2m)) / 3 at any zero (k < 0).
 
 The scan is pure Python, like the rest of the library: the cosines and sines
 are taken once per grid column and the powers once per row, and each cell's
-corner signs are folded from one byte per node, a whole row at a time.  A
-candidate cell whose center does not converge is subdivided by the same scan
-over the cell's 2-by-2 sub-grid, so one kernel evaluates every node.
+corner signs are folded from one byte per node, a whole row at a time.  The
+node bytes of a row are read in C wherever that is exact: v = r^m sin(m theta)
+takes the sign of sin(m theta) wherever r^m is finite and r^m times the
+smallest nonzero |sin| does not underflow, so v's bits are packed once per
+scan; u's bits come from each double's sign bit wherever every u is finite and
+nonzero.  Rows with a zero, nan or inf u, or an r^m that underflows or
+overflows, are coded node by node.  A candidate cell whose center does not
+converge is subdivided by the same scan over the cell's 2-by-2 sub-grid, so
+one kernel evaluates every node.
 """
 from __future__ import annotations
 
 import bisect
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
 
 from .family import FamilyParams
@@ -136,6 +144,28 @@ def _sign_codes(us, vs) -> bytes:
 
 _CANDIDATE = 0b01111
 _IS_CANDIDATE = bytes(b == _CANDIDATE for b in range(256))  # translate table
+_HIGH_BYTE = 7 if sys.byteorder == "little" else 0  # the byte of a double holding its sign bit
+_U_SIGN = bytes(1 if b < 0x80 else 2 for b in range(256))  # high byte -> u's bits 0-1
+
+
+def _v_signs(sin_m) -> tuple[float, int]:
+    """_row_codes's per-scan part: the smallest nonzero |sin m theta| of the
+    grid's columns, and v's bits 2-3 wherever r^m > 0, packed as a row."""
+    s_min = min([abs(s) for s in sin_m if s], default=1.0)
+    return s_min, int.from_bytes(bytes([(s > 0.0) << 2 | (s < 0.0) << 3 for s in sin_m]), "little")
+
+
+def _row_codes(us, rm, sin_m, s_min, v_row) -> int:
+    """_sign_codes(us, [rm * s for s in sin_m]) packed little-endian into an int.
+
+    Where rm is finite and rm * s_min does not underflow, no product rm * s is
+    0 unless s is (rounding is monotone), so v's bits are v_row's.  Where
+    every u is finite (their sum is) and none is 0, u's bits come from each
+    double's sign bit, read in C.  Any other row is coded node by node.
+    """
+    if 0.0 < rm * s_min and rm < math.inf and math.isfinite(sum(us)) and 0.0 not in us:
+        return int.from_bytes(array("d", us).tobytes()[_HIGH_BYTE::8].translate(_U_SIGN), "little") | v_row
+    return int.from_bytes(_sign_codes(us, [rm * s for s in sin_m]), "little")
 
 
 def _cell(m, k, c, lr0, lr1, th0, th1, r_lo, r_hi, depth) -> list[complex]:
@@ -159,6 +189,7 @@ def _scan(m, k, c, log_r, theta, r_lo, r_hi, depth) -> list[complex]:
     cos_m = [math.cos(m * t) for t in theta]
     sin_m = [math.sin(m * t) for t in theta]
     cos_k = [math.cos(k * t) for t in theta]
+    s_min, v_row = _v_signs(sin_m)
     # each row's node bytes packed little-endian into an int, so ORing a row
     # with itself shifted one byte and with the next row folds every cell's
     # four corners into the cell's byte
@@ -169,8 +200,7 @@ def _scan(m, k, c, log_r, theta, r_lo, r_hi, depth) -> list[complex]:
         rm = _pow(r, m)
         rk = 2.0 * c * _pow(r, k)
         us = [rm * a + rk * b - 1.0 for a, b in zip(cos_m, cos_k)]
-        vs = [rm * s for s in sin_m]
-        row = int.from_bytes(_sign_codes(us, vs), "little")
+        row = _row_codes(us, rm, sin_m, s_min, v_row)
         if i:
             cells = (prev | prev >> 8 | row | row >> 8).to_bytes(n_th + 1, "little")
             flags = cells.translate(_IS_CANDIDATE)

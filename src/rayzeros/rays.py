@@ -124,8 +124,9 @@ class RayAnalysis:
     """Everything the counting and root finding need to know about one ray.
 
     ``r0`` is the extremum radius at params.c (None when f is monotone, inf
-    beyond the float range).  ``c0`` and ``log_beta`` exist only in the two
-    threshold cases; ``alpha``, ``case`` and ``c0`` come from the ray table.
+    above the float range and 0.0 below it).  ``c0`` and ``log_beta`` exist
+    only in the two threshold cases; ``alpha``, ``case`` and ``c0`` come from
+    the ray table.
     """
 
     params: FamilyParams
@@ -415,7 +416,8 @@ def count_at(analysis: RayAnalysis, c: float) -> int:
 
 
 def extremum_radius(analysis: RayAnalysis, c: float) -> float | None:
-    """r0 recomputed at an arbitrary c: None if f is monotone, inf beyond the float range."""
+    """r0 recomputed at an arbitrary c: None if f is monotone, inf above the
+    float range and 0.0 below it."""
     _check_c(c)
     if analysis.case not in EXTREMUM_CASES:
         return None

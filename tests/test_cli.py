@@ -163,6 +163,45 @@ class TestClassifyCommand:
         assert "inf" in [row[key] for row in rows]
 
 
+class TestJsonLayout:
+    """params, each result row and meta sit on a line of their own, in strict JSON."""
+
+    @staticmethod
+    def strict(text):
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        return json.loads(text, parse_constant=reject)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("zeros", "--m", "13", "--k", "12", "--c", "1e50"),
+            ("classify", "--m", "3", "--k", "2", "--c", "1.7e308"),
+            ("sweep", "--m", "5", "--k", "4", "--c-min", "0.5", "--c-max", "3", "--steps", "4"),
+            ("verify", "--m", "5", "--k", "4", "--c", "1"),
+            ("thresholds", "--m", "2", "--k", "1"),  # no thresholds: no rows
+        ],
+    )
+    def test_one_line_per_row(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        doc = self.strict(out)
+        lines = out.split("\n")
+        rows = lines[3:-4] if doc["results"] else []
+        head = '  "results": [' if rows else '  "results": [],'
+        assert lines[:3] == ["{", f'  "params": {json.dumps(doc["params"])},', head]
+        assert [self.strict(line.rstrip(",")) for line in rows] == doc["results"]
+        assert all(line.startswith("    {") for line in rows)
+        tail = ["  ],"] if rows else []
+        assert lines[3 + len(rows) :] == tail + [f'  "meta": {json.dumps(doc["meta"])}', "}", ""]
+
+    def test_readme_example_is_literal_output(self, capsys):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        assert run_cli(capsys, "thresholds", "--m", "5", "--k", "4")[1] == example
+
+
 class TestThresholdsCommand:
     def test_grouped_rows(self, capsys):
         code, out, _ = run_cli(capsys, "thresholds", "--m", "5", "--k", "4")

@@ -13,7 +13,17 @@ import pytest
 
 import rayzeros.oracle
 from rayzeros import all_zeros, compare, find_zeros_grid, predict_at, thresholds, validate
-from rayzeros.oracle import _MAX_SUBDIVISIONS, REFINE_TOL, OracleResult, ResolutionTooCoarse, _annulus, _newton
+from rayzeros.oracle import (
+    _MAX_SUBDIVISIONS,
+    REFINE_TOL,
+    OracleResult,
+    ResolutionTooCoarse,
+    _annulus,
+    _newton,
+    _row_codes,
+    _sign_codes,
+    _v_signs,
+)
 
 
 class TestFindZerosGrid:
@@ -64,6 +74,41 @@ class TestFindZerosGrid:
         # gives up with the documented error instead of an OverflowError
         with pytest.raises(ResolutionTooCoarse):
             find_zeros_grid(validate(2, 1, 1.7e170))
+
+
+class TestRowCodes:
+    """A row's packed node bytes equal _sign_codes's node-by-node bytes, whichever path codes them."""
+
+    TINY = 5e-324
+    US = [0.0, -0.0, TINY, -TINY, 2.2e-308, -1.5, 0.25, 1e308, -1e308, math.inf, -math.inf, math.nan]
+    SINES = [0.0, -0.0, 1e-300, -1e-300, 0.5, -0.75, 1.0, -1.0]
+    # 0, a product rm * 1e-300 that underflows, subnormal or normal, and overflow
+    RMS = [0.0, TINY, 1e-10, 1e-300, 1.0, 1e300, math.inf]
+
+    @staticmethod
+    def check(us, rm, sin_m):
+        row = _row_codes(us, rm, sin_m, *_v_signs(sin_m))
+        assert row.to_bytes(len(us), "little") == _sign_codes(us, [rm * s for s in sin_m])
+
+    @pytest.mark.parametrize("rm", RMS)
+    def test_special_values(self, rm):
+        sin_m = self.SINES * 2
+        for u in self.US:
+            for us in ([u] * len(sin_m), [1.0] * (len(sin_m) - 1) + [u], [-0.5, u] * (len(sin_m) // 2)):
+                self.check(us, rm, sin_m)
+        # finite nodes whose sum overflows
+        us = [1e308, 1e308, -1.0, 2.0] * 4
+        self.check(us, rm, sin_m)
+
+    def test_random_rows(self):
+        rng = random.Random(14)
+        finite = [-3.0, -1e-200, 7.5, 1e-310, 1e200]
+        for _ in range(2000):
+            n = rng.randint(1, 9)
+            us = [rng.choice(finite if rng.random() < 0.8 else self.US) for _ in range(n)]
+            sin_m = [rng.choice(self.SINES) for _ in range(n)]
+            rm = rng.choice(self.RMS)
+            self.check(us, rm, sin_m)
 
 
 def numpy_scan_cell(m, k, c, lr0, lr1, th0, th1, r_lo, r_hi, depth):
@@ -168,6 +213,36 @@ class TestGridIdentity:
     def test_matches_vectorized_scan(self, m, k, c, resolution):
         p = validate(m, k, c)
         assert outcome(find_zeros_grid, p, resolution) == outcome(numpy_find_zeros_grid, p, resolution)
+
+    @staticmethod
+    def count_node_by_node(monkeypatch):
+        widths = []
+
+        def counting(us, vs):
+            widths.append(len(us))
+            return _sign_codes(us, vs)
+
+        monkeypatch.setattr(rayzeros.oracle, "_sign_codes", counting)
+        return widths
+
+    @pytest.mark.parametrize(
+        "m, k, c, resolution",
+        [
+            (13, 1, 1e25, 256),  # r^m underflows on the inner rows, subcells included
+            (8, -3, 1e-142, 256),  # the same at tiny c, and every zero is found
+            (11, 7, 3e231, 128),  # hundreds of subcell rows coded node by node
+        ],
+    )
+    def test_rows_coded_node_by_node_match_vectorized_scan(self, monkeypatch, m, k, c, resolution):
+        widths = self.count_node_by_node(monkeypatch)
+        p = validate(m, k, c)
+        assert outcome(find_zeros_grid, p, resolution) == outcome(numpy_find_zeros_grid, p, resolution)
+        assert widths
+
+    def test_ordinary_grid_reads_every_top_level_row_in_c(self, monkeypatch):
+        widths = self.count_node_by_node(monkeypatch)
+        assert len(find_zeros_grid(validate(49, 10, 0.3), 256).zeros) == 49
+        assert all(w == 3 for w in widths)  # only 3-node subcell rows, if any
 
 
 def all_pairs_compare(a, b, cap=1e-3):

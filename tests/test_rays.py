@@ -102,6 +102,15 @@ class TestInvalidC:
             assert predict_at(p, c) == sum(count_at(a, c) for a in analyses)
             assert not degenerate_at(analyses[3], c) and extremum_radius(analyses[3], c) is not None
 
+    def test_r0_at_both_ends_of_the_c_range(self):
+        """r0 = 2 c k alpha / m on (5,4) ray 3: in range at c = 1e308, 0.0 where it
+        underflows (inf where it overflows is pinned in test_refine)."""
+        a = analyze_ray(validate(5, 4, 1.0), 3)
+        big = 1e308 * (8.0 * a.alpha / 5.0)
+        for c, r0 in ((1e308, big), (5e-324, 0.0)):
+            assert extremum_radius(a, c) == analyze_ray(validate(5, 4, c), 3).r0
+            assert math.isclose(extremum_radius(a, c), r0, rel_tol=1e-12, abs_tol=0.0)
+
 
 def reference_dominant_sum(tm: float, tk: float) -> float:
     """The overflow rule before the divide-through form: opposite infinities
