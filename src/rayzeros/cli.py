@@ -18,9 +18,9 @@ Floats are printed with shortest round-trip formatting so outputs are stable
 and diff-friendly; non-finite ones are the strings "inf", "-inf" and "nan" in
 both formats.
 
-Exit codes: 0 success, 1 invalid parameters, 2 verification mismatch,
-3 numerical failure.  Tolerances resolve as flags > RAYZEROS_* environment
-variables > defaults.
+Exit codes: 0 success, 1 invalid parameters, 2 verification mismatch (a
+verify row with "passed": false), 3 numerical failure.  Tolerances resolve
+as flags > RAYZEROS_* environment variables > defaults.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ import os
 import sys
 
 from . import __version__
-from .family import ParameterError, Sign, validate
+from .family import ParameterError, validate
 from .oracle import _MIN_RESOLUTION, ResolutionTooCoarse, compare, find_zeros_grid
 from .predict import predict_at, predict_census, predict_table
 from .rays import analyze_ray, count_at, thresholds
@@ -50,6 +50,10 @@ EXIT_MISMATCH = 2
 EXIT_NUMERICAL = 3
 
 _LOG_MAX = math.log(sys.float_info.max)  # exp(x) is finite for x <= _LOG_MAX
+
+
+class _InvalidInput(Exception):
+    """A flag or environment value out of range: exit 1 with the message."""
 
 
 def _fmt(value) -> str:
@@ -70,7 +74,7 @@ def _json_value(value):
     return repr(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _emit(args, rows: list[dict], meta_extra: dict | None = None) -> str:
+def _emit(args, rows: list[dict]) -> str:
     if args.format == "csv":
         buf = io.StringIO()
         if rows:
@@ -79,15 +83,6 @@ def _emit(args, rows: list[dict], meta_extra: dict | None = None) -> str:
             for row in rows:
                 writer.writerow([_fmt(v) for v in row.values()])
         return buf.getvalue()
-    meta = {
-        "version": __version__,
-        "tolerances": {
-            "radius": args.tolerances.radius_rtol,
-            "residual": args.tolerances.residual_rtol,
-        },
-    }
-    if meta_extra:
-        meta.update(meta_extra)
     # params, each result row and meta on a line of their own, each dumped
     # without indent so CPython's C encoder runs.  json.dumps writes a
     # non-finite float as Infinity, -Infinity or NaN, so only a row whose line
@@ -99,7 +94,7 @@ def _emit(args, rows: list[dict], meta_extra: dict | None = None) -> str:
     ]
     results = "[\n    " + ",\n    ".join(lines) + "\n  ]" if rows else "[]"
     params = json.dumps({"m": args.m, "k": args.k, "c": args.c})
-    return f'{{\n  "params": {params},\n  "results": {results},\n  "meta": {json.dumps(meta)}\n}}\n'
+    return f'{{\n  "params": {params},\n  "results": {results},\n  "meta": {json.dumps(args.meta)}\n}}\n'
 
 
 def _cmd_classify(args, params) -> list[dict]:
@@ -112,7 +107,7 @@ def _cmd_classify(args, params) -> list[dict]:
                 "j": j,
                 "angle": a.ray.angle,
                 "parity": "even" if a.ray.parity == 0 else "odd",
-                "alpha_sign": Sign(a.ray.alpha_sign).name.lower(),
+                "alpha_sign": a.ray.alpha_sign.name.lower(),
                 "alpha": a.alpha,
                 "case": a.case.value,
                 "count": count_at(a, params.c),
@@ -174,7 +169,9 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo + (span * i / (n - 1) if span * i < math.inf else span * (i / (n - 1))) for i in range(n)]
 
 
-def _cmd_sweep(args, params) -> tuple[list[dict], dict]:
+def _cmd_sweep(args, params) -> list[dict]:
+    if not (0 < args.c_min < args.c_max < math.inf) or args.steps < 2:
+        raise _InvalidInput("sweep needs 0 < c-min < c-max < inf and steps >= 2")
     ths = thresholds(params)
     c0s = [th.c0 for th in ths]  # thresholds() lists them by increasing c0
     rows = []
@@ -184,53 +181,33 @@ def _cmd_sweep(args, params) -> tuple[list[dict], dict]:
         crossed = [] if passed is None else c0s[passed:upto]
         rows.append({"c": c, "count": predict_at(params, c), "crossed": crossed})
         passed = upto
-    overlay = {"thresholds": [{"c0": th.c0, "rays": list(th.rays)} for th in ths]}
-    return rows, overlay
+    args.meta["thresholds"] = [{"c0": th.c0, "rays": list(th.rays)} for th in ths]
+    return rows
 
 
-def _cmd_verify(args, params) -> tuple[list[dict], bool]:
-    rows = []
-    ok = True
-
-    table = predict_table(params)
-    cen = predict_census(params)
-    agree = table == cen
-    ok &= agree
-    rows.append(
-        {
-            "check": "table_census_equivalence",
-            "passed": agree,
-            "detail": f"table=({table.min_count},{table.max_count}) census=({cen.min_count},{cen.max_count})",
-        }
-    )
-
+def _cmd_verify(args, params) -> list[dict]:
+    if args.resolution < _MIN_RESOLUTION:
+        raise _InvalidInput(f"verify needs --resolution >= {_MIN_RESOLUTION}, got {args.resolution}")
+    table, cen = predict_table(params), predict_census(params)
     records = all_zeros(params, args.tolerances)
     predicted = predict_at(params, params.c)
-    agree = len(records) == predicted
-    ok &= agree
-    rows.append(
-        {
-            "check": "ray_count_vs_prediction",
-            "passed": agree,
-            "detail": f"zeros={len(records)} predicted={predicted}",
-        }
-    )
-
     oracle_res = find_zeros_grid(params, args.resolution)
     report = compare(params, oracle_res, records)
-    agree = report.clean and len(oracle_res.zeros) == len(records) and report.max_distance < 1e-6
-    ok &= agree
-    rows.append(
-        {
-            "check": "oracle_agreement",
-            "passed": agree,
-            "detail": (
-                f"oracle={len(oracle_res.zeros)} rays={len(records)} "
-                f"matched={report.matched} max_distance={report.max_distance:.3g}"
-            ),
-        }
+    checks = (
+        (
+            "table_census_equivalence",
+            table == cen,
+            f"table=({table.min_count},{table.max_count}) census=({cen.min_count},{cen.max_count})",
+        ),
+        ("ray_count_vs_prediction", len(records) == predicted, f"zeros={len(records)} predicted={predicted}"),
+        (
+            "oracle_agreement",
+            report.clean and report.max_distance < 1e-6,  # clean: every zero on each side matched
+            f"oracle={len(oracle_res.zeros)} rays={len(records)} "
+            f"matched={report.matched} max_distance={report.max_distance:.3g}",
+        ),
     )
-    return rows, ok
+    return [{"check": name, "passed": passed, "detail": detail} for name, passed, detail in checks]
 
 
 def _tolerance(args, name: str, default: float) -> float:
@@ -250,7 +227,7 @@ def _tolerance(args, name: str, default: float) -> float:
     except ValueError:
         value = math.nan
     if not 0 < value < math.inf:
-        raise ValueError(f"{source} must be a finite positive float, got {raw!r}")
+        raise _InvalidInput(f"{source} must be a finite positive float, got {raw!r}")
     return value
 
 
@@ -260,8 +237,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Count and locate the zeros of z^m + c(z^k + conj(z)^k) - 1.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, needs_c: bool):
+    # name, help, whether --c is required, and the function that makes the rows
+    commands = (
+        ("classify", "per-ray case labels and counts", False, _cmd_classify),
+        ("predict", "global count bounds, both derivations", False, _cmd_predict),
+        ("zeros", "locate every zero", True, _cmd_zeros),
+        ("thresholds", "critical values of c with their rays", False, _cmd_thresholds),
+        ("sweep", "zero count across a range of c", False, _cmd_sweep),
+        ("verify", "cross-validate predictions, zeros and the grid oracle", True, _cmd_verify),
+    )
+    for name, help_text, needs_c, run in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--m", type=int, required=True, help="degree of the analytic term")
         p.add_argument("--k", type=int, required=True, help="degree of the middle terms (may be negative)")
         if needs_c:
@@ -273,22 +260,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-radius", type=float, default=None, help="relative radius tolerance")
         p.add_argument("--tol-residual", type=float, default=None, help="relative residual tolerance")
 
-    add_common(sub.add_parser("classify", help="per-ray case labels and counts"), needs_c=False)
-    add_common(sub.add_parser("predict", help="global count bounds, both derivations"), needs_c=False)
-    add_common(sub.add_parser("zeros", help="locate every zero"), needs_c=True)
-    add_common(sub.add_parser("thresholds", help="critical values of c with their rays"), needs_c=False)
-
-    sweep = sub.add_parser("sweep", help="zero count across a range of c")
-    add_common(sweep, needs_c=False)
+    sweep = sub.choices["sweep"]
     sweep.add_argument("--c-min", type=float, required=True)
     sweep.add_argument("--c-max", type=float, required=True)
     sweep.add_argument("--steps", type=int, required=True)
     sweep.add_argument("--spacing", choices=("linear", "log"), default="linear")
-
-    verify = sub.add_parser("verify", help="cross-validate predictions, zeros and the grid oracle")
-    add_common(verify, needs_c=True)
-    verify.add_argument("--resolution", type=int, default=256, help="oracle grid resolution")
-
+    sub.choices["verify"].add_argument("--resolution", type=int, default=256, help="oracle grid resolution")
     return parser
 
 
@@ -307,42 +284,26 @@ def main(argv: list[str] | None = None) -> int:
     try:
         radius = _tolerance(args, "TOL_RADIUS", Tolerances().radius_rtol)
         residual = _tolerance(args, "TOL_RESIDUAL", Tolerances().residual_rtol)
-    except ValueError as exc:
+        args.tolerances = Tolerances(radius_rtol=radius, residual_rtol=residual)
+        # a command may add its own keys to meta
+        args.meta = {"version": __version__, "tolerances": {"radius": radius, "residual": residual}}
+        rows = args.run(args, params)
+    except _InvalidInput as exc:
         return _invalid(str(exc))
-    args.tolerances = Tolerances(radius_rtol=radius, residual_rtol=residual)
-    if args.command == "sweep" and (not (0 < args.c_min < args.c_max < math.inf) or args.steps < 2):
-        return _invalid("sweep needs 0 < c-min < c-max < inf and steps >= 2")
-    if args.command == "verify" and args.resolution < _MIN_RESOLUTION:
-        return _invalid(f"verify needs --resolution >= {_MIN_RESOLUTION}, got {args.resolution}")
-
-    status = EXIT_OK
-    meta_extra = None
-    try:
-        if args.command == "classify":
-            rows = _cmd_classify(args, params)
-        elif args.command == "predict":
-            rows = _cmd_predict(args, params)
-        elif args.command == "zeros":
-            rows = _cmd_zeros(args, params)
-        elif args.command == "thresholds":
-            rows = _cmd_thresholds(args, params)
-        elif args.command == "sweep":
-            rows, meta_extra = _cmd_sweep(args, params)
-        elif args.command == "verify":
-            rows, ok = _cmd_verify(args, params)
-            if not ok:
-                status = EXIT_MISMATCH
     except (ArithmeticError, ResolutionTooCoarse) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    text = _emit(args, rows, meta_extra)
+    text = _emit(args, rows)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _invalid(f"cannot write --output {args.output}: {exc.strerror}")
     else:
         sys.stdout.write(text)
-    return status
+    return EXIT_MISMATCH if any(row.get("passed") is False for row in rows) else EXIT_OK
 
 
 if __name__ == "__main__":

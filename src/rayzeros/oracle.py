@@ -43,7 +43,8 @@ _MIN_RESOLUTION = 64
 
 
 class ResolutionTooCoarse(RuntimeError):
-    """A sign-ambiguous cell survived the subdivision budget; rescan finer."""
+    """The grid cannot resolve the zeros: a sign-ambiguous cell survived the
+    subdivision budget (rescan finer), or the annulus leaves the float range."""
 
 
 @dataclass(slots=True)
@@ -222,6 +223,8 @@ def find_zeros_grid(params: FamilyParams, resolution: int = 256) -> OracleResult
         raise ValueError(f"need resolution >= {_MIN_RESOLUTION}, got {resolution}")
     m, k, c = params.m, params.k, params.c
     r_lo, r_hi = _annulus(m, k, c)
+    if not 0.0 < r_lo <= r_hi < math.inf:
+        raise ResolutionTooCoarse(f"annulus ({r_lo:.3g}, {r_hi:.3g}) leaves the float range")
 
     n_th = max(resolution, 6 * m)
     lr_lo, lr_hi = math.log(r_lo), math.log(r_hi)

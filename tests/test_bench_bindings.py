@@ -60,3 +60,19 @@ def test_every_unused_import_is_a_traced_binding():
         if name not in spans.get(modname, ()) + counts.get(modname, ())
     ]
     assert not stray
+
+
+def test_every_import_is_used_or_marked():
+    """A name imported in src/ is used in its module, or is a marked tracer binding."""
+    marked = set(unused_imports())
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name != "*" and name not in used and (f"rayzeros.{path.stem}", name) not in marked:
+                        stray.append(f"rayzeros.{path.stem}.{name}")
+    assert not stray

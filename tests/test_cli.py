@@ -1,7 +1,9 @@
 """Command-line surface: dispatch, serialization parity, exit codes, env config."""
 from __future__ import annotations
 
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -400,25 +402,97 @@ class TestExitCodes:
         assert code == 3
         assert "ResolutionTooCoarse" in err
 
-    def test_oracle_mismatch_exits_two(self, capsys, monkeypatch):
-        real = cli_mod.find_zeros_grid
+    @pytest.mark.parametrize("check", ["oracle_agreement", "ray_count_vs_prediction", "table_census_equivalence"])
+    def test_oracle_mismatch_exits_two(self, capsys, monkeypatch, check):
+        grid, at, census = cli_mod.find_zeros_grid, cli_mod.predict_at, cli_mod.predict_census
 
         def drop_one(params, resolution=256):
-            res = real(params, resolution)
+            res = grid(params, resolution)
             res.zeros = res.zeros[1:]
             return res
 
-        monkeypatch.setattr(cli_mod, "find_zeros_grid", drop_one)
+        name, fake = {
+            "oracle_agreement": ("find_zeros_grid", drop_one),
+            "ray_count_vs_prediction": ("predict_at", lambda params, c: at(params, c) + 1),
+            "table_census_equivalence": (
+                "predict_census",
+                lambda params: dataclasses.replace(census(params), max_count=census(params).max_count + 1),
+            ),
+        }[check]
+        monkeypatch.setattr(cli_mod, name, fake)
         code, out, _ = run_cli(capsys, "verify", "--m", "5", "--k", "4", "--c", "1", "--resolution", "128")
         assert code == 2
-        rows = {r["check"]: r for r in json.loads(out)["results"]}
-        assert rows["oracle_agreement"]["passed"] is False
-        assert rows["table_census_equivalence"]["passed"] and rows["ray_count_vs_prediction"]["passed"]
+        rows = {r["check"]: r["passed"] for r in json.loads(out)["results"]}
+        assert rows == {
+            "table_census_equivalence": check != "table_census_equivalence",
+            "ray_count_vs_prediction": check != "ray_count_vs_prediction",
+            "oracle_agreement": check != "oracle_agreement",
+        }
 
     def test_oracle_overflow_is_too_coarse(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--m", "2", "--k", "1", "--c", "1.7e170")
         assert code == 3
         assert "ResolutionTooCoarse" in err and "OverflowError" not in err
+
+    # the oracle's annulus leaves the float range: a ValueError at (49, 10),
+    # no oracle zero at all at (5, -4)
+    @pytest.mark.parametrize("m, k", [("49", "10"), ("5", "-4")])
+    def test_oracle_annulus_beyond_the_float_range_is_too_coarse(self, capsys, m, k):
+        code, out, err = run_cli(capsys, "verify", "--m", m, "--k", k, "--c", "1.7e308")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ResolutionTooCoarse: annulus (") and err.endswith(") leaves the float range\n")
+
+    def test_unwritable_output_is_invalid(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "zeros.json"
+        code, out, err = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1", "--output", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and str(target) in err
+        assert not target.exists()
+
+
+class TestParserSurface:
+    """Each command's options: strings, default, required flag, choices and type."""
+
+    @staticmethod
+    def options(needs_c, *extra):
+        c = (["--c"], None, True, None, "float") if needs_c else (["--c"], 1.0, False, None, "float")
+        return [
+            (["-h", "--help"], argparse.SUPPRESS, False, None, None),
+            (["--m"], None, True, None, "int"),
+            (["--k"], None, True, None, "int"),
+            c,
+            (["--format"], "json", False, ("json", "csv"), None),
+            (["--output"], None, False, None, None),
+            (["--tol-radius"], None, False, None, "float"),
+            (["--tol-residual"], None, False, None, "float"),
+            *extra,
+        ]
+
+    def test_every_option_of_every_command(self):
+        expected = {
+            "classify": self.options(False),
+            "predict": self.options(False),
+            "zeros": self.options(True),
+            "thresholds": self.options(False),
+            "sweep": self.options(
+                False,
+                (["--c-min"], None, True, None, "float"),
+                (["--c-max"], None, True, None, "float"),
+                (["--steps"], None, True, None, "int"),
+                (["--spacing"], "linear", False, ("linear", "log"), None),
+            ),
+            "verify": self.options(True, (["--resolution"], 256, False, None, "int")),
+        }
+        parser = cli_mod._build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(expected)
+        for name, command in sub.choices.items():
+            got = [
+                (a.option_strings, a.default, a.required, a.choices, getattr(a.type, "__name__", None))
+                for a in command._actions
+            ]
+            assert got == expected[name], name
+            assert command.get_default("run") is getattr(cli_mod, f"_cmd_{name}")
 
 
 class TestToleranceConfig:

@@ -75,6 +75,19 @@ class TestFindZerosGrid:
         with pytest.raises(ResolutionTooCoarse):
             find_zeros_grid(validate(2, 1, 1.7e170))
 
+    @pytest.mark.parametrize(
+        "m, k, c",
+        [
+            (3, 2, 1e308),  # r_lo underflows to 0, r_hi overflows
+            (49, 10, 1.7e308),  # the same
+            (5, 4, 8.98e307),  # r_lo > 0, r_hi overflows
+            (5, -4, 1.7e308),  # the same for k < 0
+        ],
+    )
+    def test_annulus_beyond_the_float_range_is_too_coarse(self, m, k, c):
+        with pytest.raises(ResolutionTooCoarse, match=r"^annulus \(.*\) leaves the float range$"):
+            find_zeros_grid(validate(m, k, c))
+
 
 class TestRowCodes:
     """A row's packed node bytes equal _sign_codes's node-by-node bytes, whichever path codes them."""
