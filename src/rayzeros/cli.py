@@ -157,10 +157,11 @@ def _cmd_thresholds(args, params) -> list[dict]:
 
 def _sweep_grid(args) -> list[float]:
     lo, hi, n = args.c_min, args.c_max, args.steps
-    if args.spacing == "log":
-        # a log point past log(max_float) is log(hi) rounded up
-        return [math.exp(x) if x <= _LOG_MAX else hi for x in _linspace(math.log(lo), math.log(hi), n)]
-    return _linspace(lo, hi, n)
+    if args.spacing == "log":  # a log point past log(max_float) is log(hi) rounded up
+        grid = [math.exp(x) if x <= _LOG_MAX else hi for x in _linspace(math.log(lo), math.log(hi), n)]
+    else:
+        grid = _linspace(lo, hi, n)
+    return [lo, *grid[1:-1], hi]  # exp(log(x)) and lo + (hi - lo) can round away from the bounds
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:

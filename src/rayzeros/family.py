@@ -149,6 +149,12 @@ def alpha_from_residue(m: int, t: int) -> float:
     return sign * math.sin(math.pi * (m - 2 * s) / (2 * m))
 
 
+def _alpha_half(m: int) -> list[float]:
+    """alpha_from_residue(m, s) for s = 0 .. m//2 bit for bit, from its own two expressions."""
+    cos, sin, pi, q = math.cos, math.sin, math.pi, m // 4 + 1
+    return [cos(pi * s / m) for s in range(q)] + [sin(pi * (m - 2 * s) / (2 * m)) for s in range(q, m // 2 + 1)]
+
+
 def unit_direction(m: int, j: int) -> complex:
     """e^{i j pi / m} with the axis points exact.
 

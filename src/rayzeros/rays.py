@@ -29,9 +29,9 @@ carry the same alpha and the same radial function.  The c-independent facts
 of the m+1 conjugate groups live in one cached RayTable per (m, k), the single
 source of c0; analyze_ray, thresholds, the census and the global count all
 read it.  A row's facts follow from its parity and its folded residue
-s = min(t, 2m-t), so the table is built in whole-table passes: alpha once per
-s <= m/2 (alpha(m-s) = -alpha(s)), the case and count profile once per parity
-and alpha sign, and every threshold row's c0 from one _log_betas call.
+s = min(t, 2m-t), so the table is built in whole-table passes with no Python call
+per row: alpha for s <= m/2 in one _alpha_half pass (alpha(m-s) = -alpha(s)), the
+case, profile and gain once per parity and alpha sign, every c0 by one _log_betas.
 """
 from __future__ import annotations
 
@@ -49,6 +49,7 @@ from .family import (
     FamilyParams,
     RayDescriptor,
     Sign,
+    _alpha_half,
     _check_c,
     _over_power,
     _radial_sum,
@@ -343,10 +344,9 @@ class RayTable:
 def ray_table(m: int, k: int) -> RayTable:
     """The ray table of (m, k), built by folded residue and kept in a small LRU cache."""
     two_m = 2 * m
-    folded = [t if t <= m else two_m - t for t in [u % two_m for u in range(0, k * (m + 1), k)]]
-    # beyond s = m/2 alpha_from_residue reflects: alpha(s) = -alpha(m - s)
-    half = [alpha_from_residue(m, s) for s in range(m // 2 + 1)]
-    alpha_of = half + [-half[m - s] for s in range(m // 2 + 1, m + 1)]
+    folded = [t if t <= m else two_m - t for t in map(two_m.__rmod__, range(0, k * (m + 1), k))]
+    half = _alpha_half(m)
+    alpha_of = half + [-a for a in half[(m - 1) // 2::-1]]  # beyond s = m/2, alpha(s) = -alpha(m - s)
     # a row's kind is the slot of its alpha sign (positive, zero, negative) + 3 * parity,
     # the census order; alpha > 0 iff 2s < m and alpha = 0 iff 2s = m
     slot_of = [0] * ((m + 1) // 2) + [1] * (1 - m % 2) + [2] * ((m + 1) // 2)
@@ -357,19 +357,23 @@ def ray_table(m: int, k: int) -> RayTable:
     tally = [2 * kinds.count(kind) - (kinds[0] == kind) - (kinds[m] == kind) for kind in range(6)]
     is_threshold = bytes(case in THRESHOLD_CASES for case in cases).ljust(256, b"\0")  # translate table
     rows = list(compress(range(m + 1), kinds.translate(is_threshold)))
-    log_betas = _log_betas(m, k, [alpha_of[folded[row]] for row in rows])
-    c0 = dict(zip(rows, [math.exp(-(m - k) / m * log_beta) for log_beta in log_betas]))
+    c0: list[float | None] = [None] * (m + 1)
+    for row, log_beta in zip(rows, _log_betas(m, k, map(alpha_of.__getitem__, map(folded.__getitem__, rows)))):
+        c0[row] = math.exp(-(m - k) / m * log_beta)
     order = sorted(rows, key=c0.__getitem__)
-    gains = (_multiplicity(m, row) * (profiles[kinds[row]].above - profiles[kinds[row]].below) for row in order)
+    unit = [profile.above - profile.below for profile in profiles]  # count gained per ray as c0 is passed
+    gain = list(map([2 * u for u in unit].__getitem__, kinds))
+    for row in (0, m):  # the axis rows stand for one ray each
+        gain[row] = _multiplicity(m, row) * unit[kinds[row]]
     return RayTable(
         m=m,
         k=k,
         alpha=array("d", map(alpha_of.__getitem__, folded)),
         case=tuple(map(cases.__getitem__, kinds)),
-        c0=tuple(map(c0.get, range(m + 1))),
+        c0=tuple(c0),
         order=array("q", order),
         c0s=array("d", map(c0.__getitem__, order)),
-        steps=array("q", accumulate(gains, initial=0)),
+        steps=array("q", accumulate(map(gain.__getitem__, order), initial=0)),
         base=sum(count * profile.below for count, profile in zip(tally, profiles)),
         census=tuple(tally),
     )
@@ -434,4 +438,8 @@ def thresholds(params: FamilyParams) -> list[Threshold]:
     conjugate group of a table row.
     """
     table = ray_table(params.m, params.k)
-    return [Threshold(c0=table.c0[row], rays=table.rays(row), alpha=table.alpha[row]) for row in table.order]
+    rays = list(zip(table.order, map((2 * params.m).__sub__, table.order)))
+    for row in (0, params.m):  # the axis rows stand for one ray each
+        if table.c0[row] is not None:
+            rays[table.order.index(row)] = table.rays(row)
+    return list(map(Threshold, table.c0s, rays, map(table.alpha.__getitem__, table.order)))

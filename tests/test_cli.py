@@ -6,8 +6,10 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -279,6 +281,36 @@ class TestSweepCommand:
         assert len(cs) == 7 and cs == sorted(cs)
         assert all(0.0 < c <= float(c_max) for c in cs)
         assert cs[0] == pytest.approx(1e-300, rel=1e-12) and cs[-1] == pytest.approx(float(c_max), rel=1e-12)
+
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_grid_ends_at_its_bounds(self, spacing):
+        """The first and last grid points are --c-min and --c-max exactly; the
+        points between are the unpinned grid's."""
+        rng = random.Random(16)
+        grids = [(1e-320, 1e-300, 5), (1e-300, 1.7e308, 7), (1.0, sys.float_info.max, 3), (0.01, 100.0, 50)]
+        while len(grids) < 500:
+            lo = 10 ** rng.uniform(-320, 308)
+            hi = min(10 ** rng.uniform(math.log10(lo), 308.25), sys.float_info.max)
+            if lo < hi:
+                grids.append((lo, hi, rng.randint(2, 60)))
+        for lo, hi, n in grids:
+            grid = cli_mod._sweep_grid(argparse.Namespace(c_min=lo, c_max=hi, steps=n, spacing=spacing))
+            if spacing == "log":
+                points = [math.exp(x) if x <= math.log(sys.float_info.max) else hi
+                          for x in cli_mod._linspace(math.log(lo), math.log(hi), n)]
+            else:
+                points = cli_mod._linspace(lo, hi, n)
+            assert grid == [lo] + points[1:-1] + [hi], (lo, hi, n)
+            assert grid == sorted(grid), (lo, hi, n)
+
+    def test_log_sweep_prints_its_bounds(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--m", "3", "--k", "1",
+            "--c-min", "1e-320", "--c-max", "1e-300", "--steps", "4", "--spacing", "log",
+        )
+        assert code == 0
+        cs = [row["c"] for row in json.loads(out)["results"]]
+        assert (cs[0], cs[-1]) == (1e-320, 1e-300)
 
     def test_linear_grid_unchanged_where_finite(self):
         for lo, hi, n in ((0.01, 100.0, 7), (1e-300, 1e307, 11), (0.05, 5.0, 200), (1.0, 8e307, 3)):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 import sys
 
 import mpmath
@@ -21,7 +22,7 @@ from rayzeros import (
     evaluate,
     validate,
 )
-from rayzeros.family import alpha_from_residue, unit_direction
+from rayzeros.family import _alpha_half, alpha_from_residue, unit_direction
 
 from conftest import ALPHA_ZERO_CUTOFF, mp_alpha
 
@@ -142,6 +143,28 @@ class TestClassificationExactness:
                     assert zeros == []
                 else:
                     assert len(zeros) == 2
+
+
+class TestAlphaHalf:
+    """The ray table's whole-range alpha pass and the scalar are two spellings of
+    one formula; float.hex tells every ulp apart and -0.0 from 0.0."""
+
+    @staticmethod
+    def assert_equal_to_scalar(m):
+        half = _alpha_half(m)
+        assert [a.hex() for a in half] == [alpha_from_residue(m, s).hex() for s in range(m // 2 + 1)], m
+        assert half[0].hex() == (1.0).hex()
+        if m % 2 == 0:
+            assert half[-1].hex() == (0.0).hex()
+
+    def test_every_small_m(self):
+        for m in range(2, 401):
+            self.assert_equal_to_scalar(m)
+
+    def test_seeded_large_m(self):
+        rng = random.Random(16)
+        for m in [rng.randint(401, 100_000) for _ in range(20)] + [100_000, 99_999, 65_536]:
+            self.assert_equal_to_scalar(m)
 
 
 class TestUnitDirection:

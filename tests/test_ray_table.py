@@ -175,9 +175,10 @@ class TestTableBuild:
 
     @pytest.mark.parametrize("m, k", [(8, 3), (9, -2), (61, -30), (64, 33), (1001, 500)])
     def test_build_is_per_residue_not_per_row(self, monkeypatch, m, k):
-        """One build folds the cosine at most once per residue s <= m/2 and never
-        analyzes or classifies a ray, so a per-row loop cannot come back unnoticed."""
-        calls = {"alpha_from_residue": 0, "classify_ray": 0, "analyze_ray": 0}
+        """One build takes alpha for every residue s <= m/2 in one whole-range pass
+        and never folds a single cosine, analyzes or classifies a ray, so a per-row
+        loop cannot come back unnoticed."""
+        calls = {"_alpha_half": 0, "alpha_from_residue": 0, "classify_ray": 0, "analyze_ray": 0}
         for name in calls:
             fn = getattr(rays, name)
 
@@ -187,8 +188,65 @@ class TestTableBuild:
 
             monkeypatch.setattr(rays, name, counted)
         ray_table.__wrapped__(m, k)
-        assert 0 < calls["alpha_from_residue"] <= m // 2 + 1
-        assert calls["classify_ray"] == calls["analyze_ray"] == 0
+        assert calls["_alpha_half"] == 1
+        assert calls["alpha_from_residue"] == calls["classify_ray"] == calls["analyze_ray"] == 0
+
+
+def reference_thresholds(p):
+    """thresholds() from a plain per-ray loop: analyze every one of the 2m rays,
+    group the threshold rays by residue class min(t, 2m - t), and sort the groups
+    by c0 (ties by their first ray, the table's row order)."""
+    groups = {}
+    for j in range(2 * p.m):
+        a = analyze_ray(p, j)
+        if a.c0 is not None:
+            t = a.ray.residue
+            groups.setdefault(min(t, 2 * p.m - t), []).append(a)
+    rows = [(g[0].c0, tuple(a.ray.j for a in g), g[0].alpha) for g in groups.values()]
+    assert all(a.c0 == g[0].c0 and a.alpha == g[0].alpha for g in groups.values() for a in g)
+    return sorted(rows, key=lambda row: (row[0], row[1]))
+
+
+def log_uniform_pairs(n, max_m, seed):
+    """Seeded coprime pairs with m log-uniform in [61, max_m] and either sign of k."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < n:
+        m = int(math.exp(rng.uniform(math.log(61), math.log(max_m + 1))))
+        a = rng.randint(1, m - 1)
+        if math.gcd(m, a) == 1:
+            pairs.append((m, rng.choice((a, -a))))
+    return pairs
+
+
+class TestThresholdsEqualPerRayReference:
+    """thresholds() built from the table's sorted rows equals the per-ray loop bit for bit."""
+
+    @staticmethod
+    def assert_equal_reference(m, k):
+        p = validate(m, k, 1.0)
+        got = [(bits(th.c0), th.rays, bits(th.alpha)) for th in thresholds(p)]
+        want = [(bits(c0), rays, bits(alpha)) for c0, rays, alpha in reference_thresholds(p)]
+        assert got == want, (m, k)
+
+    def test_every_pair_small_m(self):
+        pairs = list(valid_pairs(60))
+        # both axis rows carry a threshold somewhere: row 0 for k < 0, row m for odd m and even k > 0
+        assert any(ray_table(m, k).c0[0] is not None for m, k in pairs)
+        assert any(ray_table(m, k).c0[m] is not None for m, k in pairs)
+        for m, k in pairs:
+            self.assert_equal_reference(m, k)
+
+    SEEDED = log_uniform_pairs(300, 10_000, seed=16)
+
+    @pytest.mark.parametrize("chunk", range(6))
+    def test_seeded_pairs_large_m(self, chunk):
+        for m, k in self.SEEDED[chunk::6]:
+            self.assert_equal_reference(m, k)
+
+    @pytest.mark.parametrize("m, k", [(10000, 9999), (10000, -9999), (1988, -869)])
+    def test_named_pairs(self, m, k):
+        self.assert_equal_reference(m, k)
 
 
 class TestAllZerosEquivalence:
