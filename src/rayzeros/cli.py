@@ -161,7 +161,8 @@ def _sweep_grid(args) -> list[float]:
         grid = [math.exp(x) if x <= _LOG_MAX else hi for x in _linspace(math.log(lo), math.log(hi), n)]
     else:
         grid = _linspace(lo, hi, n)
-    return [lo, *grid[1:-1], hi]  # exp(log(x)) and lo + (hi - lo) can round away from the bounds
+    # exp(log(x)) and lo + (hi - lo) can round past the bounds; clamping keeps the grid sorted
+    return [lo, *(min(max(x, lo), hi) for x in grid[1:-1]), hi]
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:

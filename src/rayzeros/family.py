@@ -8,9 +8,9 @@ in which case p has a pole at the origin.  Writing z = r e^{i theta},
 
 so every zero lies on one of the 2m rays theta = j pi / m, j = 0 .. 2m-1.
 The cosine weight of ray j is alpha = cos(k j pi / m), and its sign is
-decided here exactly, with integer arithmetic on the residue
-t = k*j mod 2m: alpha > 0 iff 2t < m or 2t > 3m, alpha = 0 iff 2t = m or
-2t = 3m, alpha < 0 otherwise.  Floating point never gets a vote on the
+decided here exactly, with integer arithmetic on the residue t = k*j mod 2m
+folded to s = min(t, 2m - t): alpha > 0 iff 2s < m, alpha = 0 iff 2s = m,
+alpha < 0 otherwise.  Floating point never gets a vote on the
 classification.  Where r^m overflows, a real part is the signed infinity of
 its sum divided through by r^m (_over_power), so every term votes on its sign.
 """
@@ -70,6 +70,10 @@ class Sign(IntEnum):
     NEGATIVE = -1
     ZERO = 0
     POSITIVE = 1
+
+
+# alpha's sign where the folded residue s has 2s < m, 2s = m, 2s > m
+_SIGNS = (Sign.POSITIVE, Sign.ZERO, Sign.NEGATIVE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,8 +146,6 @@ def alpha_from_residue(m: int, t: int) -> float:
         sign = -1.0
     if 2 * s == m:
         return 0.0
-    if s == 0:
-        return sign
     if 4 * s <= m:
         return sign * math.cos(math.pi * s / m)
     return sign * math.sin(math.pi * (m - 2 * s) / (2 * m))
@@ -166,32 +168,23 @@ def unit_direction(m: int, j: int) -> complex:
     return complex(alpha_from_residue(m, j), alpha_from_residue(2 * m, 2 * j - m))
 
 
-def _alpha_sign_from_residue(m: int, t: int) -> Sign:
-    t = t % (2 * m)
-    d = 2 * t
-    if d < m or d > 3 * m:
-        return Sign.POSITIVE
-    if d == m or d == 3 * m:
-        return Sign.ZERO
-    return Sign.NEGATIVE
-
-
 def classify_ray(params: FamilyParams, j: int) -> RayDescriptor:
     """Exact classification of ray j: parity and the sign of alpha.
 
-    The sign test is pure integer arithmetic on t = k*j mod 2m, so rays with
-    alpha = 0 (possible only for even m) are never misread, no matter how
-    large m gets.
+    The sign test is pure integer arithmetic on t = k*j mod 2m folded to
+    s = min(t, 2m - t), so rays with alpha = 0 (possible only for even m) are
+    never misread, no matter how large m gets.
     """
     m = params.m
     if not 0 <= j < 2 * m:
         raise RayIndexError(f"ray index {j} outside [0, {2 * m - 1}]")
     t = (params.k * j) % (2 * m)
+    s = t if t <= m else 2 * m - t
     return RayDescriptor(
         j=j,
         angle=j * math.pi / m,
         parity=j % 2,
-        alpha_sign=_alpha_sign_from_residue(m, t),
+        alpha_sign=_SIGNS[(2 * s >= m) + (2 * s > m)],
         residue=t,
     )
 
@@ -227,27 +220,14 @@ def _radial_sum(lead: float, mid: float, r: float, m: int, k: int) -> float:
     return tm + 2.0 * power_term(mid, r, k) - 1.0
 
 
-def _polar_trig(m: int, k: int, z: complex) -> tuple[float, float, float, float]:
-    """r = |z| and cos(m theta), cos(k theta), sin(m theta) at theta = arg z.
-
-    On the axes theta is exactly q pi / 2, and the three values come from the
-    folded cosine as in unit_direction, so a zero cosine is exactly 0.0.
-    """
-    r, theta = cmath.polar(z)
-    if (z.real and z.imag) or math.isnan(theta):
-        return r, math.cos(m * theta), math.cos(k * theta), math.sin(m * theta)
-    q = round(theta / (0.5 * math.pi))
-    # sin(m q pi / 2) = cos((m q - 1) pi / 2)
-    return r, alpha_from_residue(2, m * q), alpha_from_residue(2, k * q), alpha_from_residue(2, m * q - 1)
-
-
 def evaluate(params: FamilyParams, z: complex) -> complex:
     """p(z) through the polar decomposition.
 
     Returns r^m cos(m theta) + 2 c r^k cos(k theta) - 1 + i r^m sin(m theta),
-    with the trigonometric values exact on the axes.  z = 0 is the constant -1
-    for k > 0 and a pole for k < 0.  Where r^m overflows, the real part is the
-    signed infinity of Re p / r^m.
+    at theta = arg z.  On the axes theta is exactly q pi / 2, and the folded
+    cosine gives the trigonometric values as exact 0.0 or +-1.0.  z = 0 is the
+    constant -1 for k > 0 and a pole for k < 0.  Where r^m overflows, the real
+    part is the signed infinity of Re p / r^m.
     """
     m, k, c = params.m, params.k, params.c
     z = complex(z)
@@ -255,5 +235,10 @@ def evaluate(params: FamilyParams, z: complex) -> complex:
         if k < 0:
             raise PoleAtOriginError("z = 0 is a pole when k < 0")
         return complex(-1.0, 0.0)
-    r, cos_m, cos_k, sin_m = _polar_trig(m, k, z)
+    r, theta = cmath.polar(z)
+    if (z.real and z.imag) or math.isnan(theta):
+        cos_m, cos_k, sin_m = math.cos(m * theta), math.cos(k * theta), math.sin(m * theta)
+    else:  # sin(m q pi / 2) = cos((m q - 1) pi / 2)
+        q = round(theta / (0.5 * math.pi))
+        cos_m, cos_k, sin_m = (alpha_from_residue(2, n) for n in (m * q, k * q, m * q - 1))
     return complex(_radial_sum(cos_m, c * cos_k, r, m, k), power_term(sin_m, r, m))

@@ -48,7 +48,6 @@ from itertools import accumulate, compress, cycle
 from .family import (
     FamilyParams,
     RayDescriptor,
-    Sign,
     _alpha_half,
     _check_c,
     _over_power,
@@ -116,6 +115,14 @@ _PROFILES: dict[RayCase, CountProfile] = {
     RayCase.NEG_K_EVEN_POS: CountProfile(2, 1, 0),
 }
 
+# _CASES[k > 0][kind]: a row's case by its kind, alpha's sign slot (positive, zero, negative) + 3 * parity
+_CASES = (
+    (RayCase.NEG_K_EVEN_POS, RayCase.EVEN_ALPHA_ZERO, RayCase.NEG_K_EVEN_NEG)
+    + (RayCase.NEG_K_ODD_POS, RayCase.ODD_ALPHA_ZERO, RayCase.NEG_K_ODD_NEG),
+    (RayCase.POS_K_EVEN_POS, RayCase.EVEN_ALPHA_ZERO, RayCase.POS_K_EVEN_NEG)
+    + (RayCase.POS_K_ODD_POS, RayCase.ODD_ALPHA_ZERO, RayCase.POS_K_ODD_NEG),
+)
+
 THRESHOLD_CASES = frozenset({RayCase.POS_K_ODD_POS, RayCase.NEG_K_EVEN_POS})
 EXTREMUM_CASES = THRESHOLD_CASES | {RayCase.POS_K_EVEN_NEG}
 
@@ -152,18 +159,6 @@ class Threshold:
     c0: float
     rays: tuple[int, ...]
     alpha: float
-
-
-def _case_of(k: int, parity: int, alpha_sign: Sign) -> RayCase:
-    if alpha_sign == Sign.ZERO:
-        return RayCase.EVEN_ALPHA_ZERO if parity == 0 else RayCase.ODD_ALPHA_ZERO
-    if k > 0:
-        if parity == 0:
-            return RayCase.POS_K_EVEN_POS if alpha_sign > 0 else RayCase.POS_K_EVEN_NEG
-        return RayCase.POS_K_ODD_POS if alpha_sign > 0 else RayCase.POS_K_ODD_NEG
-    if parity == 0:
-        return RayCase.NEG_K_EVEN_POS if alpha_sign > 0 else RayCase.NEG_K_EVEN_NEG
-    return RayCase.NEG_K_ODD_POS if alpha_sign > 0 else RayCase.NEG_K_ODD_NEG
 
 
 def f_value(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
@@ -351,7 +346,7 @@ def ray_table(m: int, k: int) -> RayTable:
     # the census order; alpha > 0 iff 2s < m and alpha = 0 iff 2s = m
     slot_of = [0] * ((m + 1) // 2) + [1] * (1 - m % 2) + [2] * ((m + 1) // 2)
     kinds = bytearray(map(operator.add, map(slot_of.__getitem__, folded), cycle((0, 3))))
-    cases = [_case_of(k, parity, sign) for parity in (0, 1) for sign in (Sign.POSITIVE, Sign.ZERO, Sign.NEGATIVE)]
+    cases = _CASES[k > 0]
     profiles = [_PROFILES[case] for case in cases]
     # rays per kind: every row but the axis rows 0 and m stands for two
     tally = [2 * kinds.count(kind) - (kinds[0] == kind) - (kinds[m] == kind) for kind in range(6)]

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .family import FamilyParams, _over_power, _polar_trig, evaluate, power_term, unit_direction
+from .family import FamilyParams, _over_power, evaluate, power_term, unit_direction
 from .rays import (
     _PROFILES,
     RayAnalysis,
@@ -79,10 +79,10 @@ class Tolerances:
     radius_rtol: the Newton step in log r (a relative change of r) at which
         refinement stops.
     residual_rtol: accepted records must satisfy
-        |p(z)| <= residual_rtol * max(1, |z|^m).  Where |z|^m overflows the
-        bound is tested divided through by r^m = |z|^m, with theta = arg z:
-        |cos m theta + 2 c cos k theta r^(k-m) - r^(-m) + i sin m theta|
-        <= residual_rtol.
+        |p(z)| <= residual_rtol * max(1, |z|^m).  Where r^m overflows the
+        bound is tested divided through by r^m at the ray's exact angle
+        theta = j pi / m, where sin m theta = 0 and cos k theta = alpha_j:
+        |(-1)^j + 2 c alpha_j r^(k-m) - r^(-m)| <= residual_rtol.
     """
 
     radius_rtol: float = 1e-12
@@ -180,18 +180,17 @@ def _radius(m: int, k: int, c: float, j: int, case: RayCase, s: float) -> float:
 
 
 def _record(
-    params: FamilyParams, j: int, case: RayCase, r: float, u: complex, degenerate: bool, tol: Tolerances
+    params: FamilyParams, j: int, case: RayCase, alpha: float, r: float, u: complex, degenerate: bool, tol: Tolerances
 ) -> ZeroRecord:
-    """The record of the zero at radius r on ray j, whose unit direction is u."""
+    """The record of the zero at radius r on ray j, whose weight is alpha and unit direction u."""
     m, k, c = params.m, params.k, params.c
     z = r * u
     residual = abs(evaluate(params, z))
     if not degenerate:
         scale = power_term(1.0, r, m)
-        if scale == math.inf:  # the bound divided through by r^m
-            rz, cos_m, cos_k, sin_m = _polar_trig(m, k, z)
-            real = _over_power(cos_m, c * cos_k, rz, m, k)
-            label, size, bound = "residual |p(z)|/r^m", abs(complex(real, sin_m)), tol.residual_rtol
+        if scale == math.inf:  # the bound divided through by r^m, at the ray's exact angle
+            real = _over_power(-1.0 if j % 2 else 1.0, c * alpha, r, m, k)
+            label, size, bound = "residual |p(z)|/r^m", abs(real), tol.residual_rtol
         else:
             label, size, bound = "residual", residual, tol.residual_rtol * max(1.0, scale)
         if not size <= bound:
@@ -210,7 +209,7 @@ def _solve_row(
         return []
     u = unit_direction(m, j)
     if c0 is not None and _in_band(c, c0):
-        return [_record(params, j, case, _radius(m, k, c, j, case, _log_r0(m, k, alpha, c)), u, True, tol)]
+        return [_record(params, j, case, alpha, _radius(m, k, c, j, case, _log_r0(m, k, alpha, c)), u, True, tol)]
 
     split, intervals = _log_brackets(m, k, c, j % 2, alpha, n == 2)
     records = []
@@ -218,7 +217,7 @@ def _solve_row(
         if (fa < 0) == (fb < 0):
             raise _failure(m, k, c, j, case, f"endpoint signs agree on log r in [{a}, {b}]")
         r = _radius(m, k, c, j, case, _refine(split, a, b, fa < 0, tol.radius_rtol))
-        records.append(_record(params, j, case, r, u, False, tol))
+        records.append(_record(params, j, case, alpha, r, u, False, tol))
     return records
 
 

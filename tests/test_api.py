@@ -1,6 +1,9 @@
 """The public surface: rayzeros.__all__ is the union of the modules' __all__ lists."""
 from __future__ import annotations
 
+import pathlib
+import re
+import sys
 from itertools import combinations
 
 import pytest
@@ -40,3 +43,16 @@ def test_each_name_is_its_defining_modules_object(module):
     for name in module.__all__:
         assert getattr(rayzeros, name) is getattr(module, name)
         assert getattr(module, name).__module__ == module.__name__, name
+
+
+def test_version_matches_pyproject():
+    """meta.version in every CLI output is rayzeros.__version__; the package
+    metadata in pyproject.toml must say the same."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    if sys.version_info >= (3, 11):
+        import tomllib
+
+        version = tomllib.loads(text)["project"]["version"]
+    else:
+        version = re.search(r'^version = "([^"]+)"', text, re.MULTILINE).group(1)
+    assert version == rayzeros.__version__

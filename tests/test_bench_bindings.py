@@ -7,7 +7,8 @@ tables are read from the tracer's own file and never modified.
 
 A library import kept only for the tracer is marked ``# noqa: F401``; those
 marks are the one list of bindings that go once the library counts its own
-work.
+work.  Any other import, and any module-level private helper, must be used in
+src/.
 """
 from __future__ import annotations
 
@@ -76,3 +77,23 @@ def test_every_import_is_used_or_marked():
                     if name != "*" and name not in used and (f"rayzeros.{path.stem}", name) not in marked:
                         stray.append(f"rayzeros.{path.stem}.{name}")
     assert not stray
+
+
+def test_every_private_helper_is_loaded():
+    """A module-level private function or constant in src/ is read somewhere in
+    src/, so a helper whose last caller goes is deleted with it."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    loaded = {
+        node.id for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    orphans = [name for name in defined if name.startswith("_") and not name.startswith("__") and name not in loaded]
+    assert not orphans

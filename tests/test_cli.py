@@ -312,6 +312,31 @@ class TestSweepCommand:
         cs = [row["c"] for row in json.loads(out)["results"]]
         assert (cs[0], cs[-1]) == (1e-320, 1e-300)
 
+    def test_narrow_log_grids_are_sorted_and_in_bounds(self):
+        """Over a range narrower than the rounding of exp(log(x)), a log grid's
+        interior points are clamped into [c_min, c_max], so the grid stays sorted."""
+        rng = random.Random(17)
+        grids = []
+        while len(grids) < 1000:
+            lo = 10 ** rng.uniform(-320, 308)
+            hi = lo * (1.0 + 10 ** rng.uniform(-16, -10))
+            if lo < hi < math.inf:
+                grids.append((lo, hi, rng.randint(3, 60)))
+        for lo, hi, n in grids:
+            grid = cli_mod._sweep_grid(argparse.Namespace(c_min=lo, c_max=hi, steps=n, spacing="log"))
+            assert len(grid) == n and grid[0] == lo and grid[-1] == hi, (lo, hi, n)
+            assert grid == sorted(grid), (lo, hi, n)
+
+    def test_narrow_log_sweep_stays_above_c_min(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--m", "3", "--k", "1",
+            "--c-min", "5.762297935717866e-120", "--c-max", "5.7622979357180446e-120", "--steps", "5",
+            "--spacing", "log",
+        )
+        assert code == 0
+        cs = [row["c"] for row in json.loads(out)["results"]]
+        assert cs == sorted(cs) and (cs[0], cs[-1]) == (5.762297935717866e-120, 5.7622979357180446e-120)
+
     def test_linear_grid_unchanged_where_finite(self):
         for lo, hi, n in ((0.01, 100.0, 7), (1e-300, 1e307, 11), (0.05, 5.0, 200), (1.0, 8e307, 3)):
             assert cli_mod._linspace(lo, hi, n) == [lo + (hi - lo) * i / (n - 1) for i in range(n)]

@@ -24,7 +24,7 @@ from rayzeros import (
 )
 from rayzeros.family import _alpha_half, alpha_from_residue, unit_direction
 
-from conftest import ALPHA_ZERO_CUTOFF, mp_alpha
+from conftest import ALPHA_ZERO_CUTOFF, mp_alpha, valid_pairs
 
 
 class TestValidate:
@@ -88,6 +88,50 @@ class TestClassifyRay:
     def test_angle(self):
         d = classify_ray(validate(5, 4, 1.0), 3)
         assert math.isclose(d.angle, 3 * math.pi / 5, rel_tol=1e-15)
+
+
+def t_space_sign(m, t):
+    """alpha's sign from the unfolded residue t = k*j mod 2m: positive iff
+    2t < m or 2t > 3m, zero iff 2t = m or 3m.  The reference for classify_ray's
+    rule on the folded residue."""
+    d = 2 * t
+    if d < m or d > 3 * m:
+        return Sign.POSITIVE
+    if d == m or d == 3 * m:
+        return Sign.ZERO
+    return Sign.NEGATIVE
+
+
+class TestSignRuleOnFoldedResidue:
+    """classify_ray reads alpha's sign from the folded residue s = min(t, 2m - t);
+    on every ray it must equal the rule on t itself."""
+
+    @staticmethod
+    def check(m, k, js):
+        p = validate(m, k, 1.0)
+        for j in js:
+            assert classify_ray(p, j).alpha_sign is t_space_sign(m, (k * j) % (2 * m)), (m, k, j)
+
+    def test_every_ray_small_m(self):
+        for m, k in valid_pairs(60):
+            self.check(m, k, range(2 * m))
+
+    def test_seeded_rays_large_m(self):
+        rng = random.Random(17)
+        seen = set()
+        for _ in range(300):
+            m = rng.randint(61, 10**5)
+            k = rng.choice((1, -1)) * rng.choice([a for a in range(1, m, 1 + m // 500) if math.gcd(m, a) == 1])
+            js = [rng.randrange(2 * m) for _ in range(20)]
+            if m % 2 == 0:  # the two rays with 2t = m and 2t = 3m, where alpha = 0
+                js += [m // 2 * pow(k, -1, 2 * m) % (2 * m), 3 * m // 2 * pow(k, -1, 2 * m) % (2 * m)]
+            self.check(m, k, js)
+            seen.update(t_space_sign(m, (k * j) % (2 * m)) for j in js)
+        assert seen == set(Sign)
+
+    @pytest.mark.parametrize("k", [9999, -9999])
+    def test_every_ray_of_m_10000(self, k):
+        self.check(10000, k, range(20000))
 
 
 @st.composite

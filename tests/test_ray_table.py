@@ -17,20 +17,21 @@ from rayzeros import (
     BracketFailure,
     all_zeros,
     analyze_ray,
+    classify_ray,
     count_at,
     predict_at,
     solve_ray,
     thresholds,
     validate,
 )
-from rayzeros.family import _alpha_sign_from_residue, alpha_from_residue
+from rayzeros.family import alpha_from_residue
 from rayzeros.rays import (
+    _CASES,
     _PROFILES,
     DEGENERACY_RTOL,
     EXTREMUM_CASES,
     THRESHOLD_CASES,
     RayTable,
-    _case_of,
     _multiplicity,
     _r0,
     ray_table,
@@ -76,8 +77,9 @@ def reference_log_beta(m, k, alpha):
 
 def reference_table(m, k):
     """The ray table built by a plain per-row loop: every row folds its own
-    residue, takes alpha, sign, case and profile through the per-ray functions,
-    and computes its own c0."""
+    residue, takes alpha and sign through the per-ray functions and its case
+    from _CASES, and computes its own c0."""
+    p = validate(m, k, 1.0)
     alphas = array("d")
     cases = []
     c0 = []
@@ -86,8 +88,8 @@ def reference_table(m, k):
     for j in range(m + 1):
         t = (k * j) % (2 * m)
         alpha = alpha_from_residue(m, t)
-        sign = _alpha_sign_from_residue(m, t)
-        case = _case_of(k, j % 2, sign)
+        sign = classify_ray(p, j).alpha_sign
+        case = _CASES[k > 0][3 * (j % 2) + 1 - sign]
         alphas.append(alpha)
         cases.append(case)
         n = _multiplicity(m, j)
