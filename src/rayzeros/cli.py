@@ -56,16 +56,13 @@ class _InvalidInput(Exception):
     """A flag or environment value out of range: exit 1 with the message."""
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+def _fmt(value):
+    """A CSV cell: csv.writer already writes None as "" and a float by its repr."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (list, tuple)):
-        return ";".join(_fmt(v) for v in value)
-    if value is None:
-        return ""
-    return str(value)
+    if isinstance(value, list):
+        return ";".join(map(str, value))
+    return value
 
 
 def _json_value(value):
@@ -177,11 +174,11 @@ def _cmd_sweep(args, params) -> list[dict]:
     ths = thresholds(params)
     c0s = [th.c0 for th in ths]  # thresholds() lists them by increasing c0
     rows = []
-    passed = None  # thresholds at or below the previous grid point
-    for c in _sweep_grid(args):
+    grid = _sweep_grid(args)
+    passed = bisect.bisect_right(c0s, grid[0])  # thresholds at or below the previous grid point
+    for c in grid:
         upto = bisect.bisect_right(c0s, c)
-        crossed = [] if passed is None else c0s[passed:upto]
-        rows.append({"c": c, "count": predict_at(params, c), "crossed": crossed})
+        rows.append({"c": c, "count": predict_at(params, c), "crossed": c0s[passed:upto]})
         passed = upto
     args.meta["thresholds"] = [{"c0": th.c0, "rays": list(th.rays)} for th in ths]
     return rows

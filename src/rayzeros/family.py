@@ -192,18 +192,16 @@ def classify_ray(params: FamilyParams, j: int) -> RayDescriptor:
 def power_term(coeff: float, r: float, p: int) -> float:
     """coeff * r**p for r > 0, overflow mapped to a signed infinity.
 
-    Keeps evaluation total down to r ~ 1e-300 with negative p: the magnitude
-    check happens in the log domain instead of trusting float pow to survive.
+    A power beyond the float range raises OverflowError (float r ** p, or an
+    int power too large to convert) and gives the infinity of coeff's sign; at
+    r = inf, coeff * inf is already that infinity.
     """
     if coeff == 0.0:
         return 0.0
     try:
-        rp = r ** p
+        return coeff * r ** p
     except OverflowError:
         return math.copysign(math.inf, coeff)
-    if math.isinf(rp):
-        return math.copysign(math.inf, coeff)
-    return coeff * rp
 
 
 def _over_power(lead: float, mid: float, r: float, m: int, k: int, one: float = 1.0) -> float:

@@ -108,7 +108,7 @@ def _newton(m: int, k: int, c: float, z: complex, r_lo: float, r_hi: float) -> c
             step = complex(dx, dy)
             zn = z + step
             r = abs(zn)
-            if not (0.5 * r_lo <= r <= 2.0 * r_hi) or not math.isfinite(r):
+            if not (0.5 * r_lo <= r <= 2.0 * r_hi):  # false for nan and inf too
                 step *= 0.25  # keep the iterate inside a padded annulus
                 zn = z + step
                 if not (0.5 * r_lo <= abs(zn) <= 2.0 * r_hi):
@@ -280,17 +280,15 @@ def compare(params: FamilyParams, oracle_res: OracleResult, ray_zeros) -> Compar
     pairs.sort(key=lambda t: t[0])
     used_a: set[int] = set()
     used_b: set[int] = set()
-    matched = 0
     max_distance = 0.0
     for dist, i, jj in pairs:
         if i in used_a or jj in used_b:
             continue
         used_a.add(i)
         used_b.add(jj)
-        matched += 1
         max_distance = max(max_distance, dist)
     return ComparisonReport(
-        matched=matched,
+        matched=len(used_a),
         max_distance=max_distance,
         unmatched_oracle=tuple(z for i, z in enumerate(a) if i not in used_a),
         unmatched_ray=tuple(z for jj, z in enumerate(b) if jj not in used_b),

@@ -2,20 +2,19 @@
 
 The closed-form route reads (min, max) straight off the modular case table
 keyed by m mod 4 and the parity of k.  The census route rebuilds the same
-numbers from the exact per-ray enumeration: for k > 0 every even ray holds
-one zero for all c and each odd positive-alpha ray eventually gains a pair;
-for k < 0 the persistent rays are the even nonpositive-alpha and odd
-positive-alpha ones, and each even positive-alpha ray starts with a pair it
-later loses.  The two routes agreeing for every coprime pair is a machine
-check of the whole case analysis.  The exact count at one c is a bisection
-over the ray table's sorted thresholds.
+numbers from the exact per-ray enumeration: the census counts the rays of
+each of the six (parity, alpha sign) kinds, the per-ray case table names each
+kind's case, and the case's count profile gives its zeros below and above its
+threshold.  The two routes agreeing for every coprime pair is a machine check
+of the case table that the exact counts and the root finder use.  The exact
+count at one c is a bisection over the ray table's sorted thresholds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .family import FamilyParams, _check_c
-from .rays import ray_table
+from .rays import _CASES, _PROFILES, ray_table
 # analyze_ray is unused here but stays bound: perfbench/tracing.py wraps predict.analyze_ray
 from .rays import analyze_ray  # noqa: F401
 from .unity import census
@@ -72,15 +71,14 @@ def predict_table(params: FamilyParams) -> CountPrediction:
 
 
 def predict_census(params: FamilyParams) -> CountPrediction:
-    """Count band rebuilt from the exact parity/sign census of the rays."""
+    """Count band rebuilt from the exact parity/sign census of the rays and
+    each case's counts below and above its threshold."""
     cen = census(params)
-    if params.k > 0:
-        lo = params.m
-        hi = lo + 2 * cen.odd_pos
-    else:
-        lo = cen.even_zero + cen.even_neg + cen.odd_pos
-        hi = lo + 2 * cen.even_pos
-    return CountPrediction(lo, hi, _direction(params.k), source="census")
+    tally = [getattr(cen, f.name) for f in fields(cen)]  # in the kind order of _CASES
+    profiles = [_PROFILES[case] for case in _CASES[params.k > 0]]
+    below = sum(n * profile.below for n, profile in zip(tally, profiles))
+    above = sum(n * profile.above for n, profile in zip(tally, profiles))
+    return CountPrediction(min(below, above), max(below, above), _direction(params.k), source="census")
 
 
 def predict_at(params: FamilyParams, c: float) -> int:

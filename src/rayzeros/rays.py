@@ -123,7 +123,7 @@ _CASES = (
     + (RayCase.POS_K_ODD_POS, RayCase.ODD_ALPHA_ZERO, RayCase.POS_K_ODD_NEG),
 )
 
-THRESHOLD_CASES = frozenset({RayCase.POS_K_ODD_POS, RayCase.NEG_K_EVEN_POS})
+THRESHOLD_CASES = frozenset(case for case, profile in _PROFILES.items() if profile.below != profile.above)
 EXTREMUM_CASES = THRESHOLD_CASES | {RayCase.POS_K_EVEN_NEG}
 
 
@@ -131,10 +131,11 @@ EXTREMUM_CASES = THRESHOLD_CASES | {RayCase.POS_K_EVEN_NEG}
 class RayAnalysis:
     """Everything the counting and root finding need to know about one ray.
 
-    ``r0`` is the extremum radius at params.c (None when f is monotone, inf
-    above the float range and 0.0 below it).  ``c0`` and ``log_beta`` exist
-    only in the two threshold cases; ``alpha``, ``case`` and ``c0`` come from
-    the ray table.
+    ``r0`` is the radius of f's interior extremum at params.c in EXTREMUM_CASES
+    (inf above the float range, 0.0 below it), and None in every other case:
+    f is monotone there, or, in NEG_K_ODD_NEG, every term of f is negative and
+    its maximum never reaches zero.  ``c0`` and ``log_beta`` exist only in the
+    two threshold cases; ``alpha``, ``case`` and ``c0`` come from the ray table.
     """
 
     params: FamilyParams
@@ -415,8 +416,8 @@ def count_at(analysis: RayAnalysis, c: float) -> int:
 
 
 def extremum_radius(analysis: RayAnalysis, c: float) -> float | None:
-    """r0 recomputed at an arbitrary c: None if f is monotone, inf above the
-    float range and 0.0 below it."""
+    """r0 recomputed at an arbitrary c: None outside EXTREMUM_CASES, as for
+    RayAnalysis.r0, inf above the float range and 0.0 below it."""
     _check_c(c)
     if analysis.case not in EXTREMUM_CASES:
         return None

@@ -349,6 +349,17 @@ class TestCsvListColumns:
         _, out, _ = run_cli(capsys, "thresholds", "--m", "5", "--k", "-4", "--format", "csv")
         assert [row["rays"] for row in parse_csv(out)] == ["0", "2;8"]
 
+    def test_cell_text_of_every_value_kind(self):
+        row = {
+            "none": None, "yes": True, "no": False, "rays": [0, 2, 8], "crossed": [0.1, math.inf, 5e-324, 1e22],
+            "empty": [], "inf": math.inf, "ninf": -math.inf, "nan": math.nan, "c": 0.1, "big": 1e22, "j": 3,
+            "case": "pos_k_odd_pos",
+        }
+        assert cli_mod._emit(argparse.Namespace(format="csv"), [row]) == (
+            "none,yes,no,rays,crossed,empty,inf,ninf,nan,c,big,j,case\n"
+            ",true,false,0;2;8,0.1;inf;5e-324;1e+22,,inf,-inf,nan,0.1,1e+22,3,pos_k_odd_pos\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -584,6 +595,22 @@ class TestToleranceConfig:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and name in err
+
+
+class TestModuleEntryPoint:
+    """python -m rayzeros.cli runs main and exits with its code."""
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["predict", "--m", "5", "--k", "4"], 0), (["predict", "--m", "4", "--k", "2"], 1)]
+    )
+    def test_same_output_and_exit_code_as_main(self, capsys, argv, code):
+        src = str(pathlib.Path(rayzeros.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rayzeros.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+        assert proc.returncode == code
 
 
 class TestLazyNumpy:

@@ -267,6 +267,10 @@ class TestEvaluate:
         z = evaluate(p, complex(1e80, 1e80))
         assert math.isinf(z.real) or math.isinf(z.imag)
 
+    def test_infinite_modulus_with_nan_angle_is_nan(self):
+        z = evaluate(validate(5, 4, 1.0), complex(math.inf, math.nan))
+        assert math.isnan(z.real) and math.isnan(z.imag)
+
     @pytest.mark.parametrize("m, k", [(4, 3), (4, -1), (12, -1), (12, 5), (5, 4), (5, -2), (13, 6), (13, -12)])
     @pytest.mark.parametrize("c", [1e-300, 1.0, 5.516689610200797e134, 1e300])
     def test_exact_on_the_axes(self, m, k, c):

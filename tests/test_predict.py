@@ -6,7 +6,10 @@ import random
 
 import pytest
 
+import rayzeros.rays as rays_mod
 from rayzeros import (
+    CountProfile,
+    RayCase,
     analyze_ray,
     count_at,
     predict_at,
@@ -64,6 +67,28 @@ class TestEquivalence:
         for m, k in valid_pairs(60):
             p = validate(m, k, 1.0)
             assert predict_table(p) == predict_census(p), (m, k)
+
+    def test_census_reads_the_case_table(self, monkeypatch):
+        """A wrong count profile moves the census band off the closed-form table."""
+        p = validate(5, 4, 1.0)
+        assert predict_census(p) == predict_table(p)
+        # the ray table is cached before the patch, so no table is built from the wrong profile
+        monkeypatch.setitem(rays_mod._PROFILES, RayCase.POS_K_ODD_POS, CountProfile(0, 1, 4))
+        assert predict_census(p) != predict_table(p)
+
+    def test_census_band_is_the_count_beyond_every_threshold_at_large_m(self):
+        rng = random.Random(2024)
+        pairs = [(10000, 9999), (10000, -9999)]
+        while len(pairs) < 14:
+            m = int(10.0 ** rng.uniform(1, 4))
+            pairs.append((m, rng.choice(valid_k_choices(m))))
+        for m, k in pairs:
+            p = validate(m, k, 1.0)
+            pred = predict_census(p)
+            c0s = [th.c0 for th in thresholds(p)]
+            below, above = predict_at(p, c0s[0] / 2.0), predict_at(p, c0s[-1] * 2.0)
+            assert sorted((below, above), reverse=k < 0) == [below, above], (m, k)
+            assert (min(below, above), max(below, above)) == (pred.min_count, pred.max_count), (m, k)
 
 
 class TestPredictAt:

@@ -28,6 +28,7 @@ from rayzeros import (
     validate,
 )
 from rayzeros.family import _over_power, alpha_from_residue, power_term, unit_direction
+from rayzeros.rays import EXTREMUM_CASES
 
 from conftest import brute_ray_count, valid_k_choices, valid_pairs
 
@@ -205,6 +206,30 @@ class TestOverflowRule:
                     infinite += 1
                     assert math.copysign(1.0, value) == mpmath.sign(exact), (p, j, r, z, value)
         assert infinite > 1000
+
+    @pytest.mark.parametrize(
+        "coeff, r, p, want",
+        [
+            (2.5, math.inf, 3, math.inf),
+            (-2.5, math.inf, 3, -math.inf),
+            (2.5, math.inf, -3, 0.0),
+            (-2.5, math.inf, -3, -0.0),
+            (3.0, 1e200, 2, math.inf),  # r ** p overflows
+            (-3.0, 1e200, 2, -math.inf),
+            (-1.0, 1e-200, -2, -math.inf),
+            (1.5, 10, 400, math.inf),  # an int power too large for a float
+            (-1.5, 10, 400, -math.inf),
+            (0.0, math.inf, 3, 0.0),
+        ],
+    )
+    def test_power_term_at_infinity_and_overflow(self, coeff, r, p, want):
+        got = power_term(coeff, r, p)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_int_radius_overflows_as_its_float(self):
+        p = validate(400, 1, 1.0)
+        ray = classify_ray(p, 0)
+        assert f_value(p, ray, 10) == f_value(p, ray, 10.0) == math.inf
 
 
 def reference_f_derivative(p, j: int, r: float) -> float:
@@ -451,11 +476,27 @@ class TestExtremum:
         assert a.r0 is None
         assert extremum_radius(a, 1.0) is None
 
+    def test_extremum_cases_are_the_sign_changes_of_f_prime_but_one(self):
+        """f' = (-1)^j m r^(m-1) + 2 c k alpha r^(k-1) changes sign once exactly
+        where (-1)^j and k alpha have opposite signs.  Those cases are the
+        extremum cases and NEG_K_ODD_NEG, whose terms are all negative, so its
+        maximum never reaches zero and r0 stays None."""
+        opposite, same = set(), set()
+        for m, k in valid_pairs(11):
+            p = validate(m, k, 1.0)
+            for j in range(2 * m):
+                a = analyze_ray(p, j)
+                (opposite if (-1) ** j * k * a.alpha < 0 else same).add(a.case)
+        assert not opposite & same
+        assert opposite == EXTREMUM_CASES | {RayCase.NEG_K_ODD_NEG}
+        assert len(opposite | same) == len(RayCase)
+
 
 class TestAnalysisFields:
     def test_presence_pattern(self):
         """r0/beta/c0 exist exactly for the threshold cases; r0 alone also for
-        the dipping k>0 even-ray case (the root finder splits brackets on it)."""
+        the dipping k>0 even-ray case, whose one zero lies beyond its minimum
+        (the root finder splits only a pair at r0)."""
         for m, k in valid_pairs(11):
             p = validate(m, k, 0.8)
             for j in range(2 * m):
