@@ -11,10 +11,24 @@ from .unity import *
 from .rays import *
 from .roots import *
 from .predict import *
-from .oracle import *
 
 __version__ = "0.1.0"
 
+# oracle.__all__: only verify needs the oracle, so __getattr__ loads it on first use (PEP 562)
+_ORACLE = ["OracleResult", "ComparisonReport", "ResolutionTooCoarse", "find_zeros_grid", "compare"]
+
 # each module's __all__ is its share of the public API
-__all__ = family.__all__ + unity.__all__ + rays.__all__ + roots.__all__ + predict.__all__ + oracle.__all__
+__all__ = family.__all__ + unity.__all__ + rays.__all__ + roots.__all__ + predict.__all__ + _ORACLE
 __all__ += ["__version__"]
+
+
+def __getattr__(name):
+    if name in _ORACLE:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_ORACLE})

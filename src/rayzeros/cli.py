@@ -35,7 +35,6 @@ import sys
 
 from . import __version__
 from .family import ParameterError, validate
-from .oracle import _MIN_RESOLUTION, ResolutionTooCoarse, compare, find_zeros_grid
 from .predict import predict_at, predict_census, predict_table
 from .rays import analyze_ray, count_at, thresholds
 from .roots import Tolerances, all_zeros
@@ -54,6 +53,21 @@ _LOG_MAX = math.log(sys.float_info.max)  # exp(x) is finite for x <= _LOG_MAX
 
 class _InvalidInput(Exception):
     """A flag or environment value out of range: exit 1 with the message."""
+
+
+def _oracle():
+    """The grid oracle, imported on first use: only verify needs it."""
+    from . import oracle
+
+    return oracle
+
+
+def find_zeros_grid(params, resolution=256):
+    return _oracle().find_zeros_grid(params, resolution)
+
+
+def compare(params, oracle_res, ray_zeros):
+    return _oracle().compare(params, oracle_res, ray_zeros)
 
 
 def _fmt(value):
@@ -118,17 +132,9 @@ def _cmd_classify(args, params) -> list[dict]:
 
 
 def _cmd_predict(args, params) -> list[dict]:
-    rows = []
-    for pred in (predict_table(params), predict_census(params)):
-        rows.append(
-            {
-                "source": pred.source,
-                "min_count": pred.min_count,
-                "max_count": pred.max_count,
-                "direction": pred.direction,
-            }
-        )
-    return rows
+    # source leads each row; _asdict() sets it again, which keeps its place
+    preds = (predict_table(params), predict_census(params))
+    return [{"source": pred.source, **pred._asdict()} for pred in preds]
 
 
 def _cmd_zeros(args, params) -> list[dict]:
@@ -185,8 +191,9 @@ def _cmd_sweep(args, params) -> list[dict]:
 
 
 def _cmd_verify(args, params) -> list[dict]:
-    if args.resolution < _MIN_RESOLUTION:
-        raise _InvalidInput(f"verify needs --resolution >= {_MIN_RESOLUTION}, got {args.resolution}")
+    least = _oracle()._MIN_RESOLUTION
+    if args.resolution < least:
+        raise _InvalidInput(f"verify needs --resolution >= {least}, got {args.resolution}")
     table, cen = predict_table(params), predict_census(params)
     records = all_zeros(params, args.tolerances)
     predicted = predict_at(params, params.c)
@@ -289,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         rows = args.run(args, params)
     except _InvalidInput as exc:
         return _invalid(str(exc))
-    except (ArithmeticError, ResolutionTooCoarse) as exc:
+    except (ArithmeticError, _oracle().ResolutionTooCoarse) as exc:  # built only while an error propagates
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

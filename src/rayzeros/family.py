@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 __all__ = [
     "Sign",
@@ -76,8 +76,7 @@ class Sign(IntEnum):
 _SIGNS = (Sign.POSITIVE, Sign.ZERO, Sign.NEGATIVE)
 
 
-@dataclass(frozen=True, slots=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     """Validated member of the family: degrees m, k and the positive weight c.
 
     Construct through :func:`validate`; direct construction skips the checks.
@@ -88,8 +87,7 @@ class FamilyParams:
     c: float
 
 
-@dataclass(frozen=True, slots=True)
-class RayDescriptor:
+class RayDescriptor(NamedTuple):
     """One of the 2m rays carrying zeros.
 
     ``residue`` is t = k*j mod 2m normalized to [0, 2m); alpha = cos(pi*t/m)

@@ -31,7 +31,7 @@ import bisect
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .family import FamilyParams
 
@@ -47,20 +47,18 @@ class ResolutionTooCoarse(RuntimeError):
     subdivision budget (rescan finer), or the annulus leaves the float range."""
 
 
-@dataclass(slots=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     zeros: list[complex]
     grid_resolution: int
     annulus: tuple[float, float]
     params: FamilyParams | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     matched: int
     max_distance: float
-    unmatched_oracle: tuple[complex, ...] = field(default=())
-    unmatched_ray: tuple[complex, ...] = field(default=())
+    unmatched_oracle: tuple[complex, ...] = ()
+    unmatched_ray: tuple[complex, ...] = ()
 
     @property
     def clean(self) -> bool:

@@ -11,7 +11,7 @@ count at one c is a bisection over the ray table's sorted thresholds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .family import FamilyParams, _check_c
 from .rays import _CASES, _PROFILES, ray_table
@@ -22,8 +22,7 @@ from .unity import census
 __all__ = ["CountPrediction", "predict_table", "predict_census", "predict_at"]
 
 
-@dataclass(frozen=True, slots=True)
-class CountPrediction:
+class CountPrediction(NamedTuple):
     """Count band over all c: min_count <= #zeros <= max_count.
 
     direction says which end is reached for small c: counts increase with c
@@ -34,7 +33,16 @@ class CountPrediction:
     min_count: int
     max_count: int
     direction: str
-    source: str = field(compare=False, default="")
+    source: str = ""
+
+    def __eq__(self, other):
+        return self[:3] == other[:3] if isinstance(other, CountPrediction) else NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:3])
 
 
 def _direction(k: int) -> str:
@@ -73,8 +81,7 @@ def predict_table(params: FamilyParams) -> CountPrediction:
 def predict_census(params: FamilyParams) -> CountPrediction:
     """Count band rebuilt from the exact parity/sign census of the rays and
     each case's counts below and above its threshold."""
-    cen = census(params)
-    tally = [getattr(cen, f.name) for f in fields(cen)]  # in the kind order of _CASES
+    tally = census(params)  # its fields are in the kind order of _CASES
     profiles = [_PROFILES[case] for case in _CASES[params.k > 0]]
     below = sum(n * profile.below for n, profile in zip(tally, profiles))
     above = sum(n * profile.above for n, profile in zip(tally, profiles))

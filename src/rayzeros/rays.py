@@ -40,10 +40,10 @@ import operator
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, compress, cycle
+from typing import NamedTuple
 
 from .family import (
     FamilyParams,
@@ -94,8 +94,7 @@ class RayCase(Enum):
     NEG_K_EVEN_POS = "neg_k_even_pos"
 
 
-@dataclass(frozen=True, slots=True)
-class CountProfile:
+class CountProfile(NamedTuple):
     below: int
     at_threshold: int
     above: int
@@ -127,8 +126,7 @@ THRESHOLD_CASES = frozenset(case for case, profile in _PROFILES.items() if profi
 EXTREMUM_CASES = THRESHOLD_CASES | {RayCase.POS_K_EVEN_NEG}
 
 
-@dataclass(frozen=True, slots=True)
-class RayAnalysis:
+class RayAnalysis(NamedTuple):
     """Everything the counting and root finding need to know about one ray.
 
     ``r0`` is the radius of f's interior extremum at params.c in EXTREMUM_CASES
@@ -153,8 +151,7 @@ class RayAnalysis:
         return None if self.log_beta is None else _exp(self.log_beta)
 
 
-@dataclass(frozen=True, slots=True)
-class Threshold:
+class Threshold(NamedTuple):
     """A critical parameter value and the rays that share it exactly."""
 
     c0: float
@@ -289,8 +286,7 @@ def _multiplicity(m: int, row: int) -> int:
     return 1 if row in (0, m) else 2
 
 
-@dataclass(frozen=True, slots=True)
-class RayTable:
+class RayTable(NamedTuple):
     """The c-independent facts of every ray of one (m, k), one row per conjugate group.
 
     Row j (0 <= j <= m) stands for ray j and its mirror 2m - j; parity, rays

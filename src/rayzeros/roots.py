@@ -21,8 +21,8 @@ code for one analyzed ray.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .family import FamilyParams, _over_power, evaluate, power_term, unit_direction
 from .rays import (
@@ -72,8 +72,7 @@ class DegenerateTangency(Exception):
         self.r0 = r0
 
 
-@dataclass(frozen=True, slots=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Refinement and acceptance tolerances.
 
     radius_rtol: the Newton step in log r (a relative change of r) at which
@@ -89,8 +88,7 @@ class Tolerances:
     residual_rtol: float = 1e-10
 
 
-@dataclass(frozen=True, slots=True)
-class ZeroRecord:
+class ZeroRecord(NamedTuple):
     """A located zero: ray index, radius, complex position, recomputed residual."""
 
     j: int

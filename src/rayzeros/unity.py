@@ -8,7 +8,7 @@ parity and by the sign of Re omega^j is all the global zero count needs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .family import FamilyParams
 # classify_ray is unused here but stays bound: perfbench/tracing.py counts unity.classify_ray
@@ -18,8 +18,7 @@ from .rays import ray_table
 __all__ = ["ParityCensus", "positive_halfplane_count", "census", "group_order"]
 
 
-@dataclass(frozen=True, slots=True)
-class ParityCensus:
+class ParityCensus(NamedTuple):
     """Counts of j in [0, 2m) split by parity of j and sign of Re omega^j."""
 
     even_pos: int

@@ -10,6 +10,7 @@ import pytest
 
 import rayzeros
 from rayzeros import family, oracle, predict, rays, roots, unity
+from rayzeros.rays import RayTable
 
 MODULES = (family, unity, rays, roots, predict, oracle)
 
@@ -56,3 +57,75 @@ def test_version_matches_pyproject():
     else:
         version = re.search(r'^version = "([^"]+)"', text, re.MULTILINE).group(1)
     assert version == rayzeros.__version__
+
+
+P = rayzeros.FamilyParams(m=5, k=4, c=1.0)
+RAY = rayzeros.RayDescriptor(j=3, angle=1.8849555921538759, parity=1, alpha_sign=rayzeros.Sign.POSITIVE, residue=2)
+PROFILE = rayzeros.CountProfile(below=0, at_threshold=1, above=2)
+# every record class: keyword values for its fields without a default, then
+# its defaults, each in field order.  RayTable's arrays and OracleResult's list
+# are tuples here so that the records hash
+RECORDS = {
+    rayzeros.FamilyParams: (dict(m=5, k=4, c=1.0), {}),
+    rayzeros.RayDescriptor: (RAY._asdict(), {}),
+    rayzeros.ParityCensus: (dict(even_pos=3, even_zero=0, even_neg=2, odd_pos=3, odd_zero=0, odd_neg=2), {}),
+    rayzeros.CountProfile: (dict(below=0, at_threshold=1, above=2), {}),
+    rayzeros.RayAnalysis: (
+        dict(params=P, ray=RAY, alpha=0.3090169943749474, case=rayzeros.RayCase.POS_K_ODD_POS, profile=PROFILE),
+        dict(r0=None, log_beta=None, c0=None),
+    ),
+    rayzeros.Threshold: (dict(c0=0.8246924442330589, rays=(5,), alpha=1.0), {}),
+    rayzeros.Tolerances: ({}, dict(radius_rtol=1e-12, residual_rtol=1e-10)),
+    rayzeros.ZeroRecord: (dict(j=5, r=1.0, z=-1 + 0j, residual=0.0, degenerate=False), {}),
+    rayzeros.CountPrediction: (dict(min_count=5, max_count=11, direction="increasing"), dict(source="")),
+    rayzeros.OracleResult: (dict(zeros=(-1 + 0j,), grid_resolution=64, annulus=(0.68, 5.5)), dict(params=None)),
+    rayzeros.ComparisonReport: (dict(matched=7, max_distance=2.2e-16), dict(unmatched_oracle=(), unmatched_ray=())),
+    RayTable: (
+        dict(m=1, k=-1, alpha=(1.0, -1.0), case=(rayzeros.RayCase.NEG_K_EVEN_POS,) * 2, c0=(0.5, None),
+             order=(0,), c0s=(0.5,), steps=(0, -2), base=3, census=(1, 0, 0, 0, 0, 1)),
+        {},
+    ),
+}
+
+
+def test_every_public_record_is_listed():
+    public = {getattr(rayzeros, name) for name in rayzeros.__all__}
+    assert {cls for cls in public if isinstance(cls, type) and issubclass(cls, tuple)} == set(RECORDS) - {RayTable}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_contract(cls):
+    given, defaults = RECORDS[cls]
+    rec = cls(**given)
+    assert rec._fields == (*given, *defaults)
+    assert {name: getattr(rec, name) for name in defaults} == defaults
+    twin = cls(**given)
+    assert rec == twin and not rec != twin and hash(rec) == hash(twin)
+    shown = ", ".join(f"{name}={getattr(rec, name)!r}" for name in rec._fields)
+    assert repr(rec) == f"{cls.__name__}({shown})"
+    with pytest.raises(AttributeError):
+        setattr(rec, rec._fields[0], 0)
+    with pytest.raises(AttributeError):
+        rec.extra = 0
+    copy = rec._replace(**{rec._fields[0]: getattr(rec, rec._fields[0])})
+    assert type(copy) is cls and copy == rec
+
+
+@pytest.mark.parametrize("m, k", [(5, 4), (5, -4), (12, 7), (9, -2)])
+def test_count_prediction_equality_ignores_source(m, k):
+    p = rayzeros.validate(m, k, 1.0)
+    table, cen = rayzeros.predict_table(p), rayzeros.predict_census(p)
+    assert (table.source, cen.source) == ("table", "census")
+    assert table == cen and not table != cen and hash(table) == hash(cen)
+    wider = cen._replace(max_count=cen.max_count + 1)
+    assert table != wider and not table == wider
+
+
+def test_dir_lists_every_public_name():
+    assert set(rayzeros.__all__) <= set(dir(rayzeros))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from rayzeros import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(rayzeros.__all__)

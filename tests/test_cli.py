@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -476,15 +475,14 @@ class TestExitCodes:
 
         def drop_one(params, resolution=256):
             res = grid(params, resolution)
-            res.zeros = res.zeros[1:]
-            return res
+            return res._replace(zeros=res.zeros[1:])
 
         name, fake = {
             "oracle_agreement": ("find_zeros_grid", drop_one),
             "ray_count_vs_prediction": ("predict_at", lambda params, c: at(params, c) + 1),
             "table_census_equivalence": (
                 "predict_census",
-                lambda params: dataclasses.replace(census(params), max_count=census(params).max_count + 1),
+                lambda params: census(params)._replace(max_count=census(params).max_count + 1),
             ),
         }[check]
         monkeypatch.setattr(cli_mod, name, fake)
@@ -641,3 +639,55 @@ class TestLazyNumpy:
             capture_output=True, text=True, env=env, timeout=120, check=True,
         )
         assert proc.stdout.split() == ["0", "False"]
+
+
+class TestWhatEachCommandLoads:
+    """A process imports only what its command needs: no command loads
+    dataclasses or inspect, and only verify loads the grid oracle."""
+
+    SCRIPT = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import rayzeros.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = rayzeros.cli.main(sys.argv[1:])\n"
+        "print(rc, *sorted(set(sys.modules) - before))\n"
+    )
+
+    @staticmethod
+    def run(*argv):
+        src = str(pathlib.Path(rayzeros.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-c", *argv], capture_output=True, text=True, env=env, timeout=120, check=True
+        )
+        return proc.stdout.split()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--m", "5", "--k", "4"],
+            ["predict", "--m", "5", "--k", "-4"],
+            ["zeros", "--m", "5", "--k", "4", "--c", "3"],
+            ["thresholds", "--m", "7", "--k", "2"],
+            ["sweep", "--m", "5", "--k", "4", "--c-min", "0.5", "--c-max", "3", "--steps", "4"],
+            ["verify", "--m", "5", "--k", "4", "--c", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_added_modules(self, argv):
+        rc, *added = self.run(self.SCRIPT, *argv)
+        assert rc == "0"
+        assert "rayzeros.cli" in added
+        assert not {"dataclasses", "inspect"} & set(added)
+        assert ("rayzeros.oracle" in added) == (argv[0] == "verify")
+
+    def test_package_loads_the_oracle_on_first_use(self):
+        script = (
+            "import sys\n"
+            "import rayzeros\n"
+            "print('rayzeros.oracle' in sys.modules)\n"
+            "rayzeros.find_zeros_grid\n"
+            "print('rayzeros.oracle' in sys.modules)\n"
+        )
+        assert self.run(script) == ["False", "True"]

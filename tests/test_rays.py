@@ -472,7 +472,15 @@ class TestExtremum:
         assert math.isclose(r2 / r1, 2.0 ** (1.0 / (5 - 4)), rel_tol=1e-12)
 
     def test_monotone_cases_have_no_r0(self):
+        a = analyze_ray(validate(5, 4, 1.0), 0)
+        assert a.case is RayCase.POS_K_EVEN_POS
+        assert a.r0 is None
+        assert extremum_radius(a, 1.0) is None
+
+    def test_all_negative_case_has_no_r0(self):
+        """f' changes sign on a NEG_K_ODD_NEG ray, but f < 0 throughout."""
         a = analyze_ray(validate(5, -4, 1.0), 1)
+        assert a.case is RayCase.NEG_K_ODD_NEG
         assert a.r0 is None
         assert extremum_radius(a, 1.0) is None
 

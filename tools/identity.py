@@ -1,0 +1,86 @@
+"""Check that two rayzeros checkouts answer 845 CLI command lines byte for byte alike.
+
+    python tools/identity.py BEFORE AFTER
+
+BEFORE and AFTER are checkout roots (each holds src/rayzeros).  Each command
+line runs once per checkout, as ``python -B -c "...main()" <argv>`` in a
+temporary working directory, so nothing is written under either checkout.
+Every line whose stdout, stderr or exit code differs is printed with both
+exit codes and the end of both stderrs; the last line gives the count of
+differing lines and how many lines ended with each exit code.  The exit status
+is 1 if any line differs.
+
+The lines cover every command in both formats on 8 pairs at 9 values of c
+from 5e-324 to 1.7e308, sweeps over the whole float range, invalid parameters,
+tolerances, resolutions, sweep ranges and output paths (exit 1), argparse
+usage errors and coarse-grid verify mismatches (exit 2), and numerical
+failures (exit 3).
+"""
+from __future__ import annotations
+
+import itertools
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+
+CLI = "import sys; from rayzeros.cli import main; sys.exit(main())"
+PAIRS = [(5, 4), (5, -4), (7, 2), (12, 7), (49, 10), (30, -29), (60, 59), (9, -2)]
+CS = ["5e-324", "1e-300", "1e-10", "0.3", "1", "3", "1e10", "1e200", "1.7e308"]
+
+
+def command_lines() -> list[list[str]]:
+    lines = []
+    for (m, k), c, fmt in itertools.product(PAIRS, CS, ("json", "csv")):
+        base = ["--m", str(m), "--k", str(k), "--c", c, "--format", fmt]
+        lines += [[cmd, *base] for cmd in ("classify", "predict", "zeros", "thresholds")]
+        lines.append(["verify", *base, "--resolution", "64" if c in ("1e200", "1.7e308") else "128"])
+    sweeps = [("0.1", "10", "17", "log"), ("5e-324", "1.7e308", "9", "log"), ("0.5", "3", "6", "linear")]
+    for (m, k), fmt in itertools.product(PAIRS, ("json", "csv")):
+        base = ["--m", str(m), "--k", str(k), "--format", fmt]
+        lines += [["sweep", *base, "--c-min", lo, "--c-max", hi, "--steps", n, "--spacing", sp] for lo, hi, n, sp in sweeps]
+        lines.append(["verify", *base, "--c", "1", "--resolution", "64"])
+    # exit 1: invalid parameters, tolerances, resolutions, sweep ranges, output path
+    bad = [("4", "2", "1"), ("5", "0", "1"), ("5", "5", "1"), ("5", "7", "1"), ("5", "4", "0"), ("5", "4", "-1"),
+           ("5", "4", "nan"), ("5", "4", "inf")]
+    lines += [["zeros", "--m", m, "--k", k, "--c", c] for m, k, c in bad]
+    lines += [["zeros", "--m", "5", "--k", "4", "--c", "1", flag, v]
+              for flag in ("--tol-radius", "--tol-residual") for v in ("0", "-1", "inf", "nan")]
+    lines += [["verify", "--m", "5", "--k", "4", "--c", "1", "--resolution", r] for r in ("0", "63", "64")]
+    lines += [["sweep", "--m", "5", "--k", "4", "--c-min", a, "--c-max", b, "--steps", n]
+              for a, b, n in [("1", "1", "5"), ("2", "1", "5"), ("0", "1", "5"), ("1", "2", "1"), ("1", "inf", "5")]]
+    lines.append(["predict", "--m", "5", "--k", "4", "--output", "/nonexistent/dir/out.json"])
+    # exit 2: argparse usage errors, then verify at coarse grids, where some mismatch and some exit 3
+    lines += [["zeros", "--m", "5", "--k", "4"], ["predict", "--m", "5"], ["nosuch"], [],
+              ["predict", "--m", "5", "--k", "4", "--format", "xml"], ["predict", "--m", "x", "--k", "4"]]
+    lines += [["verify", "--m", str(m), "--k", str(k), "--c", c, "--resolution", r]
+              for m, k in [(30, -29), (60, 59), (49, 10), (13, 12), (21, -20)] for c in ("0.5", "1", "2") for r in ("64", "96")]
+    return lines
+
+
+def main() -> int:
+    before, after = sys.argv[1:3]
+    lines = command_lines()
+    with tempfile.TemporaryDirectory() as scratch:
+
+        def run(root: str, argv: list[str]):
+            env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+            proc = subprocess.run(
+                [sys.executable, "-B", "-c", CLI, *argv], capture_output=True, env=env, cwd=scratch, timeout=300
+            )
+            return proc.returncode, proc.stdout, proc.stderr
+
+        codes, differ = {}, 0
+        with ThreadPoolExecutor(2) as pool:
+            for argv, a, b in pool.map(lambda argv: (argv, run(before, argv), run(after, argv)), lines):
+                codes[a[0]] = codes.get(a[0], 0) + 1
+                if a != b:
+                    differ += 1
+                    print("DIFF", argv, a[0], b[0], a[2][-200:], b[2][-200:])
+    print(f"{len(lines)} command lines, {differ} differ; exit codes {sorted(codes.items())}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
