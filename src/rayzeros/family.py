@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -104,10 +105,11 @@ class RayDescriptor(NamedTuple):
 def validate(m: int, k: int, c: float) -> FamilyParams:
     """Gate-keep the family parameters, raising a specific rejection.
 
-    Raises ZeroKError, DegreeOrderError, NonCoprimeError or NonPositiveCError.
+    Raises ZeroKError, DegreeOrderError, NonCoprimeError or NonPositiveCError,
+    and ParameterError for a degree that is not equal to an integer.
     """
-    m = int(m)
-    k = int(k)
+    m = _degree("m", m)
+    k = _degree("k", k)
     c = float(c)
     if k == 0:
         raise ZeroKError("k must be a nonzero integer")
@@ -117,6 +119,16 @@ def validate(m: int, k: int, c: float) -> FamilyParams:
         raise NonCoprimeError(f"need gcd(m, |k|) = 1, got gcd({m}, {abs(k)}) = {math.gcd(m, abs(k))}")
     _check_c(c)
     return FamilyParams(m=m, k=k, c=c)
+
+
+def _degree(name: str, value) -> int:
+    """value as an int where it equals one: an int, an integral float or a numpy integer."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # not a number, nan or inf
+        pass
+    raise ParameterError(f"{name} must be an integer, got {name}={value!r}")
 
 
 def _check_c(c: float) -> None:
@@ -174,6 +186,10 @@ def classify_ray(params: FamilyParams, j: int) -> RayDescriptor:
     never misread, no matter how large m gets.
     """
     m = params.m
+    try:
+        j = operator.index(j)
+    except TypeError:
+        raise RayIndexError(f"ray index {j!r} is not an integer") from None
     if not 0 <= j < 2 * m:
         raise RayIndexError(f"ray index {j} outside [0, {2 * m - 1}]")
     t = (params.k * j) % (2 * m)

@@ -48,7 +48,7 @@ class ResolutionTooCoarse(RuntimeError):
 
 
 class OracleResult(NamedTuple):
-    zeros: list[complex]
+    zeros: tuple[complex, ...]
     grid_resolution: int
     annulus: tuple[float, float]
     params: FamilyParams | None = None
@@ -243,10 +243,8 @@ def find_zeros_grid(params: FamilyParams, resolution: int = 256) -> OracleResult
         if all(abs(z - w) > 10.0 * REFINE_TOL for w in zeros[near:]):
             zeros.append(z)
             radii.append(rz)
-    zeros.sort(key=lambda w: (math.atan2(w.imag, w.real), abs(w)))
-    return OracleResult(
-        zeros=zeros, grid_resolution=resolution, annulus=(r_lo, r_hi), params=params
-    )
+    by_angle = tuple(sorted(zeros, key=lambda w: (math.atan2(w.imag, w.real), abs(w))))
+    return OracleResult(zeros=by_angle, grid_resolution=resolution, annulus=(r_lo, r_hi), params=params)
 
 
 def compare(params: FamilyParams, oracle_res: OracleResult, ray_zeros) -> ComparisonReport:
@@ -260,7 +258,7 @@ def compare(params: FamilyParams, oracle_res: OracleResult, ray_zeros) -> Compar
             f"oracle result was computed for {oracle_res.params}, not {params}"
         )
     cap = 1e-3
-    a = list(oracle_res.zeros)
+    a = oracle_res.zeros
     b = [rec.z for rec in ray_zeros]
     # only pairs within the cap can match: window b by real part (padded to
     # 2 cap against rounding), keep the pairs in (i, jj) order and sort them

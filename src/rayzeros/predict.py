@@ -1,13 +1,14 @@
 """Global zero counts, predicted two independent ways.
 
 The closed-form route reads (min, max) straight off the modular case table
-keyed by m mod 4 and the parity of k.  The census route rebuilds the same
-numbers from the exact per-ray enumeration: the census counts the rays of
-each of the six (parity, alpha sign) kinds, the per-ray case table names each
-kind's case, and the case's count profile gives its zeros below and above its
-threshold.  The two routes agreeing for every coprime pair is a machine check
-of the case table that the exact counts and the root finder use.  The exact
-count at one c is a bisection over the ray table's sorted thresholds.
+keyed by the sign of k, m mod 4 and the parity of k.  The census route
+rebuilds the same numbers from the exact per-ray enumeration: the census
+counts the rays of each of the six (parity, alpha sign) kinds, the per-ray
+case table names each kind's case, and the case's count profile gives its
+zeros below and above its threshold.  The two routes agreeing for every
+coprime pair is a machine check of the case table that the exact counts and
+the root finder use.  The exact count at one c is two bisections of the ray
+table's sorted thresholds, at the bounds of the tangency band.
 """
 from __future__ import annotations
 
@@ -49,33 +50,21 @@ def _direction(k: int) -> str:
     return "increasing" if k > 0 else "decreasing"
 
 
-def _table_counts(m: int, k: int) -> tuple[int, int]:
-    odd_k = k % 2 == 1
-    if k > 0:
-        if m % 4 == 0:
-            n = m
-        elif m % 4 == 1:
-            n = m - 1 if odd_k else m + 1
-        elif m % 4 == 2:
-            n = m - 2
-        else:
-            n = m + 1 if odd_k else m - 1
-        return m, m + n
-    if m % 4 == 0:
-        mm, n = m + 1, m - 2
-    elif m % 4 == 1:
-        mm, n = (m - 1, m + 1) if odd_k else (m, m + 1)
-    elif m % 4 == 2:
-        mm, n = m - 1, m
-    else:
-        mm, n = (m + 1, m - 1) if odd_k else (m, m - 1)
-    return mm, mm + n
+# the closed-form band as (min - m, max - min - m), keyed by (k > 0, m mod 4, k mod 2);
+# k is odd wherever m is even, since gcd(m, |k|) = 1
+_MODULAR = {
+    (True, 0, 1): (0, 0), (True, 1, 0): (0, 1), (True, 1, 1): (0, -1),
+    (True, 2, 1): (0, -2), (True, 3, 0): (0, -1), (True, 3, 1): (0, 1),
+    (False, 0, 1): (1, -2), (False, 1, 0): (0, 1), (False, 1, 1): (-1, 1),
+    (False, 2, 1): (-1, 0), (False, 3, 0): (0, -1), (False, 3, 1): (1, -1),
+}
 
 
 def predict_table(params: FamilyParams) -> CountPrediction:
     """Count band from the closed-form modular table."""
-    lo, hi = _table_counts(params.m, params.k)
-    return CountPrediction(lo, hi, _direction(params.k), source="table")
+    m, k = params.m, params.k
+    low, span = _MODULAR[k > 0, m % 4, k % 2]
+    return CountPrediction(m + low, 2 * m + low + span, _direction(k), source="table")
 
 
 def predict_census(params: FamilyParams) -> CountPrediction:

@@ -268,8 +268,12 @@ def _r0(m: int, k: int, alpha: float, c: float) -> float:
 
 
 def _in_band(c: float, c0: float) -> bool:
-    """True when c sits in the tangency band around c0."""
-    return abs(c - c0) <= DEGENERACY_RTOL * c0
+    """True when c sits in the tangency band around c0.
+
+    The band is stated as an interval of c0, so the c0s whose band holds c
+    are one run of any sorted list of them (RayTable.count).
+    """
+    return c / (1.0 + DEGENERACY_RTOL) <= c0 <= c / (1.0 - DEGENERACY_RTOL)
 
 
 def _count(profile: CountProfile, c0: float | None, c: float) -> int:
@@ -281,11 +285,6 @@ def _count(profile: CountProfile, c0: float | None, c: float) -> int:
     return profile.below if c < c0 else profile.above
 
 
-def _multiplicity(m: int, row: int) -> int:
-    """Rays in a row's conjugate group: 1 for the axis rows 0 and m, else 2."""
-    return 1 if row in (0, m) else 2
-
-
 class RayTable(NamedTuple):
     """The c-independent facts of every ray of one (m, k), one row per conjugate group.
 
@@ -293,8 +292,8 @@ class RayTable(NamedTuple):
     and count profile follow from j and the case.  ``alpha``, ``case`` and
     ``c0`` (None outside the two threshold cases) are indexed by row.
     ``order`` lists the threshold rows by increasing c0 and ``c0s`` holds
-    their c0 in that order; ``steps[i]`` is the count gained when the first i
-    of them are passed, and ``base`` is the count below every threshold.
+    their c0 in that order; ``steps[i]`` is the total count once the first i
+    of them are passed, so ``steps[0]`` is the count below every threshold.
     ``census`` counts the 2m rays by parity and exact alpha sign, in the field
     order of unity.ParityCensus.
     """
@@ -307,29 +306,25 @@ class RayTable(NamedTuple):
     order: array
     c0s: array
     steps: array
-    base: int
     census: tuple[int, ...]
 
     def row(self, j: int) -> int:
         return min(j, 2 * self.m - j)
 
     def rays(self, row: int) -> tuple[int, ...]:
-        return (row,) if _multiplicity(self.m, row) == 1 else (row, 2 * self.m - row)
+        """The rays of a row's conjugate group: the axis rows 0 and m stand for one."""
+        return (row,) if row in (0, self.m) else (row, 2 * self.m - row)
 
     def count(self, c: float) -> int:
         """Total zero count at c.
 
-        Bisection finds the thresholds c has certainly passed; the exact band
-        test runs only on the rows whose c0 lies within twice the band of c.
+        The c0s whose tangency band holds c are the run c0s[a:b] between
+        _in_band's two bounds.  Every threshold case counts at c0 the mean of
+        its counts below and above, so each row of that run adds half its gain.
         """
-        lo = bisect_left(self.c0s, c * (1.0 - 2.0 * DEGENERACY_RTOL))
-        hi = bisect_right(self.c0s, c * (1.0 + 2.0 * DEGENERACY_RTOL), lo)
-        total = self.base + self.steps[lo]
-        for i in range(lo, hi):
-            row = self.order[i]
-            profile = _PROFILES[self.case[row]]
-            total += _multiplicity(self.m, row) * (_count(profile, self.c0s[i], c) - profile.below)
-        return total
+        a = bisect_left(self.c0s, c / (1.0 + DEGENERACY_RTOL))
+        b = bisect_right(self.c0s, c / (1.0 - DEGENERACY_RTOL), a)
+        return self.steps[a] + (self.steps[b] - self.steps[a]) // 2
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -353,10 +348,11 @@ def ray_table(m: int, k: int) -> RayTable:
     for row, log_beta in zip(rows, _log_betas(m, k, map(alpha_of.__getitem__, map(folded.__getitem__, rows)))):
         c0[row] = math.exp(-(m - k) / m * log_beta)
     order = sorted(rows, key=c0.__getitem__)
-    unit = [profile.above - profile.below for profile in profiles]  # count gained per ray as c0 is passed
-    gain = list(map([2 * u for u in unit].__getitem__, kinds))
-    for row in (0, m):  # the axis rows stand for one ray each
-        gain[row] = _multiplicity(m, row) * unit[kinds[row]]
+    # count gained per row as its c0 is passed: two rays each, halved on the axis rows 0 and m
+    gain = list(map([2 * (profile.above - profile.below) for profile in profiles].__getitem__, kinds))
+    gain[0] //= 2
+    gain[m] //= 2
+    below = sum(count * profile.below for count, profile in zip(tally, profiles))  # the count below every c0
     return RayTable(
         m=m,
         k=k,
@@ -365,8 +361,7 @@ def ray_table(m: int, k: int) -> RayTable:
         c0=tuple(c0),
         order=array("q", order),
         c0s=array("d", map(c0.__getitem__, order)),
-        steps=array("q", accumulate(map(gain.__getitem__, order), initial=0)),
-        base=sum(count * profile.below for count, profile in zip(tally, profiles)),
+        steps=array("q", accumulate(map(gain.__getitem__, order), initial=below)),
         census=tuple(tally),
     )
 

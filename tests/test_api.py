@@ -63,8 +63,8 @@ P = rayzeros.FamilyParams(m=5, k=4, c=1.0)
 RAY = rayzeros.RayDescriptor(j=3, angle=1.8849555921538759, parity=1, alpha_sign=rayzeros.Sign.POSITIVE, residue=2)
 PROFILE = rayzeros.CountProfile(below=0, at_threshold=1, above=2)
 # every record class: keyword values for its fields without a default, then
-# its defaults, each in field order.  RayTable's arrays and OracleResult's list
-# are tuples here so that the records hash
+# its defaults, each in field order.  RayTable's arrays are tuples here so
+# that the record hashes
 RECORDS = {
     rayzeros.FamilyParams: (dict(m=5, k=4, c=1.0), {}),
     rayzeros.RayDescriptor: (RAY._asdict(), {}),
@@ -82,7 +82,7 @@ RECORDS = {
     rayzeros.ComparisonReport: (dict(matched=7, max_distance=2.2e-16), dict(unmatched_oracle=(), unmatched_ray=())),
     RayTable: (
         dict(m=1, k=-1, alpha=(1.0, -1.0), case=(rayzeros.RayCase.NEG_K_EVEN_POS,) * 2, c0=(0.5, None),
-             order=(0,), c0s=(0.5,), steps=(0, -2), base=3, census=(1, 0, 0, 0, 0, 1)),
+             order=(0,), c0s=(0.5,), steps=(3, 1), census=(1, 0, 0, 0, 0, 1)),
         {},
     ),
 }
@@ -109,6 +109,9 @@ def test_record_contract(cls):
         rec.extra = 0
     copy = rec._replace(**{rec._fields[0]: getattr(rec, rec._fields[0])})
     assert type(copy) is cls and copy == rec
+    if cls is rayzeros.OracleResult:  # a real scan's result hashes too
+        p = rayzeros.validate(5, 4, 1.0)
+        assert hash(rayzeros.find_zeros_grid(p, 64)) == hash(rayzeros.find_zeros_grid(p, 64))
 
 
 @pytest.mark.parametrize("m, k", [(5, 4), (5, -4), (12, 7), (9, -2)])

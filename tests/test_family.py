@@ -4,9 +4,11 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import re
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,10 +16,12 @@ from rayzeros import (
     DegreeOrderError,
     NonCoprimeError,
     NonPositiveCError,
+    ParameterError,
     PoleAtOriginError,
     RayIndexError,
     Sign,
     ZeroKError,
+    analyze_ray,
     classify_ray,
     evaluate,
     validate,
@@ -59,6 +63,31 @@ class TestValidate:
         # m = 2 satisfies every invariant; nothing special-cases it
         assert validate(2, 1, 1.0).m == 2
 
+    def test_accepts_integral_degrees_of_any_type(self):
+        for m, k, want in ((5.0, 4.0, (5, 4)), (np.int64(5), np.int32(-4), (5, -4)), (np.float64(5.0), -4, (5, -4))):
+            p = validate(m, k, 1.0)
+            assert (p.m, p.k) == want and (type(p.m), type(p.k)) == (int, int)
+
+    @pytest.mark.parametrize(
+        "m, k, shown",
+        [
+            (5.5, 4, "m=5.5"),
+            (5, 4.9, "k=4.9"),
+            (5, -4.1, "k=-4.1"),
+            (math.inf, 4, "m=inf"),
+            (5, math.inf, "k=inf"),
+            (math.nan, 4, "m=nan"),
+            (5, -math.inf, "k=-inf"),
+            (np.float64(5.5), 4, f"m={np.float64(5.5)!r}"),
+            ("5", 4, "m='5'"),
+            (None, 4, "m=None"),
+        ],
+    )
+    def test_rejects_non_integral_degree(self, m, k, shown):
+        with pytest.raises(ParameterError, match=re.escape(shown)) as exc:
+            validate(m, k, 1.0)
+        assert type(exc.value) is ParameterError
+
 
 class TestClassifyRay:
     def test_ray_zero_is_positive_even(self):
@@ -84,6 +113,20 @@ class TestClassifyRay:
             classify_ray(p, -1)
         with pytest.raises(RayIndexError):
             classify_ray(p, 10)
+
+    @pytest.mark.parametrize("j", [3.7, 3.0, "3", None])
+    def test_rejects_non_integer_index(self, j):
+        p = validate(5, 4, 1.0)
+        with pytest.raises(RayIndexError, match="not an integer"):
+            classify_ray(p, j)
+        with pytest.raises(RayIndexError, match="not an integer"):
+            analyze_ray(p, j)
+
+    def test_accepts_numpy_integer_index(self):
+        p = validate(5, 4, 1.0)
+        d = classify_ray(p, np.int64(3))
+        assert d == classify_ray(p, 3) and type(d.j) is int
+        assert analyze_ray(p, np.int64(3)) == analyze_ray(p, 3)
 
     def test_angle(self):
         d = classify_ray(validate(5, 4, 1.0), 3)

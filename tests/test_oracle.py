@@ -176,7 +176,7 @@ def numpy_find_zeros_grid(params, resolution):
         if all(abs(z - w) > 10.0 * REFINE_TOL for w in zeros):
             zeros.append(z)
     zeros.sort(key=lambda w: (math.atan2(w.imag, w.real), abs(w)))
-    return SimpleNamespace(zeros=zeros, annulus=(r_lo, r_hi))
+    return SimpleNamespace(zeros=tuple(zeros), annulus=(r_lo, r_hi))
 
 
 def outcome(scan, params, resolution):

@@ -9,6 +9,7 @@ import pytest
 import rayzeros.rays as rays_mod
 from rayzeros import (
     CountProfile,
+    FamilyParams,
     RayCase,
     analyze_ray,
     count_at,
@@ -22,7 +23,38 @@ from rayzeros import (
 from conftest import valid_k_choices, valid_pairs
 
 
+def reference_ladder(m, k):
+    """The closed-form (min, max) written as one branch per m mod 4 and parity of k."""
+    odd_k = k % 2 == 1
+    if k > 0:
+        if m % 4 == 0:
+            n = m
+        elif m % 4 == 1:
+            n = m - 1 if odd_k else m + 1
+        elif m % 4 == 2:
+            n = m - 2
+        else:
+            n = m + 1 if odd_k else m - 1
+        return m, m + n
+    if m % 4 == 0:
+        low, n = m + 1, m - 2
+    elif m % 4 == 1:
+        low, n = (m - 1, m + 1) if odd_k else (m, m + 1)
+    elif m % 4 == 2:
+        low, n = m - 1, m
+    else:
+        low, n = (m + 1, m - 1) if odd_k else (m, m - 1)
+    return low, low + n
+
+
 class TestPredictTable:
+    def test_equals_the_branch_ladder_up_to_m_400(self):
+        pairs = [(m, s * a) for m in range(2, 401) for a in range(1, m) if math.gcd(m, a) == 1 for s in (1, -1)]
+        assert len(pairs) > 90_000
+        for m, k in pairs:
+            pred = predict_table(FamilyParams(m, k, 1.0))
+            assert (pred.min_count, pred.max_count) == reference_ladder(m, k), (m, k)
+
     def test_even_k_growth(self):
         pred = predict_table(validate(5, 4, 1.0))
         assert (pred.min_count, pred.max_count, pred.direction) == (5, 11, "increasing")

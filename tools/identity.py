@@ -1,4 +1,4 @@
-"""Check that two rayzeros checkouts answer 845 CLI command lines byte for byte alike.
+"""Check that two rayzeros checkouts answer the same CLI command lines byte for byte alike.
 
     python tools/identity.py BEFORE AFTER
 
@@ -10,15 +10,20 @@ exit codes and the end of both stderrs; the last line gives the count of
 differing lines and how many lines ended with each exit code.  The exit status
 is 1 if any line differs.
 
-The lines cover every command in both formats on 8 pairs at 9 values of c
-from 5e-324 to 1.7e308, sweeps over the whole float range, invalid parameters,
-tolerances, resolutions, sweep ranges and output paths (exit 1), argparse
-usage errors and coarse-grid verify mismatches (exit 2), and numerical
-failures (exit 3).
+The 845 fixed lines cover every command in both formats on 8 pairs at 9
+values of c from 5e-324 to 1.7e308, sweeps over the whole float range,
+invalid parameters, tolerances, resolutions, sweep ranges and output paths
+(exit 1), argparse usage errors and coarse-grid verify mismatches (exit 2),
+and numerical failures (exit 3).  288 more lines probe the edges of the
+tangency band: predict, zeros and a two-point sweep at c0 (1 +- 1e-9) and one
+ulp either side, for the smallest and largest c0 of each pair as BEFORE's
+thresholds command lists them.
 """
 from __future__ import annotations
 
 import itertools
+import json
+import math
 import os
 import subprocess
 import sys
@@ -59,9 +64,24 @@ def command_lines() -> list[list[str]]:
     return lines
 
 
+def band_edge_lines(run) -> list[list[str]]:
+    """predict, zeros and sweep next to each pair's smallest and largest c0, read
+    from run(["thresholds", ...])'s JSON: at c0 (1 +- 1e-9) and one ulp either side."""
+    lines = []
+    for m, k in PAIRS:
+        base = ["--m", str(m), "--k", str(k), "--format", "json"]
+        c0s = [row["c0"] for row in json.loads(run(["thresholds", *base])[1])["results"]]
+        for c0, rtol in itertools.product(sorted({c0s[0], c0s[-1]}), (1e-9, -1e-9)):
+            edge = c0 * (1 + rtol)
+            for c in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+                up = repr(math.nextafter(c, math.inf))
+                lines += [["predict", *base, "--c", repr(c)], ["zeros", *base, "--c", repr(c)],
+                          ["sweep", *base, "--c-min", repr(c), "--c-max", up, "--steps", "2"]]
+    return lines
+
+
 def main() -> int:
     before, after = sys.argv[1:3]
-    lines = command_lines()
     with tempfile.TemporaryDirectory() as scratch:
 
         def run(root: str, argv: list[str]):
@@ -71,6 +91,7 @@ def main() -> int:
             )
             return proc.returncode, proc.stdout, proc.stderr
 
+        lines = command_lines() + band_edge_lines(lambda argv: run(before, argv))
         codes, differ = {}, 0
         with ThreadPoolExecutor(2) as pool:
             for argv, a, b in pool.map(lambda argv: (argv, run(before, argv), run(after, argv)), lines):
