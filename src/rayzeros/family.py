@@ -167,6 +167,11 @@ def _alpha_half(m: int) -> list[float]:
     return [cos(pi * s / m) for s in range(q)] + [sin(pi * (m - 2 * s) / (2 * m)) for s in range(q, m // 2 + 1)]
 
 
+def _alpha_range(m: int, half: list[float]) -> list[float]:
+    """alpha_from_residue(m, s) for s = 0 .. m from half = _alpha_half(m): alpha(m - s) = -alpha(s)."""
+    return half + [-a for a in half[(m - 1) // 2::-1]]
+
+
 def unit_direction(m: int, j: int) -> complex:
     """e^{i j pi / m} with the axis points exact.
 

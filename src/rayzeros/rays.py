@@ -22,7 +22,9 @@ r0 = (2 c |k| alpha / m)^{1/(m-k)} whose value crosses 0 at
     beta = (2 alpha)^{m/(m-k)} * ( (|k|/m)^{m/(m-k)} + (|k|/m)^{k/(m-k)} ) k < 0
 
 beta is evaluated in the log domain; the exponent m/(m-k) grows like m when
-|k| is close to m and would otherwise over/underflow.
+|k| is close to m and would otherwise over/underflow.  At c = c0 the pair
+merges at r0, where f = f' = 0 leave r0^m = |k|/(m-k) whatever alpha is: every
+tangential double zero lies on the circle |z| = (|k|/(m-k))^{1/m}.
 
 Ray j and ray 2m-j have the same parity and the residues t and 2m-t, so they
 carry the same alpha and the same radial function.  The c-independent facts
@@ -49,6 +51,7 @@ from .family import (
     FamilyParams,
     RayDescriptor,
     _alpha_half,
+    _alpha_range,
     _check_c,
     _over_power,
     _radial_sum,
@@ -168,55 +171,6 @@ def f_value(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
     return _radial_sum(-1.0 if ray.parity else 1.0, params.c * alpha, r, params.m, params.k)
 
 
-# one side of f's log split: its terms as (log |coefficient|, power)
-_Side = tuple[tuple[float, int], ...]
-
-
-def _log_split(parity: int, m: int, k: int, c: float, alpha: float) -> tuple[_Side, _Side]:
-    """The terms of f = (-1)^j r^m + 2 c alpha r^k - 1 split by sign into the
-    sides P > 0 and N > 0 of f = P - N.
-
-    Each side lists its terms as (log |coefficient|, power), so a term is
-    exp(log |coefficient| + power * log r).  log |2 c alpha| is a sum of logs,
-    so no coefficient overflows.  alpha = 0 drops out; N always holds the
-    constant 1.
-    """
-    pos: list[tuple[float, int]] = []
-    neg: list[tuple[float, int]] = []
-    (neg if parity else pos).append((0.0, m))
-    if alpha:
-        (pos if alpha > 0 else neg).append((_LOG2 + math.log(c) + math.log(abs(alpha)), k))
-    neg.append((0.0, 0))
-    return tuple(pos), tuple(neg)
-
-
-def _log_side(side: _Side, s: float) -> tuple[float, int, float, float]:
-    """One side of the split at s = log r: its dominant term's (log coefficient,
-    power), the log of the side's sum over that term, and the slope of the
-    side's log, which is the weighted mean of its powers."""
-    if len(side) == 1:
-        (a, p), = side
-        return a, p, 0.0, float(p)
-    (a1, p1), (a2, p2) = side
-    d = (a2 - a1) + (p2 - p1) * s
-    if d > 0:
-        a1, p1, p2, d = a2, p2, p1, -d
-    w = math.exp(d)
-    return a1, p1, math.log1p(w), (p1 + p2 * w) / (1.0 + w)
-
-
-def _log_f(split: tuple[_Side, _Side], s: float) -> tuple[float, float]:
-    """F(s) = log P - log N at s = log r, and F'(s).
-
-    F has the sign of f and never overflows.  The dominant terms of the two
-    sides are combined before s is scaled, so rounding grows with the
-    difference of their powers, not with the powers themselves.
-    """
-    ap, pp, lp, dp = _log_side(split[0], s)
-    an, pn, ln, dn = _log_side(split[1], s)
-    return (ap - an) + (pp - pn) * s + (lp - ln), dp - dn
-
-
 def f_derivative(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
     """f'(r) = (-1)^j m r^{m-1} + 2 c k alpha r^{k-1}, under f_value's overflow
     rule: where the first term overflows, f' / (m r^{m-1}) decides."""
@@ -332,8 +286,7 @@ def ray_table(m: int, k: int) -> RayTable:
     """The ray table of (m, k), built by folded residue and kept in a small LRU cache."""
     two_m = 2 * m
     folded = [t if t <= m else two_m - t for t in map(two_m.__rmod__, range(0, k * (m + 1), k))]
-    half = _alpha_half(m)
-    alpha_of = half + [-a for a in half[(m - 1) // 2::-1]]  # beyond s = m/2, alpha(s) = -alpha(m - s)
+    alpha_of = _alpha_range(m, _alpha_half(m))
     # a row's kind is the slot of its alpha sign (positive, zero, negative) + 3 * parity,
     # the census order; alpha > 0 iff 2s < m and alpha = 0 iff 2s = m
     slot_of = [0] * ((m + 1) // 2) + [1] * (1 - m % 2) + [2] * ((m + 1) // 2)

@@ -1,39 +1,41 @@
-"""Locate every zero radius on a ray from brackets read off its term lines.
+"""Locate every zero radius on a ray from brackets read off its three term lines.
 
 all_zeros is one pass over the rows of the cached ray table.  Row j stands
 for ray j and its mirror 2m - j, which carry the same radial function
 f(r) = (-1)^j r^m + 2 c alpha r^k - 1; its count and tangency at c come from
-the row's case and c0.  In s = log r each of f's at most three terms is a
-line log |coefficient| + power * s.  One unit beyond the outermost pairwise
-crossing of these lines the tail term beats each other term by a factor
-e > 2, so there f has that term's sign: the two ends bracket a single zero,
-and a pair of zeros is split at s0 = log r0.  Every sign is read from
-F = log P - log N, where P and N are f's positive and negative terms, so F
-has f's sign and never overflows.  Each radius is refined by safeguarded
-Newton on F in s; steps that leave the bracket bisect it.  Each record of
-ray j re-evaluates the full complex function and must pass the residual
-gate, scaled by r^m where r^m overflows, as soon as its row is solved.
-Since p(conj z) = conj p(z), ray 2m - j's records are the exact conjugates
-of ray j's, with the same residual; they are built after the last row
-without a second evaluation.  bracket and solve_ray run the same per-row
-code for one analyzed ray.
+the row's case and c0.  With alpha = 0, f = r^m - 1 and the zero is r = 1.
+Otherwise, in s = log r, f's terms are three lines log |coefficient| + power s:
+(0, m), (L, k) and (0, 0), with L = log 2c|alpha|.  One side of f = P - N
+holds one of them, the lone line, and the other side the other two, so
+F = log P - log N, which has f's sign and never overflows, is +-G with
+G = log(two-line side) - lone line: + when the two lines are P's.  The lines
+cross at s = 0, L/(m - k) and -L/k.  One unit beyond the outermost crossing
+the tail term beats each other term by a factor e > 2 and gives F its sign,
+so the two ends bracket a single zero, and a pair is split at s0 = log r0.
+Each radius is refined by safeguarded Newton on G in s; steps that leave the
+bracket bisect it.  Each record of ray j re-evaluates the full complex
+function at r times the ray's unit direction and must pass the residual gate,
+scaled by r^m where r^m overflows, as soon as its row is solved.  Since
+p(conj z) = conj p(z), ray 2m - j's records are the exact conjugates of ray
+j's, with the same residual; they are built after the last row without a
+second evaluation.  bracket and solve_ray run the same per-row code for one
+analyzed ray.
 """
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from array import array
 from typing import NamedTuple
 
-from .family import FamilyParams, _over_power, evaluate, power_term, unit_direction
+from .family import FamilyParams, _alpha_half, _alpha_range, _over_power, evaluate, power_term, unit_direction
 from .rays import (
+    _LOG2,
     _PROFILES,
     RayAnalysis,
     RayCase,
     _count,
     _in_band,
-    _log_f,
     _log_r0,
-    _log_split,
     count_at,
     degenerate_at,
     extremum_radius,
@@ -102,23 +104,46 @@ def _failure(m: int, k: int, c: float, j: int, case: RayCase, what: str) -> Brac
     return BracketFailure(f"{what}: m={m}, k={k}, c={c!r}, ray {j}, case {case.value}")
 
 
-def _log_brackets(m: int, k: int, c: float, parity: int, alpha: float, pair: bool):
-    """The row's log split and one interval in s = log r per zero of its f, as
-    (a, F(a), b, F(b)).
+def _log_f(lines: tuple, s: float) -> tuple[float, float]:
+    """G(s) = log(two-line side) - lone line at s = log r, and G'(s).
 
-    The ends lie one unit beyond the outermost crossing of f's term lines
-    a + p s.  The powers are distinct integers, so there the tail term beats
-    each other term by a factor e > 2 and gives F its sign.  A pair of zeros
-    is split at s0 = log r0.
+    lines is (a0, p0, a1, p1, a2, p2), the lone line a0 + p0 s first.  The
+    two-line side is its dominant line times 1 + w, w = e^d <= 1, where d is
+    the other line less the dominant one.  The dominant line and the lone line
+    are combined before s is scaled, so rounding grows with the difference of
+    their powers, not with the powers themselves.
     """
-    split = _log_split(parity, m, k, c, alpha)
-    lines = split[0] + split[1]
-    cross = [(a2 - a1) / (p1 - p2) for (a1, p1), (a2, p2) in combinations(lines, 2)]
-    ends = [min(cross) - 1.0, max(cross) + 1.0]
+    a0, p0, a1, p1, a2, p2 = lines
+    d = (a2 - a1) + (p2 - p1) * s
+    if d > 0:
+        a1, p1, p2, d = a2, p2, p1, -d
+    w = math.exp(d)
+    return (a1 - a0) + (p1 - p0) * s + math.log1p(w), (p1 + p2 * w) / (1.0 + w) - p0
+
+
+def _log_brackets(m: int, k: int, c: float, log_2c: float, parity: int, alpha: float, pair: bool):
+    """A row's lines (a0, p0, a1, p1, a2, p2), the sign of F over G, the bracket
+    ends in s, one more than its zeros, and whether F < 0 at each end.
+
+    The lone line comes first, then the two-line side's in f's term order.
+    L = log_2c + log |alpha|.  Odd j with alpha < 0 has no zero and is never
+    bracketed.  At the outer ends F takes the tail term's sign: below, the
+    constant -1's (k > 0) or alpha's (k < 0); above, (-1)^j's.
+    """
+    a_k = log_2c + math.log(abs(alpha))
+    if parity:
+        lines, sign = (a_k, k, 0.0, m, 0.0, 0), -1.0
+    elif alpha > 0:
+        lines, sign = (0.0, 0, 0.0, m, a_k, k), 1.0
+    else:
+        lines, sign = (0.0, m, a_k, k, 0.0, 0), -1.0
+    cross = (0.0, a_k / (m - k), -a_k / k)
+    ends, negs = [min(cross) - 1.0, max(cross) + 1.0], [k > 0 or alpha < 0, parity == 1]
     if pair:
-        ends.insert(1, _log_r0(m, k, alpha, c))
-    points = [(s, _log_f(split, s)[0]) for s in ends]
-    return split, [lo + hi for lo, hi in zip(points, points[1:])]
+        s0 = _log_r0(m, k, alpha, c)
+        ends.insert(1, s0)
+        negs.insert(1, sign * _log_f(lines, s0)[0] < 0)
+    return lines, sign, ends, negs
 
 
 def bracket(analysis: RayAnalysis, c: float) -> list[tuple[float, float]]:
@@ -134,25 +159,28 @@ def bracket(analysis: RayAnalysis, c: float) -> list[tuple[float, float]]:
     if degenerate_at(analysis, c):
         raise DegenerateTangency(extremum_radius(analysis, c))
     m, k = analysis.params.m, analysis.params.k
-    _, intervals = _log_brackets(m, k, c, analysis.ray.parity, analysis.alpha, n == 2)
+    ends = [-1.0, 1.0]  # alpha = 0: f = r^m - 1, whose two lines cross at s = 0
+    if analysis.alpha:
+        ends = _log_brackets(m, k, c, _LOG2 + math.log(c), analysis.ray.parity, analysis.alpha, n == 2)[2]
     try:
-        return [(math.exp(a), math.exp(b)) for a, _, b, _ in intervals]
+        return [(math.exp(a), math.exp(b)) for a, b in zip(ends, ends[1:])]
     except OverflowError:
-        what = f"bracket end at log r = {intervals[-1][2]} beyond the float range"
+        what = f"bracket end at log r = {ends[-1]} beyond the float range"
         raise _failure(m, k, c, analysis.ray.j, analysis.case, what) from None
 
 
-def _refine(split, a: float, b: float, a_neg: bool, radius_rtol: float) -> float:
-    """Safeguarded Newton on F(s) = log P - log N inside the bracket [a, b] in
-    s = log r, where F(a) < 0 iff a_neg; returns s at the zero.
+def _refine(lines, a: float, b: float, a_neg: bool, radius_rtol: float) -> float:
+    """Safeguarded Newton on G(s) = +-F(s) inside the bracket [a, b] in
+    s = log r, where G(a) < 0 iff a_neg; returns s at the zero.
 
     A Newton step that leaves the bracket bisects it instead.  The step size
-    is tested before sign(F) moves the bracket: at the root |F| is at rounding
-    level and its sign may be wrong.
+    is tested before sign(G) moves the bracket: at the root |G| is at rounding
+    level and its sign may be wrong.  G / G' = F / F', so the steps are
+    Newton's on F.
     """
     s = 0.5 * (a + b)
     for _ in range(_NEWTON_STEPS):
-        value, slope = _log_f(split, s)
+        value, slope = _log_f(lines, s)
         step = value / slope if slope else math.inf
         t = s - step
         if abs(step) <= radius_rtol or t == s:
@@ -178,44 +206,49 @@ def _radius(m: int, k: int, c: float, j: int, case: RayCase, s: float) -> float:
 
 
 def _record(
-    params: FamilyParams, j: int, case: RayCase, alpha: float, r: float, u: complex, degenerate: bool, tol: Tolerances
+    params: FamilyParams, j: int, case: RayCase, alpha: float, r: float, u: complex, degenerate: bool, rtol: float
 ) -> ZeroRecord:
-    """The record of the zero at radius r on ray j, whose weight is alpha and unit direction u."""
-    m, k, c = params.m, params.k, params.c
+    """The record of the zero at radius r on ray j, whose weight is alpha and unit
+    direction u; rtol is the residual_rtol of the Tolerances."""
+    m, k, c = params
     z = r * u
     residual = abs(evaluate(params, z))
     if not degenerate:
         scale = power_term(1.0, r, m)
         if scale == math.inf:  # the bound divided through by r^m, at the ray's exact angle
             real = _over_power(-1.0 if j % 2 else 1.0, c * alpha, r, m, k)
-            label, size, bound = "residual |p(z)|/r^m", abs(real), tol.residual_rtol
+            label, size, bound = "residual |p(z)|/r^m", abs(real), rtol
         else:
-            label, size, bound = "residual", residual, tol.residual_rtol * max(1.0, scale)
+            label, size, bound = "residual", residual, rtol * max(1.0, scale)
         if not size <= bound:
             raise _failure(m, k, c, j, case, f"{label} {size} exceeds {bound} at r={r}")
-    return ZeroRecord(j=j, r=r, z=z, residual=residual, degenerate=degenerate)
+    return ZeroRecord(j, r, z, residual, degenerate)
 
 
 def _solve_row(
-    params: FamilyParams, j: int, case: RayCase, alpha: float, c0: float | None, tol: Tolerances
+    params: FamilyParams, j: int, case: RayCase, alpha: float, c0: float | None, u: complex, log_2c: float,
+    tol: Tolerances,
 ) -> list[ZeroRecord]:
     """The zeros on ray j at params.c from its row's case, alpha and c0, sorted by
-    radius; each record passes the residual gate as soon as it is refined."""
-    m, k, c = params.m, params.k, params.c
+    radius; u is the ray's unit direction and log_2c is log 2c.  Each record
+    passes the residual gate as soon as it is refined."""
+    m, k, c = params
     n = _count(_PROFILES[case], c0, c)
     if n == 0:
         return []
-    u = unit_direction(m, j)
+    radius_rtol, rtol = tol
     if c0 is not None and _in_band(c, c0):
-        return [_record(params, j, case, alpha, _radius(m, k, c, j, case, _log_r0(m, k, alpha, c)), u, True, tol)]
+        return [_record(params, j, case, alpha, _radius(m, k, c, j, case, _log_r0(m, k, alpha, c)), u, True, rtol)]
+    if not alpha:  # f = r^m - 1: Newton from the bracket's midpoint s = 0 stops there at once
+        return [_record(params, j, case, alpha, 1.0, u, False, rtol)]
 
-    split, intervals = _log_brackets(m, k, c, j % 2, alpha, n == 2)
+    lines, sign, ends, negs = _log_brackets(m, k, c, log_2c, j % 2, alpha, n == 2)
     records = []
-    for a, fa, b, fb in intervals:
-        if (fa < 0) == (fb < 0):
+    for a, b, a_neg, b_neg in zip(ends, ends[1:], negs, negs[1:]):
+        if a_neg == b_neg:
             raise _failure(m, k, c, j, case, f"endpoint signs agree on log r in [{a}, {b}]")
-        r = _radius(m, k, c, j, case, _refine(split, a, b, fa < 0, tol.radius_rtol))
-        records.append(_record(params, j, case, alpha, r, u, False, tol))
+        r = _radius(m, k, c, j, case, _refine(lines, a, b, a_neg != (sign < 0), radius_rtol))
+        records.append(_record(params, j, case, alpha, r, u, False, rtol))
     return records
 
 
@@ -223,23 +256,32 @@ def solve_ray(
     params: FamilyParams, analysis: RayAnalysis, tolerances: Tolerances | None = None
 ) -> list[ZeroRecord]:
     """All zeros of p on the analyzed ray at params.c, refined and residual-checked."""
-    return _solve_row(
-        params, analysis.ray.j, analysis.case, analysis.alpha, analysis.c0, tolerances or Tolerances()
-    )
+    j = analysis.ray.j
+    u, log_2c = unit_direction(params.m, j), _LOG2 + math.log(params.c)
+    return _solve_row(params, j, analysis.case, analysis.alpha, analysis.c0, u, log_2c, tolerances or Tolerances())
 
 
 def all_zeros(params: FamilyParams, tolerances: Tolerances | None = None) -> list[ZeroRecord]:
     """Every zero of p, ordered by ray index then radius.
 
     One pass over the ray table's rows 0..m solves and gates ray j of each
-    row.  Ray 2m - j carries row j's f, and p(conj z) = conj p(z), so its
-    records are the conjugates of row j's, with the same residual.
+    row.  The rows' unit directions come from two whole-range passes, kept
+    as float arrays while the rows are solved: cos(j pi / m) = alpha(m, j),
+    mirrored beyond j = m/2, and sin(j pi / m) = alpha(2m, |2j - m|).  Ray
+    2m - j carries row j's f, and p(conj z) = conj p(z), so its records are
+    the conjugates of row j's, with the same residual.
     """
     tol = tolerances or Tolerances()
-    m = params.m
-    table = ray_table(m, params.k)
-    cases, alphas, c0s = table.case, table.alpha, table.c0
-    solved = [_solve_row(params, j, cases[j], alphas[j], c0s[j], tol) for j in range(m + 1)]
+    m, k, c = params
+    table = ray_table(m, k)
+    cosines = array("d", _alpha_range(m, _alpha_half(m)))
+    sines = array("d", _alpha_half(2 * m))
+    units = map(complex, cosines, map(sines.__getitem__, map(abs, range(-m, m + 1, 2))))
+    log_2c = _LOG2 + math.log(c)
+    solved = [
+        _solve_row(params, j, case, alpha, c0, u, log_2c, tol)
+        for j, case, alpha, c0, u in zip(range(m + 1), table.case, table.alpha, table.c0, units)
+    ]
     return [rec for recs in solved for rec in recs] + [
         ZeroRecord(2 * m - j, rec.r, rec.z.conjugate(), rec.residual, rec.degenerate)
         for j in range(m - 1, 0, -1)

@@ -28,7 +28,7 @@ from rayzeros import (
     validate,
 )
 from rayzeros.family import _over_power, alpha_from_residue, power_term, unit_direction
-from rayzeros.rays import EXTREMUM_CASES
+from rayzeros.rays import EXTREMUM_CASES, _r0, ray_table
 
 from conftest import brute_ray_count, valid_k_choices, valid_pairs
 
@@ -498,6 +498,33 @@ class TestExtremum:
         assert not opposite & same
         assert opposite == EXTREMUM_CASES | {RayCase.NEG_K_ODD_NEG}
         assert len(opposite | same) == len(RayCase)
+
+
+class TestTangencyCircle:
+    """At c = c0, f = f' = 0 leave r0^m = |k|/(m-k) whatever alpha is: every
+    tangential double zero of a pair lies on |z| = (|k|/(m-k))^(1/m).  r0 is
+    taken from the table's c0; the widest gap, 1.8e-15, is at k = m - 1, where
+    log beta sums terms of size m."""
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(9091)
+        yield from ((10000, 1), (10000, -1), (9999, 9998), (10000, -9999))
+        for _ in range(24):
+            m = int(10.0 ** rng.uniform(0.5, 4.0))
+            k = rng.choice((1, -1)) * rng.randrange(1, m)
+            if math.gcd(m, abs(k)) == 1:
+                yield m, k
+
+    def test_every_threshold_row_is_on_the_circle(self):
+        rows = 0
+        for m, k in self.pairs():
+            t = ray_table(m, k)
+            rho = (abs(k) / (m - k)) ** (1.0 / m)
+            for row in t.order:
+                assert abs(_r0(m, k, t.alpha[row], t.c0[row]) / rho - 1.0) <= 2e-15, (m, k, row)
+            rows += len(t.order)
+        assert rows > 10000
 
 
 class TestAnalysisFields:

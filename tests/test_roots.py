@@ -19,6 +19,7 @@ from rayzeros import (
     validate,
 )
 from rayzeros import roots
+from rayzeros.rays import DEGENERACY_RTOL
 
 from conftest import valid_k_choices
 
@@ -177,7 +178,8 @@ class TestAllZeros:
             c = 10.0 ** rng.uniform(-3, 3)
             p = validate(m, k, c)
             # stay off the tangency bands: the prediction itself flags those
-            if any(abs(c - a.c0) <= 1e-9 * a.c0 for a in map(lambda j: analyze_ray(p, j), range(2 * m)) if a.c0):
+            rays = map(lambda j: analyze_ray(p, j), range(2 * m))
+            if any(abs(c - a.c0) <= DEGENERACY_RTOL * a.c0 for a in rays if a.c0):
                 continue
             assert len(all_zeros(p)) == predict_at(p, c), (m, k, c)
 

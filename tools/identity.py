@@ -10,11 +10,12 @@ exit codes and the end of both stderrs; the last line gives the count of
 differing lines and how many lines ended with each exit code.  The exit status
 is 1 if any line differs.
 
-The 845 fixed lines cover every command in both formats on 8 pairs at 9
+The 850 fixed lines cover every command in both formats on 8 pairs at 9
 values of c from 5e-324 to 1.7e308, sweeps over the whole float range,
-invalid parameters, tolerances, resolutions, sweep ranges and output paths
-(exit 1), argparse usage errors and coarse-grid verify mismatches (exit 2),
-and numerical failures (exit 3).  288 more lines probe the edges of the
+zeros at m = 1000 to 10000, invalid parameters, tolerances, resolutions,
+sweep ranges and output paths (exit 1), argparse usage errors and
+coarse-grid verify mismatches (exit 2), and numerical failures (exit 3),
+among them the residual-gate failure of zeros at (1987, -1528).  288 more lines probe the edges of the
 tangency band: predict, zeros and a two-point sweep at c0 (1 +- 1e-9) and one
 ulp either side, for the smallest and largest c0 of each pair as BEFORE's
 thresholds command lists them.
@@ -46,6 +47,9 @@ def command_lines() -> list[list[str]]:
         base = ["--m", str(m), "--k", str(k), "--format", fmt]
         lines += [["sweep", *base, "--c-min", lo, "--c-max", hi, "--steps", n, "--spacing", sp] for lo, hi, n, sp in sweeps]
         lines.append(["verify", *base, "--c", "1", "--resolution", "64"])
+    # zeros at the sizes the root finder is timed at; the last one exits 3 on the residual gate
+    big = [(1000, 999, "1"), (1000, -7, "1"), (4001, 3001, "0.05"), (10000, 1, "1"), (1987, -1528, "34.42266034645957")]
+    lines += [["zeros", "--m", str(m), "--k", str(k), "--c", c] for m, k, c in big]
     # exit 1: invalid parameters, tolerances, resolutions, sweep ranges, output path
     bad = [("4", "2", "1"), ("5", "0", "1"), ("5", "5", "1"), ("5", "7", "1"), ("5", "4", "0"), ("5", "4", "-1"),
            ("5", "4", "nan"), ("5", "4", "inf")]
