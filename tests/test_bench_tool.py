@@ -48,7 +48,7 @@ def test_record_holds_every_run_and_the_bound_decision(bench):
     before = [bench.parse_run(canned(t)) for t in (36.0, 35.0, 37.0, 36.5, 35.5)]
     after = [bench.parse_run(canned(t, failed=4, rate=150.0)) for t in (23.0, 24.0, 36.8, 22.5, 23.5)]
     sides = {"before": {"commit": "a"}, "after": {"commit": "b"}}
-    rec = bench.record(SPEC, "solve", 7, sides, before, after)
+    rec = bench.record(SPEC, 7, sides, before, after)
     assert rec["pairs"] == 5 and rec["seed"] == 7 and rec["checkouts"] == sides
     assert rec["failed"] == {"before": [4] * 5, "after": [4] * 5}
     assert rec["attempted"] == {"before": [353] * 5, "after": [353] * 5}

@@ -96,7 +96,7 @@ def compare(spec: dict, before: list[dict], after: list[dict]) -> dict:
     return metrics
 
 
-def record(spec: dict, workload: str, seed: int, sides: dict, before: list[dict], after: list[dict]) -> dict:
+def record(spec: dict, seed: int, sides: dict, before: list[dict], after: list[dict]) -> dict:
     return {
         "seed": seed,
         "pairs": len(before),
@@ -130,7 +130,7 @@ def main() -> int:
             for m in spec["end_to_end"]), flush=True)
     sides = {"before": commit(args.before.resolve()), "after": commit(args.after.resolve())}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
-    doc["workloads"][args.workload] = record(spec, args.workload, args.seed, sides, before, after)
+    doc["workloads"][args.workload] = record(spec, args.seed, sides, before, after)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for name, m in doc["workloads"][args.workload]["metrics"].items():
         print(f"{args.workload:6} {name:12} {m['before']['median']:.4g} -> {m['after']['median']:.4g} "
