@@ -15,16 +15,14 @@ splitting into ten cases:
   k < 0, even j, a > 0 two below c0, none above (pair disappears)
 
 In the two threshold cases f has a single interior extremum at
-r0 = (2 c |k| alpha / m)^{1/(m-k)} whose value crosses 0 at
+r0 = (2 c |k| alpha / m)^{1/(m-k)} whose value crosses 0 at c0 = C / alpha, where
 
-    c0 = beta^{-(m-k)/m},
-    beta = (2 alpha)^{m/(m-k)} * ( (k/m)^{k/(m-k)} - (k/m)^{m/(m-k)} )    k > 0
-    beta = (2 alpha)^{m/(m-k)} * ( (|k|/m)^{m/(m-k)} + (|k|/m)^{k/(m-k)} ) k < 0
+    C = (1/2) (m/|k|)^{k/m} (m/(m-k))^{(m-k)/m}
 
-beta is evaluated in the log domain; the exponent m/(m-k) grows like m when
-|k| is close to m and would otherwise over/underflow.  At c = c0 the pair
-merges at r0, where f = f' = 0 leave r0^m = |k|/(m-k) whatever alpha is: every
-tangential double zero lies on the circle |z| = (|k|/(m-k))^{1/m}.
+is one constant per (m, k), for either sign of k, taken once per table from
+two logs and one exp.  At c = c0 the pair merges at r0, where f = f' = 0 leave
+r0^m = |k|/(m-k) whatever alpha is: every tangential double zero lies on the
+circle |z| = rho* = (|k|/(m-k))^{1/m}.
 
 Ray j and ray 2m-j have the same parity and the residues t and 2m-t, so they
 carry the same alpha and the same radial function.  The c-independent facts
@@ -33,7 +31,7 @@ source of c0; analyze_ray, thresholds, the census and the global count all
 read it.  A row's facts follow from its parity and its folded residue
 s = min(t, 2m-t), so the table is built in whole-table passes with no Python call
 per row: alpha for s <= m/2 in one _alpha_half pass (alpha(m-s) = -alpha(s)), the
-case, profile and gain once per parity and alpha sign, every c0 by one _log_betas.
+case, profile and gain once per parity and alpha sign, every c0 as C / alpha.
 """
 from __future__ import annotations
 
@@ -194,15 +192,6 @@ def f_derivative(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
     return tm + mid
 
 
-def _log_betas(m: int, k: int, alphas) -> list[float]:
-    """log of the threshold constant for each alpha > 0 in alphas, from the factored
-    form beta = (2a)^{m/(m-k)} (|k|/m)^{k/(m-k)} (m-k)/m, whose factors are all
-    positive for either sign of k."""
-    k_term = k * math.log(abs(k) / m)
-    tail = math.log((m - k) / m)
-    return [(m * math.log(2.0 * alpha) + k_term) / (m - k) + tail for alpha in alphas]
-
-
 def _log_r0(m: int, k: int, alpha: float, c: float) -> float:
     # log (2 c |k| |alpha| / m)^{1/(m-k)}; covers the k>0 even/negative-alpha case
     # where the sign of alpha is absorbed by the sign of k in the derivative
@@ -297,9 +286,11 @@ def ray_table(m: int, k: int) -> RayTable:
     tally = [2 * kinds.count(kind) - (kinds[0] == kind) - (kinds[m] == kind) for kind in range(6)]
     is_threshold = bytes(case in THRESHOLD_CASES for case in cases).ljust(256, b"\0")  # translate table
     rows = list(compress(range(m + 1), kinds.translate(is_threshold)))
+    # C = c0 * alpha, one constant per pair (module docstring)
+    big_c = math.exp(-(k * math.log(abs(k) / m) + (m - k) * math.log((m - k) / m)) / m) / 2.0
     c0: list[float | None] = [None] * (m + 1)
-    for row, log_beta in zip(rows, _log_betas(m, k, map(alpha_of.__getitem__, map(folded.__getitem__, rows)))):
-        c0[row] = math.exp(-(m - k) / m * log_beta)
+    for row in rows:
+        c0[row] = big_c / alpha_of[folded[row]]
     order = sorted(rows, key=c0.__getitem__)
     # count gained per row as its c0 is passed: two rays each, halved on the axis rows 0 and m
     gain = list(map([2 * (profile.above - profile.below) for profile in profiles].__getitem__, kinds))
@@ -326,11 +317,8 @@ def analyze_ray(params: FamilyParams, j: int) -> RayAnalysis:
     row = table.row(j)
     alpha, case, c0 = table.alpha[row], table.case[row], table.c0[row]
 
-    r0 = log_beta = None
-    if case in EXTREMUM_CASES:
-        r0 = _r0(params.m, params.k, alpha, params.c)
-    if c0 is not None:
-        log_beta = _log_betas(params.m, params.k, (alpha,))[0]
+    r0 = _r0(params.m, params.k, alpha, params.c) if case in EXTREMUM_CASES else None
+    log_beta = None if c0 is None else -params.m / (params.m - params.k) * math.log(c0)
     return RayAnalysis(
         params=params,
         ray=ray,

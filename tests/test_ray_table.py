@@ -66,12 +66,12 @@ class TestTable:
                 assert (a.alpha, a.case, a.c0) == (t.alpha[row], t.case[row], t.c0[row])
 
 
-def reference_log_beta(m, k, alpha):
-    """The threshold constant's log as one formula per row, the form the table's
-    batched _log_betas must reproduce bit for bit."""
+def reference_c0(m, k, alpha):
+    """A threshold row's c0 as one formula per row, C(m, k) / alpha, the form the
+    table's once-per-pair C must reproduce bit for bit."""
     a = abs(k)
-    core = (m * math.log(2.0 * alpha) + k * math.log(a / m)) / (m - k)
-    return core + math.log((m - k) / m if k > 0 else (m + a) / m)
+    tail = (m - k) / m if k > 0 else (m + a) / m
+    return math.exp(-(k * math.log(a / m) + (m - k) * math.log(tail)) / m) / 2.0 / alpha
 
 
 def reference_table(m, k):
@@ -95,7 +95,7 @@ def reference_table(m, k):
         base += n * _PROFILES[case].below
         tally[3 * (j % 2) + 1 - sign] += n
         threshold = case in THRESHOLD_CASES
-        c0.append(math.exp(-(m - k) / m * reference_log_beta(m, k, alpha)) if threshold else None)
+        c0.append(reference_c0(m, k, alpha) if threshold else None)
     order = sorted((row for row in range(m + 1) if c0[row] is not None), key=c0.__getitem__)
     steps = array("q", [base])
     for row in order:
@@ -169,7 +169,7 @@ class TestTableBuild:
             row = min(j, 2 * m - j)
             alpha, case = ref.alpha[row], ref.case[row]
             r0 = _r0(m, k, alpha, c) if case in EXTREMUM_CASES else None
-            log_beta = reference_log_beta(m, k, alpha) if ref.c0[row] is not None else None
+            log_beta = -m / (m - k) * math.log(ref.c0[row]) if ref.c0[row] is not None else None
             got = (bits(a.alpha), a.case, bits(a.c0), bits(a.log_beta), bits(a.r0))
             assert got == (bits(alpha), case, bits(ref.c0[row]), bits(log_beta), bits(r0)), (m, k, j)
 

@@ -503,8 +503,10 @@ class TestExtremum:
 class TestTangencyCircle:
     """At c = c0, f = f' = 0 leave r0^m = |k|/(m-k) whatever alpha is: every
     tangential double zero of a pair lies on |z| = (|k|/(m-k))^(1/m).  r0 is
-    taken from the table's c0; the widest gap, 1.8e-15, is at k = m - 1, where
-    log beta sums terms of size m."""
+    taken from the table's c0; the widest gap, 1.8e-15 (2^-49), is at
+    (9999, 9998): _log_r0 sums five logs, two of them log m and log |k| near
+    9.2, whose rounding is about 2^-50 each, and dividing by m - k = 1 does not
+    shrink it."""
 
     @staticmethod
     def pairs():
@@ -525,6 +527,44 @@ class TestTangencyCircle:
                 assert abs(_r0(m, k, t.alpha[row], t.c0[row]) / rho - 1.0) <= 2e-15, (m, k, row)
             rows += len(t.order)
         assert rows > 10000
+
+
+class TestThresholdAccuracy:
+    """Each threshold row's c0 = C / alpha against 50-digit mpmath, from the exact
+    C(m, k) and alpha = cos(pi s / m) of the row's folded residue s."""
+
+    @staticmethod
+    def sample():
+        """(m, k, rows): every threshold row of three pairs with |k| close to m,
+        then up to 30 seeded rows of each of 60 seeded pairs up to m = 10^4."""
+        rng = random.Random(2210)
+        for m, k in ((9999, 9998), (10000, -9999), (2000, 1999)):
+            yield m, k, list(ray_table(m, k).order)
+        pairs = 0
+        while pairs < 60:
+            m = int(10.0 ** rng.uniform(0.5, 4.0))
+            k = rng.choice((1, -1)) * rng.randrange(1, m)
+            if math.gcd(m, abs(k)) == 1:
+                pairs += 1
+                rows = list(ray_table(m, k).order)
+                yield m, k, rng.sample(rows, min(30, len(rows)))
+
+    def test_relative_error_and_order_in_s(self):
+        errors = []
+        with mpmath.workdps(50):
+            for m, k, rows in self.sample():
+                t = ray_table(m, k)
+                mm, kk = mpmath.mpf(m), mpmath.mpf(k)
+                big_c = (mm / abs(kk)) ** (kk / mm) * (mm / (mm - kk)) ** ((mm - kk) / mm) / 2
+                s = {row: min(k * row % (2 * m), -k * row % (2 * m)) for row in t.order}
+                for row in rows:
+                    exact = big_c / mpmath.cospi(mpmath.mpf(s[row]) / m)
+                    errors.append(float(abs(t.c0[row] / exact - 1)))
+                # alpha does not increase with s, so c0 = C / alpha does not decrease
+                by_s = sorted((s[row], t.c0[row]) for row in t.order)
+                assert all(a[1] <= b[1] for a, b in zip(by_s, by_s[1:])), (m, k)
+        assert len(errors) > 6000
+        assert max(errors) <= 1e-15
 
 
 class TestAnalysisFields:
