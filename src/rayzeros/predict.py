@@ -7,8 +7,10 @@ counts the rays of each of the six (parity, alpha sign) kinds, the per-ray
 case table names each kind's case, and the case's count profile gives its
 zeros below and above its threshold.  The two routes agreeing for every
 coprime pair is a machine check of the case table that the exact counts and
-the root finder use.  The exact count at one c is two bisections of the ray
-table's sorted thresholds, at the bounds of the tangency band.
+the root finder use.  The exact count at one c is the modular band's end below
+every threshold plus (k > 0) or minus (k < 0) the zeros the threshold rays
+gain there, two bisections of the ray table's sorted thresholds at the bounds
+of the tangency band (rays module docstring).
 """
 from __future__ import annotations
 
@@ -78,6 +80,10 @@ def predict_census(params: FamilyParams) -> CountPrediction:
 
 
 def predict_at(params: FamilyParams, c: float) -> int:
-    """Exact zero count at parameter c: the sum of every ray's count there."""
+    """Exact zero count at parameter c: the modular band's min (k > 0) or max
+    (k < 0), the count below every threshold, moved by the zeros gained at c."""
     _check_c(c)
-    return ray_table(params.m, params.k).count(c)
+    m, k = params.m, params.k
+    low, span = _MODULAR[k > 0, m % 4, k % 2]
+    gained = ray_table(m, k).gained(c)
+    return m + low + gained if k > 0 else 2 * m + low + span - gained

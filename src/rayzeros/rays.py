@@ -31,7 +31,13 @@ source of c0; analyze_ray, thresholds, the census and the global count all
 read it.  A row's facts follow from its parity and its folded residue
 s = min(t, 2m-t), so the table is built in whole-table passes with no Python call
 per row: alpha for s <= m/2 in one _alpha_half pass (alpha(m-s) = -alpha(s)), the
-case, profile and gain once per parity and alpha sign, every c0 as C / alpha.
+case once per parity and alpha sign, every c0 as C / alpha.
+
+Every threshold ray gains (k > 0) or loses (k < 0) two zeros past its c0 and
+one inside its tangency band.  Fold 0 (alpha = 1, c0 = C, the least c0) is the
+only residue that puts an axis row, which stands for one ray, among the
+thresholds: row 0 for k < 0, row m for even k > 0.  So the first i threshold
+rows by c0 hold R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
 """
 from __future__ import annotations
 
@@ -42,7 +48,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, compress, cycle
+from itertools import compress, cycle
 from typing import NamedTuple
 
 from .family import (
@@ -195,7 +201,7 @@ def f_derivative(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
 def _log_r0(m: int, k: int, alpha: float, c: float) -> float:
     # log (2 c |k| |alpha| / m)^{1/(m-k)}; covers the k>0 even/negative-alpha case
     # where the sign of alpha is absorbed by the sign of k in the derivative
-    return (_LOG2 + math.log(c) + math.log(abs(k)) + math.log(abs(alpha)) - math.log(m)) / (m - k)
+    return (_LOG2 + math.log(c) + math.log(abs(alpha)) + math.log(abs(k) / m)) / (m - k)
 
 
 def _exp(x: float) -> float:
@@ -214,7 +220,7 @@ def _in_band(c: float, c0: float) -> bool:
     """True when c sits in the tangency band around c0.
 
     The band is stated as an interval of c0, so the c0s whose band holds c
-    are one run of any sorted list of them (RayTable.count).
+    are one run of any sorted list of them (RayTable.gained).
     """
     return c / (1.0 + DEGENERACY_RTOL) <= c0 <= c / (1.0 - DEGENERACY_RTOL)
 
@@ -235,10 +241,8 @@ class RayTable(NamedTuple):
     and count profile follow from j and the case.  ``alpha``, ``case`` and
     ``c0`` (None outside the two threshold cases) are indexed by row.
     ``order`` lists the threshold rows by increasing c0 and ``c0s`` holds
-    their c0 in that order; ``steps[i]`` is the total count once the first i
-    of them are passed, so ``steps[0]`` is the count below every threshold.
-    ``census`` counts the 2m rays by parity and exact alpha sign, in the field
-    order of unity.ParityCensus.
+    their c0 in that order.  ``census`` counts the 2m rays by parity and exact
+    alpha sign, in the field order of unity.ParityCensus.
     """
 
     m: int
@@ -248,7 +252,6 @@ class RayTable(NamedTuple):
     c0: tuple[float | None, ...]
     order: array
     c0s: array
-    steps: array
     census: tuple[int, ...]
 
     def row(self, j: int) -> int:
@@ -258,16 +261,17 @@ class RayTable(NamedTuple):
         """The rays of a row's conjugate group: the axis rows 0 and m stand for one."""
         return (row,) if row in (0, self.m) else (row, 2 * self.m - row)
 
-    def count(self, c: float) -> int:
-        """Total zero count at c.
+    def gained(self, c: float) -> int:
+        """Zeros the threshold rays add (k > 0) or remove (k < 0) at c: R(a) + R(b).
 
         The c0s whose tangency band holds c are the run c0s[a:b] between
-        _in_band's two bounds.  Every threshold case counts at c0 the mean of
-        its counts below and above, so each row of that run adds half its gain.
+        _in_band's two bounds; R(i) counts the rays of the first i threshold
+        rows (module docstring).
         """
         a = bisect_left(self.c0s, c / (1.0 + DEGENERACY_RTOL))
         b = bisect_right(self.c0s, c / (1.0 - DEGENERACY_RTOL), a)
-        return self.steps[a] + (self.steps[b] - self.steps[a]) // 2
+        axis_first = self.k < 0 or self.k % 2 == 0
+        return 2 * (a + b) - axis_first * ((a > 0) + (b > 0))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -281,7 +285,6 @@ def ray_table(m: int, k: int) -> RayTable:
     slot_of = [0] * ((m + 1) // 2) + [1] * (1 - m % 2) + [2] * ((m + 1) // 2)
     kinds = bytearray(map(operator.add, map(slot_of.__getitem__, folded), cycle((0, 3))))
     cases = _CASES[k > 0]
-    profiles = [_PROFILES[case] for case in cases]
     # rays per kind: every row but the axis rows 0 and m stands for two
     tally = [2 * kinds.count(kind) - (kinds[0] == kind) - (kinds[m] == kind) for kind in range(6)]
     is_threshold = bytes(case in THRESHOLD_CASES for case in cases).ljust(256, b"\0")  # translate table
@@ -292,11 +295,6 @@ def ray_table(m: int, k: int) -> RayTable:
     for row in rows:
         c0[row] = big_c / alpha_of[folded[row]]
     order = sorted(rows, key=c0.__getitem__)
-    # count gained per row as its c0 is passed: two rays each, halved on the axis rows 0 and m
-    gain = list(map([2 * (profile.above - profile.below) for profile in profiles].__getitem__, kinds))
-    gain[0] //= 2
-    gain[m] //= 2
-    below = sum(count * profile.below for count, profile in zip(tally, profiles))  # the count below every c0
     return RayTable(
         m=m,
         k=k,
@@ -305,7 +303,6 @@ def ray_table(m: int, k: int) -> RayTable:
         c0=tuple(c0),
         order=array("q", order),
         c0s=array("d", map(c0.__getitem__, order)),
-        steps=array("q", accumulate(map(gain.__getitem__, order), initial=below)),
         census=tuple(tally),
     )
 
@@ -367,7 +364,6 @@ def thresholds(params: FamilyParams) -> list[Threshold]:
     """
     table = ray_table(params.m, params.k)
     rays = list(zip(table.order, map((2 * params.m).__sub__, table.order)))
-    for row in (0, params.m):  # the axis rows stand for one ray each
-        if table.c0[row] is not None:
-            rays[table.order.index(row)] = table.rays(row)
+    if params.k < 0 or params.k % 2 == 0:  # fold 0's axis row, the first, stands for one ray
+        rays[0] = (table.order[0],)
     return list(map(Threshold, table.c0s, rays, map(table.alpha.__getitem__, table.order)))

@@ -197,58 +197,49 @@ def _refine(lines, a: float, b: float, a_neg: bool, radius_rtol: float) -> float
     return s
 
 
-def _radius(m: int, k: int, c: float, j: int, case: RayCase, s: float) -> float:
-    """The radius e^s of a zero on ray j; BracketFailure where it exceeds the float range."""
-    try:
-        return math.exp(s)
-    except OverflowError:
-        raise _failure(m, k, c, j, case, f"zero at log r = {s} beyond the float range") from None
-
-
-def _record(
-    params: FamilyParams, j: int, case: RayCase, alpha: float, r: float, u: complex, degenerate: bool, rtol: float
-) -> ZeroRecord:
-    """The record of the zero at radius r on ray j, whose weight is alpha and unit
-    direction u; rtol is the residual_rtol of the Tolerances."""
-    m, k, c = params
-    z = r * u
-    residual = abs(evaluate(params, z))
-    if not degenerate:
-        scale = power_term(1.0, r, m)
-        if scale == math.inf:  # the bound divided through by r^m, at the ray's exact angle
-            real = _over_power(-1.0 if j % 2 else 1.0, c * alpha, r, m, k)
-            label, size, bound = "residual |p(z)|/r^m", abs(real), rtol
-        else:
-            label, size, bound = "residual", residual, rtol * max(1.0, scale)
-        if not size <= bound:
-            raise _failure(m, k, c, j, case, f"{label} {size} exceeds {bound} at r={r}")
-    return ZeroRecord(j, r, z, residual, degenerate)
-
-
 def _solve_row(
     params: FamilyParams, j: int, case: RayCase, alpha: float, c0: float | None, u: complex, log_2c: float,
     tol: Tolerances,
 ) -> list[ZeroRecord]:
     """The zeros on ray j at params.c from its row's case, alpha and c0, sorted by
-    radius; u is the ray's unit direction and log_2c is log 2c.  Each record
-    passes the residual gate as soon as it is refined."""
+    radius; u is the ray's unit direction and log_2c is log 2c.  The row's log
+    radii come first, then one loop builds each record and gates its residual;
+    the merged pair in the tangency band is not gated."""
     m, k, c = params
     n = _count(_PROFILES[case], c0, c)
     if n == 0:
         return []
     radius_rtol, rtol = tol
-    if c0 is not None and _in_band(c, c0):
-        return [_record(params, j, case, alpha, _radius(m, k, c, j, case, _log_r0(m, k, alpha, c)), u, True, rtol)]
-    if not alpha:  # f = r^m - 1: Newton from the bracket's midpoint s = 0 stops there at once
-        return [_record(params, j, case, alpha, 1.0, u, False, rtol)]
-
-    lines, sign, ends, negs = _log_brackets(m, k, c, log_2c, j % 2, alpha, n == 2)
+    degenerate = c0 is not None and _in_band(c, c0)
+    if degenerate:
+        logs = [_log_r0(m, k, alpha, c)]
+    elif not alpha:  # f = r^m - 1: Newton from the bracket's midpoint s = 0 stops there at once
+        logs = [0.0]
+    else:
+        lines, sign, ends, negs = _log_brackets(m, k, c, log_2c, j % 2, alpha, n == 2)
+        logs = []
+        for a, b, a_neg, b_neg in zip(ends, ends[1:], negs, negs[1:]):
+            if a_neg == b_neg:
+                raise _failure(m, k, c, j, case, f"endpoint signs agree on log r in [{a}, {b}]")
+            logs.append(_refine(lines, a, b, a_neg != (sign < 0), radius_rtol))
     records = []
-    for a, b, a_neg, b_neg in zip(ends, ends[1:], negs, negs[1:]):
-        if a_neg == b_neg:
-            raise _failure(m, k, c, j, case, f"endpoint signs agree on log r in [{a}, {b}]")
-        r = _radius(m, k, c, j, case, _refine(lines, a, b, a_neg != (sign < 0), radius_rtol))
-        records.append(_record(params, j, case, alpha, r, u, False, rtol))
+    for s in logs:
+        try:
+            r = math.exp(s)
+        except OverflowError:
+            raise _failure(m, k, c, j, case, f"zero at log r = {s} beyond the float range") from None
+        z = r * u
+        residual = abs(evaluate(params, z))
+        if not degenerate:
+            scale = power_term(1.0, r, m)
+            if scale == math.inf:  # the bound divided through by r^m, at the ray's exact angle
+                real = _over_power(-1.0 if j % 2 else 1.0, c * alpha, r, m, k)
+                label, size, bound = "residual |p(z)|/r^m", abs(real), rtol
+            else:
+                label, size, bound = "residual", residual, rtol * max(1.0, scale)
+            if not size <= bound:
+                raise _failure(m, k, c, j, case, f"{label} {size} exceeds {bound} at r={r}")
+        records.append(ZeroRecord(j, r, z, residual, degenerate))
     return records
 
 

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import tracemalloc
 from array import array
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -82,7 +84,6 @@ def reference_table(m, k):
     alphas = array("d")
     cases = []
     c0 = []
-    base = 0
     tally = [0] * 6  # rays by parity, then by alpha sign from positive to negative
     for j in range(m + 1):
         t = (k * j) % (2 * m)
@@ -91,16 +92,10 @@ def reference_table(m, k):
         case = _CASES[k > 0][3 * (j % 2) + 1 - sign]
         alphas.append(alpha)
         cases.append(case)
-        n = 1 if j in (0, m) else 2
-        base += n * _PROFILES[case].below
-        tally[3 * (j % 2) + 1 - sign] += n
+        tally[3 * (j % 2) + 1 - sign] += 1 if j in (0, m) else 2
         threshold = case in THRESHOLD_CASES
         c0.append(reference_c0(m, k, alpha) if threshold else None)
     order = sorted((row for row in range(m + 1) if c0[row] is not None), key=c0.__getitem__)
-    steps = array("q", [base])
-    for row in order:
-        profile = _PROFILES[cases[row]]
-        steps.append(steps[-1] + (1 if row in (0, m) else 2) * (profile.above - profile.below))
     return RayTable(
         m=m,
         k=k,
@@ -109,9 +104,28 @@ def reference_table(m, k):
         c0=tuple(c0),
         order=array("q", order),
         c0s=array("d", (c0[row] for row in order)),
-        steps=steps,
         census=tuple(tally),
     )
+
+
+def reference_steps(t):
+    """A running count over a per-row table: steps[i] is the total count once the
+    first i threshold rows of t.order are passed, so steps[0] sums every row's
+    count below its c0.  Rows 0 and m stand for one ray, the others for two."""
+    rays = [1 if row in (0, t.m) else 2 for row in range(t.m + 1)]
+    steps = [sum(n * _PROFILES[case].below for n, case in zip(rays, t.case))]
+    for row in t.order:
+        profile = _PROFILES[t.case[row]]
+        steps.append(steps[-1] + rays[row] * (profile.above - profile.below))
+    return steps
+
+
+def running_count_at(t, steps, c):
+    """The count at c from a running count: the rows whose tangency band holds c
+    are the run c0s[a:b], and each adds half its gain there."""
+    a = bisect_left(t.c0s, c / (1.0 + DEGENERACY_RTOL))
+    b = bisect_right(t.c0s, c / (1.0 - DEGENERACY_RTOL), a)
+    return steps[a] + (steps[b] - steps[a]) // 2
 
 
 def bits(x):
@@ -127,7 +141,6 @@ def table_bits(t):
         [bits(c) for c in t.c0],
         t.order.typecode, list(t.order),
         t.c0s.typecode, [bits(c) for c in t.c0s],
-        t.steps.typecode, list(t.steps),
         t.census,
     )
 
@@ -330,6 +343,45 @@ class TestPredictAtEquivalence:
             for e in range(-40, 41):
                 c = 10.0 ** (e / 8)
                 assert predict_at(p, c) == reference_count(p, c), (m, k, c)
+
+
+class TestPredictAtEqualsRunningCount:
+    """predict_at, the modular band's end moved by the threshold rays passed,
+    equals a running count of the per-row table's counts at every band edge."""
+
+    @staticmethod
+    def assert_equal_running_count(m, k):
+        ref = reference_table(m, k)
+        steps = reference_steps(ref)
+        p = validate(m, k, 1.0)
+        w = DEGENERACY_RTOL
+        points = [5e-324, sys.float_info.max]
+        for c0 in ref.c0s:
+            for c in (c0, c0 * (1 + w), c0 * (1 - w), c0 / (1 + w), c0 / (1 - w)):
+                points += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf)]
+        for c in points:
+            assert predict_at(p, c) == running_count_at(ref, steps, c), (m, k, c)
+
+    def test_every_pair_small_m(self):
+        for m, k in valid_pairs(60):
+            self.assert_equal_running_count(m, k)
+
+    @pytest.mark.parametrize("m, k", sampled_pairs(6, 10_000, seed=23) + [(9999, 9998), (10000, -9999)])
+    def test_seeded_pairs_large_m(self, m, k):
+        self.assert_equal_running_count(m, k)
+
+
+def test_fold_zero_is_the_only_axis_threshold_and_the_first():
+    """Fold 0 (alpha = 1, c0 = C) puts an axis row among the thresholds exactly
+    when k < 0 or k is even, and that row's c0 is strictly the least."""
+    for m, k in valid_pairs(200):
+        t = ray_table.__wrapped__(m, k)
+        axes = [row for row in (0, m) if t.c0[row] is not None]
+        first = k < 0 or k % 2 == 0
+        assert axes == (list(t.order[:1]) if first else []), (m, k)
+        if first:
+            assert axes and t.alpha[axes[0]] == 1.0, (m, k)
+            assert len(t.c0s) == 1 or t.c0s[0] < t.c0s[1], (m, k)
 
 
 def test_table_cache_memory_is_bounded():

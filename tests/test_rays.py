@@ -503,15 +503,15 @@ class TestExtremum:
 class TestTangencyCircle:
     """At c = c0, f = f' = 0 leave r0^m = |k|/(m-k) whatever alpha is: every
     tangential double zero of a pair lies on |z| = (|k|/(m-k))^(1/m).  r0 is
-    taken from the table's c0; the widest gap, 1.8e-15 (2^-49), is at
-    (9999, 9998): _log_r0 sums five logs, two of them log m and log |k| near
-    9.2, whose rounding is about 2^-50 each, and dividing by m - k = 1 does not
-    shrink it."""
+    taken from the table's c0.  The k = +-(m - 1) ladder divides _log_r0's sum
+    by m - k = 1 or nearly 2m; a log |k| - log m there, two terms near 9.2,
+    missed rho* by up to 4.0e-15 at (6500, 6499), so _log_r0 takes log(|k|/m)."""
 
     @staticmethod
     def pairs():
         rng = random.Random(9091)
         yield from ((10000, 1), (10000, -1), (9999, 9998), (10000, -9999))
+        yield from ((m, sign * (m - 1)) for m in range(1000, 10001, 500) for sign in (1, -1))
         for _ in range(24):
             m = int(10.0 ** rng.uniform(0.5, 4.0))
             k = rng.choice((1, -1)) * rng.randrange(1, m)
