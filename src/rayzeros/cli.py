@@ -1,5 +1,10 @@
 """Command-line surface: classify, predict, zeros, thresholds, sweep, verify.
 
+Each command takes only the flags that act on it.  Every command takes --m,
+--k, --format and --output.  classify takes --c (default 1), and zeros and
+verify take a required --c plus --tol-radius and --tol-residual, which default
+to Tolerances()'s values; predict, thresholds and sweep read no c.
+
 Every command validates (m, k, c) first, then emits machine-readable rows as
 JSON (default) or CSV.  JSON output is a single object
 
@@ -12,15 +17,16 @@ JSON (default) or CSV.  JSON output is a single object
       "meta": {"version": ..., "tolerances": {...}}
     }
 
-with each result row on a line of its own ("results": [] when there are none),
-and CSV carries the same result rows field-for-field after a header line.
-Floats are printed with shortest round-trip formatting so outputs are stable
-and diff-friendly; non-finite ones are the strings "inf", "-inf" and "nan" in
-both formats.
+with each result row on a line of its own ("results": [] when there are none).
+params holds c only for a command that takes it, and meta holds tolerances
+only for zeros and verify.  CSV carries the same result rows field-for-field
+after a header line.  Floats are printed with shortest round-trip formatting
+so outputs are stable and diff-friendly; non-finite ones are the strings
+"inf", "-inf" and "nan" in both formats.
 
-Exit codes: 0 success, 1 invalid parameters, 2 verification mismatch (a
-verify row with "passed": false), 3 numerical failure.  Tolerances resolve
-as flags > RAYZEROS_* environment variables > defaults.
+Exit codes: 0 success, 1 invalid parameters or a usage error (a missing,
+unknown or removed flag, a bad choice or a malformed number), 2 verification
+mismatch (a verify row with "passed": false), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -30,7 +36,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from . import __version__
@@ -41,8 +46,6 @@ from .roots import Tolerances, all_zeros
 
 __all__ = ["main"]
 
-ENV_PREFIX = "RAYZEROS_"
-
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_MISMATCH = 2
@@ -52,7 +55,15 @@ _LOG_MAX = math.log(sys.float_info.max)  # exp(x) is finite for x <= _LOG_MAX
 
 
 class _InvalidInput(Exception):
-    """A flag or environment value out of range: exit 1 with the message."""
+    """A usage error or a flag value out of range: exit 1 with the message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1 through main, not 2: exit 2
+    is a verify mismatch.  Its subparsers are of this class too."""
+
+    def error(self, message):
+        raise _InvalidInput(message)
 
 
 def _oracle():
@@ -104,7 +115,7 @@ def _emit(args, rows: list[dict]) -> str:
         for row, line in zip(rows, lines)
     ]
     results = "[\n    " + ",\n    ".join(lines) + "\n  ]" if rows else "[]"
-    params = json.dumps({"m": args.m, "k": args.k, "c": args.c})
+    params = json.dumps({key: getattr(args, key) for key in ("m", "k", "c") if key in args})
     return f'{{\n  "params": {params},\n  "results": {results},\n  "meta": {json.dumps(args.meta)}\n}}\n'
 
 
@@ -132,9 +143,8 @@ def _cmd_classify(args, params) -> list[dict]:
 
 
 def _cmd_predict(args, params) -> list[dict]:
-    # source leads each row; _asdict() sets it again, which keeps its place
-    preds = (predict_table(params), predict_census(params))
-    return [{"source": pred.source, **pred._asdict()} for pred in preds]
+    preds = {"table": predict_table(params), "census": predict_census(params)}
+    return [{"source": source, **pred._asdict()} for source, pred in preds.items()]
 
 
 def _cmd_zeros(args, params) -> list[dict]:
@@ -216,56 +226,50 @@ def _cmd_verify(args, params) -> list[dict]:
     return [{"check": name, "passed": passed, "detail": detail} for name, passed, detail in checks]
 
 
-def _tolerance(args, name: str, default: float) -> float:
-    """--tol-<x> if given, else RAYZEROS_TOL_<X> if set, else the default.
-
-    A value given either way must be a finite positive float.
-    """
-    source = "--" + name.lower().replace("_", "-")
-    raw = getattr(args, name.lower())
-    if raw is None:
-        source = ENV_PREFIX + name
-        raw = os.environ.get(source)
-        if raw is None:
-            return default
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise _InvalidInput(f"{source} must be a finite positive float, got {raw!r}")
-    return value
+def _tolerances(args) -> Tolerances:
+    """Tolerances from --tol-radius and --tol-residual, each Tolerances()'s
+    default where not given.  A given one must be a finite positive float."""
+    given = {}
+    for flag, field, value in (
+        ("--tol-radius", "radius_rtol", args.tol_radius),
+        ("--tol-residual", "residual_rtol", args.tol_residual),
+    ):
+        if value is not None:
+            if not 0 < value < math.inf:
+                raise _InvalidInput(f"{flag} must be a finite positive float, got {value!r}")
+            given[field] = value
+    return Tolerances(**given)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rayzeros",
         description="Count and locate the zeros of z^m + c(z^k + conj(z)^k) - 1.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # name, help, whether --c is required, and the function that makes the rows
+    # name, help and the function that makes the rows
     commands = (
-        ("classify", "per-ray case labels and counts", False, _cmd_classify),
-        ("predict", "global count bounds, both derivations", False, _cmd_predict),
-        ("zeros", "locate every zero", True, _cmd_zeros),
-        ("thresholds", "critical values of c with their rays", False, _cmd_thresholds),
-        ("sweep", "zero count across a range of c", False, _cmd_sweep),
-        ("verify", "cross-validate predictions, zeros and the grid oracle", True, _cmd_verify),
+        ("classify", "per-ray case labels and counts", _cmd_classify),
+        ("predict", "global count bounds, both derivations", _cmd_predict),
+        ("zeros", "locate every zero", _cmd_zeros),
+        ("thresholds", "critical values of c with their rays", _cmd_thresholds),
+        ("sweep", "zero count across a range of c", _cmd_sweep),
+        ("verify", "cross-validate predictions, zeros and the grid oracle", _cmd_verify),
     )
-    for name, help_text, needs_c, run in commands:
+    for name, help_text, run in commands:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
         p.add_argument("--m", type=int, required=True, help="degree of the analytic term")
         p.add_argument("--k", type=int, required=True, help="degree of the middle terms (may be negative)")
-        if needs_c:
-            p.add_argument("--c", type=float, required=True, help="family parameter, c > 0")
-        else:
-            p.add_argument("--c", type=float, default=1.0, help="family parameter, c > 0 (default 1)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
+
+    sub.choices["classify"].add_argument("--c", type=float, default=1.0, help="family parameter, c > 0 (default 1)")
+    for name in ("zeros", "verify"):  # the commands that locate zeros
+        p = sub.choices[name]
+        p.add_argument("--c", type=float, required=True, help="family parameter, c > 0")
         p.add_argument("--tol-radius", type=float, default=None, help="relative radius tolerance")
         p.add_argument("--tol-residual", type=float, default=None, help="relative residual tolerance")
-
     sweep = sub.choices["sweep"]
     sweep.add_argument("--c-min", type=float, required=True)
     sweep.add_argument("--c-max", type=float, required=True)
@@ -282,17 +286,19 @@ def _invalid(message: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Execute one command; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
     try:
-        params = validate(args.m, args.k, args.c)
+        args = _build_parser().parse_args(argv)
+        # predict, thresholds and sweep read no c; 1 fills the c of their params
+        params = validate(args.m, args.k, getattr(args, "c", 1.0))
+    except _InvalidInput as exc:
+        return _invalid(str(exc))
     except ParameterError as exc:
         return _invalid(f"{type(exc).__name__}: {exc}")
     try:
-        radius = _tolerance(args, "TOL_RADIUS", Tolerances().radius_rtol)
-        residual = _tolerance(args, "TOL_RESIDUAL", Tolerances().residual_rtol)
-        args.tolerances = Tolerances(radius_rtol=radius, residual_rtol=residual)
-        # a command may add its own keys to meta
-        args.meta = {"version": __version__, "tolerances": {"radius": radius, "residual": residual}}
+        args.meta = {"version": __version__}  # a command may add its own keys to meta
+        if "tol_radius" in args:  # zeros and verify
+            tol = args.tolerances = _tolerances(args)
+            args.meta["tolerances"] = {"radius": tol.radius_rtol, "residual": tol.residual_rtol}
         rows = args.run(args, params)
     except _InvalidInput as exc:
         return _invalid(str(exc))

@@ -260,20 +260,10 @@ def compare(params: FamilyParams, oracle_res: OracleResult, ray_zeros) -> Compar
     cap = 1e-3
     a = oracle_res.zeros
     b = [rec.z for rec in ray_zeros]
-    # only pairs within the cap can match: window b by real part (padded to
-    # 2 cap against rounding), keep the pairs in (i, jj) order and sort them
-    # stably by distance, so ties resolve as in an all-pairs sort
-    by_re = sorted(range(len(b)), key=lambda jj: b[jj].real)
-    re_b = [b[jj].real for jj in by_re]
-    pairs = []
-    for i, za in enumerate(a):
-        lo = bisect.bisect_left(re_b, za.real - 2.0 * cap)
-        hi = bisect.bisect_right(re_b, za.real + 2.0 * cap)
-        for jj in sorted(by_re[lo:hi]):
-            dist = abs(za - b[jj])
-            if dist <= cap:
-                pairs.append((dist, i, jj))
-    pairs.sort(key=lambda t: t[0])
+    # only pairs within the cap can match; the nearest match first, ties in (i, jj) order
+    pairs = sorted(
+        (dist, i, jj) for i, za in enumerate(a) for jj, zb in enumerate(b) if (dist := abs(za - zb)) <= cap
+    )
     used_a: set[int] = set()
     used_b: set[int] = set()
     max_distance = 0.0

@@ -29,23 +29,12 @@ class CountPrediction(NamedTuple):
     """Count band over all c: min_count <= #zeros <= max_count.
 
     direction says which end is reached for small c: counts increase with c
-    when k > 0 and decrease when k < 0.  source is bookkeeping and excluded
-    from equality.
+    when k > 0 and decrease when k < 0.
     """
 
     min_count: int
     max_count: int
     direction: str
-    source: str = ""
-
-    def __eq__(self, other):
-        return self[:3] == other[:3] if isinstance(other, CountPrediction) else NotImplemented
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:3])
 
 
 def _direction(k: int) -> str:
@@ -66,7 +55,7 @@ def predict_table(params: FamilyParams) -> CountPrediction:
     """Count band from the closed-form modular table."""
     m, k = params.m, params.k
     low, span = _MODULAR[k > 0, m % 4, k % 2]
-    return CountPrediction(m + low, 2 * m + low + span, _direction(k), source="table")
+    return CountPrediction(m + low, 2 * m + low + span, _direction(k))
 
 
 def predict_census(params: FamilyParams) -> CountPrediction:
@@ -76,7 +65,7 @@ def predict_census(params: FamilyParams) -> CountPrediction:
     profiles = [_PROFILES[case] for case in _CASES[params.k > 0]]
     below = sum(n * profile.below for n, profile in zip(tally, profiles))
     above = sum(n * profile.above for n, profile in zip(tally, profiles))
-    return CountPrediction(min(below, above), max(below, above), _direction(params.k), source="census")
+    return CountPrediction(min(below, above), max(below, above), _direction(params.k))
 
 
 def predict_at(params: FamilyParams, c: float) -> int:

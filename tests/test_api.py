@@ -77,7 +77,7 @@ RECORDS = {
     rayzeros.Threshold: (dict(c0=0.8246924442330589, rays=(5,), alpha=1.0), {}),
     rayzeros.Tolerances: ({}, dict(radius_rtol=1e-12, residual_rtol=1e-10)),
     rayzeros.ZeroRecord: (dict(j=5, r=1.0, z=-1 + 0j, residual=0.0, degenerate=False), {}),
-    rayzeros.CountPrediction: (dict(min_count=5, max_count=11, direction="increasing"), dict(source="")),
+    rayzeros.CountPrediction: (dict(min_count=5, max_count=11, direction="increasing"), {}),
     rayzeros.OracleResult: (dict(zeros=(-1 + 0j,), grid_resolution=64, annulus=(0.68, 5.5)), dict(params=None)),
     rayzeros.ComparisonReport: (dict(matched=7, max_distance=2.2e-16), dict(unmatched_oracle=(), unmatched_ray=())),
     RayTable: (
@@ -115,10 +115,9 @@ def test_record_contract(cls):
 
 
 @pytest.mark.parametrize("m, k", [(5, 4), (5, -4), (12, 7), (9, -2)])
-def test_count_prediction_equality_ignores_source(m, k):
+def test_count_prediction_routes_are_equal(m, k):
     p = rayzeros.validate(m, k, 1.0)
     table, cen = rayzeros.predict_table(p), rayzeros.predict_census(p)
-    assert (table.source, cen.source) == ("table", "census")
     assert table == cen and not table != cen and hash(table) == hash(cen)
     wider = cen._replace(max_count=cen.max_count + 1)
     assert table != wider and not table == wider

@@ -1,4 +1,4 @@
-"""Command-line surface: dispatch, serialization parity, exit codes, env config."""
+"""Command-line surface: dispatch, serialization parity, exit codes, flags and tolerances."""
 from __future__ import annotations
 
 import argparse
@@ -519,46 +519,123 @@ class TestExitCodes:
 class TestParserSurface:
     """Each command's options: strings, default, required flag, choices and type."""
 
-    @staticmethod
-    def options(needs_c, *extra):
-        c = (["--c"], None, True, None, "float") if needs_c else (["--c"], 1.0, False, None, "float")
-        return [
-            (["-h", "--help"], argparse.SUPPRESS, False, None, None),
-            (["--m"], None, True, None, "int"),
-            (["--k"], None, True, None, "int"),
-            c,
-            (["--format"], "json", False, ("json", "csv"), None),
-            (["--output"], None, False, None, None),
-            (["--tol-radius"], None, False, None, "float"),
-            (["--tol-residual"], None, False, None, "float"),
-            *extra,
-        ]
+    HELP = (["-h", "--help"], argparse.SUPPRESS, False, None, None)
+    COMMON = [
+        (["--m"], None, True, None, "int"),
+        (["--k"], None, True, None, "int"),
+        (["--format"], "json", False, ("json", "csv"), None),
+        (["--output"], None, False, None, None),
+    ]
+    # the commands that locate zeros: a required c and the two tolerances
+    LOCATE = [
+        (["--c"], None, True, None, "float"),
+        (["--tol-radius"], None, False, None, "float"),
+        (["--tol-residual"], None, False, None, "float"),
+    ]
+    EXPECTED = {
+        "classify": [*COMMON, (["--c"], 1.0, False, None, "float")],
+        "predict": COMMON,
+        "zeros": [*COMMON, *LOCATE],
+        "thresholds": COMMON,
+        "sweep": [
+            *COMMON,
+            (["--c-min"], None, True, None, "float"),
+            (["--c-max"], None, True, None, "float"),
+            (["--steps"], None, True, None, "int"),
+            (["--spacing"], "linear", False, ("linear", "log"), None),
+        ],
+        "verify": [*COMMON, *LOCATE, (["--resolution"], 256, False, None, "int")],
+    }
 
     def test_every_option_of_every_command(self):
-        expected = {
-            "classify": self.options(False),
-            "predict": self.options(False),
-            "zeros": self.options(True),
-            "thresholds": self.options(False),
-            "sweep": self.options(
-                False,
-                (["--c-min"], None, True, None, "float"),
-                (["--c-max"], None, True, None, "float"),
-                (["--steps"], None, True, None, "int"),
-                (["--spacing"], "linear", False, ("linear", "log"), None),
-            ),
-            "verify": self.options(True, (["--resolution"], 256, False, None, "int")),
-        }
         parser = cli_mod._build_parser()
         (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        assert list(sub.choices) == list(expected)
+        assert list(sub.choices) == list(self.EXPECTED)
         for name, command in sub.choices.items():
             got = [
                 (a.option_strings, a.default, a.required, a.choices, getattr(a.type, "__name__", None))
                 for a in command._actions
             ]
-            assert got == expected[name], name
+            assert got == [self.HELP, *self.EXPECTED[name]], name
             assert command.get_default("run") is getattr(cli_mod, f"_cmd_{name}")
+
+    @pytest.mark.parametrize("name", list(EXPECTED))
+    def test_help_exits_zero_and_names_each_flag(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        flags = {word.strip("[],") for word in out.split() if word.startswith(("--", "[--"))}
+        assert flags == {"--help", *(strings[0] for strings, *_ in self.EXPECTED[name])}
+
+
+class TestUsageErrors:
+    """A usage error exits 1 with one error: line on stderr and nothing on
+    stdout; exit 2 stays a verify mismatch."""
+
+    ARGS = {
+        "classify": ["--m", "5", "--k", "4"],
+        "predict": ["--m", "5", "--k", "4"],
+        "thresholds": ["--m", "5", "--k", "4"],
+        "sweep": ["--m", "5", "--k", "4", "--c-min", "0.5", "--c-max", "3", "--steps", "4"],
+    }
+    REMOVED = [
+        ("classify", "--tol-radius"), ("classify", "--tol-residual"),
+        *((cmd, flag) for cmd in ("predict", "thresholds", "sweep") for flag in ("--c", "--tol-radius", "--tol-residual")),
+    ]
+
+    @staticmethod
+    def assert_usage_error(capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command, flag", REMOVED)
+    def test_removed_flag(self, capsys, command, flag):
+        argv = [command, *self.ARGS[command]]
+        assert run_cli(capsys, *argv)[0] == 0
+        self.assert_usage_error(capsys, [*argv, flag, "1"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["nosuch"],
+            ["predict", "--m", "5"],
+            ["zeros", "--m", "5", "--k", "4"],
+            ["predict", "--m", "5", "--k", "4", "--format", "xml"],
+            ["predict", "--m", "x", "--k", "4"],
+            ["sweep", "--m", "5", "--k", "4", "--c-min", "1", "--c-max", "2", "--steps", "3", "--spacing", "cubic"],
+        ],
+        ids=["no-command", "unknown-command", "missing-k", "missing-c", "format-xml", "m-not-int", "bad-spacing"],
+    )
+    def test_usage_error(self, capsys, argv):
+        self.assert_usage_error(capsys, argv)
+
+
+class TestParamsAndMeta:
+    """params holds c exactly where the command takes --c, and meta holds the
+    tolerances exactly where the command locates zeros."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--m", "5", "--k", "4"],
+            ["predict", "--m", "5", "--k", "4"],
+            ["zeros", "--m", "5", "--k", "4", "--c", "1"],
+            ["thresholds", "--m", "5", "--k", "4"],
+            ["sweep", "--m", "5", "--k", "4", "--c-min", "0.5", "--c-max", "3", "--steps", "4"],
+            ["verify", "--m", "5", "--k", "4", "--c", "1", "--resolution", "64"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_c_and_tolerances_only_where_read(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        c = {"classify": 1.0, "zeros": 1.0, "verify": 1.0}.get(argv[0])
+        assert doc["params"] == {"m": 5, "k": 4, **({"c": c} if c else {})}
+        assert ("tolerances" in doc["meta"]) == (argv[0] in ("zeros", "verify"))
 
 
 class TestToleranceConfig:
@@ -573,26 +650,21 @@ class TestToleranceConfig:
         _, out, _ = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1")
         assert json.loads(out)["meta"]["tolerances"] == {"radius": 1e-11, "residual": 1e-9}
 
-    def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("RAYZEROS_TOL_RADIUS", "1e-10")
-        _, out, _ = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1")
-        assert json.loads(out)["meta"]["tolerances"]["radius"] == 1e-10
+    def test_flag_sets_its_tolerance(self, capsys):
+        _, out, _ = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1", "--tol-radius", "1e-11")
+        assert json.loads(out)["meta"]["tolerances"] == {"radius": 1e-11, "residual": 1e-10}
 
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("RAYZEROS_TOL_RADIUS", "1e-10")
-        _, out, _ = run_cli(
-            capsys, "zeros", "--m", "5", "--k", "4", "--c", "1", "--tol-radius", "1e-11"
-        )
-        assert json.loads(out)["meta"]["tolerances"]["radius"] == 1e-11
-
-    @pytest.mark.parametrize("name", ["RAYZEROS_TOL_RADIUS", "RAYZEROS_TOL_RESIDUAL"])
-    @pytest.mark.parametrize("raw", ["abc", "", "0", "-1e-10", "nan", "inf"])
-    def test_bad_env_value_is_invalid(self, capsys, monkeypatch, name, raw):
-        monkeypatch.setenv(name, raw)
-        code, out, err = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and name in err
+    @pytest.mark.parametrize("raw", ["1e-10", "abc", "0"])
+    @pytest.mark.parametrize(
+        "argv", [("zeros", "--c", "1"), ("verify", "--c", "1", "--resolution", "64")], ids=lambda argv: argv[0]
+    )
+    def test_environment_changes_nothing(self, capsys, monkeypatch, argv, raw):
+        argv = (argv[0], "--m", "5", "--k", "4", *argv[1:])
+        plain = run_cli(capsys, *argv)
+        for name in ("RAYZEROS_TOL_RADIUS", "RAYZEROS_TOL_RESIDUAL"):
+            monkeypatch.setenv(name, raw)
+        assert run_cli(capsys, *argv) == plain
+        assert plain[0] == 0
 
 
 class TestModuleEntryPoint:

@@ -10,15 +10,16 @@ exit codes and the end of both stderrs; the last line gives the count of
 differing lines and how many lines ended with each exit code.  The exit status
 is 1 if any line differs.
 
-The 850 fixed lines cover every command in both formats on 8 pairs at 9
-values of c from 5e-324 to 1.7e308, sweeps over the whole float range,
-zeros at m = 1000 to 10000, invalid parameters, tolerances, resolutions,
-sweep ranges and output paths (exit 1), argparse usage errors and
-coarse-grid verify mismatches (exit 2), and numerical failures (exit 3),
-among them the residual-gate failure of zeros at (1987, -1528).  288 more lines probe the edges of the
-tangency band: predict, zeros and a two-point sweep at c0 (1 +- 1e-9) and one
-ulp either side, for the smallest and largest c0 of each pair as BEFORE's
-thresholds command lists them.
+The 605 fixed lines cover every command in both formats on 8 pairs: classify,
+zeros and verify at 9 values of c from 5e-324 to 1.7e308, predict and
+thresholds once per pair, and sweeps over the whole float range.  Then come
+zeros at m = 1000 to 10000; invalid parameters, tolerances, resolutions, sweep
+ranges and output paths, argparse usage errors and each flag a command does
+not take (exit 1); coarse-grid verify mismatches (exit 2); and numerical
+failures (exit 3), among them the residual-gate failure of zeros at
+(1987, -1528).  288 more lines probe the edges of the tangency band: classify,
+zeros and a two-point sweep at c0 (1 +- 1e-9) and one ulp either side, for the
+smallest and largest c0 of each pair as BEFORE's thresholds command lists them.
 """
 from __future__ import annotations
 
@@ -38,10 +39,12 @@ CS = ["5e-324", "1e-300", "1e-10", "0.3", "1", "3", "1e10", "1e200", "1.7e308"]
 
 def command_lines() -> list[list[str]]:
     lines = []
-    for (m, k), c, fmt in itertools.product(PAIRS, CS, ("json", "csv")):
-        base = ["--m", str(m), "--k", str(k), "--c", c, "--format", fmt]
-        lines += [[cmd, *base] for cmd in ("classify", "predict", "zeros", "thresholds")]
-        lines.append(["verify", *base, "--resolution", "64" if c in ("1e200", "1.7e308") else "128"])
+    for (m, k), fmt in itertools.product(PAIRS, ("json", "csv")):
+        base = ["--m", str(m), "--k", str(k), "--format", fmt]
+        lines += [["predict", *base], ["thresholds", *base]]
+        for c in CS:
+            lines += [["classify", *base, "--c", c], ["zeros", *base, "--c", c]]
+            lines.append(["verify", *base, "--c", c, "--resolution", "64" if c in ("1e200", "1.7e308") else "128"])
     sweeps = [("0.1", "10", "17", "log"), ("5e-324", "1.7e308", "9", "log"), ("0.5", "3", "6", "linear")]
     for (m, k), fmt in itertools.product(PAIRS, ("json", "csv")):
         base = ["--m", str(m), "--k", str(k), "--format", fmt]
@@ -60,16 +63,22 @@ def command_lines() -> list[list[str]]:
     lines += [["sweep", "--m", "5", "--k", "4", "--c-min", a, "--c-max", b, "--steps", n]
               for a, b, n in [("1", "1", "5"), ("2", "1", "5"), ("0", "1", "5"), ("1", "2", "1"), ("1", "inf", "5")]]
     lines.append(["predict", "--m", "5", "--k", "4", "--output", "/nonexistent/dir/out.json"])
-    # exit 2: argparse usage errors, then verify at coarse grids, where some mismatch and some exit 3
+    # exit 1 as well: argparse usage errors, and each flag a command does not take
     lines += [["zeros", "--m", "5", "--k", "4"], ["predict", "--m", "5"], ["nosuch"], [],
               ["predict", "--m", "5", "--k", "4", "--format", "xml"], ["predict", "--m", "x", "--k", "4"]]
+    tols = ["--tol-radius", "--tol-residual"]
+    for cmd, flags in [("classify", tols), ("predict", ["--c", *tols]), ("thresholds", ["--c", *tols]),
+                       ("sweep", ["--c", *tols])]:
+        extra = ["--c-min", "1", "--c-max", "2", "--steps", "3"] if cmd == "sweep" else []
+        lines += [[cmd, "--m", "5", "--k", "4", *extra, flag, "1"] for flag in flags]
+    # exit 2: verify at coarse grids, where some mismatch and some exit 3
     lines += [["verify", "--m", str(m), "--k", str(k), "--c", c, "--resolution", r]
               for m, k in [(30, -29), (60, 59), (49, 10), (13, 12), (21, -20)] for c in ("0.5", "1", "2") for r in ("64", "96")]
     return lines
 
 
 def band_edge_lines(run) -> list[list[str]]:
-    """predict, zeros and sweep next to each pair's smallest and largest c0, read
+    """classify, zeros and sweep next to each pair's smallest and largest c0, read
     from run(["thresholds", ...])'s JSON: at c0 (1 +- 1e-9) and one ulp either side."""
     lines = []
     for m, k in PAIRS:
@@ -79,7 +88,7 @@ def band_edge_lines(run) -> list[list[str]]:
             edge = c0 * (1 + rtol)
             for c in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
                 up = repr(math.nextafter(c, math.inf))
-                lines += [["predict", *base, "--c", repr(c)], ["zeros", *base, "--c", repr(c)],
+                lines += [["classify", *base, "--c", repr(c)], ["zeros", *base, "--c", repr(c)],
                           ["sweep", *base, "--c-min", repr(c), "--c-max", up, "--steps", "2"]]
     return lines
 
