@@ -245,6 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="rayzeros",
         description="Count and locate the zeros of z^m + c(z^k + conj(z)^k) - 1.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # name, help and the function that makes the rows
@@ -257,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("verify", "cross-validate predictions, zeros and the grid oracle", _cmd_verify),
     )
     for name, help_text, run in commands:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)  # each flag by its full name only
         p.set_defaults(run=run)
         p.add_argument("--m", type=int, required=True, help="degree of the analytic term")
         p.add_argument("--k", type=int, required=True, help="degree of the middle terms (may be negative)")

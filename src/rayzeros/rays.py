@@ -34,10 +34,13 @@ per row: alpha for s <= m/2 in one _alpha_half pass (alpha(m-s) = -alpha(s)), th
 case once per parity and alpha sign, every c0 as C / alpha.
 
 Every threshold ray gains (k > 0) or loses (k < 0) two zeros past its c0 and
-one inside its tangency band.  Fold 0 (alpha = 1, c0 = C, the least c0) is the
-only residue that puts an axis row, which stands for one ray, among the
-thresholds: row 0 for k < 0, row m for even k > 0.  So the first i threshold
-rows by c0 hold R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
+one inside its tangency band.  One function, _side, decides a ray's side of
+its c0 for count_at, degenerate_at and the root finder from the band's
+interval _band(c), at which RayTable.gained bisects the sorted c0s.  Fold 0
+(alpha = 1, c0 = C, the least c0) is the only residue that puts an axis row,
+which stands for one ray, among the thresholds: row 0 for k < 0, row m for
+even k > 0.  So the first i threshold rows by c0 hold
+R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
 """
 from __future__ import annotations
 
@@ -216,29 +219,27 @@ def _r0(m: int, k: int, alpha: float, c: float) -> float:
     return _exp(_log_r0(m, k, alpha, c))
 
 
-def _in_band(c: float, c0: float) -> bool:
-    """True when c sits in the tangency band around c0.
-
-    The band is stated as an interval of c0, so the c0s whose band holds c
-    are one run of any sorted list of them (RayTable.gained).
-    """
-    return c / (1.0 + DEGENERACY_RTOL) <= c0 <= c / (1.0 - DEGENERACY_RTOL)
+def _band(c: float) -> tuple[float, float]:
+    """The tangency band as the interval [lo, hi] of the c0s whose band holds c;
+    those c0s are one run of any sorted list of them (RayTable.gained)."""
+    return c / (1.0 + DEGENERACY_RTOL), c / (1.0 - DEGENERACY_RTOL)
 
 
-def _count(profile: CountProfile, c0: float | None, c: float) -> int:
-    """A ray's zero count at c; inside the tangency band the merged pair counts as 1."""
+def _side(c: float, c0: float | None) -> int:
+    """The index of a ray's count at c in its CountProfile: 0 below c0 or with
+    no c0, 1 inside the tangency band, where the merged pair counts as 1, and
+    2 above."""
     if c0 is None:
-        return profile.below
-    if _in_band(c, c0):
-        return profile.at_threshold
-    return profile.below if c < c0 else profile.above
+        return 0
+    lo, hi = _band(c)
+    return 0 if c0 > hi else 1 if c0 >= lo else 2
 
 
 class RayTable(NamedTuple):
     """The c-independent facts of every ray of one (m, k), one row per conjugate group.
 
-    Row j (0 <= j <= m) stands for ray j and its mirror 2m - j; parity, rays
-    and count profile follow from j and the case.  ``alpha``, ``case`` and
+    Row j (0 <= j <= m) stands for ray j and its mirror 2m - j; parity and
+    count profile follow from j and the case.  ``alpha``, ``case`` and
     ``c0`` (None outside the two threshold cases) are indexed by row.
     ``order`` lists the threshold rows by increasing c0 and ``c0s`` holds
     their c0 in that order.  ``census`` counts the 2m rays by parity and exact
@@ -257,19 +258,16 @@ class RayTable(NamedTuple):
     def row(self, j: int) -> int:
         return min(j, 2 * self.m - j)
 
-    def rays(self, row: int) -> tuple[int, ...]:
-        """The rays of a row's conjugate group: the axis rows 0 and m stand for one."""
-        return (row,) if row in (0, self.m) else (row, 2 * self.m - row)
-
     def gained(self, c: float) -> int:
         """Zeros the threshold rays add (k > 0) or remove (k < 0) at c: R(a) + R(b).
 
-        The c0s whose tangency band holds c are the run c0s[a:b] between
-        _in_band's two bounds; R(i) counts the rays of the first i threshold
-        rows (module docstring).
+        The c0s whose tangency band holds c are the run c0s[a:b] inside
+        _band(c); R(i) counts the rays of the first i threshold rows (module
+        docstring).
         """
-        a = bisect_left(self.c0s, c / (1.0 + DEGENERACY_RTOL))
-        b = bisect_right(self.c0s, c / (1.0 - DEGENERACY_RTOL), a)
+        lo, hi = _band(c)
+        a = bisect_left(self.c0s, lo)
+        b = bisect_right(self.c0s, hi, a)
         axis_first = self.k < 0 or self.k % 2 == 0
         return 2 * (a + b) - axis_first * ((a > 0) + (b > 0))
 
@@ -331,7 +329,7 @@ def analyze_ray(params: FamilyParams, j: int) -> RayAnalysis:
 def degenerate_at(analysis: RayAnalysis, c: float) -> bool:
     """True when c sits in the tangency band around the ray's threshold."""
     _check_c(c)
-    return analysis.c0 is not None and _in_band(c, analysis.c0)
+    return _side(c, analysis.c0) == 1
 
 
 def count_at(analysis: RayAnalysis, c: float) -> int:
@@ -341,7 +339,7 @@ def count_at(analysis: RayAnalysis, c: float) -> int:
     carries the flag.
     """
     _check_c(c)
-    return _count(analysis.profile, analysis.c0, c)
+    return analysis.profile[_side(c, analysis.c0)]
 
 
 def extremum_radius(analysis: RayAnalysis, c: float) -> float | None:

@@ -33,9 +33,8 @@ from .rays import (
     _PROFILES,
     RayAnalysis,
     RayCase,
-    _count,
-    _in_band,
     _log_r0,
+    _side,
     count_at,
     degenerate_at,
     extremum_radius,
@@ -206,11 +205,12 @@ def _solve_row(
     radii come first, then one loop builds each record and gates its residual;
     the merged pair in the tangency band is not gated."""
     m, k, c = params
-    n = _count(_PROFILES[case], c0, c)
+    side = _side(c, c0)
+    n = _PROFILES[case][side]
     if n == 0:
         return []
     radius_rtol, rtol = tol
-    degenerate = c0 is not None and _in_band(c, c0)
+    degenerate = side == 1
     if degenerate:
         logs = [_log_r0(m, k, alpha, c)]
     elif not alpha:  # f = r^m - 1: Newton from the bracket's midpoint s = 0 stops there at once

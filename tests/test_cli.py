@@ -578,6 +578,8 @@ class TestUsageErrors:
         "predict": ["--m", "5", "--k", "4"],
         "thresholds": ["--m", "5", "--k", "4"],
         "sweep": ["--m", "5", "--k", "4", "--c-min", "0.5", "--c-max", "3", "--steps", "4"],
+        "zeros": ["--m", "5", "--k", "4", "--c", "1"],
+        "verify": ["--m", "5", "--k", "4", "--c", "1", "--resolution", "64"],
     }
     REMOVED = [
         ("classify", "--tol-radius"), ("classify", "--tol-residual"),
@@ -589,12 +591,26 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
 
     @pytest.mark.parametrize("command, flag", REMOVED)
     def test_removed_flag(self, capsys, command, flag):
         argv = [command, *self.ARGS[command]]
         assert run_cli(capsys, *argv)[0] == 0
         self.assert_usage_error(capsys, [*argv, flag, "1"])
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("predict", "--form", "csv"), ("verify", "--res", "64"), ("zeros", "--tol-res", "1e-10"),
+         ("sweep", "--st", "3"), ("sweep", "--c", "1"), ("predict", "--c", "1")],
+    )
+    def test_flag_by_its_full_name_only(self, capsys, command, flag, value):
+        """A prefix of a flag is not that flag, and --c is not a prefix of sweep's
+        --c-min and --c-max: each is reported like any other unknown flag."""
+        argv = [command, *self.ARGS[command]]
+        assert run_cli(capsys, *argv)[0] == 0
+        err = self.assert_usage_error(capsys, [*argv, flag, value])
+        assert err == f"error: unrecognized arguments: {flag} {value}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -21,6 +21,7 @@ from rayzeros import (
     analyze_ray,
     classify_ray,
     count_at,
+    degenerate_at,
     predict_at,
     solve_ray,
     thresholds,
@@ -59,12 +60,12 @@ class TestTable:
         for m, k in valid_pairs(14):
             t = ray_table(m, k)
             assert len(t.alpha) == len(t.case) == len(t.c0) == m + 1
-            rays = sorted(j for row in range(m + 1) for j in t.rays(row))
-            assert rays == list(range(2 * m))
+            assert sorted({t.row(j) for j in range(2 * m)}) == list(range(m + 1))
             p = validate(m, k, 1.0)
             for j in range(2 * m):
                 a = analyze_ray(p, j)
                 row = t.row(j)
+                assert row == t.row(2 * m - j), (m, k, j)
                 assert (a.alpha, a.case, a.c0) == (t.alpha[row], t.case[row], t.c0[row])
 
 
@@ -332,10 +333,15 @@ class TestPredictAtEquivalence:
             for c in (th.c0, th.c0 * (1 + DEGENERACY_RTOL), th.c0 * (1 - DEGENERACY_RTOL)):
                 points += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf)]
         assert points
+        analyses = [analyze_ray(p, j) for j in range(2 * m)]
         for c in points:
             assert predict_at(p, c) == reference_count(p, c), (m, k, c)
             if m < 100:
-                assert len(all_zeros(validate(m, k, c))) == predict_at(p, c), (m, k, c)
+                recs = all_zeros(validate(m, k, c))
+                assert len(recs) == predict_at(p, c), (m, k, c)
+                # the solver's merged flag and the per-ray predicate pick the same rays
+                merged = {j for j, a in enumerate(analyses) if degenerate_at(a, c)}
+                assert {rec.j for rec in recs if rec.degenerate} == merged, (m, k, c)
 
     def test_equals_sum_of_ray_counts_on_log_grid(self):
         for m, k in ((2, 1), (4, -1), (9, 2), (16, 9)):

@@ -10,14 +10,14 @@ exit codes and the end of both stderrs; the last line gives the count of
 differing lines and how many lines ended with each exit code.  The exit status
 is 1 if any line differs.
 
-The 605 fixed lines cover every command in both formats on 8 pairs: classify,
+The 609 fixed lines cover every command in both formats on 8 pairs: classify,
 zeros and verify at 9 values of c from 5e-324 to 1.7e308, predict and
 thresholds once per pair, and sweeps over the whole float range.  Then come
 zeros at m = 1000 to 10000; invalid parameters, tolerances, resolutions, sweep
-ranges and output paths, argparse usage errors and each flag a command does
-not take (exit 1); coarse-grid verify mismatches (exit 2); and numerical
-failures (exit 3), among them the residual-gate failure of zeros at
-(1987, -1528).  288 more lines probe the edges of the tangency band: classify,
+ranges and output paths, argparse usage errors, each flag a command does not
+take and four flags abbreviated to a prefix (exit 1); coarse-grid verify
+mismatches (exit 2); and numerical failures (exit 3), among them the
+residual-gate failure of zeros at (1987, -1528).  288 more lines probe the edges of the tangency band: classify,
 zeros and a two-point sweep at c0 (1 +- 1e-9) and one ulp either side, for the
 smallest and largest c0 of each pair as BEFORE's thresholds command lists them.
 """
@@ -71,6 +71,11 @@ def command_lines() -> list[list[str]]:
                        ("sweep", ["--c", *tols])]:
         extra = ["--c-min", "1", "--c-max", "2", "--steps", "3"] if cmd == "sweep" else []
         lines += [[cmd, "--m", "5", "--k", "4", *extra, flag, "1"] for flag in flags]
+    # exit 1 as well: a flag abbreviated to a prefix of its name
+    lines += [["predict", "--m", "5", "--k", "4", "--form", "csv"],
+              ["verify", "--m", "5", "--k", "4", "--c", "1", "--res", "64"],
+              ["zeros", "--m", "5", "--k", "4", "--c", "1", "--tol-res", "1e-10"],
+              ["sweep", "--m", "5", "--k", "4", "--c-min", "1", "--c-max", "2", "--steps", "3", "--st", "4"]]
     # exit 2: verify at coarse grids, where some mismatch and some exit 3
     lines += [["verify", "--m", str(m), "--k", str(k), "--c", c, "--resolution", r]
               for m, k in [(30, -29), (60, 59), (49, 10), (13, 12), (21, -20)] for c in ("0.5", "1", "2") for r in ("64", "96")]
