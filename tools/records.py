@@ -22,6 +22,8 @@ import pathlib
 import sys
 
 FIXED_C = (5e-324, 1e-300, 1e-10, 0.3, 1.0, 3.0, 1e10, 1e300, sys.float_info.max)
+# the band's edges as fixed probe points, not read from the library, so a
+# change to the band changes the answers at the same queries
 BAND = 1e-9
 
 
