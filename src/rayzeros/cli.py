@@ -2,8 +2,8 @@
 
 Each command takes only the flags that act on it.  Every command takes --m,
 --k, --format and --output.  classify takes --c (default 1), and zeros and
-verify take a required --c plus --tol-radius and --tol-residual, which default
-to Tolerances()'s values; predict, thresholds and sweep read no c.
+verify take a required --c plus --tol-residual, which defaults to
+Tolerances().residual_rtol; predict, thresholds and sweep read no c.
 
 Every command validates (m, k, c) first, then emits machine-readable rows as
 JSON (default) or CSV.  JSON output is a single object
@@ -73,7 +73,7 @@ def _oracle():
     return oracle
 
 
-def find_zeros_grid(params, resolution=256):
+def find_zeros_grid(params, resolution):
     return _oracle().find_zeros_grid(params, resolution)
 
 
@@ -226,21 +226,6 @@ def _cmd_verify(args, params) -> list[dict]:
     return [{"check": name, "passed": passed, "detail": detail} for name, passed, detail in checks]
 
 
-def _tolerances(args) -> Tolerances:
-    """Tolerances from --tol-radius and --tol-residual, each Tolerances()'s
-    default where not given.  A given one must be a finite positive float."""
-    given = {}
-    for flag, field, value in (
-        ("--tol-radius", "radius_rtol", args.tol_radius),
-        ("--tol-residual", "residual_rtol", args.tol_residual),
-    ):
-        if value is not None:
-            if not 0 < value < math.inf:
-                raise _InvalidInput(f"{flag} must be a finite positive float, got {value!r}")
-            given[field] = value
-    return Tolerances(**given)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="rayzeros",
@@ -269,8 +254,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("zeros", "verify"):  # the commands that locate zeros
         p = sub.choices[name]
         p.add_argument("--c", type=float, required=True, help="family parameter, c > 0")
-        p.add_argument("--tol-radius", type=float, default=None, help="relative radius tolerance")
-        p.add_argument("--tol-residual", type=float, default=None, help="relative residual tolerance")
+        p.add_argument(
+            "--tol-residual", type=float, default=Tolerances().residual_rtol, help="relative residual tolerance"
+        )
     sweep = sub.choices["sweep"]
     sweep.add_argument("--c-min", type=float, required=True)
     sweep.add_argument("--c-max", type=float, required=True)
@@ -297,9 +283,11 @@ def main(argv: list[str] | None = None) -> int:
         return _invalid(f"{type(exc).__name__}: {exc}")
     try:
         args.meta = {"version": __version__}  # a command may add its own keys to meta
-        if "tol_radius" in args:  # zeros and verify
-            tol = args.tolerances = _tolerances(args)
-            args.meta["tolerances"] = {"radius": tol.radius_rtol, "residual": tol.residual_rtol}
+        if "tol_residual" in args:  # zeros and verify
+            if not 0 < args.tol_residual < math.inf:
+                raise _InvalidInput(f"--tol-residual must be a finite positive float, got {args.tol_residual!r}")
+            args.tolerances = Tolerances(args.tol_residual)
+            args.meta["tolerances"] = {"residual": args.tol_residual}
         rows = args.run(args, params)
     except _InvalidInput as exc:
         return _invalid(str(exc))

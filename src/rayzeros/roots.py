@@ -12,14 +12,14 @@ G = log(two-line side) - lone line: + when the two lines are P's.  The lines
 cross at s = 0, L/(m - k) and -L/k.  One unit beyond the outermost crossing
 the tail term beats each other term by a factor e > 2 and gives F its sign,
 so the two ends bracket a single zero, and a pair is split at s0 = log r0.
-Each radius is refined by safeguarded Newton on G in s; steps that leave the
-bracket bisect it.  Each record of ray j re-evaluates the full complex
-function at r times the ray's unit direction and must pass the residual gate,
-scaled by r^m where r^m overflows, as soon as its row is solved.  Since
-p(conj z) = conj p(z), ray 2m - j's records are the exact conjugates of ray
-j's, with the same residual; they are built after the last row without a
-second evaluation.  bracket and solve_ray run the same per-row code for one
-analyzed ray.
+Each radius is refined by safeguarded Newton on G in s until a step is at
+most 1e-12; steps that leave the bracket bisect it.  Each record of ray j
+re-evaluates the full complex function at r times the ray's unit direction
+and must pass the residual gate, scaled by r^m where r^m overflows, as soon
+as its row is solved.  Since p(conj z) = conj p(z), ray 2m - j's records are
+the exact conjugates of ray j's, with the same residual; they are built after
+the last row without a second evaluation.  bracket and solve_ray run the same
+per-row code for one analyzed ray.
 """
 from __future__ import annotations
 
@@ -57,6 +57,9 @@ __all__ = [
 # bound on the Newton-or-bisection steps per zero; bisection alone takes the
 # widest bracket in s, about 1400, to 1e-12 in 51 steps
 _NEWTON_STEPS = 100
+# the Newton step in log r (a relative change of r) at which refinement stops;
+# Newton converges quadratically, so r is then at float precision
+_STEP_RTOL = 1e-12
 
 
 class BracketFailure(ArithmeticError):
@@ -74,10 +77,9 @@ class DegenerateTangency(Exception):
 
 
 class Tolerances(NamedTuple):
-    """Refinement and acceptance tolerances.
+    """The acceptance tolerance; refinement itself stops at a fixed Newton
+    step in log r, _STEP_RTOL.
 
-    radius_rtol: the Newton step in log r (a relative change of r) at which
-        refinement stops.
     residual_rtol: accepted records must satisfy
         |p(z)| <= residual_rtol * max(1, |z|^m).  Where r^m overflows the
         bound is tested divided through by r^m at the ray's exact angle
@@ -85,7 +87,6 @@ class Tolerances(NamedTuple):
         |(-1)^j + 2 c alpha_j r^(k-m) - r^(-m)| <= residual_rtol.
     """
 
-    radius_rtol: float = 1e-12
     residual_rtol: float = 1e-10
 
 
@@ -168,21 +169,23 @@ def bracket(analysis: RayAnalysis, c: float) -> list[tuple[float, float]]:
         raise _failure(m, k, c, analysis.ray.j, analysis.case, what) from None
 
 
-def _refine(lines, a: float, b: float, a_neg: bool, radius_rtol: float) -> float:
+def _refine(lines, a: float, b: float, a_neg: bool) -> float:
     """Safeguarded Newton on G(s) = +-F(s) inside the bracket [a, b] in
-    s = log r, where G(a) < 0 iff a_neg; returns s at the zero.
+    s = log r, where G(a) < 0 iff a_neg; returns s at the zero.  It stops
+    once a step is at most _STEP_RTOL.
 
     A Newton step that leaves the bracket bisects it instead.  The step size
     is tested before sign(G) moves the bracket: at the root |G| is at rounding
     level and its sign may be wrong.  G / G' = F / F', so the steps are
     Newton's on F.
     """
+    rtol = _STEP_RTOL
     s = 0.5 * (a + b)
     for _ in range(_NEWTON_STEPS):
         value, slope = _log_f(lines, s)
         step = value / slope if slope else math.inf
         t = s - step
-        if abs(step) <= radius_rtol or t == s:
+        if abs(step) <= rtol or t == s:
             return t
         if (value < 0) == a_neg:
             a = s
@@ -209,7 +212,7 @@ def _solve_row(
     n = _PROFILES[case][side]
     if n == 0:
         return []
-    radius_rtol, rtol = tol
+    rtol = tol.residual_rtol
     degenerate = side == 1
     if degenerate:
         logs = [_log_r0(m, k, alpha, c)]
@@ -221,7 +224,7 @@ def _solve_row(
         for a, b, a_neg, b_neg in zip(ends, ends[1:], negs, negs[1:]):
             if a_neg == b_neg:
                 raise _failure(m, k, c, j, case, f"endpoint signs agree on log r in [{a}, {b}]")
-            logs.append(_refine(lines, a, b, a_neg != (sign < 0), radius_rtol))
+            logs.append(_refine(lines, a, b, a_neg != (sign < 0)))
     records = []
     for s in logs:
         try:

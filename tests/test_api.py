@@ -75,7 +75,7 @@ RECORDS = {
         dict(r0=None, log_beta=None, c0=None),
     ),
     rayzeros.Threshold: (dict(c0=0.8246924442330589, rays=(5,), alpha=1.0), {}),
-    rayzeros.Tolerances: ({}, dict(radius_rtol=1e-12, residual_rtol=1e-10)),
+    rayzeros.Tolerances: ({}, dict(residual_rtol=1e-10)),
     rayzeros.ZeroRecord: (dict(j=5, r=1.0, z=-1 + 0j, residual=0.0, degenerate=False), {}),
     rayzeros.CountPrediction: (dict(min_count=5, max_count=11, direction="increasing"), {}),
     rayzeros.OracleResult: (dict(zeros=(-1 + 0j,), grid_resolution=64, annulus=(0.68, 5.5)), dict(params=None)),

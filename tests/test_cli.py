@@ -449,6 +449,7 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and "--resolution" in err
 
+    # each value is out of range for --tol-residual; --tol-radius is no flag of zeros at all
     @pytest.mark.parametrize("flag", ["--tol-radius", "--tol-residual"])
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_bad_tolerance_flag_is_invalid(self, capsys, flag, value):
@@ -526,11 +527,10 @@ class TestParserSurface:
         (["--format"], "json", False, ("json", "csv"), None),
         (["--output"], None, False, None, None),
     ]
-    # the commands that locate zeros: a required c and the two tolerances
+    # the commands that locate zeros: a required c and the residual tolerance
     LOCATE = [
         (["--c"], None, True, None, "float"),
-        (["--tol-radius"], None, False, None, "float"),
-        (["--tol-residual"], None, False, None, "float"),
+        (["--tol-residual"], 1e-10, False, None, "float"),
     ]
     EXPECTED = {
         "classify": [*COMMON, (["--c"], 1.0, False, None, "float")],
@@ -599,6 +599,12 @@ class TestUsageErrors:
         assert run_cli(capsys, *argv)[0] == 0
         self.assert_usage_error(capsys, [*argv, flag, "1"])
 
+    @pytest.mark.parametrize("command", ["zeros", "verify"])
+    def test_no_radius_tolerance(self, capsys, command):
+        """Refinement stops at a fixed Newton step, which no flag sets."""
+        err = self.assert_usage_error(capsys, [command, *self.ARGS[command], "--tol-radius", "1e-11"])
+        assert err == "error: unrecognized arguments: --tol-radius 1e-11\n"
+
     @pytest.mark.parametrize(
         "command, flag, value",
         [("predict", "--form", "csv"), ("verify", "--res", "64"), ("zeros", "--tol-res", "1e-10"),
@@ -658,17 +664,16 @@ class TestToleranceConfig:
     def test_default_in_meta(self, capsys):
         _, out, _ = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1")
         meta = json.loads(out)["meta"]
-        assert meta["tolerances"] == {"radius": 1e-12, "residual": 1e-10}
+        assert meta["tolerances"] == {"residual": 1e-10}
 
     def test_defaults_come_from_tolerances(self, capsys, monkeypatch):
-        defaults = {"radius_rtol": 1e-11, "residual_rtol": 1e-9}
-        monkeypatch.setattr(cli_mod, "Tolerances", lambda **given: rayzeros.Tolerances(**{**defaults, **given}))
+        monkeypatch.setattr(cli_mod, "Tolerances", lambda residual_rtol=1e-9: rayzeros.Tolerances(residual_rtol))
         _, out, _ = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1")
-        assert json.loads(out)["meta"]["tolerances"] == {"radius": 1e-11, "residual": 1e-9}
+        assert json.loads(out)["meta"]["tolerances"] == {"residual": 1e-9}
 
     def test_flag_sets_its_tolerance(self, capsys):
-        _, out, _ = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1", "--tol-radius", "1e-11")
-        assert json.loads(out)["meta"]["tolerances"] == {"radius": 1e-11, "residual": 1e-10}
+        _, out, _ = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1", "--tol-residual", "1e-9")
+        assert json.loads(out)["meta"]["tolerances"] == {"residual": 1e-9}
 
     @pytest.mark.parametrize("raw", ["1e-10", "abc", "0"])
     @pytest.mark.parametrize(

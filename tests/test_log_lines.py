@@ -25,7 +25,7 @@ from rayzeros.rays import _LOG2, _PROFILES, _log_r0, _side, ray_table
 
 from conftest import valid_k_choices
 
-RTOL = roots.Tolerances().radius_rtol
+RTOL = roots._STEP_RTOL
 
 
 def ref_log_split(parity, m, k, c, alpha):
@@ -67,13 +67,13 @@ def ref_brackets(m, k, c, parity, alpha, pair):
     return split, [lo + hi for lo, hi in zip(points, points[1:])]
 
 
-def ref_refine(split, a, b, a_neg, radius_rtol):
+def ref_refine(split, a, b, a_neg, step_rtol):
     s = 0.5 * (a + b)
     for _ in range(roots._NEWTON_STEPS):
         value, slope = ref_log_f(split, s)
         step = value / slope if slope else math.inf
         t = s - step
-        if abs(step) <= radius_rtol or t == s:
+        if abs(step) <= step_rtol or t == s:
             return t
         if (value < 0) == a_neg:
             a = s
@@ -148,7 +148,7 @@ def test_g_is_plus_or_minus_f_bit_for_bit(i):
             assert (bits(sign * g), bits(sign * dg)) == (bits(f), bits(df)), (m, k, c, j, s)
         # the refined zeros: Newton on G takes F's steps
         for a, fa, b, _ in intervals:
-            new = roots._refine(lines, a, b, (fa < 0) != (sign < 0), RTOL)
+            new = roots._refine(lines, a, b, (fa < 0) != (sign < 0))
             assert bits(new) == bits(ref_refine(split, a, b, fa < 0, RTOL)), (m, k, c, j)
 
 
@@ -164,7 +164,7 @@ def test_bracket_equals_the_reference_intervals():
 @pytest.mark.parametrize("m, k", [(4, 1), (8, -3), (12, 5), (16, -7), (4096, 4095), (4096, -1)])
 def test_alpha_zero_row_is_the_unit_radius(m, k):
     """alpha = 0 on an even ray, which needs 4 | m, leaves f = r^m - 1; the reference brackets it in
-    [-1, 1] and its Newton stops at s = 0 at once, at any radius_rtol."""
+    [-1, 1] and its Newton stops at s = 0 at once, at any step tolerance."""
     p = validate(m, k, 0.7)
     t = ray_table(m, k)
     rows = [j for j in range(0, m + 1, 2) if t.alpha[j] == 0.0]

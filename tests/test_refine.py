@@ -6,13 +6,13 @@ decided by evaluating f exactly (60-digit mpmath) on the same float
 coefficients the library uses, so the reference is the float nearest to
 the true zero of that f, independent of how the library evaluates it.
 
-A zero agrees with the reference within radius_rtol plus its condition
-limit: one unit roundoff of f's largest-magnitude sum, sum |term|, moves the
-zero by u * sum |term| / |f'|.  Away from a tangency that limit is far below
-radius_rtol; next to one, f' is small and it dominates.  At (3, 1) with
-c = c0 (1 + 2e-9) it is 2.5e-12 of r; the inner zero refined here lies
-1.3e-12 of r from the reference, and bisection of f_value with a derivative
-polish lands 1.4e-12 of r away on the other side.
+A zero agrees with the reference within the Newton stop, 1e-12 of r, plus
+its condition limit: one unit roundoff of f's largest-magnitude sum,
+sum |term|, moves the zero by u * sum |term| / |f'|.  Away from a tangency
+that limit is far below the Newton stop; next to one, f' is small and it
+dominates.  At (3, 1) with c = c0 (1 + 2e-9) it is 2.5e-12 of r; the inner
+zero refined here lies 1.3e-12 of r from the reference, and bisection of
+f_value with a derivative polish lands 1.4e-12 of r away on the other side.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from rayzeros import (
 )
 from rayzeros import roots
 
-RTOL = Tolerances().radius_rtol
+RTOL = roots._STEP_RTOL
 
 
 def _bits(x: float) -> int:
@@ -174,13 +174,15 @@ class TestSteps:
         # bisection alone would take about 40 steps per zero
         assert self.steps_per_zero(monkeypatch, m, k, c) <= 8
 
-    def test_zero_tolerance_terminates(self):
+    def test_zero_tolerance_terminates(self, monkeypatch):
+        # with no step small enough, Newton stops once the float grid is exhausted
         p = validate(50, 49, 1.0)
-        tol = Tolerances(radius_rtol=0.0)
-        recs = all_zeros(p, tol)
-        assert len(recs) == len(all_zeros(p))
+        n = len(all_zeros(p))
+        monkeypatch.setattr(roots, "_STEP_RTOL", 0.0)
+        recs = all_zeros(p)
+        assert len(recs) == n
         for rec in recs:
-            assert rec.residual <= tol.residual_rtol * max(1.0, rec.r ** p.m)
+            assert rec.residual <= Tolerances().residual_rtol * max(1.0, rec.r ** p.m)
 
 
 _GATE_CTX = mpmath.mp.clone()

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from rayzeros import (
+    BracketFailure,
     DegenerateTangency,
     all_zeros,
     analyze_ray,
@@ -187,6 +188,41 @@ class TestAllZeros:
         a = records_for(5, -4, 0.2)
         b = records_for(5, -4, 0.2)
         assert a == b
+
+    def test_contract_over_the_float_range(self):
+        """all_zeros either raises BracketFailure or returns predict_at's count of
+        records, each non-degenerate one within the residual gate, with ray j's
+        radii those of ray 2m - j.  m from 2 to 300, k of either sign, c = 10^e
+        with e uniform over [-323, 308].  The only failure seen is k < 0 with
+        tiny c, where r^k overflows and the gate reads an infinite residual."""
+        rng = random.Random(2718)
+        failures = 0
+        for _ in range(600):
+            m = rng.randint(2, 300)
+            k = rng.choice(valid_k_choices(m))
+            c = 10.0 ** rng.uniform(-323, 308)
+            p = validate(m, k, c)
+            try:
+                recs = all_zeros(p)
+            except BracketFailure as exc:
+                assert k < 0 and "residual inf exceeds" in str(exc), (m, k, c, exc)
+                failures += 1
+                continue
+            assert len(recs) == predict_at(p, c), (m, k, c)
+            radii = {}
+            for rec in recs:
+                if not rec.degenerate:
+                    try:
+                        scale = rec.r ** m
+                    except OverflowError:
+                        scale = math.inf
+                    assert abs(evaluate(p, rec.z)) <= 1e-10 * max(1.0, scale), (m, k, c, rec)
+                radii.setdefault(rec.j, []).append(rec.r)
+            for j, rs in radii.items():
+                mate = sorted(radii.get((2 * m - j) % (2 * m), ()))
+                assert len(mate) == len(rs), (m, k, c, j)
+                assert all(abs(a - b) <= 1e-11 * max(a, b) for a, b in zip(sorted(rs), mate)), (m, k, c, j)
+        assert failures < 60  # most draws must reach the three checks
 
 
 class TestDegenerateGlobal:

@@ -10,14 +10,15 @@ exit codes and the end of both stderrs; the last line gives the count of
 differing lines and how many lines ended with each exit code.  The exit status
 is 1 if any line differs.
 
-The 609 fixed lines cover every command in both formats on 8 pairs: classify,
+The 607 fixed lines cover every command in both formats on 8 pairs: classify,
 zeros and verify at 9 values of c from 5e-324 to 1.7e308, predict and
 thresholds once per pair, and sweeps over the whole float range.  Then come
-zeros at m = 1000 to 10000; invalid parameters, tolerances, resolutions, sweep
-ranges and output paths, argparse usage errors, each flag a command does not
-take and four flags abbreviated to a prefix (exit 1); coarse-grid verify
-mismatches (exit 2); and numerical failures (exit 3), among them the
-residual-gate failure of zeros at (1987, -1528).  288 more lines probe the edges of the tangency band: classify,
+zeros at m = 1000 to 10000; invalid parameters, residual tolerances,
+resolutions, sweep ranges and output paths, argparse usage errors, each flag a
+command does not take (--tol-radius on every command) and four flags
+abbreviated to a prefix (exit 1); coarse-grid verify mismatches (exit 2); and
+numerical failures (exit 3), among them the residual-gate failure of zeros at
+(1987, -1528).  288 more lines probe the edges of the tangency band: classify,
 zeros and a two-point sweep at c0 (1 +- 1e-9) and one ulp either side, for the
 smallest and largest c0 of each pair as BEFORE's thresholds command lists them.
 """
@@ -57,8 +58,7 @@ def command_lines() -> list[list[str]]:
     bad = [("4", "2", "1"), ("5", "0", "1"), ("5", "5", "1"), ("5", "7", "1"), ("5", "4", "0"), ("5", "4", "-1"),
            ("5", "4", "nan"), ("5", "4", "inf")]
     lines += [["zeros", "--m", m, "--k", k, "--c", c] for m, k, c in bad]
-    lines += [["zeros", "--m", "5", "--k", "4", "--c", "1", flag, v]
-              for flag in ("--tol-radius", "--tol-residual") for v in ("0", "-1", "inf", "nan")]
+    lines += [["zeros", "--m", "5", "--k", "4", "--c", "1", "--tol-residual", v] for v in ("0", "-1", "inf", "nan")]
     lines += [["verify", "--m", "5", "--k", "4", "--c", "1", "--resolution", r] for r in ("0", "63", "64")]
     lines += [["sweep", "--m", "5", "--k", "4", "--c-min", a, "--c-max", b, "--steps", n]
               for a, b, n in [("1", "1", "5"), ("2", "1", "5"), ("0", "1", "5"), ("1", "2", "1"), ("1", "inf", "5")]]
@@ -71,6 +71,9 @@ def command_lines() -> list[list[str]]:
                        ("sweep", ["--c", *tols])]:
         extra = ["--c-min", "1", "--c-max", "2", "--steps", "3"] if cmd == "sweep" else []
         lines += [[cmd, "--m", "5", "--k", "4", *extra, flag, "1"] for flag in flags]
+    # --tol-radius 0 exits 1 whether a checkout rejects the flag or only its value
+    lines += [["zeros", "--m", "5", "--k", "4", "--c", "1", "--tol-radius", "0"],
+              ["verify", "--m", "5", "--k", "4", "--c", "1", "--resolution", "64", "--tol-radius", "0"]]
     # exit 1 as well: a flag abbreviated to a prefix of its name
     lines += [["predict", "--m", "5", "--k", "4", "--form", "csv"],
               ["verify", "--m", "5", "--k", "4", "--c", "1", "--res", "64"],
