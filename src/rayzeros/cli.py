@@ -2,8 +2,8 @@
 
 Each command takes only the flags that act on it.  Every command takes --m,
 --k, --format and --output.  classify takes --c (default 1), and zeros and
-verify take a required --c plus --tol-residual, which defaults to
-Tolerances().residual_rtol; predict, thresholds and sweep read no c.
+verify take a required --c; predict, thresholds and sweep read no c.  The
+residual gate of zeros and verify is fixed (Tolerances().residual_rtol).
 
 Every command validates (m, k, c) first, then emits machine-readable rows as
 JSON (default) or CSV.  JSON output is a single object
@@ -14,12 +14,12 @@ JSON (default) or CSV.  JSON output is a single object
         {...},
         ...
       ],
-      "meta": {"version": ..., "tolerances": {...}}
+      "meta": {"version": ...}
     }
 
 with each result row on a line of its own ("results": [] when there are none).
-params holds c only for a command that takes it, and meta holds tolerances
-only for zeros and verify.  CSV carries the same result rows field-for-field
+params holds c only for a command that takes it, and meta holds thresholds
+only for sweep.  CSV carries the same result rows field-for-field
 after a header line.  Floats are printed with shortest round-trip formatting
 so outputs are stable and diff-friendly; non-finite ones are the strings
 "inf", "-inf" and "nan" in both formats.
@@ -42,7 +42,7 @@ from . import __version__
 from .family import ParameterError, validate
 from .predict import predict_at, predict_census, predict_table
 from .rays import analyze_ray, count_at, thresholds
-from .roots import Tolerances, all_zeros
+from .roots import all_zeros
 
 __all__ = ["main"]
 
@@ -157,7 +157,7 @@ def _cmd_zeros(args, params) -> list[dict]:
             "residual": rec.residual,
             "degenerate": rec.degenerate,
         }
-        for rec in all_zeros(params, args.tolerances)
+        for rec in all_zeros(params)
     ]
 
 
@@ -205,7 +205,7 @@ def _cmd_verify(args, params) -> list[dict]:
     if args.resolution < least:
         raise _InvalidInput(f"verify needs --resolution >= {least}, got {args.resolution}")
     table, cen = predict_table(params), predict_census(params)
-    records = all_zeros(params, args.tolerances)
+    records = all_zeros(params)
     predicted = predict_at(params, params.c)
     oracle_res = find_zeros_grid(params, args.resolution)
     report = compare(params, oracle_res, records)
@@ -252,11 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.choices["classify"].add_argument("--c", type=float, default=1.0, help="family parameter, c > 0 (default 1)")
     for name in ("zeros", "verify"):  # the commands that locate zeros
-        p = sub.choices[name]
-        p.add_argument("--c", type=float, required=True, help="family parameter, c > 0")
-        p.add_argument(
-            "--tol-residual", type=float, default=Tolerances().residual_rtol, help="relative residual tolerance"
-        )
+        sub.choices[name].add_argument("--c", type=float, required=True, help="family parameter, c > 0")
     sweep = sub.choices["sweep"]
     sweep.add_argument("--c-min", type=float, required=True)
     sweep.add_argument("--c-max", type=float, required=True)
@@ -283,11 +279,6 @@ def main(argv: list[str] | None = None) -> int:
         return _invalid(f"{type(exc).__name__}: {exc}")
     try:
         args.meta = {"version": __version__}  # a command may add its own keys to meta
-        if "tol_residual" in args:  # zeros and verify
-            if not 0 < args.tol_residual < math.inf:
-                raise _InvalidInput(f"--tol-residual must be a finite positive float, got {args.tol_residual!r}")
-            args.tolerances = Tolerances(args.tol_residual)
-            args.meta["tolerances"] = {"residual": args.tol_residual}
         rows = args.run(args, params)
     except _InvalidInput as exc:
         return _invalid(str(exc))

@@ -60,6 +60,8 @@ _NEWTON_STEPS = 100
 # the Newton step in log r (a relative change of r) at which refinement stops;
 # Newton converges quadratically, so r is then at float precision
 _STEP_RTOL = 1e-12
+# the residual gate's bound relative to max(1, r^m); Tolerances records it
+_RESIDUAL_RTOL = 1e-10
 
 
 class BracketFailure(ArithmeticError):
@@ -77,17 +79,18 @@ class DegenerateTangency(Exception):
 
 
 class Tolerances(NamedTuple):
-    """The acceptance tolerance; refinement itself stops at a fixed Newton
-    step in log r, _STEP_RTOL.
+    """A read-only record of the fixed residual gate, _RESIDUAL_RTOL; no
+    function takes it.  Refinement itself stops at a fixed Newton step in
+    log r, _STEP_RTOL.
 
-    residual_rtol: accepted records must satisfy
+    residual_rtol: accepted records satisfy
         |p(z)| <= residual_rtol * max(1, |z|^m).  Where r^m overflows the
         bound is tested divided through by r^m at the ray's exact angle
         theta = j pi / m, where sin m theta = 0 and cos k theta = alpha_j:
         |(-1)^j + 2 c alpha_j r^(k-m) - r^(-m)| <= residual_rtol.
     """
 
-    residual_rtol: float = 1e-10
+    residual_rtol: float = _RESIDUAL_RTOL
 
 
 class ZeroRecord(NamedTuple):
@@ -200,8 +203,7 @@ def _refine(lines, a: float, b: float, a_neg: bool) -> float:
 
 
 def _solve_row(
-    params: FamilyParams, j: int, case: RayCase, alpha: float, c0: float | None, u: complex, log_2c: float,
-    tol: Tolerances,
+    params: FamilyParams, j: int, case: RayCase, alpha: float, c0: float | None, u: complex, log_2c: float
 ) -> list[ZeroRecord]:
     """The zeros on ray j at params.c from its row's case, alpha and c0, sorted by
     radius; u is the ray's unit direction and log_2c is log 2c.  The row's log
@@ -212,7 +214,6 @@ def _solve_row(
     n = _PROFILES[case][side]
     if n == 0:
         return []
-    rtol = tol.residual_rtol
     degenerate = side == 1
     if degenerate:
         logs = [_log_r0(m, k, alpha, c)]
@@ -237,25 +238,23 @@ def _solve_row(
             scale = power_term(1.0, r, m)
             if scale == math.inf:  # the bound divided through by r^m, at the ray's exact angle
                 real = _over_power(-1.0 if j % 2 else 1.0, c * alpha, r, m, k)
-                label, size, bound = "residual |p(z)|/r^m", abs(real), rtol
+                label, size, bound = "residual |p(z)|/r^m", abs(real), _RESIDUAL_RTOL
             else:
-                label, size, bound = "residual", residual, rtol * max(1.0, scale)
+                label, size, bound = "residual", residual, _RESIDUAL_RTOL * max(1.0, scale)
             if not size <= bound:
                 raise _failure(m, k, c, j, case, f"{label} {size} exceeds {bound} at r={r}")
         records.append(ZeroRecord(j, r, z, residual, degenerate))
     return records
 
 
-def solve_ray(
-    params: FamilyParams, analysis: RayAnalysis, tolerances: Tolerances | None = None
-) -> list[ZeroRecord]:
+def solve_ray(params: FamilyParams, analysis: RayAnalysis) -> list[ZeroRecord]:
     """All zeros of p on the analyzed ray at params.c, refined and residual-checked."""
     j = analysis.ray.j
     u, log_2c = unit_direction(params.m, j), _LOG2 + math.log(params.c)
-    return _solve_row(params, j, analysis.case, analysis.alpha, analysis.c0, u, log_2c, tolerances or Tolerances())
+    return _solve_row(params, j, analysis.case, analysis.alpha, analysis.c0, u, log_2c)
 
 
-def all_zeros(params: FamilyParams, tolerances: Tolerances | None = None) -> list[ZeroRecord]:
+def all_zeros(params: FamilyParams) -> list[ZeroRecord]:
     """Every zero of p, ordered by ray index then radius.
 
     One pass over the ray table's rows 0..m solves and gates ray j of each
@@ -265,7 +264,6 @@ def all_zeros(params: FamilyParams, tolerances: Tolerances | None = None) -> lis
     2m - j carries row j's f, and p(conj z) = conj p(z), so its records are
     the conjugates of row j's, with the same residual.
     """
-    tol = tolerances or Tolerances()
     m, k, c = params
     table = ray_table(m, k)
     cosines = array("d", _alpha_range(m, _alpha_half(m)))
@@ -273,7 +271,7 @@ def all_zeros(params: FamilyParams, tolerances: Tolerances | None = None) -> lis
     units = map(complex, cosines, map(sines.__getitem__, map(abs, range(-m, m + 1, 2))))
     log_2c = _LOG2 + math.log(c)
     solved = [
-        _solve_row(params, j, case, alpha, c0, u, log_2c, tol)
+        _solve_row(params, j, case, alpha, c0, u, log_2c)
         for j, case, alpha, c0, u in zip(range(m + 1), table.case, table.alpha, table.c0, units)
     ]
     return [rec for recs in solved for rec in recs] + [

@@ -422,7 +422,7 @@ class TestExitCodes:
         from rayzeros.roots import BracketFailure
         import rayzeros.cli as cli_mod
 
-        def boom(params, tolerances=None):
+        def boom(params):
             raise BracketFailure("sign change lost")
 
         monkeypatch.setattr(cli_mod, "all_zeros", boom)
@@ -433,7 +433,7 @@ class TestExitCodes:
     def test_overflow_is_numerical_failure(self, capsys, monkeypatch):
         import rayzeros.cli as cli_mod
 
-        def boom(params, tolerances=None):
+        def boom(params):
             raise OverflowError("math range error")
 
         monkeypatch.setattr(cli_mod, "all_zeros", boom)
@@ -449,14 +449,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and "--resolution" in err
 
-    # each value is out of range for --tol-residual; --tol-radius is no flag of zeros at all
+    # neither tolerance is a flag of zeros: each is rejected before any value is read
     @pytest.mark.parametrize("flag", ["--tol-radius", "--tol-residual"])
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_bad_tolerance_flag_is_invalid(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1", flag, value)
         assert code == 1
         assert out == ""
-        assert err.startswith("error:") and flag in err
+        assert err == f"error: unrecognized arguments: {flag} {value}\n"
 
     def test_numerical_failure_from_oracle(self, capsys, monkeypatch):
         from rayzeros.oracle import ResolutionTooCoarse
@@ -527,11 +527,8 @@ class TestParserSurface:
         (["--format"], "json", False, ("json", "csv"), None),
         (["--output"], None, False, None, None),
     ]
-    # the commands that locate zeros: a required c and the residual tolerance
-    LOCATE = [
-        (["--c"], None, True, None, "float"),
-        (["--tol-residual"], 1e-10, False, None, "float"),
-    ]
+    # the commands that locate zeros take a required c
+    LOCATE = [(["--c"], None, True, None, "float")]
     EXPECTED = {
         "classify": [*COMMON, (["--c"], 1.0, False, None, "float")],
         "predict": COMMON,
@@ -584,6 +581,7 @@ class TestUsageErrors:
     REMOVED = [
         ("classify", "--tol-radius"), ("classify", "--tol-residual"),
         *((cmd, flag) for cmd in ("predict", "thresholds", "sweep") for flag in ("--c", "--tol-radius", "--tol-residual")),
+        ("zeros", "--tol-residual"), ("verify", "--tol-residual"),
     ]
 
     @staticmethod
@@ -637,7 +635,8 @@ class TestUsageErrors:
 
 class TestParamsAndMeta:
     """params holds c exactly where the command takes --c, and meta holds the
-    tolerances exactly where the command locates zeros."""
+    version, plus the thresholds for sweep: no command's meta holds tolerances,
+    since the residual gate is fixed."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -657,23 +656,11 @@ class TestParamsAndMeta:
         doc = json.loads(out)
         c = {"classify": 1.0, "zeros": 1.0, "verify": 1.0}.get(argv[0])
         assert doc["params"] == {"m": 5, "k": 4, **({"c": c} if c else {})}
-        assert ("tolerances" in doc["meta"]) == (argv[0] in ("zeros", "verify"))
+        assert set(doc["meta"]) == {"version", *(["thresholds"] if argv[0] == "sweep" else [])}
 
 
 class TestToleranceConfig:
-    def test_default_in_meta(self, capsys):
-        _, out, _ = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1")
-        meta = json.loads(out)["meta"]
-        assert meta["tolerances"] == {"residual": 1e-10}
-
-    def test_defaults_come_from_tolerances(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli_mod, "Tolerances", lambda residual_rtol=1e-9: rayzeros.Tolerances(residual_rtol))
-        _, out, _ = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1")
-        assert json.loads(out)["meta"]["tolerances"] == {"residual": 1e-9}
-
-    def test_flag_sets_its_tolerance(self, capsys):
-        _, out, _ = run_cli(capsys, "zeros", "--m", "5", "--k", "4", "--c", "1", "--tol-residual", "1e-9")
-        assert json.loads(out)["meta"]["tolerances"] == {"residual": 1e-9}
+    """Neither a flag nor an environment variable sets a tolerance."""
 
     @pytest.mark.parametrize("raw", ["1e-10", "abc", "0"])
     @pytest.mark.parametrize(

@@ -285,3 +285,16 @@ class TestFailureMessages:
             all_zeros(validate(5, 4, 3.0))
         assert str(err.value).startswith("endpoint signs agree on log r in [")
         assert str(err.value).endswith(": m=5, k=4, c=3.0, ray 3, case pos_k_odd_pos")
+
+
+class TestResidualGate:
+    """The gate's bound is one module constant, which Tolerances records."""
+
+    def test_tolerances_records_the_constant(self):
+        assert Tolerances().residual_rtol == roots._RESIDUAL_RTOL == 1e-10
+
+    def test_gate_reads_the_constant(self, monkeypatch):
+        # at a bound of 0 the first record with a nonzero residual fails: ray 0's is 0.0, ray 2's is not
+        monkeypatch.setattr(roots, "_RESIDUAL_RTOL", 0.0)
+        with pytest.raises(BracketFailure, match=r"^residual \S+ exceeds 0\.0 at r=.*, ray 2, case "):
+            all_zeros(validate(5, 4, 3.0))

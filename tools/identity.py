@@ -5,17 +5,19 @@
 BEFORE and AFTER are checkout roots (each holds src/rayzeros).  Each command
 line runs once per checkout, as ``python -B -c "...main()" <argv>`` in a
 temporary working directory, so nothing is written under either checkout.
-Every line whose stdout, stderr or exit code differs is printed with both
-exit codes and the end of both stderrs; the last line gives the count of
-differing lines and how many lines ended with each exit code.  The exit status
-is 1 if any line differs.
+Every line whose stdout, stderr or exit code differs is printed with which of
+the three differ, both exit codes, the first differing stdout line of each
+side (with its line number) and the end of each stderr that differs.  The last
+line gives the count of differing lines, how many differ in each combination
+of exit code, stdout and stderr, and how many lines ended with each exit code
+in BEFORE.  The exit status is 1 if any line differs.
 
 The 607 fixed lines cover every command in both formats on 8 pairs: classify,
 zeros and verify at 9 values of c from 5e-324 to 1.7e308, predict and
 thresholds once per pair, and sweeps over the whole float range.  Then come
-zeros at m = 1000 to 10000; invalid parameters, residual tolerances,
-resolutions, sweep ranges and output paths, argparse usage errors, each flag a
-command does not take (--tol-radius on every command) and four flags
+zeros at m = 1000 to 10000; invalid parameters, resolutions, sweep ranges and
+output paths, argparse usage errors, each flag a command does not take
+(--tol-radius and --tol-residual on every command) and four flags
 abbreviated to a prefix (exit 1); coarse-grid verify mismatches (exit 2); and
 numerical failures (exit 3), among them the residual-gate failure of zeros at
 (1987, -1528).  288 more lines probe the edges of the tangency band: classify,
@@ -54,10 +56,11 @@ def command_lines() -> list[list[str]]:
     # zeros at the sizes the root finder is timed at; the last one exits 3 on the residual gate
     big = [(1000, 999, "1"), (1000, -7, "1"), (4001, 3001, "0.05"), (10000, 1, "1"), (1987, -1528, "34.42266034645957")]
     lines += [["zeros", "--m", str(m), "--k", str(k), "--c", c] for m, k, c in big]
-    # exit 1: invalid parameters, tolerances, resolutions, sweep ranges, output path
+    # exit 1: invalid parameters, resolutions, sweep ranges, output path
     bad = [("4", "2", "1"), ("5", "0", "1"), ("5", "5", "1"), ("5", "7", "1"), ("5", "4", "0"), ("5", "4", "-1"),
            ("5", "4", "nan"), ("5", "4", "inf")]
     lines += [["zeros", "--m", m, "--k", k, "--c", c] for m, k, c in bad]
+    # --tol-residual exits 1 whether a checkout rejects the flag or only its value
     lines += [["zeros", "--m", "5", "--k", "4", "--c", "1", "--tol-residual", v] for v in ("0", "-1", "inf", "nan")]
     lines += [["verify", "--m", "5", "--k", "4", "--c", "1", "--resolution", r] for r in ("0", "63", "64")]
     lines += [["sweep", "--m", "5", "--k", "4", "--c-min", a, "--c-max", b, "--steps", n]
@@ -101,6 +104,21 @@ def band_edge_lines(run) -> list[list[str]]:
     return lines
 
 
+def describe(a: tuple, b: tuple) -> tuple[str, str]:
+    """Which of exit code, stdout and stderr differ between the runs a and b,
+    and a report of the difference: both exit codes, the first differing
+    stdout line of each side and the end of each differing stderr."""
+    kind = "+".join(name for name, x, y in zip(("exit", "stdout", "stderr"), a, b) if x != y)
+    report = f"in {kind}; exit {a[0]} {b[0]}"
+    if a[1] != b[1]:
+        pairs = itertools.zip_longest(a[1].splitlines(), b[1].splitlines())
+        n, (x, y) = next((n, pair) for n, pair in enumerate(pairs, 1) if pair[0] != pair[1])
+        report += f"; stdout line {n}: {x and x[:300]!r} -> {y and y[:300]!r}"
+    if a[2] != b[2]:
+        report += f"; stderr {a[2][-200:]!r} -> {b[2][-200:]!r}"
+    return kind, report
+
+
 def main() -> int:
     before, after = sys.argv[1:3]
     with tempfile.TemporaryDirectory() as scratch:
@@ -113,14 +131,16 @@ def main() -> int:
             return proc.returncode, proc.stdout, proc.stderr
 
         lines = command_lines() + band_edge_lines(lambda argv: run(before, argv))
-        codes, differ = {}, 0
+        codes, kinds = {}, {}
         with ThreadPoolExecutor(2) as pool:
             for argv, a, b in pool.map(lambda argv: (argv, run(before, argv), run(after, argv)), lines):
                 codes[a[0]] = codes.get(a[0], 0) + 1
                 if a != b:
-                    differ += 1
-                    print("DIFF", argv, a[0], b[0], a[2][-200:], b[2][-200:])
-    print(f"{len(lines)} command lines, {differ} differ; exit codes {sorted(codes.items())}")
+                    kind, report = describe(a, b)
+                    kinds[kind] = kinds.get(kind, 0) + 1
+                    print("DIFF", argv, report)
+    differ = sum(kinds.values())
+    print(f"{len(lines)} command lines, {differ} differ {sorted(kinds.items())}; exit codes {sorted(codes.items())}")
     return 1 if differ else 0
 
 
