@@ -134,6 +134,10 @@ _CASES = (
 
 THRESHOLD_CASES = frozenset(case for case, profile in _PROFILES.items() if profile.below != profile.above)
 EXTREMUM_CASES = THRESHOLD_CASES | {RayCase.POS_K_EVEN_NEG}
+# per sign of k, as _CASES: each case's count below c0 by its position, and
+# the profile of the sign's one threshold case
+_BELOW = tuple(bytes(_PROFILES[case].below for case in cases) for cases in _CASES)
+_THRESHOLD = tuple(_PROFILES[next(case for case in cases if case in THRESHOLD_CASES)] for cases in _CASES)
 
 
 class RayAnalysis(NamedTuple):
@@ -201,10 +205,11 @@ def f_derivative(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
     return tm + mid
 
 
-def _log_r0(m: int, k: int, alpha: float, c: float) -> float:
+def _log_r0(m: int, k: int, alpha, c: float, log=math.log):
     # log (2 c |k| |alpha| / m)^{1/(m-k)}; covers the k>0 even/negative-alpha case
-    # where the sign of alpha is absorbed by the sign of k in the derivative
-    return (_LOG2 + math.log(c) + math.log(abs(alpha)) + math.log(abs(k) / m)) / (m - k)
+    # where the sign of alpha is absorbed by the sign of k in the derivative.
+    # alpha may be an array of them, with log the array's logarithm
+    return (_LOG2 + math.log(c) + log(abs(alpha)) + math.log(abs(k) / m)) / (m - k)
 
 
 def _exp(x: float) -> float:
@@ -258,18 +263,39 @@ class RayTable(NamedTuple):
     def row(self, j: int) -> int:
         return min(j, 2 * self.m - j)
 
-    def gained(self, c: float) -> int:
-        """Zeros the threshold rays add (k > 0) or remove (k < 0) at c: R(a) + R(b).
-
-        The c0s whose tangency band holds c are the run c0s[a:b] inside
-        _band(c); R(i) counts the rays of the first i threshold rows (module
-        docstring).
-        """
+    def _split(self, c: float) -> tuple[int, int]:
+        """(a, b) with c0s[a:b] the run of c0s inside _band(c): the threshold
+        rows order[:a] lie above their c0 at c and order[a:b] inside its band."""
         lo, hi = _band(c)
         a = bisect_left(self.c0s, lo)
-        b = bisect_right(self.c0s, hi, a)
+        return a, bisect_right(self.c0s, hi, a)
+
+    def gained(self, c: float) -> int:
+        """Zeros the threshold rays add (k > 0) or remove (k < 0) at c: R(a) + R(b),
+        with (a, b) from _split; R(i) counts the rays of the first i threshold
+        rows (module docstring).
+        """
+        a, b = self._split(c)
         axis_first = self.k < 0 or self.k % 2 == 0
         return 2 * (a + b) - axis_first * ((a > 0) + (b > 0))
+
+    def counts(self, c: float) -> tuple[bytearray, array]:
+        """Each row's zero count at c, and the rows inside the tangency band.
+
+        A row's case is found by its position in _CASES, which compares
+        members by identity, so no enum is hashed per row.  Every threshold
+        row has the one threshold case of k's sign; those above their c0 and
+        inside its band take that profile's other counts (_split).
+        """
+        positive = self.k > 0
+        counts = bytearray(map(_BELOW[positive].__getitem__, map(_CASES[positive].index, self.case)))
+        threshold = _THRESHOLD[positive]
+        a, b = self._split(c)
+        for row in self.order[:a]:
+            counts[row] = threshold.above
+        for row in self.order[a:b]:
+            counts[row] = threshold.at_threshold
+        return counts, self.order[a:b]
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)

@@ -692,7 +692,8 @@ class TestModuleEntryPoint:
 
 
 class TestLazyNumpy:
-    """The library is pure Python, so no command loads numpy, verify included."""
+    """The library never imports numpy, so no command loads it, verify included;
+    all_zeros uses numpy only where it is already loaded."""
 
     SCRIPT = (
         "import contextlib, io, sys\n"

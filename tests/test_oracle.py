@@ -377,7 +377,8 @@ class TestIndependenceBoundary:
 
 
 def test_library_does_not_import_numpy():
-    """The library is pure Python; numpy is a test-only dependency."""
+    """The library never imports numpy, a test-only dependency; all_zeros uses
+    it only in a process that has already imported it."""
     src_dir = pathlib.Path(rayzeros.oracle.__file__).parent
     offenders = []
     for path in sorted(src_dir.glob("*.py")):
