@@ -64,6 +64,8 @@ def seeded_cases(n: int, seed: int):
     return cases
 
 
+SEEDED = seeded_cases(48, 20261019)
+
 # item 1's residual-gate failures and the pinned (1987, -1528) message
 NAMED = [
     (1987, -1528, 34.42266034645957), (1059, 475, 1.44e201), (2023, -1185, 0.296), (1903, -1165, 4.1e-80),
@@ -74,7 +76,7 @@ NAMED = [
 class TestSamePath:
     @pytest.mark.parametrize("chunk", range(4))
     def test_seeded_cases(self, monkeypatch, chunk):
-        for case in seeded_cases(48, 20261019)[chunk::4]:
+        for case in SEEDED[chunk::4]:
             p = validate(*case)
             assert_same(outcome(monkeypatch, p, False), outcome(monkeypatch, p, True), case)
 
@@ -84,11 +86,12 @@ class TestSamePath:
         assert_same(outcome(monkeypatch, p, False), outcome(monkeypatch, p, True), case)
 
     def test_sample_meets_every_outcome(self, monkeypatch):
-        # the seeded sample holds merged pairs, records and residual-gate failures
-        outcomes = [outcome(monkeypatch, validate(*case), True) for case in seeded_cases(48, 20261019)]
+        # the seeded sample reaches down to the crossover and holds merged
+        # pairs, records and residual-gate failures
+        outcomes = [outcome(monkeypatch, validate(*case), True) for case in SEEDED]
         assert any(isinstance(o, tuple) and o[0] is BracketFailure for o in outcomes)
         assert any(not isinstance(o, tuple) and any(rec.degenerate for rec in o) for o in outcomes)
-        assert min(m for m, _, _ in seeded_cases(48, 20261019)) < 200
+        assert min(m for m, _, _ in SEEDED) < 200
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_blocks_do_not_change_records(self, monkeypatch, block):
