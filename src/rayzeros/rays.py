@@ -134,9 +134,9 @@ _CASES = (
 
 THRESHOLD_CASES = frozenset(case for case, profile in _PROFILES.items() if profile.below != profile.above)
 EXTREMUM_CASES = THRESHOLD_CASES | {RayCase.POS_K_EVEN_NEG}
-# per sign of k, as _CASES: each case's count below c0 by its position, and
-# the profile of the sign's one threshold case
-_BELOW = tuple(bytes(_PROFILES[case].below for case in cases) for cases in _CASES)
+# per sign of k, as _CASES: a translate table from a row's kind to its count
+# below c0, and the profile of the sign's one threshold case
+_BELOW = tuple(bytes(_PROFILES[case].below for case in cases).ljust(256, b"\0") for cases in _CASES)
 _THRESHOLD = tuple(_PROFILES[next(case for case in cases if case in THRESHOLD_CASES)] for cases in _CASES)
 
 
@@ -205,11 +205,10 @@ def f_derivative(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
     return tm + mid
 
 
-def _log_r0(m: int, k: int, alpha, c: float, log=math.log):
+def _log_r0(m: int, k: int, alpha: float, c: float) -> float:
     # log (2 c |k| |alpha| / m)^{1/(m-k)}; covers the k>0 even/negative-alpha case
-    # where the sign of alpha is absorbed by the sign of k in the derivative.
-    # alpha may be an array of them, with log the array's logarithm
-    return (_LOG2 + math.log(c) + log(abs(alpha)) + math.log(abs(k) / m)) / (m - k)
+    # where the sign of alpha is absorbed by the sign of k in the derivative
+    return (_LOG2 + math.log(c) + math.log(abs(alpha)) + math.log(abs(k) / m)) / (m - k)
 
 
 def _exp(x: float) -> float:
@@ -244,8 +243,9 @@ class RayTable(NamedTuple):
     """The c-independent facts of every ray of one (m, k), one row per conjugate group.
 
     Row j (0 <= j <= m) stands for ray j and its mirror 2m - j; parity and
-    count profile follow from j and the case.  ``alpha``, ``case`` and
-    ``c0`` (None outside the two threshold cases) are indexed by row.
+    count profile follow from j and the case.  ``alpha``, ``case``, ``kind``
+    (the case's index in _CASES[k > 0], one byte per row) and ``c0`` (None
+    outside the two threshold cases) are indexed by row.
     ``order`` lists the threshold rows by increasing c0 and ``c0s`` holds
     their c0 in that order.  ``census`` counts the 2m rays by parity and exact
     alpha sign, in the field order of unity.ParityCensus.
@@ -255,6 +255,7 @@ class RayTable(NamedTuple):
     k: int
     alpha: array
     case: tuple[RayCase, ...]
+    kind: bytes
     c0: tuple[float | None, ...]
     order: array
     c0s: array
@@ -282,13 +283,12 @@ class RayTable(NamedTuple):
     def counts(self, c: float) -> tuple[bytearray, array]:
         """Each row's zero count at c, and the rows inside the tangency band.
 
-        A row's case is found by its position in _CASES, which compares
-        members by identity, so no enum is hashed per row.  Every threshold
-        row has the one threshold case of k's sign; those above their c0 and
-        inside its band take that profile's other counts (_split).
+        Every row starts at its kind's count below c0.  Every threshold row has
+        the one threshold case of k's sign; those above their c0 and inside
+        its band take that profile's other counts (_split).
         """
         positive = self.k > 0
-        counts = bytearray(map(_BELOW[positive].__getitem__, map(_CASES[positive].index, self.case)))
+        counts = bytearray(self.kind.translate(_BELOW[positive]))
         threshold = _THRESHOLD[positive]
         a, b = self._split(c)
         for row in self.order[:a]:
@@ -324,6 +324,7 @@ def ray_table(m: int, k: int) -> RayTable:
         k=k,
         alpha=array("d", map(alpha_of.__getitem__, folded)),
         case=tuple(map(cases.__getitem__, kinds)),
+        kind=bytes(kinds),
         c0=tuple(c0),
         order=array("q", order),
         c0s=array("d", map(c0.__getitem__, order)),

@@ -21,20 +21,10 @@ as its row is solved.  Since p(conj z) = conj p(z), ray 2m - j's records are
 the exact conjugates of ray j's, with the same residual; they are built after
 the last row without a second evaluation.  bracket and solve_ray run the same
 per-row code for one analyzed ray.
-
-Large m: from m = _ARRAY_MIN_M on, in a process that has already imported
-numpy, all_zeros hands its rows to the _blocks module, which builds the
-brackets of many rows at a time as arrays from the same layout and refines
-them all at once by the same Newton steps; every record is still built and
-gated by _record, one at a time.  The library never imports numpy itself,
-so without it every m takes the row by row path.  numpy's exp and log1p may
-differ from libm's in the last bit, so the two paths' radii may differ,
-within the 1e-12 Newton stop.
 """
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from functools import partial
 from itertools import compress
@@ -75,11 +65,6 @@ _NEWTON_STEPS = 100
 _STEP_RTOL = 1e-12
 # the residual gate's bound relative to max(1, r^m); Tolerances records it
 _RESIDUAL_RTOL = 1e-10
-# all_zeros takes the array path from this m on where numpy is loaded.  Its time
-# over the row-by-row path's (2-vCPU Xeon, numpy 2.4.6; median of 6-8 draws of
-# k and c at each m, warm or cold table): 1.13 at m = 64, 0.97-0.99 at 96,
-# 0.91-0.96 at 128, 0.79-0.81 at 160, 0.68-0.72 at 256
-_ARRAY_MIN_M = 128
 
 
 class BracketFailure(ArithmeticError):
@@ -146,25 +131,22 @@ def _log_f(lines: tuple, s: float) -> tuple[float, float]:
     return (a1 - a0) + (p1 - p0) * s + math.log1p(w), (p1 + p2 * w) / (1.0 + w) - p0
 
 
-# _LAYOUT[parity][alpha < 0]: the indices of the terms (0, m), (L, k) and
-# (0, 0) in a row's lines, lone line first, and the sign of F over G; odd j
-# has one layout, since it has zeros only where alpha > 0
-_LAYOUT = ((((2, 0, 1), 1.0), ((0, 1, 2), -1.0)), (((1, 0, 2), -1.0),) * 2)
-
-
 def _log_brackets(m: int, k: int, c: float, log_2c: float, parity: int, alpha: float, pair: bool):
     """A row's lines (a0, p0, a1, p1, a2, p2), the sign of F over G, the bracket
     ends in s, one more than its zeros, and whether F < 0 at each end.
 
-    The lone line comes first, then the two-line side's in f's term order
-    (_LAYOUT).  L = log_2c + log |alpha|.  Odd j with alpha < 0 has no zero and
-    is never bracketed.  At the outer ends F takes the tail term's sign: below,
-    the constant -1's (k > 0) or alpha's (k < 0); above, (-1)^j's.
+    The lone line comes first, then the two-line side's in f's term order.
+    L = log_2c + log |alpha|.  Odd j with alpha < 0 has no zero and is never
+    bracketed.  At the outer ends F takes the tail term's sign: below, the
+    constant -1's (k > 0) or alpha's (k < 0); above, (-1)^j's.
     """
     a_k = log_2c + math.log(abs(alpha))
-    terms = ((0.0, m), (a_k, k), (0.0, 0))
-    (i0, i1, i2), sign = _LAYOUT[parity][alpha < 0]
-    lines = (*terms[i0], *terms[i1], *terms[i2])
+    if parity:
+        lines, sign = (a_k, k, 0.0, m, 0.0, 0), -1.0
+    elif alpha > 0:
+        lines, sign = (0.0, 0, 0.0, m, a_k, k), 1.0
+    else:
+        lines, sign = (0.0, m, a_k, k, 0.0, 0), -1.0
     cross = (0.0, a_k / (m - k), -a_k / k)
     ends, negs = [min(cross) - 1.0, max(cross) + 1.0], [k > 0 or alpha < 0, parity == 1]
     if pair:
@@ -227,36 +209,14 @@ def _refine(lines, a: float, b: float, a_neg: bool) -> float:
     return s
 
 
-def _record(params: FamilyParams, j: int, case: RayCase, alpha: float, u: complex, degenerate: bool, s: float):
-    """Ray j's record of the zero at log radius s, u the ray's unit direction:
-    r = e^s, z = r u and the residual |p(z)|, gated unless the pair has merged.
-    Both paths of all_zeros and solve_ray build every record here."""
-    m, k, c = params
-    try:
-        r = math.exp(s)
-    except OverflowError:
-        raise _failure(m, k, c, j, case, f"zero at log r = {s} beyond the float range") from None
-    z = r * u
-    residual = abs(evaluate(params, z))
-    if not degenerate:
-        scale = power_term(1.0, r, m)
-        if scale == math.inf:  # the bound divided through by r^m, at the ray's exact angle
-            real = _over_power(-1.0 if j % 2 else 1.0, c * alpha, r, m, k)
-            label, size, bound = "residual |p(z)|/r^m", abs(real), _RESIDUAL_RTOL
-        else:
-            label, size, bound = "residual", residual, _RESIDUAL_RTOL * max(1.0, scale)
-        if not size <= bound:
-            raise _failure(m, k, c, j, case, f"{label} {size} exceeds {bound} at r={r}")
-    return _new_record((j, r, z, residual, degenerate))
-
-
 def _solve_row(
     params: FamilyParams, j: int, case: RayCase, alpha: float, n: int, degenerate: bool, u: complex, log_2c: float
 ) -> list[ZeroRecord]:
     """The n > 0 zeros on ray j at params.c from its row's case and alpha, sorted
     by radius, the merged pair of the tangency band where degenerate; u is the
     ray's unit direction and log_2c is log 2c.  The row's log radii come first,
-    then _record builds and gates each record."""
+    then one loop builds each record and gates its residual; the merged pair
+    is not gated."""
     m, k, c = params
     if degenerate:
         logs = [_log_r0(m, k, alpha, c)]
@@ -269,7 +229,25 @@ def _solve_row(
             if a_neg == b_neg:
                 raise _failure(m, k, c, j, case, f"endpoint signs agree on log r in [{a}, {b}]")
             logs.append(_refine(lines, a, b, a_neg != (sign < 0)))
-    return [_record(params, j, case, alpha, u, degenerate, s) for s in logs]
+    records = []
+    for s in logs:
+        try:
+            r = math.exp(s)
+        except OverflowError:
+            raise _failure(m, k, c, j, case, f"zero at log r = {s} beyond the float range") from None
+        z = r * u
+        residual = abs(evaluate(params, z))
+        if not degenerate:
+            scale = power_term(1.0, r, m)
+            if scale == math.inf:  # the bound divided through by r^m, at the ray's exact angle
+                real = _over_power(-1.0 if j % 2 else 1.0, c * alpha, r, m, k)
+                label, size, bound = "residual |p(z)|/r^m", abs(real), _RESIDUAL_RTOL
+            else:
+                label, size, bound = "residual", residual, _RESIDUAL_RTOL * max(1.0, scale)
+            if not size <= bound:
+                raise _failure(m, k, c, j, case, f"{label} {size} exceeds {bound} at r={r}")
+        records.append(_new_record((j, r, z, residual, degenerate)))
+    return records
 
 
 def solve_ray(params: FamilyParams, analysis: RayAnalysis) -> list[ZeroRecord]:
@@ -287,10 +265,8 @@ def all_zeros(params: FamilyParams) -> list[ZeroRecord]:
     """Every zero of p, ordered by ray index then radius.
 
     One pass over the ray table's rows 0..m with zeros at c (RayTable.counts)
-    solves and gates ray j of each row: row by row through _solve_row, or, at
-    m >= _ARRAY_MIN_M in a process that has already imported numpy, in blocks
-    through _blocks.solve.  The rows' unit directions come from two
-    whole-range passes, kept as float arrays: cos(j pi / m) = alpha(m, j),
+    solves and gates ray j of each row.  The rows' unit directions come from
+    two whole-range passes, kept as float arrays: cos(j pi / m) = alpha(m, j),
     mirrored beyond j = m/2, and sin(j pi / m) = alpha(2m, |2j - m|).  Ray
     2m - j carries row j's f, and p(conj z) = conj p(z), so its records are
     the conjugates of row j's, with the same residual.
@@ -301,20 +277,14 @@ def all_zeros(params: FamilyParams) -> list[ZeroRecord]:
     cosines = array("d", _alpha_range(m, _alpha_half(m)))
     sines = array("d", _alpha_half(2 * m))
     sine_at = compress(map(abs, range(-m, m + 1, 2)), counts)
-    units = list(map(complex, compress(cosines, counts), map(sines.__getitem__, sine_at)))
+    units = map(complex, compress(cosines, counts), map(sines.__getitem__, sine_at))
     log_2c = _LOG2 + math.log(c)
-    np = sys.modules.get("numpy") if m >= _ARRAY_MIN_M else None
-    if np is None:
-        merged = set(merged)
-        records = [
-            rec
-            for j, u in zip(compress(range(m + 1), counts), units)
-            for rec in _solve_row(params, j, table.case[j], table.alpha[j], counts[j], j in merged, u, log_2c)
-        ]
-    else:
-        from . import _blocks  # compiled on first use, so import rayzeros does not pay for it
-
-        records = _blocks.solve(np, params, table, counts, merged, units, log_2c)
+    merged = set(merged)
+    records = [
+        rec
+        for j, u in zip(compress(range(m + 1), counts), units)
+        for rec in _solve_row(params, j, table.case[j], table.alpha[j], counts[j], j in merged, u, log_2c)
+    ]
     # the records of rows 1..m-1, last row first: the sort is stable, so each
     # row keeps its order of radius
     inner = sorted(records[counts[0]:len(records) - counts[m]], key=itemgetter(0), reverse=True)

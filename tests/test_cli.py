@@ -692,8 +692,7 @@ class TestModuleEntryPoint:
 
 
 class TestLazyNumpy:
-    """The library never imports numpy, so no command loads it, verify included;
-    all_zeros uses numpy only where it is already loaded."""
+    """The library is pure Python, so no command loads numpy, verify included."""
 
     SCRIPT = (
         "import contextlib, io, sys\n"

@@ -377,8 +377,7 @@ class TestIndependenceBoundary:
 
 
 def test_library_does_not_import_numpy():
-    """The library never imports numpy, a test-only dependency; all_zeros uses
-    it only in a process that has already imported it."""
+    """The library is pure Python; numpy is a test-only dependency."""
     src_dir = pathlib.Path(rayzeros.oracle.__file__).parent
     offenders = []
     for path in sorted(src_dir.glob("*.py")):

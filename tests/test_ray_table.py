@@ -79,20 +79,23 @@ def reference_c0(m, k, alpha):
 
 def reference_table(m, k):
     """The ray table built by a plain per-row loop: every row folds its own
-    residue, takes alpha and sign through the per-ray functions and its case
-    from _CASES, and computes its own c0."""
+    residue, takes alpha and sign through the per-ray functions and its kind
+    and case from _CASES, and computes its own c0."""
     p = validate(m, k, 1.0)
     alphas = array("d")
     cases = []
+    kinds = bytearray()
     c0 = []
     tally = [0] * 6  # rays by parity, then by alpha sign from positive to negative
     for j in range(m + 1):
         t = (k * j) % (2 * m)
         alpha = alpha_from_residue(m, t)
         sign = classify_ray(p, j).alpha_sign
-        case = _CASES[k > 0][3 * (j % 2) + 1 - sign]
+        kind = 3 * (j % 2) + 1 - sign
+        case = _CASES[k > 0][kind]
         alphas.append(alpha)
         cases.append(case)
+        kinds.append(kind)
         tally[3 * (j % 2) + 1 - sign] += 1 if j in (0, m) else 2
         threshold = case in THRESHOLD_CASES
         c0.append(reference_c0(m, k, alpha) if threshold else None)
@@ -102,6 +105,7 @@ def reference_table(m, k):
         k=k,
         alpha=alphas,
         case=tuple(cases),
+        kind=bytes(kinds),
         c0=tuple(c0),
         order=array("q", order),
         c0s=array("d", (c0[row] for row in order)),

@@ -38,7 +38,7 @@ from rayzeros import (
     thresholds,
     validate,
 )
-from rayzeros import _blocks, roots
+from rayzeros import roots
 
 RTOL = roots._STEP_RTOL
 
@@ -157,33 +157,22 @@ class TestAgainstReference:
 
 class TestSteps:
     @staticmethod
-    def steps_per_zero(monkeypatch, m, k, c, kernel):
-        """G evaluations per refined zero: calls of the scalar roots._log_f, or
-        brackets evaluated per call of the array kernel's _blocks._log_g."""
+    def steps_per_zero(monkeypatch, m, k, c):
         calls = [0]
-        module = _blocks if kernel == "_log_g" else roots
-        log_f = getattr(module, kernel)
+        log_f = roots._log_f
 
         def counted(*args):
-            calls[0] += len(args[-1]) if module is _blocks else 1
+            calls[0] += 1
             return log_f(*args)
 
-        monkeypatch.setattr(module, kernel, counted)
+        monkeypatch.setattr(roots, "_log_f", counted)
         solved = [rec for rec in all_zeros(validate(m, k, c)) if rec.j <= m and not rec.degenerate]
-        assert calls[0] > 0  # the kernel under test ran
         return calls[0] / len(solved)
 
     @pytest.mark.parametrize("m, k, c", [(1000, 999, 1.0), (4001, 3001, 0.05)])
     def test_newton_steps_per_zero(self, monkeypatch, m, k, c):
-        # bisection alone would take about 40 steps per zero; the scalar path
-        # is pinned, since with numpy loaded these m take the array path
-        monkeypatch.setattr(roots, "_ARRAY_MIN_M", math.inf)
-        assert self.steps_per_zero(monkeypatch, m, k, c, "_log_f") <= 8
-
-    @pytest.mark.parametrize("m, k, c", [(1000, 999, 1.0), (4001, 3001, 0.05)])
-    def test_array_newton_steps_per_zero(self, monkeypatch, m, k, c):
-        assert m >= roots._ARRAY_MIN_M
-        assert self.steps_per_zero(monkeypatch, m, k, c, "_log_g") <= 8
+        # bisection alone would take about 40 steps per zero
+        assert self.steps_per_zero(monkeypatch, m, k, c) <= 8
 
     def test_zero_tolerance_terminates(self, monkeypatch):
         # with no step small enough, Newton stops once the float grid is exhausted
