@@ -264,19 +264,16 @@ class RayTable(NamedTuple):
     def row(self, j: int) -> int:
         return min(j, 2 * self.m - j)
 
-    def _split(self, c: float) -> tuple[int, int]:
-        """(a, b) with c0s[a:b] the run of c0s inside _band(c): the threshold
-        rows order[:a] lie above their c0 at c and order[a:b] inside its band."""
+    def gained(self, c: float) -> int:
+        """Zeros the threshold rays add (k > 0) or remove (k < 0) at c: R(a) + R(b).
+
+        The c0s whose tangency band holds c are the run c0s[a:b] inside
+        _band(c); R(i) counts the rays of the first i threshold rows (module
+        docstring).
+        """
         lo, hi = _band(c)
         a = bisect_left(self.c0s, lo)
-        return a, bisect_right(self.c0s, hi, a)
-
-    def gained(self, c: float) -> int:
-        """Zeros the threshold rays add (k > 0) or remove (k < 0) at c: R(a) + R(b),
-        with (a, b) from _split; R(i) counts the rays of the first i threshold
-        rows (module docstring).
-        """
-        a, b = self._split(c)
+        b = bisect_right(self.c0s, hi, a)
         axis_first = self.k < 0 or self.k % 2 == 0
         return 2 * (a + b) - axis_first * ((a > 0) + (b > 0))
 
@@ -284,13 +281,16 @@ class RayTable(NamedTuple):
         """Each row's zero count at c, and the rows inside the tangency band.
 
         Every row starts at its kind's count below c0.  Every threshold row has
-        the one threshold case of k's sign; those above their c0 and inside
-        its band take that profile's other counts (_split).
+        the one threshold case of k's sign; as in gained, the rows order[:a]
+        lie above their c0 at c and order[a:b] inside its band, and take that
+        profile's other counts.
         """
         positive = self.k > 0
         counts = bytearray(self.kind.translate(_BELOW[positive]))
         threshold = _THRESHOLD[positive]
-        a, b = self._split(c)
+        lo, hi = _band(c)
+        a = bisect_left(self.c0s, lo)
+        b = bisect_right(self.c0s, hi, a)
         for row in self.order[:a]:
             counts[row] = threshold.above
         for row in self.order[a:b]:
@@ -307,7 +307,7 @@ def ray_table(m: int, k: int) -> RayTable:
     # a row's kind is the slot of its alpha sign (positive, zero, negative) + 3 * parity,
     # the census order; alpha > 0 iff 2s < m and alpha = 0 iff 2s = m
     slot_of = [0] * ((m + 1) // 2) + [1] * (1 - m % 2) + [2] * ((m + 1) // 2)
-    kinds = bytearray(map(operator.add, map(slot_of.__getitem__, folded), cycle((0, 3))))
+    kinds = bytes(map(operator.add, map(slot_of.__getitem__, folded), cycle((0, 3))))
     cases = _CASES[k > 0]
     # rays per kind: every row but the axis rows 0 and m stands for two
     tally = [2 * kinds.count(kind) - (kinds[0] == kind) - (kinds[m] == kind) for kind in range(6)]
@@ -324,7 +324,7 @@ def ray_table(m: int, k: int) -> RayTable:
         k=k,
         alpha=array("d", map(alpha_of.__getitem__, folded)),
         case=tuple(map(cases.__getitem__, kinds)),
-        kind=bytes(kinds),
+        kind=kinds,
         c0=tuple(c0),
         order=array("q", order),
         c0s=array("d", map(c0.__getitem__, order)),
