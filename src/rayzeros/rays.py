@@ -31,16 +31,17 @@ source of c0; analyze_ray, thresholds, the census and the global count all
 read it.  A row's facts follow from its parity and its folded residue
 s = min(t, 2m-t), so the table is built in whole-table passes with no Python call
 per row: alpha for s <= m/2 in one _alpha_half pass (alpha(m-s) = -alpha(s)), the
-case once per parity and alpha sign, every c0 as C / alpha.
+kind once per parity and alpha sign, and the threshold rows' c0 = C / alpha in
+increasing residue, which is increasing c0, with no sort.
 
 Every threshold ray gains (k > 0) or loses (k < 0) two zeros past its c0 and
-one inside its tangency band.  One function, _side, decides a ray's side of
-its c0 for count_at, degenerate_at and the root finder from the band's
-interval _band(c), at which RayTable.gained bisects the sorted c0s.  Fold 0
-(alpha = 1, c0 = C, the least c0) is the only residue that puts an axis row,
-which stands for one ray, among the thresholds: row 0 for k < 0, row m for
-even k > 0.  So the first i threshold rows by c0 hold
-R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
+one inside its tangency band.  One bisection, _band(c, c0s), finds the run of
+increasing c0s whose band holds c: _side reads it for one ray's c0 in
+count_at, degenerate_at and the root finder, and RayTable.gained and counts
+for the table's c0s.  Fold 0 (alpha = 1, c0 = C, the least c0) is the only
+residue that puts an axis row, which stands for one ray, among the
+thresholds: row 0 for k < 0, row m for even k > 0.  So the first i threshold
+rows by c0 hold R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
 """
 from __future__ import annotations
 
@@ -134,9 +135,10 @@ _CASES = (
 
 THRESHOLD_CASES = frozenset(case for case, profile in _PROFILES.items() if profile.below != profile.above)
 EXTREMUM_CASES = THRESHOLD_CASES | {RayCase.POS_K_EVEN_NEG}
-# per sign of k, as _CASES: a translate table from a row's kind to its count
-# below c0, and the profile of the sign's one threshold case
+# per sign of k, as _CASES: translate tables from a row's kind to its count
+# below c0 and to 1 in the sign's one threshold case, and that case's profile
 _BELOW = tuple(bytes(_PROFILES[case].below for case in cases).ljust(256, b"\0") for cases in _CASES)
+_IS_THRESHOLD = tuple(bytes(case in THRESHOLD_CASES for case in cases).ljust(256, b"\0") for cases in _CASES)
 _THRESHOLD = tuple(_PROFILES[next(case for case in cases if case in THRESHOLD_CASES)] for cases in _CASES)
 
 
@@ -223,40 +225,38 @@ def _r0(m: int, k: int, alpha: float, c: float) -> float:
     return _exp(_log_r0(m, k, alpha, c))
 
 
-def _band(c: float) -> tuple[float, float]:
-    """The tangency band as the interval [lo, hi] of the c0s whose band holds c;
-    those c0s are one run of any sorted list of them (RayTable.gained)."""
-    return c / (1.0 + DEGENERACY_RTOL), c / (1.0 - DEGENERACY_RTOL)
+def _band(c: float, c0s) -> tuple[int, int]:
+    """The run c0s[a:b] of the increasing c0s whose tangency band holds c, those
+    in [c / (1 + DEGENERACY_RTOL), c / (1 - DEGENERACY_RTOL)]; c lies above
+    the c0s[:a]."""
+    a = bisect_left(c0s, c / (1.0 + DEGENERACY_RTOL))
+    return a, bisect_right(c0s, c / (1.0 - DEGENERACY_RTOL), a)
 
 
 def _side(c: float, c0: float | None) -> int:
     """The index of a ray's count at c in its CountProfile: 0 below c0 or with
     no c0, 1 inside the tangency band, where the merged pair counts as 1, and
     2 above."""
-    if c0 is None:
-        return 0
-    lo, hi = _band(c)
-    return 0 if c0 > hi else 1 if c0 >= lo else 2
+    return 0 if c0 is None else sum(_band(c, (c0,)))
 
 
 class RayTable(NamedTuple):
     """The c-independent facts of every ray of one (m, k), one row per conjugate group.
 
     Row j (0 <= j <= m) stands for ray j and its mirror 2m - j; parity and
-    count profile follow from j and the case.  ``alpha``, ``case``, ``kind``
-    (the case's index in _CASES[k > 0], one byte per row) and ``c0`` (None
-    outside the two threshold cases) are indexed by row.
-    ``order`` lists the threshold rows by increasing c0 and ``c0s`` holds
-    their c0 in that order.  ``census`` counts the 2m rays by parity and exact
-    alpha sign, in the field order of unity.ParityCensus.
+    count profile follow from j and the case _CASES[k > 0][kind[j]].
+    ``alpha`` and ``kind`` (one byte per row) are indexed by row.  ``order``
+    lists the threshold rows in increasing folded residue s = q, q + 2, ...,
+    which is increasing c0, and ``c0s`` holds their c0 in that order: the row
+    of residue s sits at index s // 2 (ray_table).  ``census`` counts the 2m
+    rays by parity and exact alpha sign, in the field order of
+    unity.ParityCensus.
     """
 
     m: int
     k: int
     alpha: array
-    case: tuple[RayCase, ...]
     kind: bytes
-    c0: tuple[float | None, ...]
     order: array
     c0s: array
     census: tuple[int, ...]
@@ -267,13 +267,11 @@ class RayTable(NamedTuple):
     def gained(self, c: float) -> int:
         """Zeros the threshold rays add (k > 0) or remove (k < 0) at c: R(a) + R(b).
 
-        The c0s whose tangency band holds c are the run c0s[a:b] inside
-        _band(c); R(i) counts the rays of the first i threshold rows (module
-        docstring).
+        The c0s whose tangency band holds c are the run c0s[a:b] that
+        _band(c, c0s) finds; R(i) counts the rays of the first i threshold
+        rows (module docstring).
         """
-        lo, hi = _band(c)
-        a = bisect_left(self.c0s, lo)
-        b = bisect_right(self.c0s, hi, a)
+        a, b = _band(c, self.c0s)
         axis_first = self.k < 0 or self.k % 2 == 0
         return 2 * (a + b) - axis_first * ((a > 0) + (b > 0))
 
@@ -288,9 +286,7 @@ class RayTable(NamedTuple):
         positive = self.k > 0
         counts = bytearray(self.kind.translate(_BELOW[positive]))
         threshold = _THRESHOLD[positive]
-        lo, hi = _band(c)
-        a = bisect_left(self.c0s, lo)
-        b = bisect_right(self.c0s, hi, a)
+        a, b = _band(c, self.c0s)
         for row in self.order[:a]:
             counts[row] = threshold.above
         for row in self.order[a:b]:
@@ -308,26 +304,27 @@ def ray_table(m: int, k: int) -> RayTable:
     # the census order; alpha > 0 iff 2s < m and alpha = 0 iff 2s = m
     slot_of = [0] * ((m + 1) // 2) + [1] * (1 - m % 2) + [2] * ((m + 1) // 2)
     kinds = bytes(map(operator.add, map(slot_of.__getitem__, folded), cycle((0, 3))))
-    cases = _CASES[k > 0]
     # rays per kind: every row but the axis rows 0 and m stands for two
     tally = [2 * kinds.count(kind) - (kinds[0] == kind) - (kinds[m] == kind) for kind in range(6)]
-    is_threshold = bytes(case in THRESHOLD_CASES for case in cases).ljust(256, b"\0")  # translate table
-    rows = list(compress(range(m + 1), kinds.translate(is_threshold)))
-    # C = c0 * alpha, one constant per pair (module docstring)
+    # threshold rows have 2s < m and s = q, q + 2, ... (s = kj mod 2; for even k rows
+    # j and m - j share s and differ in parity), one row per s, placed at s // 2.
+    # c0 = C / alpha rises with s with no sort: the alphas of neighbouring s differ
+    # by at least 1 - cos(2 pi / m) ~ 2 pi^2 / m^2, over 1000 ulps for every
+    # m <= 10^7, and libm's cos and sin are within 1 ulp.  C = c0 * alpha, one
+    # constant per pair (module docstring)
+    q = k % 2 if k > 0 else 0
     big_c = math.exp(-(k * math.log(abs(k) / m) + (m - k) * math.log((m - k) / m)) / m) / 2.0
-    c0: list[float | None] = [None] * (m + 1)
-    for row in rows:
-        c0[row] = big_c / alpha_of[folded[row]]
-    order = sorted(rows, key=c0.__getitem__)
+    c0s = array("d", [big_c / alpha for alpha in alpha_of[q:(m + 1) // 2:2]])
+    order = array("q", [0]) * len(c0s)
+    for row in compress(range(m + 1), kinds.translate(_IS_THRESHOLD[k > 0])):
+        order[folded[row] // 2] = row
     return RayTable(
         m=m,
         k=k,
         alpha=array("d", map(alpha_of.__getitem__, folded)),
-        case=tuple(map(cases.__getitem__, kinds)),
         kind=kinds,
-        c0=tuple(c0),
-        order=array("q", order),
-        c0s=array("d", map(c0.__getitem__, order)),
+        order=order,
+        c0s=c0s,
         census=tuple(tally),
     )
 
@@ -335,12 +332,14 @@ def ray_table(m: int, k: int) -> RayTable:
 def analyze_ray(params: FamilyParams, j: int) -> RayAnalysis:
     """Case label, count profile, and the closed-form critical quantities for ray j."""
     ray = classify_ray(params, j)
-    table = ray_table(params.m, params.k)
+    m, k, c = params
+    table, t = ray_table(m, k), ray.residue
     row = table.row(j)
-    alpha, case, c0 = table.alpha[row], table.case[row], table.c0[row]
-
-    r0 = _r0(params.m, params.k, alpha, params.c) if case in EXTREMUM_CASES else None
-    log_beta = None if c0 is None else -params.m / (params.m - params.k) * math.log(c0)
+    alpha, kind = table.alpha[row], table.kind[row]
+    case = _CASES[k > 0][kind]
+    c0 = table.c0s[min(t, 2 * m - t) // 2] if _IS_THRESHOLD[k > 0][kind] else None
+    r0 = _r0(m, k, alpha, c) if case in EXTREMUM_CASES else None
+    log_beta = None if c0 is None else -m / (m - k) * math.log(c0)
     return RayAnalysis(
         params=params,
         ray=ray,

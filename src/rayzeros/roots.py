@@ -3,8 +3,8 @@
 all_zeros is one pass over the rows of the cached ray table that have zeros
 at c.  Row j stands for ray j and its mirror 2m - j, which carry the same
 radial function f(r) = (-1)^j r^m + 2 c alpha r^k - 1; its count and
-tangency at c come from the row's case and c0 (RayTable.counts).  With
-alpha = 0, f = r^m - 1 and the zero is r = 1.
+tangency at c come from the row's kind and the table's c0s (RayTable.counts).
+With alpha = 0, f = r^m - 1 and the zero is r = 1.
 Otherwise, in s = log r, f's terms are three lines log |coefficient| + power s:
 (0, m), (L, k) and (0, 0), with L = log 2c|alpha|.  One side of f = P - N
 holds one of them, the lone line, and the other side the other two, so
@@ -25,7 +25,6 @@ per-row code for one analyzed ray.
 from __future__ import annotations
 
 import math
-from array import array
 from functools import partial
 from itertools import compress
 from operator import itemgetter
@@ -33,6 +32,7 @@ from typing import NamedTuple
 
 from .family import FamilyParams, _alpha_half, _alpha_range, _over_power, evaluate, power_term, unit_direction
 from .rays import (
+    _CASES,
     _LOG2,
     RayAnalysis,
     RayCase,
@@ -266,24 +266,24 @@ def all_zeros(params: FamilyParams) -> list[ZeroRecord]:
 
     One pass over the ray table's rows 0..m with zeros at c (RayTable.counts)
     solves and gates ray j of each row.  The rows' unit directions come from
-    two whole-range passes, kept as float arrays: cos(j pi / m) = alpha(m, j),
-    mirrored beyond j = m/2, and sin(j pi / m) = alpha(2m, |2j - m|).  Ray
-    2m - j carries row j's f, and p(conj z) = conj p(z), so its records are
+    one whole-range pass, sin(j pi / m) = alpha(2m, |2j - m|); its even
+    entries alpha(2m, 2j) are cos(j pi / m) for j <= m/2, mirrored beyond.
+    Ray 2m - j carries row j's f, and p(conj z) = conj p(z), so its records are
     the conjugates of row j's, with the same residual.
     """
     m, k, c = params
     table = ray_table(m, k)
     counts, merged = table.counts(c)
-    cosines = array("d", _alpha_range(m, _alpha_half(m)))
-    sines = array("d", _alpha_half(2 * m))
+    sines = _alpha_half(2 * m)
+    cosines = _alpha_range(m, sines[::2])
     sine_at = compress(map(abs, range(-m, m + 1, 2)), counts)
     units = map(complex, compress(cosines, counts), map(sines.__getitem__, sine_at))
     log_2c = _LOG2 + math.log(c)
-    merged = set(merged)
+    merged, cases = set(merged), _CASES[k > 0]
     records = [
         rec
         for j, u in zip(compress(range(m + 1), counts), units)
-        for rec in _solve_row(params, j, table.case[j], table.alpha[j], counts[j], j in merged, u, log_2c)
+        for rec in _solve_row(params, j, cases[table.kind[j]], table.alpha[j], counts[j], j in merged, u, log_2c)
     ]
     # the records of rows 1..m-1, last row first: the sort is stable, so each
     # row keeps its order of radius

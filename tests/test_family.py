@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+from array import array
 
 import mpmath
 import numpy as np
@@ -252,6 +253,12 @@ class TestAlphaHalf:
         rng = random.Random(16)
         for m in [rng.randint(401, 100_000) for _ in range(20)] + [100_000, 99_999, 65_536]:
             self.assert_equal_to_scalar(m)
+
+    def test_even_entries_at_2m_are_the_pass_at_m(self):
+        """all_zeros takes its cosines from the sines' pass: alpha(2m, 2s) = alpha(m, s),
+        since both sides scale pi s and the divisor by the same power of 2."""
+        for m in list(range(2, 3000)) + [10000, 10001, 65536, 99999, 100003]:
+            assert array("d", _alpha_half(2 * m)[::2]).tobytes() == array("d", _alpha_half(m)).tobytes(), m
 
 
 class TestUnitDirection:

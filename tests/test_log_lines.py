@@ -21,7 +21,7 @@ import pytest
 
 from rayzeros import all_zeros, analyze_ray, bracket, validate
 from rayzeros import roots
-from rayzeros.rays import _LOG2, _PROFILES, _log_r0, _side, ray_table
+from rayzeros.rays import _CASES, _LOG2, _PROFILES, _log_r0, _side, ray_table
 
 from conftest import valid_k_choices
 
@@ -103,9 +103,10 @@ def solved_rows(seed: int, count: int):
             continue
         c = 10.0 ** rng.uniform(-300, 300) if rng.random() < 0.25 else 10.0 ** rng.uniform(-3, 3)
         t = ray_table(m, k)
+        c0 = dict(zip(t.order, t.c0s))
         for j in rng.sample(range(m + 1), min(m + 1, 8)):
-            alpha, side = t.alpha[j], _side(c, t.c0[j])
-            n = _PROFILES[t.case[j]][side]
+            alpha, side = t.alpha[j], _side(c, c0.get(j))
+            n = _PROFILES[_CASES[k > 0][t.kind[j]]][side]
             if n and alpha and side != 1:
                 found += 1
                 yield m, k, c, j, alpha, n

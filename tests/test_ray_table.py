@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 from array import array
 from bisect import bisect_left, bisect_right
+from typing import NamedTuple
 
 import pytest
 
@@ -59,14 +60,42 @@ class TestTable:
     def test_one_row_per_conjugate_group(self):
         for m, k in valid_pairs(14):
             t = ray_table(m, k)
-            assert len(t.alpha) == len(t.case) == len(t.c0) == m + 1
+            case, c0 = row_facts(t)
+            assert len(t.alpha) == len(t.kind) == len(case) == len(c0) == m + 1
             assert sorted({t.row(j) for j in range(2 * m)}) == list(range(m + 1))
             p = validate(m, k, 1.0)
             for j in range(2 * m):
                 a = analyze_ray(p, j)
                 row = t.row(j)
                 assert row == t.row(2 * m - j), (m, k, j)
-                assert (a.alpha, a.case, a.c0) == (t.alpha[row], t.case[row], t.c0[row])
+                assert (a.alpha, a.case, a.c0) == (t.alpha[row], case[row], c0[row])
+
+
+def row_facts(t):
+    """A RayTable's case and c0 (None outside the threshold cases) per row: the
+    case from the row's kind, and c0 from the c0s at the row's folded residue
+    s, at index s // 2."""
+    case = tuple(_CASES[t.k > 0][kind] for kind in t.kind)
+    c0 = [None] * (t.m + 1)
+    for row in range(t.m + 1):
+        if case[row] in THRESHOLD_CASES:
+            s = min(t.k * row % (2 * t.m), -t.k * row % (2 * t.m))
+            c0[row] = t.c0s[s // 2]
+    return case, tuple(c0)
+
+
+class ReferenceTable(NamedTuple):
+    """RayTable's fields, then each row's case and c0 as the per-row loop computes them."""
+
+    m: int
+    k: int
+    alpha: array
+    kind: bytes
+    order: array
+    c0s: array
+    census: tuple
+    case: tuple
+    c0: tuple
 
 
 def reference_c0(m, k, alpha):
@@ -80,7 +109,8 @@ def reference_c0(m, k, alpha):
 def reference_table(m, k):
     """The ray table built by a plain per-row loop: every row folds its own
     residue, takes alpha and sign through the per-ray functions and its kind
-    and case from _CASES, and computes its own c0."""
+    and case from _CASES, and computes its own c0; the threshold rows are
+    sorted by that c0."""
     p = validate(m, k, 1.0)
     alphas = array("d")
     cases = []
@@ -100,16 +130,16 @@ def reference_table(m, k):
         threshold = case in THRESHOLD_CASES
         c0.append(reference_c0(m, k, alpha) if threshold else None)
     order = sorted((row for row in range(m + 1) if c0[row] is not None), key=c0.__getitem__)
-    return RayTable(
+    return ReferenceTable(
         m=m,
         k=k,
         alpha=alphas,
-        case=tuple(cases),
         kind=bytes(kinds),
-        c0=tuple(c0),
         order=array("q", order),
         c0s=array("d", (c0[row] for row in order)),
         census=tuple(tally),
+        case=tuple(cases),
+        c0=tuple(c0),
     )
 
 
@@ -139,11 +169,15 @@ def bits(x):
 
 
 def table_bits(t):
+    """Every field of a RayTable or ReferenceTable, and its rows' case and c0,
+    in a form that compares bit for bit."""
+    case, c0 = (t.case, t.c0) if isinstance(t, ReferenceTable) else row_facts(t)
     return (
         t.m, t.k,
         t.alpha.typecode, [bits(a) for a in t.alpha],
-        t.case,
-        [bits(c) for c in t.c0],
+        t.kind,
+        case,
+        [bits(c) for c in c0],
         t.order.typecode, list(t.order),
         t.c0s.typecode, [bits(c) for c in t.c0s],
         t.census,
@@ -165,6 +199,7 @@ class TestTableBuild:
     """The table built by folded residue equals the per-row loop bit for bit."""
 
     def test_bitwise_equal_to_per_row_loop_small_m(self):
+        assert ReferenceTable._fields[:len(RayTable._fields)] == RayTable._fields
         pairs = list(valid_pairs(60))
         assert len(pairs) > 2000
         # even m has alpha = 0 rows, which must keep their exact 0.0
@@ -190,6 +225,18 @@ class TestTableBuild:
             log_beta = -m / (m - k) * math.log(ref.c0[row]) if ref.c0[row] is not None else None
             got = (bits(a.alpha), a.case, bits(a.c0), bits(a.log_beta), bits(a.r0))
             assert got == (bits(alpha), case, bits(ref.c0[row]), bits(log_beta), bits(r0)), (m, k, j)
+
+    @pytest.mark.parametrize("m, k", [(100003, 1), (100003, -3), (100003, 2), (300007, 3001), (300007, -1), (300007, -2)])
+    def test_threshold_rows_in_increasing_residue(self, m, k):
+        """order[i] is the threshold row of folded residue q + 2i (q = 1 for odd
+        k > 0, else 0), c0s[i] is that row's C / alpha, and c0 rises strictly
+        with i, with no sort."""
+        t = ray_table.__wrapped__(m, k)
+        q = 1 if k > 0 and k % 2 else 0
+        assert [min(k * row % (2 * m), -k * row % (2 * m)) for row in t.order] == list(range(q, (m + 1) // 2, 2))
+        big_c = [c0 * t.alpha[row] for c0, row in zip(t.c0s, t.order)]
+        assert max(big_c) - min(big_c) <= 1e-15 * big_c[0]
+        assert all(a < b for a, b in zip(t.c0s, t.c0s[1:]))
 
     @pytest.mark.parametrize("m, k", [(8, 3), (9, -2), (61, -30), (64, 33), (1001, 500)])
     def test_build_is_per_residue_not_per_row(self, monkeypatch, m, k):
@@ -250,8 +297,8 @@ class TestThresholdsEqualPerRayReference:
     def test_every_pair_small_m(self):
         pairs = list(valid_pairs(60))
         # both axis rows carry a threshold somewhere: row 0 for k < 0, row m for odd m and even k > 0
-        assert any(ray_table(m, k).c0[0] is not None for m, k in pairs)
-        assert any(ray_table(m, k).c0[m] is not None for m, k in pairs)
+        assert any(row_facts(ray_table(m, k))[1][0] is not None for m, k in pairs)
+        assert any(row_facts(ray_table(m, k))[1][m] is not None for m, k in pairs)
         for m, k in pairs:
             self.assert_equal_reference(m, k)
 
@@ -386,7 +433,8 @@ def test_fold_zero_is_the_only_axis_threshold_and_the_first():
     when k < 0 or k is even, and that row's c0 is strictly the least."""
     for m, k in valid_pairs(200):
         t = ray_table.__wrapped__(m, k)
-        axes = [row for row in (0, m) if t.c0[row] is not None]
+        c0 = row_facts(t)[1]
+        axes = [row for row in (0, m) if c0[row] is not None]
         first = k < 0 or k % 2 == 0
         assert axes == (list(t.order[:1]) if first else []), (m, k)
         if first:

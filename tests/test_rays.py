@@ -523,8 +523,8 @@ class TestTangencyCircle:
         for m, k in self.pairs():
             t = ray_table(m, k)
             rho = (abs(k) / (m - k)) ** (1.0 / m)
-            for row in t.order:
-                assert abs(_r0(m, k, t.alpha[row], t.c0[row]) / rho - 1.0) <= 2e-15, (m, k, row)
+            for row, c0 in zip(t.order, t.c0s):
+                assert abs(_r0(m, k, t.alpha[row], c0) / rho - 1.0) <= 2e-15, (m, k, row)
             rows += len(t.order)
         assert rows > 10000
 
@@ -554,14 +554,15 @@ class TestThresholdAccuracy:
         with mpmath.workdps(50):
             for m, k, rows in self.sample():
                 t = ray_table(m, k)
+                c0 = dict(zip(t.order, t.c0s))
                 mm, kk = mpmath.mpf(m), mpmath.mpf(k)
                 big_c = (mm / abs(kk)) ** (kk / mm) * (mm / (mm - kk)) ** ((mm - kk) / mm) / 2
                 s = {row: min(k * row % (2 * m), -k * row % (2 * m)) for row in t.order}
                 for row in rows:
                     exact = big_c / mpmath.cospi(mpmath.mpf(s[row]) / m)
-                    errors.append(float(abs(t.c0[row] / exact - 1)))
+                    errors.append(float(abs(c0[row] / exact - 1)))
                 # alpha does not increase with s, so c0 = C / alpha does not decrease
-                by_s = sorted((s[row], t.c0[row]) for row in t.order)
+                by_s = sorted((s[row], c0[row]) for row in t.order)
                 assert all(a[1] <= b[1] for a, b in zip(by_s, by_s[1:])), (m, k)
         assert len(errors) > 6000
         assert max(errors) <= 1e-15
