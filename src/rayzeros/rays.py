@@ -234,9 +234,9 @@ def _band(c: float, c0s) -> tuple[int, int]:
 
 
 def _side(c: float, c0: float | None) -> int:
-    """The index of a ray's count at c in its CountProfile: 0 below c0 or with
-    no c0, 1 inside the tangency band, where the merged pair counts as 1, and
-    2 above."""
+    """The index of a ray's count at c in its CountProfile, a + b of _band on
+    c0 alone: 0 below c0 or with no c0, 1 inside the tangency band, where the
+    merged pair counts as 1, and 2 above."""
     return 0 if c0 is None else sum(_band(c, (c0,)))
 
 

@@ -226,7 +226,9 @@ class TestTableBuild:
             got = (bits(a.alpha), a.case, bits(a.c0), bits(a.log_beta), bits(a.r0))
             assert got == (bits(alpha), case, bits(ref.c0[row]), bits(log_beta), bits(r0)), (m, k, j)
 
-    @pytest.mark.parametrize("m, k", [(100003, 1), (100003, -3), (100003, 2), (300007, 3001), (300007, -1), (300007, -2)])
+    LARGE_M = [(100003, 1), (100003, -3), (100003, 2), (300007, 3001), (300007, -1), (300007, -2)]
+
+    @pytest.mark.parametrize("m, k", LARGE_M)
     def test_threshold_rows_in_increasing_residue(self, m, k):
         """order[i] is the threshold row of folded residue q + 2i (q = 1 for odd
         k > 0, else 0), c0s[i] is that row's C / alpha, and c0 rises strictly
