@@ -27,8 +27,8 @@ circle |z| = rho* = (|k|/(m-k))^{1/m}.
 Ray j and ray 2m-j have the same parity and the residues t and 2m-t, so they
 carry the same alpha and the same radial function.  The c-independent facts
 of the m+1 conjugate groups live in one cached RayTable per (m, k), the single
-source of c0; analyze_ray, thresholds, the census and the global count all
-read it.  A row's facts follow from its parity and its folded residue
+source of c0; analyze_ray, thresholds, all_zeros and predict_at read it.
+A row's facts follow from its parity and its folded residue
 s = min(t, 2m-t), so the table is built in whole-table passes with no Python call
 per row: alpha for s <= m/2 in one _alpha_half pass (alpha(m-s) = -alpha(s)), the
 kind once per parity and alpha sign, and the threshold rows' c0 = C / alpha in
@@ -248,9 +248,7 @@ class RayTable(NamedTuple):
     ``alpha`` and ``kind`` (one byte per row) are indexed by row.  ``order``
     lists the threshold rows in increasing folded residue s = q, q + 2, ...,
     which is increasing c0, and ``c0s`` holds their c0 in that order: the row
-    of residue s sits at index s // 2 (ray_table).  ``census`` counts the 2m
-    rays by parity and exact alpha sign, in the field order of
-    unity.ParityCensus.
+    of residue s sits at index s // 2 (ray_table).
     """
 
     m: int
@@ -259,7 +257,6 @@ class RayTable(NamedTuple):
     kind: bytes
     order: array
     c0s: array
-    census: tuple[int, ...]
 
     def row(self, j: int) -> int:
         return min(j, 2 * self.m - j)
@@ -301,11 +298,9 @@ def ray_table(m: int, k: int) -> RayTable:
     folded = [t if t <= m else two_m - t for t in map(two_m.__rmod__, range(0, k * (m + 1), k))]
     alpha_of = _alpha_range(m, _alpha_half(m))
     # a row's kind is the slot of its alpha sign (positive, zero, negative) + 3 * parity,
-    # the census order; alpha > 0 iff 2s < m and alpha = 0 iff 2s = m
+    # the field order of unity.ParityCensus; alpha > 0 iff 2s < m and alpha = 0 iff 2s = m
     slot_of = [0] * ((m + 1) // 2) + [1] * (1 - m % 2) + [2] * ((m + 1) // 2)
     kinds = bytes(map(operator.add, map(slot_of.__getitem__, folded), cycle((0, 3))))
-    # rays per kind: every row but the axis rows 0 and m stands for two
-    tally = [2 * kinds.count(kind) - (kinds[0] == kind) - (kinds[m] == kind) for kind in range(6)]
     # threshold rows have 2s < m and s = q, q + 2, ... (s = kj mod 2; for even k rows
     # j and m - j share s and differ in parity), one row per s, placed at s // 2.
     # c0 = C / alpha rises with s with no sort: the alphas of neighbouring s differ
@@ -325,7 +320,6 @@ def ray_table(m: int, k: int) -> RayTable:
         kind=kinds,
         order=order,
         c0s=c0s,
-        census=tuple(tally),
     )
 
 

@@ -13,7 +13,6 @@ from typing import NamedTuple
 from .family import FamilyParams
 # classify_ray is unused here but stays bound: perfbench/tracing.py counts unity.classify_ray
 from .family import classify_ray  # noqa: F401
-from .rays import ray_table
 
 __all__ = ["ParityCensus", "positive_halfplane_count", "census", "group_order"]
 
@@ -47,10 +46,14 @@ def group_order(params: FamilyParams) -> int:
 
 
 def census(params: FamilyParams) -> ParityCensus:
-    """Six-way parity/sign census of the 2m rays, tallied from the ray table.
+    """Six-way parity/sign census of the 2m rays, from the roots of unity alone.
 
-    Each of the table's m+1 rows counts once for the axis rays 0 and m and
-    twice otherwise; its alpha sign comes from the exact integer classifier,
-    so boundary rays (Re omega^j = 0) are never miscounted.  Independent of c.
+    The even j give every m-th root once (gcd(m, k) = 1), all 2m exponents give
+    each q-th root (q = group_order) 2m/q times, and the odd j the difference.
+    Re omega^j = 0 only at +-i, two q-th roots when 4 divides q.  Independent of c.
     """
-    return ParityCensus(*ray_table(params.m, params.k).census)
+    m, q = params.m, group_order(params)
+    pos, zero = positive_halfplane_count(m), 2 * (m % 4 == 0)
+    odd_pos = 2 * m // q * positive_halfplane_count(q) - pos
+    odd_zero = 2 * m // q * 2 * (q % 4 == 0) - zero
+    return ParityCensus(pos, zero, m - pos - zero, odd_pos, odd_zero, m - odd_pos - odd_zero)

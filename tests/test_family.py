@@ -321,6 +321,13 @@ class TestEvaluate:
         z = evaluate(validate(5, 4, 1.0), complex(math.inf, math.nan))
         assert math.isnan(z.real) and math.isnan(z.imag)
 
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+    def test_nan_on_an_axis_is_nan(self, z):
+        """A nan part with a zero other part has a nan angle: no axis multiple of
+        pi/2 to round to, so the generic trigonometry gives nan."""
+        w = evaluate(validate(5, 4, 1.0), z)
+        assert math.isnan(w.real) and math.isnan(w.imag)
+
     @pytest.mark.parametrize("m, k", [(4, 3), (4, -1), (12, -1), (12, 5), (5, 4), (5, -2), (13, 6), (13, -12)])
     @pytest.mark.parametrize("c", [1e-300, 1.0, 5.516689610200797e134, 1e300])
     def test_exact_on_the_axes(self, m, k, c):

@@ -178,3 +178,11 @@ def test_alpha_zero_row_is_the_unit_radius(m, k):
             assert ref_refine(split, a, b, True, rtol) == 0.0
         assert by_ray[j].r == 1.0
         assert bracket(analyze_ray(p, j), p.c) == [(math.exp(-1.0), math.exp(1.0))]
+
+
+def test_zero_slope_bisects_inside_the_bracket():
+    """Two equal lines on the two-line side and a lone line of the same power
+    leave G = log 2 with G' = 0 everywhere: Newton has no step, so every
+    iteration bisects, and the result stays a float inside the bracket."""
+    s = roots._refine((0.0, 1, 0.0, 1, 0.0, 1), -1.0, 1.0, True)
+    assert isinstance(s, float) and -1.0 <= s <= 1.0

@@ -12,6 +12,7 @@ from rayzeros import (
     FamilyParams,
     RayCase,
     analyze_ray,
+    census,
     count_at,
     predict_at,
     predict_census,
@@ -121,6 +122,16 @@ class TestEquivalence:
             below, above = predict_at(p, c0s[0] / 2.0), predict_at(p, c0s[-1] * 2.0)
             assert sorted((below, above), reverse=k < 0) == [below, above], (m, k)
             assert (min(below, above), max(below, above)) == (pred.min_count, pred.max_count), (m, k)
+
+
+@pytest.mark.parametrize("k", [1, -1, 2])
+def test_count_band_builds_no_ray_table(k):
+    """Both bands and the census come from O(1) formulas, so none of them
+    builds the O(m) ray table."""
+    p = validate(100003, k, 1.0)
+    rays_mod.ray_table.cache_clear()
+    predict_table(p), predict_census(p), census(p)
+    assert rays_mod.ray_table.cache_info().currsize == 0
 
 
 class TestPredictAt:

@@ -20,6 +20,7 @@ from rayzeros import (
     BracketFailure,
     all_zeros,
     analyze_ray,
+    census,
     classify_ray,
     count_at,
     degenerate_at,
@@ -85,7 +86,9 @@ def row_facts(t):
 
 
 class ReferenceTable(NamedTuple):
-    """RayTable's fields, then each row's case and c0 as the per-row loop computes them."""
+    """RayTable's fields, then each row's case and c0 as the per-row loop computes
+    them, and its tally of the 2m rays by parity and alpha sign, which unity.census
+    must equal."""
 
     m: int
     k: int
@@ -93,9 +96,9 @@ class ReferenceTable(NamedTuple):
     kind: bytes
     order: array
     c0s: array
-    census: tuple
     case: tuple
     c0: tuple
+    census: tuple
 
 
 def reference_c0(m, k, alpha):
@@ -137,9 +140,9 @@ def reference_table(m, k):
         kind=bytes(kinds),
         order=array("q", order),
         c0s=array("d", (c0[row] for row in order)),
-        census=tuple(tally),
         case=tuple(cases),
         c0=tuple(c0),
+        census=tuple(tally),
     )
 
 
@@ -169,9 +172,13 @@ def bits(x):
 
 
 def table_bits(t):
-    """Every field of a RayTable or ReferenceTable, and its rows' case and c0,
-    in a form that compares bit for bit."""
-    case, c0 = (t.case, t.c0) if isinstance(t, ReferenceTable) else row_facts(t)
+    """Every field of a RayTable or ReferenceTable, its rows' case and c0, and
+    the census (the reference's own tally, or unity.census for a RayTable), in a
+    form that compares bit for bit."""
+    if isinstance(t, ReferenceTable):
+        case, c0, tally = t.case, t.c0, t.census
+    else:
+        (case, c0), tally = row_facts(t), tuple(census(validate(t.m, t.k, 1.0)))
     return (
         t.m, t.k,
         t.alpha.typecode, [bits(a) for a in t.alpha],
@@ -180,7 +187,7 @@ def table_bits(t):
         [bits(c) for c in c0],
         t.order.typecode, list(t.order),
         t.c0s.typecode, [bits(c) for c in t.c0s],
-        t.census,
+        tally,
     )
 
 
@@ -239,6 +246,14 @@ class TestTableBuild:
         big_c = [c0 * t.alpha[row] for c0, row in zip(t.c0s, t.order)]
         assert max(big_c) - min(big_c) <= 1e-15 * big_c[0]
         assert all(a < b for a, b in zip(t.c0s, t.c0s[1:]))
+
+    @pytest.mark.parametrize("m, k", LARGE_M)
+    def test_kinds_tally_to_the_census(self, m, k):
+        """The table's exact-integer kinds, counted per ray (rows 0 and m once,
+        every other row twice), give unity.census from the roots of unity."""
+        kind = ray_table.__wrapped__(m, k).kind
+        tally = [2 * kind.count(i) - (kind[0] == i) - (kind[m] == i) for i in range(6)]
+        assert tuple(tally) == census(validate(m, k, 1.0))
 
     @pytest.mark.parametrize("m, k", [(8, 3), (9, -2), (61, -30), (64, 33), (1001, 500)])
     def test_build_is_per_residue_not_per_row(self, monkeypatch, m, k):

@@ -85,7 +85,8 @@ def reference_census(params):
 
 
 class TestCensusFromTable:
-    """census tallies the ray table's m+1 rows; it must equal the 2m-ray tally."""
+    """census counts from the roots of unity alone; it must equal the tally of
+    all 2m rays by classify_ray's parity and exact alpha sign."""
 
     def test_every_pair_up_to_60(self):
         for m, k in valid_pairs(60):
