@@ -161,10 +161,11 @@ def alpha_from_residue(m: int, t: int) -> float:
     return sign * math.sin(math.pi * (m - 2 * s) / (2 * m))
 
 
-def _alpha_half(m: int) -> list[float]:
-    """alpha_from_residue(m, s) for s = 0 .. m//2 bit for bit, from its own two expressions."""
-    cos, sin, pi, q = math.cos, math.sin, math.pi, m // 4 + 1
-    return [cos(pi * s / m) for s in range(q)] + [sin(pi * (m - 2 * s) / (2 * m)) for s in range(q, m // 2 + 1)]
+def _alpha_half(m: int, start: int = 0, step: int = 1) -> list[float]:
+    """alpha_from_residue(m, s) for s in range(start, m//2 + 1, step) bit for bit, from its own two expressions."""
+    cos, sin, pi, s_all = math.cos, math.sin, math.pi, range(start, m // 2 + 1, step)
+    q = len(range(start, m // 4 + 1, step))
+    return [cos(pi * s / m) for s in s_all[:q]] + [sin(pi * (m - 2 * s) / (2 * m)) for s in s_all[q:]]
 
 
 def _alpha_range(m: int, half: list[float]) -> list[float]:

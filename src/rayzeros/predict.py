@@ -9,15 +9,16 @@ and above its threshold.  Neither builds a ray table, and their agreeing for
 every coprime pair is a machine check of the case table that the exact counts
 and the root finder use.  The exact count at one c is the modular band's end
 below every threshold plus (k > 0) or minus (k < 0) the zeros the threshold
-rays gain there, two bisections of the ray table's sorted thresholds at the
-bounds of the tangency band (rays module docstring).
+rays gain there, two bisections of the threshold rows' increasing c0s at the
+bounds of the tangency band, which need no ray table either (rays module
+docstring).
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 from .family import FamilyParams, _check_c
-from .rays import _CASES, _PROFILES, ray_table
+from .rays import _CASES, _PROFILES, _gained, _threshold_rows
 # analyze_ray is unused here but stays bound: perfbench/tracing.py wraps predict.analyze_ray
 from .rays import analyze_ray  # noqa: F401
 from .unity import census
@@ -74,5 +75,5 @@ def predict_at(params: FamilyParams, c: float) -> int:
     _check_c(c)
     m, k = params.m, params.k
     low, span = _MODULAR[k > 0, m % 4, k % 2]
-    gained = ray_table(m, k).gained(c)
+    gained = _gained(k, _threshold_rows(m, k)[1], c)  # [1]: the threshold rows' c0s
     return m + low + gained if k > 0 else 2 * m + low + span - gained

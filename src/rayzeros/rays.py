@@ -26,19 +26,21 @@ circle |z| = rho* = (|k|/(m-k))^{1/m}.
 
 Ray j and ray 2m-j have the same parity and the residues t and 2m-t, so they
 carry the same alpha and the same radial function.  The c-independent facts
-of the m+1 conjugate groups live in one cached RayTable per (m, k), the single
-source of c0; analyze_ray, thresholds, all_zeros and predict_at read it.
-A row's facts follow from its parity and its folded residue
-s = min(t, 2m-t), so the table is built in whole-table passes with no Python call
-per row: alpha for s <= m/2 in one _alpha_half pass (alpha(m-s) = -alpha(s)), the
-kind once per parity and alpha sign, and the threshold rows' c0 = C / alpha in
-increasing residue, which is increasing c0, with no sort.
+of the m+1 conjugate groups live in one cached RayTable per (m, k), which
+analyze_ray and all_zeros read.  A row's facts follow from its parity and its
+folded residue s = min(t, 2m-t), so the table is built in whole-table passes
+with no Python call per row: alpha for s <= m/2 in one _alpha_half pass
+(alpha(m-s) = -alpha(s)) and the kind once per parity and alpha sign.  The
+threshold rows, about a quarter of them, follow from k's inverse alone:
+_threshold_rows, the single source of c0, gives their rows, c0 = C / alpha
+and alphas in increasing residue, which is increasing c0, with no sort.
+thresholds and predict_at read only it, and the table shares its arrays.
 
 Every threshold ray gains (k > 0) or loses (k < 0) two zeros past its c0 and
 one inside its tangency band.  One bisection, _band(c, c0s), finds the run of
 increasing c0s whose band holds c: _side reads it for one ray's c0 in
-count_at, degenerate_at and the root finder, and RayTable.gained and counts
-for the table's c0s.  Fold 0 (alpha = 1, c0 = C, the least c0) is the only
+count_at, degenerate_at and the root finder, and _gained and RayTable.counts
+for the threshold rows' c0s.  Fold 0 (alpha = 1, c0 = C, the least c0) is the only
 residue that puts an axis row, which stands for one ray, among the
 thresholds: row 0 for k < 0, row m for even k > 0.  So the first i threshold
 rows by c0 hold R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
@@ -51,8 +53,8 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from functools import lru_cache
-from itertools import compress, cycle
+from functools import lru_cache, partial
+from itertools import cycle
 from typing import NamedTuple
 
 from .family import (
@@ -86,7 +88,7 @@ __all__ = [
 # shared with the root finder so predicted counts always match emitted zeros
 DEGENERACY_RTOL = 1e-9
 
-# ray tables kept per process; one at m = 500 holds about 17 KB
+# entries per cache; under tracemalloc threshold rows take 4 KB at m = 500 (63 KB at 10^4), a table 7 KB (91 KB) more
 _TABLE_CACHE_SIZE = 16
 
 _LOG2 = math.log(2.0)
@@ -175,6 +177,9 @@ class Threshold(NamedTuple):
     alpha: float
 
 
+_new_threshold = partial(tuple.__new__, Threshold)
+
+
 def f_value(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
     """(-1)^j r^m + 2 c alpha r^k - 1; where r^m overflows, the signed infinity
     of the sum divided through by r^m."""
@@ -248,7 +253,7 @@ class RayTable(NamedTuple):
     ``alpha`` and ``kind`` (one byte per row) are indexed by row.  ``order``
     lists the threshold rows in increasing folded residue s = q, q + 2, ...,
     which is increasing c0, and ``c0s`` holds their c0 in that order: the row
-    of residue s sits at index s // 2 (ray_table).
+    of residue s sits at index s // 2.  Both are _threshold_rows' own arrays.
     """
 
     m: int
@@ -260,17 +265,6 @@ class RayTable(NamedTuple):
 
     def row(self, j: int) -> int:
         return min(j, 2 * self.m - j)
-
-    def gained(self, c: float) -> int:
-        """Zeros the threshold rays add (k > 0) or remove (k < 0) at c: R(a) + R(b).
-
-        The c0s whose tangency band holds c are the run c0s[a:b] that
-        _band(c, c0s) finds; R(i) counts the rays of the first i threshold
-        rows (module docstring).
-        """
-        a, b = _band(c, self.c0s)
-        axis_first = self.k < 0 or self.k % 2 == 0
-        return 2 * (a + b) - axis_first * ((a > 0) + (b > 0))
 
     def counts(self, c: float) -> tuple[bytearray, array]:
         """Each row's zero count at c, and the rows inside the tangency band.
@@ -291,6 +285,35 @@ class RayTable(NamedTuple):
         return counts, self.order[a:b]
 
 
+def _gained(k: int, c0s, c: float) -> int:
+    """Zeros the threshold rays add (k > 0) or remove (k < 0) at c: R(a) + R(b), where
+    c0s[a:b] is the run _band(c, c0s) finds and R is the module docstring's."""
+    a, b = _band(c, c0s)
+    return 2 * (a + b) - (k < 0 or k % 2 == 0) * ((a > 0) + (b > 0))
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _threshold_rows(m: int, k: int) -> tuple[array, array, array]:
+    """(order, c0s, alphas) of the threshold rows of (m, k), one per folded residue
+    s = q, q + 2, ... < m/2 (s = kj mod 2; q = 1 for odd k > 0, else 0), in
+    increasing s, which is increasing c0; kept in a small LRU cache.
+
+    Row x of s solves kx = s mod 2m, folded: x = s / k for odd k; for even k (odd
+    m) rows j and m - j share s, and the root of the threshold parity (odd iff
+    k > 0) is (s/2) / (k/2) (m + 1) + (k > 0) m by the Chinese remainder theorem.  c0 = C / alpha
+    needs no sort: neighbouring alphas differ by at least 1 - cos(2 pi / m), over
+    1000 ulps for every m <= 10^7, and libm's cos and sin are within 1 ulp.
+    """
+    two_m, q = 2 * m, k % 2 if k > 0 else 0
+    w = 2 * pow(k, -1, two_m) if k % 2 else pow(k // 2, -1, m) * (m + 1)  # x of s + 2 is x + w mod 2m
+    x0 = q * w // 2 if k % 2 else (k > 0) * m
+    alphas = array("d", _alpha_half(m, q, 2)[:len(range(q, (m + 1) // 2, 2))])
+    xs = map(two_m.__rmod__, range(x0, x0 + len(alphas) * w, w))
+    big_c = math.exp(-(k * math.log(abs(k) / m) + (m - k) * math.log((m - k) / m)) / m) / 2.0
+    order = array("q", [x if x <= m else two_m - x for x in xs])
+    return order, array("d", map(big_c.__truediv__, alphas)), alphas
+
+
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def ray_table(m: int, k: int) -> RayTable:
     """The ray table of (m, k), built by folded residue and kept in a small LRU cache."""
@@ -301,18 +324,7 @@ def ray_table(m: int, k: int) -> RayTable:
     # the field order of unity.ParityCensus; alpha > 0 iff 2s < m and alpha = 0 iff 2s = m
     slot_of = [0] * ((m + 1) // 2) + [1] * (1 - m % 2) + [2] * ((m + 1) // 2)
     kinds = bytes(map(operator.add, map(slot_of.__getitem__, folded), cycle((0, 3))))
-    # threshold rows have 2s < m and s = q, q + 2, ... (s = kj mod 2; for even k rows
-    # j and m - j share s and differ in parity), one row per s, placed at s // 2.
-    # c0 = C / alpha rises with s with no sort: the alphas of neighbouring s differ
-    # by at least 1 - cos(2 pi / m) ~ 2 pi^2 / m^2, over 1000 ulps for every
-    # m <= 10^7, and libm's cos and sin are within 1 ulp.  C = c0 * alpha, one
-    # constant per pair (module docstring)
-    q = k % 2 if k > 0 else 0
-    big_c = math.exp(-(k * math.log(abs(k) / m) + (m - k) * math.log((m - k) / m)) / m) / 2.0
-    c0s = array("d", [big_c / alpha for alpha in alpha_of[q:(m + 1) // 2:2]])
-    order = array("q", [0]) * len(c0s)
-    for row in compress(range(m + 1), kinds.translate(_IS_THRESHOLD[k > 0])):
-        order[folded[row] // 2] = row
+    order, c0s, _ = _threshold_rows(m, k)
     return RayTable(
         m=m,
         k=k,
@@ -380,8 +392,8 @@ def thresholds(params: FamilyParams) -> list[Threshold]:
     floating-point comparison.  Within one parity that class is exactly the
     conjugate group of a table row.
     """
-    table = ray_table(params.m, params.k)
-    rays = list(zip(table.order, map((2 * params.m).__sub__, table.order)))
+    order, c0s, alphas = _threshold_rows(params.m, params.k)
+    rays = list(zip(order, map((2 * params.m).__sub__, order)))
     if params.k < 0 or params.k % 2 == 0:  # fold 0's axis row, the first, stands for one ray
-        rays[0] = (table.order[0],)
-    return list(map(Threshold, table.c0s, rays, map(table.alpha.__getitem__, table.order)))
+        rays[0] = (order[0],)
+    return list(map(_new_threshold, zip(c0s, rays, alphas)))

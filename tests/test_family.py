@@ -260,6 +260,14 @@ class TestAlphaHalf:
         for m in list(range(2, 3000)) + [10000, 10001, 65536, 99999, 100003]:
             assert array("d", _alpha_half(2 * m)[::2]).tobytes() == array("d", _alpha_half(m)).tobytes(), m
 
+    def test_strided_pass_is_the_slice_of_the_whole_pass(self):
+        """The threshold rows take alpha at s = q, q + 2, ... from a strided pass of the
+        same two expressions, equal bit for bit to the whole pass's entries there."""
+        for m in range(2, 3000):
+            half = _alpha_half(m)
+            for q in (0, 1):
+                assert array("d", _alpha_half(m, q, 2)).tobytes() == array("d", half[q::2]).tobytes(), (m, q)
+
 
 class TestUnitDirection:
     def test_real_axis_exact(self):

@@ -134,6 +134,19 @@ def test_count_band_builds_no_ray_table(k):
     assert rays_mod.ray_table.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("k", [1, -1, 2])
+def test_count_at_c_builds_no_ray_table(k):
+    """thresholds and predict_at read only the threshold rows, which come from k's
+    inverse, so counting at c builds no (m + 1)-row ray table."""
+    p = validate(100003, k, 1.0)
+    rays_mod.ray_table.cache_clear()
+    ths = thresholds(p)
+    lo, hi = math.log(ths[0].c0 / 10.0), math.log(ths[-1].c0 * 10.0)
+    counts = [predict_at(p, math.exp(lo + (hi - lo) * i / 50)) for i in range(51)]
+    assert rays_mod.ray_table.cache_info().currsize == 0
+    assert counts == sorted(counts, reverse=k < 0) and counts[0] != counts[-1]
+
+
 class TestPredictAt:
     def test_example_counts(self):
         p = validate(5, 4, 1.0)

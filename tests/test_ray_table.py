@@ -36,7 +36,9 @@ from rayzeros.rays import (
     DEGENERACY_RTOL,
     EXTREMUM_CASES,
     THRESHOLD_CASES,
+    _IS_THRESHOLD,
     RayTable,
+    Threshold,
     _r0,
     ray_table,
 )
@@ -247,6 +249,31 @@ class TestTableBuild:
         assert max(big_c) - min(big_c) <= 1e-15 * big_c[0]
         assert all(a < b for a, b in zip(t.c0s, t.c0s[1:]))
 
+    @staticmethod
+    def assert_kinds_place_the_threshold_rows(t):
+        """The rows whose kind is the threshold case of k's sign are exactly the rows
+        of order, each once: the table's kinds and the rows from k's inverse agree."""
+        flags = t.kind.translate(_IS_THRESHOLD[t.k > 0])
+        assert set(flags) <= {0, 1}, (t.m, t.k)
+        assert [row for row, flag in enumerate(flags) if flag] == sorted(t.order), (t.m, t.k)
+        assert len(set(t.order)) == len(t.order), (t.m, t.k)
+
+    def test_kinds_place_the_threshold_rows_small_m(self):
+        for m, k in valid_pairs(200):
+            self.assert_kinds_place_the_threshold_rows(ray_table.__wrapped__(m, k))
+
+    @pytest.mark.parametrize("m, k", LARGE_M)
+    def test_kinds_place_the_threshold_rows_large_m(self, m, k):
+        self.assert_kinds_place_the_threshold_rows(ray_table.__wrapped__(m, k))
+
+    @pytest.mark.parametrize("m, k", [(8, 3), (9, -2), (61, -30), (2048, 1001), (1001, 500)])
+    def test_table_shares_the_threshold_rows(self, m, k):
+        """The table's order and c0s are the threshold rows' own arrays, not copies,
+        so c0 has one source."""
+        t = ray_table.__wrapped__(m, k)
+        order, c0s, _ = rays._threshold_rows(m, k)
+        assert t.order is order and t.c0s is c0s
+
     @pytest.mark.parametrize("m, k", LARGE_M)
     def test_kinds_tally_to_the_census(self, m, k):
         """The table's exact-integer kinds, counted per ray (rows 0 and m once,
@@ -257,21 +284,24 @@ class TestTableBuild:
 
     @pytest.mark.parametrize("m, k", [(8, 3), (9, -2), (61, -30), (64, 33), (1001, 500)])
     def test_build_is_per_residue_not_per_row(self, monkeypatch, m, k):
-        """One build takes alpha for every residue s <= m/2 in one whole-range pass
-        and never folds a single cosine, analyzes or classifies a ray, so a per-row
-        loop cannot come back unnoticed."""
-        calls = {"_alpha_half": 0, "alpha_from_residue": 0, "classify_ray": 0, "analyze_ray": 0}
+        """One cold build takes alpha for every residue s <= m/2 in one whole-range
+        pass, and the threshold rows' alphas in one strided pass over s = q, q + 2,
+        ..., and never folds a single cosine, analyzes or classifies a ray, so a
+        per-row loop cannot come back unnoticed."""
+        calls = {"_alpha_half": [], "alpha_from_residue": [], "classify_ray": [], "analyze_ray": []}
         for name in calls:
             fn = getattr(rays, name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
-                calls[_name] += 1
+                calls[_name].append(args)
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(rays, name, counted)
+        rays._threshold_rows.cache_clear()
         ray_table.__wrapped__(m, k)
-        assert calls["_alpha_half"] == 1
-        assert calls["alpha_from_residue"] == calls["classify_ray"] == calls["analyze_ray"] == 0
+        q = 1 if k > 0 and k % 2 else 0
+        assert calls["_alpha_half"] == [(m,), (m, q, 2)]
+        assert calls["alpha_from_residue"] == calls["classify_ray"] == calls["analyze_ray"] == []
 
 
 def reference_thresholds(p):
@@ -329,6 +359,21 @@ class TestThresholdsEqualPerRayReference:
     @pytest.mark.parametrize("m, k", [(10000, 9999), (10000, -9999), (1988, -869)])
     def test_named_pairs(self, m, k):
         self.assert_equal_reference(m, k)
+
+    @pytest.mark.parametrize("m, k", [(3, 1), (5, 4), (5, -4), (12, 5), (13, -6), (2048, 1001), (2047, -2)])
+    def test_records_equal_keyword_built_records(self, m, k):
+        """thresholds() builds its records without the keyword constructor; they are
+        Threshold records equal to the same ones built by keyword."""
+        got = thresholds(validate(m, k, 1.0))
+        order, c0s, alphas = rays._threshold_rows(m, k)
+        axis = k < 0 or k % 2 == 0
+        want = [
+            Threshold(c0=c0, rays=(row,) if i == 0 and axis else (row, 2 * m - row), alpha=alpha)
+            for i, (row, c0, alpha) in enumerate(zip(order, c0s, alphas))
+        ]
+        assert got == want
+        assert all(type(th) is Threshold for th in got)
+        assert [(th.c0, th.rays, th.alpha) for th in got] == [tuple(th) for th in want]
 
 
 class TestAllZerosEquivalence:
@@ -460,10 +505,12 @@ def test_fold_zero_is_the_only_axis_threshold_and_the_first():
 
 
 def test_table_cache_memory_is_bounded():
-    """Tables of pairs no longer in use are dropped: retained memory stays flat.
+    """Tables and threshold rows of pairs no longer in use are dropped: retained
+    memory stays flat.
 
-    An unbounded cache would keep every table, about 17 KB each at m = 500.
-    tracemalloc slows each build about eightfold, so 250 fresh pairs are traced.
+    An unbounded cache would keep every entry, about 11 KB for a table and its
+    threshold rows at m = 500.  tracemalloc slows each build about eightfold, so
+    250 fresh pairs are traced.
     """
     pairs = [(m, k) for m in range(480, 530) for k in range(-m + 1, 0) if math.gcd(m, k) == 1]
     pairs = pairs[:: len(pairs) // 250][:250]
@@ -471,6 +518,7 @@ def test_table_cache_memory_is_bounded():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for m, k in pairs:
+            ray_table(m, k)
             predict_at(validate(m, k, 1.0), 1.0)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
