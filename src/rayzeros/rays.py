@@ -27,20 +27,22 @@ circle |z| = rho* = (|k|/(m-k))^{1/m}.
 Ray j and ray 2m-j have the same parity and the residues t and 2m-t, so they
 carry the same alpha and the same radial function.  The c-independent facts
 of the m+1 conjugate groups live in one cached RayTable per (m, k), which
-analyze_ray and all_zeros read.  A row's facts follow from its parity and its
-folded residue s = min(t, 2m-t), so the table is built in whole-table passes
-with no Python call per row: alpha for s <= m/2 in one _alpha_half pass
+analyze_ray reads.  A row's facts follow from its parity and its folded
+residue s = min(t, 2m-t), so the table is built in whole-table passes with no
+Python call per row: alpha for s <= m/2 in one _alpha_half pass
 (alpha(m-s) = -alpha(s)) and the kind once per parity and alpha sign.  The
-threshold rows, about a quarter of them, follow from k's inverse alone:
-_threshold_rows, the single source of c0, gives their rows, c0 = C / alpha
-and alphas in increasing residue, which is increasing c0, with no sort.
-thresholds and predict_at read only it, and the table shares its arrays.
+rows of one parity in increasing s follow from k's inverse alone (_rows), and
+all_zeros walks them so, with no table.  _threshold_rows, the single source
+of c0, gives the threshold rows, about a quarter of them, c0 = C / alpha and
+alphas in increasing residue, which is increasing c0, with no sort.
+thresholds, predict_at and all_zeros read only it, and the table shares its
+arrays.
 
 Every threshold ray gains (k > 0) or loses (k < 0) two zeros past its c0 and
 one inside its tangency band.  One bisection, _band(c, c0s), finds the run of
 increasing c0s whose band holds c: _side reads it for one ray's c0 in
-count_at, degenerate_at and the root finder, and _gained and RayTable.counts
-for the threshold rows' c0s.  Fold 0 (alpha = 1, c0 = C, the least c0) is the only
+count_at, degenerate_at and the root finder, and _gained and all_zeros for
+the threshold rows' c0s.  Fold 0 (alpha = 1, c0 = C, the least c0) is the only
 residue that puts an axis row, which stands for one ray, among the
 thresholds: row 0 for k < 0, row m for even k > 0.  So the first i threshold
 rows by c0 hold R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
@@ -137,11 +139,8 @@ _CASES = (
 
 THRESHOLD_CASES = frozenset(case for case, profile in _PROFILES.items() if profile.below != profile.above)
 EXTREMUM_CASES = THRESHOLD_CASES | {RayCase.POS_K_EVEN_NEG}
-# per sign of k, as _CASES: translate tables from a row's kind to its count
-# below c0 and to 1 in the sign's one threshold case, and that case's profile
-_BELOW = tuple(bytes(_PROFILES[case].below for case in cases).ljust(256, b"\0") for cases in _CASES)
+# per sign of k, as _CASES: a translate table from a row's kind to 1 in the sign's one threshold case
 _IS_THRESHOLD = tuple(bytes(case in THRESHOLD_CASES for case in cases).ljust(256, b"\0") for cases in _CASES)
-_THRESHOLD = tuple(_PROFILES[next(case for case in cases if case in THRESHOLD_CASES)] for cases in _CASES)
 
 
 class RayAnalysis(NamedTuple):
@@ -266,24 +265,6 @@ class RayTable(NamedTuple):
     def row(self, j: int) -> int:
         return min(j, 2 * self.m - j)
 
-    def counts(self, c: float) -> tuple[bytearray, array]:
-        """Each row's zero count at c, and the rows inside the tangency band.
-
-        Every row starts at its kind's count below c0.  Every threshold row has
-        the one threshold case of k's sign; as in gained, the rows order[:a]
-        lie above their c0 at c and order[a:b] inside its band, and take that
-        profile's other counts.
-        """
-        positive = self.k > 0
-        counts = bytearray(self.kind.translate(_BELOW[positive]))
-        threshold = _THRESHOLD[positive]
-        a, b = _band(c, self.c0s)
-        for row in self.order[:a]:
-            counts[row] = threshold.above
-        for row in self.order[a:b]:
-            counts[row] = threshold.at_threshold
-        return counts, self.order[a:b]
-
 
 def _gained(k: int, c0s, c: float) -> int:
     """Zeros the threshold rays add (k > 0) or remove (k < 0) at c: R(a) + R(b), where
@@ -292,25 +273,32 @@ def _gained(k: int, c0s, c: float) -> int:
     return 2 * (a + b) - (k < 0 or k % 2 == 0) * ((a > 0) + (b > 0))
 
 
+def _rows(m: int, k: int, parity: int, n: int) -> list[int]:
+    """The rows of one parity with folded residues s = q, q + 2, ... (n of them;
+    q = parity for odd k, else 0), in that order.  Row x of s solves kx = s mod
+    2m, folded: x = s / k for odd k; for even k (odd m) rows j and m - j share
+    s, and the root of the given parity is (s/2) / (k/2) (m + 1) + parity m by
+    the Chinese remainder theorem.  The row of s + 2 is x + w mod 2m."""
+    two_m = 2 * m
+    w = 2 * pow(k, -1, two_m) if k % 2 else pow(k // 2, -1, m) * (m + 1)
+    x0 = parity * w // 2 if k % 2 else parity * m
+    return [x if x <= m else two_m - x for x in map(two_m.__rmod__, range(x0, x0 + n * w, w))]
+
+
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _threshold_rows(m: int, k: int) -> tuple[array, array, array]:
-    """(order, c0s, alphas) of the threshold rows of (m, k), one per folded residue
-    s = q, q + 2, ... < m/2 (s = kj mod 2; q = 1 for odd k > 0, else 0), in
-    increasing s, which is increasing c0; kept in a small LRU cache.
+    """(order, c0s, alphas) of the threshold rows of (m, k), the _rows of the
+    threshold parity (odd iff k > 0) with 2s < m, in increasing s, which is
+    increasing c0; kept in a small LRU cache.
 
-    Row x of s solves kx = s mod 2m, folded: x = s / k for odd k; for even k (odd
-    m) rows j and m - j share s, and the root of the threshold parity (odd iff
-    k > 0) is (s/2) / (k/2) (m + 1) + (k > 0) m by the Chinese remainder theorem.  c0 = C / alpha
-    needs no sort: neighbouring alphas differ by at least 1 - cos(2 pi / m), over
-    1000 ulps for every m <= 10^7, and libm's cos and sin are within 1 ulp.
+    c0 = C / alpha needs no sort: neighbouring alphas differ by at least
+    1 - cos(2 pi / m), over 1000 ulps for every m <= 10^7, and libm's cos and
+    sin are within 1 ulp.
     """
-    two_m, q = 2 * m, k % 2 if k > 0 else 0
-    w = 2 * pow(k, -1, two_m) if k % 2 else pow(k // 2, -1, m) * (m + 1)  # x of s + 2 is x + w mod 2m
-    x0 = q * w // 2 if k % 2 else (k > 0) * m
+    q = k % 2 if k > 0 else 0
     alphas = array("d", _alpha_half(m, q, 2)[:len(range(q, (m + 1) // 2, 2))])
-    xs = map(two_m.__rmod__, range(x0, x0 + len(alphas) * w, w))
     big_c = math.exp(-(k * math.log(abs(k) / m) + (m - k) * math.log((m - k) / m)) / m) / 2.0
-    order = array("q", [x if x <= m else two_m - x for x in xs])
+    order = array("q", _rows(m, k, k > 0, len(alphas)))
     return order, array("d", map(big_c.__truediv__, alphas)), alphas
 
 

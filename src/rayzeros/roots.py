@@ -1,9 +1,11 @@
 """Locate every zero radius on a ray from brackets read off its three term lines.
 
-all_zeros is one pass over the rows of the cached ray table that have zeros
-at c.  Row j stands for ray j and its mirror 2m - j, which carry the same
-radial function f(r) = (-1)^j r^m + 2 c alpha r^k - 1; its count and
-tangency at c come from the row's kind and the table's c0s (RayTable.counts).
+Row j stands for ray j and its mirror 2m - j, which carry the same radial
+function f(r) = (-1)^j r^m + 2 c alpha r^k - 1; f depends on the row only
+through its parity and alpha = cos(pi s / m), s its folded residue.  So
+all_zeros reads no ray table: the rows of one parity and one sign of alpha
+share a case and, outside the threshold case, a count, and the threshold rows
+split at their c0s into the runs above c0, inside the tangency band and below.
 With alpha = 0, f = r^m - 1 and the zero is r = 1.
 Otherwise, in s = log r, f's terms are three lines log |coefficient| + power s:
 (0, m), (L, k) and (0, 0), with L = log 2c|alpha|.  One side of f = P - N
@@ -14,34 +16,38 @@ cross at s = 0, L/(m - k) and -L/k.  One unit beyond the outermost crossing
 the tail term beats each other term by a factor e > 2 and gives F its sign,
 so the two ends bracket a single zero, and a pair is split at s0 = log r0.
 Each radius is refined by safeguarded Newton on G in s until a step is at
-most 1e-12; steps that leave the bracket bisect it.  Each record of ray j
-re-evaluates the full complex function at r times the ray's unit direction
-and must pass the residual gate, scaled by r^m where r^m overflows, as soon
-as its row is solved.  Since p(conj z) = conj p(z), ray 2m - j's records are
-the exact conjugates of ray j's, with the same residual; they are built after
-the last row without a second evaluation.  bracket and solve_ray run the same
-per-row code for one analyzed ray.
+most 1e-12; steps that leave the bracket bisect it.  Within a run, Newton
+starts from the secant in alpha through the same zero of the two rows solved
+before, whose alphas are the nearest.  Each record of ray j re-evaluates the
+full complex function at r times the ray's unit direction and must pass the
+residual gate, scaled by r^m where r^m overflows, as soon as its row is
+solved.  Since p(conj z) = conj p(z), ray 2m - j's records are the exact
+conjugates of ray j's, with the same residual; they are built after the last
+row without a second evaluation.  solve_ray runs the same run solver on one
+analyzed ray.
 """
 from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import compress
-from operator import itemgetter
 from typing import NamedTuple
 
 from .family import FamilyParams, _alpha_half, _alpha_range, _over_power, evaluate, power_term, unit_direction
 from .rays import (
     _CASES,
     _LOG2,
+    _PROFILES,
+    THRESHOLD_CASES,
     RayAnalysis,
     RayCase,
+    _band,
     _log_r0,
+    _rows,
     _side,
+    _threshold_rows,
     count_at,
     degenerate_at,
     extremum_radius,
-    ray_table,
 )
 # unused here but still bound: perfbench/tracing.py wraps these roots bindings
 from .rays import analyze_ray, f_derivative, f_value  # noqa: F401
@@ -179,10 +185,11 @@ def bracket(analysis: RayAnalysis, c: float) -> list[tuple[float, float]]:
         raise _failure(m, k, c, analysis.ray.j, analysis.case, what) from None
 
 
-def _refine(lines, a: float, b: float, a_neg: bool) -> float:
+def _refine(lines, a: float, b: float, a_neg: bool, start: float = math.nan) -> float:
     """Safeguarded Newton on G(s) = +-F(s) inside the bracket [a, b] in
-    s = log r, where G(a) < 0 iff a_neg; returns s at the zero.  It stops
-    once a step is at most _STEP_RTOL.
+    s = log r, where G(a) < 0 iff a_neg; returns s at the zero.  It starts at
+    start, or at the bracket's midpoint where start is not inside it (the
+    default), and stops once a step is at most _STEP_RTOL.
 
     A Newton step that leaves the bracket bisects it instead.  The step size
     is tested before sign(G) moves the bracket: at the root |G| is at rounding
@@ -190,7 +197,7 @@ def _refine(lines, a: float, b: float, a_neg: bool) -> float:
     Newton's on F.
     """
     rtol = _STEP_RTOL
-    s = 0.5 * (a + b)
+    s = start if a < start < b else 0.5 * (a + b)
     for _ in range(_NEWTON_STEPS):
         value, slope = _log_f(lines, s)
         step = value / slope if slope else math.inf
@@ -209,45 +216,60 @@ def _refine(lines, a: float, b: float, a_neg: bool) -> float:
     return s
 
 
-def _solve_row(
-    params: FamilyParams, j: int, case: RayCase, alpha: float, n: int, degenerate: bool, u: complex, log_2c: float
-) -> list[ZeroRecord]:
-    """The n > 0 zeros on ray j at params.c from its row's case and alpha, sorted
-    by radius, the merged pair of the tangency band where degenerate; u is the
-    ray's unit direction and log_2c is log 2c.  The row's log radii come first,
-    then one loop builds each record and gates its residual; the merged pair
-    is not gated."""
+def _solve_run(params: FamilyParams, case: RayCase, n: int, degenerate: bool, run, slots, failed=(math.inf, None)):
+    """Solve the rows of run, (row, alpha, unit direction) triples sharing one
+    case and n > 0 zeros at params.c, into slots[row], each row's records by
+    radius and gated before the next row; degenerate marks the band's merged
+    pair, which is not gated.  Zero i starts from the secant through zero i of
+    the previous two rows solved (nan, so the midpoint, on the first two).
+    failed is (row, error) of the lowest failing row so far: rows at or above
+    it are skipped, and the new lowest is returned.
+    """
     m, k, c = params
-    if degenerate:
-        logs = [_log_r0(m, k, alpha, c)]
-    elif not alpha:  # f = r^m - 1: Newton from the bracket's midpoint s = 0 stops there at once
-        logs = [0.0]
-    else:
-        lines, sign, ends, negs = _log_brackets(m, k, c, log_2c, j % 2, alpha, n == 2)
-        logs = []
-        for a, b, a_neg, b_neg in zip(ends, ends[1:], negs, negs[1:]):
-            if a_neg == b_neg:
-                raise _failure(m, k, c, j, case, f"endpoint signs agree on log r in [{a}, {b}]")
-            logs.append(_refine(lines, a, b, a_neg != (sign < 0)))
-    records = []
-    for s in logs:
+    log_2c = _LOG2 + math.log(c)
+    limit, error = failed
+    # zero i's log r on the previous two rows solved, at alpha = last and before
+    back = older = [math.nan] * n
+    last = before = math.nan
+    for x, alpha, u in run:
+        if x >= limit:
+            continue
         try:
-            r = math.exp(s)
-        except OverflowError:
-            raise _failure(m, k, c, j, case, f"zero at log r = {s} beyond the float range") from None
-        z = r * u
-        residual = abs(evaluate(params, z))
-        if not degenerate:
-            scale = power_term(1.0, r, m)
-            if scale == math.inf:  # the bound divided through by r^m, at the ray's exact angle
-                real = _over_power(-1.0 if j % 2 else 1.0, c * alpha, r, m, k)
-                label, size, bound = "residual |p(z)|/r^m", abs(real), _RESIDUAL_RTOL
+            if degenerate:
+                logs = [_log_r0(m, k, alpha, c)]
+            elif not alpha:  # f = r^m - 1: Newton from the bracket's midpoint s = 0 stops there at once
+                logs = [0.0]
             else:
-                label, size, bound = "residual", residual, _RESIDUAL_RTOL * max(1.0, scale)
-            if not size <= bound:
-                raise _failure(m, k, c, j, case, f"{label} {size} exceeds {bound} at r={r}")
-        records.append(_new_record((j, r, z, residual, degenerate)))
-    return records
+                lines, sign, ends, negs = _log_brackets(m, k, c, log_2c, x % 2, alpha, n == 2)
+                ratio, logs = (alpha - last) / (last - before), []
+                for a, b, a_neg, b_neg, s, t in zip(ends, ends[1:], negs, negs[1:], back, older):
+                    if a_neg == b_neg:
+                        raise _failure(m, k, c, x, case, f"endpoint signs agree on log r in [{a}, {b}]")
+                    logs.append(_refine(lines, a, b, a_neg != (sign < 0), s + (s - t) * ratio))
+                back, older, last, before = logs, back, alpha, last
+            records = []
+            for s in logs:
+                try:
+                    r = math.exp(s)
+                except OverflowError:
+                    raise _failure(m, k, c, x, case, f"zero at log r = {s} beyond the float range") from None
+                z = r * u
+                residual = abs(evaluate(params, z))
+                if not degenerate:
+                    scale = power_term(1.0, r, m)
+                    if scale == math.inf:  # the bound divided through by r^m, at the ray's exact angle
+                        real = _over_power(-1.0 if x % 2 else 1.0, c * alpha, r, m, k)
+                        label, size, bound = "residual |p(z)|/r^m", abs(real), _RESIDUAL_RTOL
+                    else:
+                        label, size, bound = "residual", residual, _RESIDUAL_RTOL * max(1.0, scale)
+                    if not size <= bound:
+                        raise _failure(m, k, c, x, case, f"{label} {size} exceeds {bound} at r={r}")
+                records.append(_new_record((x, r, z, residual, degenerate)))
+        except BracketFailure as exc:
+            limit, error = x, exc
+            continue
+        slots[x] = records
+    return limit, error
 
 
 def solve_ray(params: FamilyParams, analysis: RayAnalysis) -> list[ZeroRecord]:
@@ -257,38 +279,47 @@ def solve_ray(params: FamilyParams, analysis: RayAnalysis) -> list[ZeroRecord]:
     n = analysis.profile[side]
     if not n:
         return []
-    u, log_2c = unit_direction(params.m, j), _LOG2 + math.log(params.c)
-    return _solve_row(params, j, analysis.case, analysis.alpha, n, side == 1, u, log_2c)
+    records, run = {}, [(j, analysis.alpha, unit_direction(params.m, j))]
+    error = _solve_run(params, analysis.case, n, side == 1, run, records)[1]
+    if error:
+        raise error
+    return records[j]
 
 
 def all_zeros(params: FamilyParams) -> list[ZeroRecord]:
     """Every zero of p, ordered by ray index then radius.
 
-    One pass over the ray table's rows 0..m with zeros at c (RayTable.counts)
-    solves and gates ray j of each row.  The rows' unit directions come from
-    one whole-range pass, sin(j pi / m) = alpha(2m, |2j - m|); its even
-    entries alpha(2m, 2j) are cos(j pi / m) for j <= m/2, mirrored beyond.
-    Ray 2m - j carries row j's f, and p(conj z) = conj p(z), so its records are
-    the conjugates of row j's, with the same residual.
+    _rows gives each parity's rows in increasing s, and one whole-range pass
+    alpha(2m, .) gives alpha_s, alpha(2m, 2s) for 2s <= m and -alpha(2m, 2(m - s))
+    beyond, and each row's unit direction, sin(j pi / m) = alpha(2m, |2j - m|).
+    Each run with zeros is one _solve_run; a failure raises once the rows below
+    the failing row are solved, so the lowest failing row names the error.
     """
     m, k, c = params
-    table = ray_table(m, k)
-    counts, merged = table.counts(c)
-    sines = _alpha_half(2 * m)
-    cosines = _alpha_range(m, sines[::2])
-    sine_at = compress(map(abs, range(-m, m + 1, 2)), counts)
-    units = map(complex, compress(cosines, counts), map(sines.__getitem__, sine_at))
-    log_2c = _LOG2 + math.log(c)
-    merged, cases = set(merged), _CASES[k > 0]
-    records = [
-        rec
-        for j, u in zip(compress(range(m + 1), counts), units)
-        for rec in _solve_row(params, j, cases[table.kind[j]], table.alpha[j], counts[j], j in merged, u, log_2c)
-    ]
-    # the records of rows 1..m-1, last row first: the sort is stable, so each
-    # row keeps its order of radius
-    inner = sorted(records[counts[0]:len(records) - counts[m]], key=itemgetter(0), reverse=True)
-    return records + [
+    half = _alpha_half(2 * m)
+    cosines = _alpha_range(m, half[::2])
+    band = _band(c, _threshold_rows(m, k)[1])
+    slots, failed = [()] * (m + 1), (math.inf, None)
+    for parity in (0, 1):
+        q = parity if k % 2 else 0
+        rows = _rows(m, k, parity, len(range(q, m + 1, 2)))
+        alphas = half[2 * q:m + 1:4] + [-a for a in reversed(half[(m - q) % 2 * 2:m:4])]
+        ends = (0, len(range(q, (m + 1) // 2, 2)), len(range(q, m // 2 + 1, 2)), len(rows))  # 2s < m, = m, > m
+        for slot in range(3):
+            case = _CASES[k > 0][slot + 3 * parity]
+            profile, lo, hi = _PROFILES[case], ends[slot], ends[slot + 1]
+            a, b = band if case in THRESHOLD_CASES else (lo, lo)  # rows[lo:a] above c0, rows[a:b] in its band
+            for start, stop, n, degenerate in (
+                (lo, a, profile.above, False), (a, b, profile.at_threshold, True), (b, hi, profile.below, False)
+            ):
+                if n and start < stop:
+                    run = rows[start:stop]
+                    units = [complex(cosines[x], half[abs(2 * x - m)]) for x in run]
+                    failed = _solve_run(params, case, n, degenerate, zip(run, alphas[start:stop], units), slots, failed)
+    if failed[1]:
+        raise failed[1]
+    return [rec for row in slots for rec in row] + [
         _new_record((2 * m - j, r, z.conjugate(), residual, degenerate))
-        for j, r, z, residual, degenerate in inner
+        for row in slots[m - 1:0:-1]
+        for j, r, z, residual, degenerate in row
     ]

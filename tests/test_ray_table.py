@@ -1,8 +1,9 @@
 """The cached per-(m, k) ray table and the paths that read it.
 
-all_zeros solves one ray per conjugate group and predict_at bisects the
-table's sorted thresholds; both must agree exactly with the plain per-ray
-loops they replace.
+all_zeros solves one ray per conjugate group, with no table, and predict_at
+bisects the threshold rows' sorted c0s; both must agree with the plain
+per-ray loops they replace, exactly but for all_zeros' radii, which may move
+within the Newton stop.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from rayzeros import (
     thresholds,
     validate,
 )
-from rayzeros.family import alpha_from_residue
+from rayzeros.family import alpha_from_residue, unit_direction
 from rayzeros.rays import (
     _CASES,
     _PROFILES,
@@ -49,6 +50,17 @@ from conftest import valid_pairs
 
 def reference_zeros(p):
     return [rec for j in range(2 * p.m) for rec in solve_ray(p, analyze_ray(p, j))]
+
+
+def passes_gate(p, rec) -> bool:
+    """|p(z)| <= 1e-10 max(1, r^m); where r^m overflows, the bound divided through
+    by r^m at the ray's exact angle: |(-1)^j + 2 c alpha_j r^(k-m) - r^(-m)| <= 1e-10."""
+    gate = roots.Tolerances().residual_rtol
+    try:
+        return rec.residual <= gate * max(1.0, rec.r ** p.m)
+    except OverflowError:
+        alpha = alpha_from_residue(p.m, p.k * rec.j)
+        return abs((-1.0) ** rec.j + 2.0 * p.c * alpha * rec.r ** (p.k - p.m) - rec.r ** -p.m) <= gate
 
 
 def reference_count(p, c):
@@ -390,23 +402,39 @@ class TestAllZerosEquivalence:
         (4, 3, 5.516689610200797e134), (12, -1, 2.2234963889684092e131),
     )
 
+    @staticmethod
+    def assert_matches_reference_loop(p):
+        """all_zeros against cold solve_ray on every ray: the same rays, flags,
+        count and order, each radius within the Newton stop (all_zeros starts
+        Newton from neighbouring rows' zeros), each z on its ray and each record
+        that is not a merged pair inside the residual gate."""
+        recs, want = all_zeros(p), reference_zeros(p)
+        assert [(rec.j, rec.degenerate) for rec in recs] == [(rec.j, rec.degenerate) for rec in want]
+        for rec, ref in zip(recs, want):
+            assert abs(rec.r - ref.r) <= roots._STEP_RTOL * ref.r, (rec, ref)
+            assert rec.z == rec.r * unit_direction(p.m, rec.j), rec
+            assert rec.degenerate or passes_gate(p, rec), rec
+        return recs
+
     @pytest.mark.parametrize("m, k, c", CASES)
     def test_records_equal_reference_loop(self, m, k, c):
-        p = validate(m, k, c)
-        assert all_zeros(p) == reference_zeros(p)
+        self.assert_matches_reference_loop(validate(m, k, c))
 
     AT_C0 = at_thresholds(3, 1) + at_thresholds(5, -4) + at_thresholds(12, 5)[:3] + at_thresholds(13, -6)[:3]
 
     @pytest.mark.parametrize("m, k, c", AT_C0)
     def test_records_equal_reference_loop_at_c0(self, m, k, c):
-        p = validate(m, k, c)
-        recs = all_zeros(p)
-        assert recs == reference_zeros(p)
+        recs = self.assert_matches_reference_loop(validate(m, k, c))
         assert any(rec.degenerate for rec in recs)
 
     # (1987, -1528, c): ray 1487 fails the residual gate, so each row must be
-    # gated before the next row is solved
-    @pytest.mark.parametrize("m, k, c", [(1987, -1528, 34.42266034645957)])
+    # gated before the next row is solved.  At (2941, 2020, c) and (95, -77, c)
+    # several rows fail, and the lowest is not the first one a walk in residue
+    # order meets
+    @pytest.mark.parametrize(
+        "m, k, c",
+        [(1987, -1528, 34.42266034645957), (2941, 2020, 1566.8), (95, -77, 2.2524703952891094e-308)],
+    )
     def test_failure_matches_reference_loop(self, m, k, c):
         p = validate(m, k, c)
         with pytest.raises(BracketFailure) as new:
@@ -416,21 +444,29 @@ class TestAllZerosEquivalence:
         assert str(new.value) == str(ref.value)
 
     def test_one_table_no_analysis_and_newton_through_roots(self, monkeypatch):
-        """all_zeros reads the ray table once, never builds a per-ray analysis,
+        """all_zeros never reads the ray table or builds a per-ray analysis,
         and takes every Newton step through the roots module's own binding."""
         calls = {"ray_table": 0, "analyze_ray": 0, "_log_f": 0}
-        for name in calls:
-            fn = getattr(roots, name)
+        for module, name in ((rays, "ray_table"), (roots, "analyze_ray"), (roots, "_log_f")):
+            fn = getattr(module, name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(roots, name, counted)
+            monkeypatch.setattr(module, name, counted)
         all_zeros(validate(8, 3, 0.7))
-        assert calls["ray_table"] == 1
+        assert calls["ray_table"] == 0
         assert calls["analyze_ray"] == 0
         assert calls["_log_f"] > 0
+
+    # odd k of both signs and even k; the tail of the benchmark's solve workload is m near 4096
+    @pytest.mark.parametrize("m, k, c", [(4001, 3001, 0.05), (4001, -101, 1.0), (4001, 3000, 0.05)])
+    def test_builds_no_ray_table(self, m, k, c):
+        p = validate(m, k, c)
+        ray_table.cache_clear()
+        assert len(all_zeros(p)) == predict_at(p, c)
+        assert ray_table.cache_info().currsize == 0
 
 
 class TestPredictAtEquivalence:

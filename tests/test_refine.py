@@ -174,6 +174,12 @@ class TestSteps:
         # bisection alone would take about 40 steps per zero
         assert self.steps_per_zero(monkeypatch, m, k, c) <= 8
 
+    @pytest.mark.parametrize("m, k, c, bound", [(4001, 3001, 0.05, 2.0), (10000, 1, 1.0, 2.5)])
+    def test_warm_start_steps_per_zero(self, monkeypatch, m, k, c, bound):
+        # from the middle of its bracket a zero takes about 4 steps; started from
+        # the secant through the zeros of the two previous rows of its run, under 2.5
+        assert self.steps_per_zero(monkeypatch, m, k, c) <= bound
+
     def test_zero_tolerance_terminates(self, monkeypatch):
         # with no step small enough, Newton stops once the float grid is exhausted
         p = validate(50, 49, 1.0)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -163,7 +164,8 @@ class TestAllZeros:
         for m, k, c in ((5, 4, 3.0), (8, 5, 2.5), (13, 12, 1e50)):
             calls.clear()
             recs = records_for(m, k, c)
-            assert calls == [rec.z for rec in recs if rec.j <= m], (m, k, c)
+            # rows are solved in residue order, so only the multiset is fixed
+            assert Counter(calls) == Counter(rec.z for rec in recs if rec.j <= m), (m, k, c)
 
     def test_residual_bound(self):
         for m, k, c in ((5, 4, 3.0), (5, -4, 0.2), (9, -8, 0.3), (11, 3, 10.0)):
