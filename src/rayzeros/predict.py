@@ -5,13 +5,12 @@ keyed by the sign of k, m mod 4 and the parity of k.  The census route
 rebuilds the same numbers from the roots of unity: the census (unity) counts
 the rays of each of the six (parity, alpha sign) kinds, the per-ray case table
 names each kind's case, and the case's count profile gives its zeros below
-and above its threshold.  Neither builds a ray table, and their agreeing for
+and above its threshold.  Both take O(1) per pair, and their agreeing for
 every coprime pair is a machine check of the case table that the exact counts
 and the root finder use.  The exact count at one c is the modular band's end
 below every threshold plus (k > 0) or minus (k < 0) the zeros the threshold
 rays gain there, two bisections of the threshold rows' increasing c0s at the
-bounds of the tangency band, which need no ray table either (rays module
-docstring).
+bounds of the tangency band (rays module docstring).
 """
 from __future__ import annotations
 

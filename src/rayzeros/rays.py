@@ -19,24 +19,20 @@ r0 = (2 c |k| alpha / m)^{1/(m-k)} whose value crosses 0 at c0 = C / alpha, wher
 
     C = (1/2) (m/|k|)^{k/m} (m/(m-k))^{(m-k)/m}
 
-is one constant per (m, k), for either sign of k, taken once per table from
-two logs and one exp.  At c = c0 the pair merges at r0, where f = f' = 0 leave
+is one constant per (m, k), for either sign of k, taken by _big_c from two
+logs and one exp.  At c = c0 the pair merges at r0, where f = f' = 0 leave
 r0^m = |k|/(m-k) whatever alpha is: every tangential double zero lies on the
 circle |z| = rho* = (|k|/(m-k))^{1/m}.
 
 Ray j and ray 2m-j have the same parity and the residues t and 2m-t, so they
-carry the same alpha and the same radial function.  The c-independent facts
-of the m+1 conjugate groups live in one cached RayTable per (m, k), which
-analyze_ray reads.  A row's facts follow from its parity and its folded
-residue s = min(t, 2m-t), so the table is built in whole-table passes with no
-Python call per row: alpha for s <= m/2 in one _alpha_half pass
-(alpha(m-s) = -alpha(s)) and the kind once per parity and alpha sign.  The
-rows of one parity in increasing s follow from k's inverse alone (_rows), and
-all_zeros walks them so, with no table.  _threshold_rows, the single source
-of c0, gives the threshold rows, about a quarter of them, c0 = C / alpha and
-alphas in increasing residue, which is increasing c0, with no sort.
-thresholds, predict_at and all_zeros read only it, and the table shares its
-arrays.
+carry the same alpha and the same radial function.  analyze_ray takes a
+ray's facts from its own integers in O(1): alpha from its residue, its case
+from its parity and exact alpha sign, and c0 = C / alpha, C from _big_c, the
+single source of C.  The rows of one parity in increasing folded residue
+s = min(t, 2m-t) follow from k's inverse alone (_rows), and all_zeros walks
+them so.  _threshold_rows gives the threshold rows, about a quarter of them,
+their c0s and alphas in increasing residue, which is increasing c0, with no
+sort; thresholds and predict_at read it.
 
 Every threshold ray gains (k > 0) or loses (k < 0) two zeros past its c0 and
 one inside its tangency band.  One bisection, _band(c, c0s), finds the run of
@@ -50,20 +46,17 @@ rows by c0 hold R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import cycle
 from typing import NamedTuple
 
 from .family import (
     FamilyParams,
     RayDescriptor,
     _alpha_half,
-    _alpha_range,
     _check_c,
     _over_power,
     _radial_sum,
@@ -90,8 +83,8 @@ __all__ = [
 # shared with the root finder so predicted counts always match emitted zeros
 DEGENERACY_RTOL = 1e-9
 
-# entries per cache; under tracemalloc threshold rows take 4 KB at m = 500 (63 KB at 10^4), a table 7 KB (91 KB) more
-_TABLE_CACHE_SIZE = 16
+# entries in the threshold rows' cache; under tracemalloc one entry takes 4 KB at m = 500, 63 KB at 10^4
+_ROWS_CACHE_SIZE = 16
 
 _LOG2 = math.log(2.0)
 
@@ -139,8 +132,6 @@ _CASES = (
 
 THRESHOLD_CASES = frozenset(case for case, profile in _PROFILES.items() if profile.below != profile.above)
 EXTREMUM_CASES = THRESHOLD_CASES | {RayCase.POS_K_EVEN_NEG}
-# per sign of k, as _CASES: a translate table from a row's kind to 1 in the sign's one threshold case
-_IS_THRESHOLD = tuple(bytes(case in THRESHOLD_CASES for case in cases).ljust(256, b"\0") for cases in _CASES)
 
 
 class RayAnalysis(NamedTuple):
@@ -150,7 +141,7 @@ class RayAnalysis(NamedTuple):
     (inf above the float range, 0.0 below it), and None in every other case:
     f is monotone there, or, in NEG_K_ODD_NEG, every term of f is negative and
     its maximum never reaches zero.  ``c0`` and ``log_beta`` exist only in the
-    two threshold cases; ``alpha``, ``case`` and ``c0`` come from the ray table.
+    two threshold cases.
     """
 
     params: FamilyParams
@@ -244,28 +235,6 @@ def _side(c: float, c0: float | None) -> int:
     return 0 if c0 is None else sum(_band(c, (c0,)))
 
 
-class RayTable(NamedTuple):
-    """The c-independent facts of every ray of one (m, k), one row per conjugate group.
-
-    Row j (0 <= j <= m) stands for ray j and its mirror 2m - j; parity and
-    count profile follow from j and the case _CASES[k > 0][kind[j]].
-    ``alpha`` and ``kind`` (one byte per row) are indexed by row.  ``order``
-    lists the threshold rows in increasing folded residue s = q, q + 2, ...,
-    which is increasing c0, and ``c0s`` holds their c0 in that order: the row
-    of residue s sits at index s // 2.  Both are _threshold_rows' own arrays.
-    """
-
-    m: int
-    k: int
-    alpha: array
-    kind: bytes
-    order: array
-    c0s: array
-
-    def row(self, j: int) -> int:
-        return min(j, 2 * self.m - j)
-
-
 def _gained(k: int, c0s, c: float) -> int:
     """Zeros the threshold rays add (k > 0) or remove (k < 0) at c: R(a) + R(b), where
     c0s[a:b] is the run _band(c, c0s) finds and R is the module docstring's."""
@@ -285,7 +254,12 @@ def _rows(m: int, k: int, parity: int, n: int) -> list[int]:
     return [x if x <= m else two_m - x for x in map(two_m.__rmod__, range(x0, x0 + n * w, w))]
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _big_c(m: int, k: int) -> float:
+    """C(m, k) of the module docstring, from two logs and one exp: c0 = C / alpha."""
+    return math.exp(-(k * math.log(abs(k) / m) + (m - k) * math.log((m - k) / m)) / m) / 2.0
+
+
+@lru_cache(maxsize=_ROWS_CACHE_SIZE)
 def _threshold_rows(m: int, k: int) -> tuple[array, array, array]:
     """(order, c0s, alphas) of the threshold rows of (m, k), the _rows of the
     threshold parity (odd iff k > 0) with 2s < m, in increasing s, which is
@@ -297,41 +271,17 @@ def _threshold_rows(m: int, k: int) -> tuple[array, array, array]:
     """
     q = k % 2 if k > 0 else 0
     alphas = array("d", _alpha_half(m, q, 2)[:len(range(q, (m + 1) // 2, 2))])
-    big_c = math.exp(-(k * math.log(abs(k) / m) + (m - k) * math.log((m - k) / m)) / m) / 2.0
     order = array("q", _rows(m, k, k > 0, len(alphas)))
-    return order, array("d", map(big_c.__truediv__, alphas)), alphas
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def ray_table(m: int, k: int) -> RayTable:
-    """The ray table of (m, k), built by folded residue and kept in a small LRU cache."""
-    two_m = 2 * m
-    folded = [t if t <= m else two_m - t for t in map(two_m.__rmod__, range(0, k * (m + 1), k))]
-    alpha_of = _alpha_range(m, _alpha_half(m))
-    # a row's kind is the slot of its alpha sign (positive, zero, negative) + 3 * parity,
-    # the field order of unity.ParityCensus; alpha > 0 iff 2s < m and alpha = 0 iff 2s = m
-    slot_of = [0] * ((m + 1) // 2) + [1] * (1 - m % 2) + [2] * ((m + 1) // 2)
-    kinds = bytes(map(operator.add, map(slot_of.__getitem__, folded), cycle((0, 3))))
-    order, c0s, _ = _threshold_rows(m, k)
-    return RayTable(
-        m=m,
-        k=k,
-        alpha=array("d", map(alpha_of.__getitem__, folded)),
-        kind=kinds,
-        order=order,
-        c0s=c0s,
-    )
+    return order, array("d", map(_big_c(m, k).__truediv__, alphas)), alphas
 
 
 def analyze_ray(params: FamilyParams, j: int) -> RayAnalysis:
     """Case label, count profile, and the closed-form critical quantities for ray j."""
     ray = classify_ray(params, j)
     m, k, c = params
-    table, t = ray_table(m, k), ray.residue
-    row = table.row(j)
-    alpha, kind = table.alpha[row], table.kind[row]
-    case = _CASES[k > 0][kind]
-    c0 = table.c0s[min(t, 2 * m - t) // 2] if _IS_THRESHOLD[k > 0][kind] else None
+    alpha = alpha_from_residue(m, ray.residue)
+    case = _CASES[k > 0][1 - ray.alpha_sign + 3 * ray.parity]
+    c0 = _big_c(m, k) / alpha if case in THRESHOLD_CASES else None
     r0 = _r0(m, k, alpha, c) if case in EXTREMUM_CASES else None
     log_beta = None if c0 is None else -m / (m - k) * math.log(c0)
     return RayAnalysis(
@@ -377,8 +327,8 @@ def thresholds(params: FamilyParams) -> list[Threshold]:
     Rays are grouped by the residue class min(t, 2m-t): two rays have equal
     alpha (hence exactly equal c0) iff their residues agree up to that
     reflection, so deduplication is exact integer bookkeeping, never a
-    floating-point comparison.  Within one parity that class is exactly the
-    conjugate group of a table row.
+    floating-point comparison.  Within one parity that class is exactly one
+    row's conjugate group, ray j and ray 2m - j.
     """
     order, c0s, alphas = _threshold_rows(params.m, params.k)
     rays = list(zip(order, map((2 * params.m).__sub__, order)))

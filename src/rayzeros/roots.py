@@ -3,9 +3,10 @@
 Row j stands for ray j and its mirror 2m - j, which carry the same radial
 function f(r) = (-1)^j r^m + 2 c alpha r^k - 1; f depends on the row only
 through its parity and alpha = cos(pi s / m), s its folded residue.  So
-all_zeros reads no ray table: the rows of one parity and one sign of alpha
+all_zeros solves rows in runs: the rows of one parity and one sign of alpha
 share a case and, outside the threshold case, a count, and the threshold rows
-split at their c0s into the runs above c0, inside the tangency band and below.
+split at their c0s = C / alpha, taken from the run's own alphas, into the
+runs above c0, inside the tangency band and below.
 With alpha = 0, f = r^m - 1 and the zero is r = 1.
 Otherwise, in s = log r, f's terms are three lines log |coefficient| + power s:
 (0, m), (L, k) and (0, 0), with L = log 2c|alpha|.  One side of f = P - N
@@ -41,10 +42,10 @@ from .rays import (
     RayAnalysis,
     RayCase,
     _band,
+    _big_c,
     _log_r0,
     _rows,
     _side,
-    _threshold_rows,
     count_at,
     degenerate_at,
     extremum_radius,
@@ -298,7 +299,6 @@ def all_zeros(params: FamilyParams) -> list[ZeroRecord]:
     m, k, c = params
     half = _alpha_half(2 * m)
     cosines = _alpha_range(m, half[::2])
-    band = _band(c, _threshold_rows(m, k)[1])
     slots, failed = [()] * (m + 1), (math.inf, None)
     for parity in (0, 1):
         q = parity if k % 2 else 0
@@ -308,7 +308,8 @@ def all_zeros(params: FamilyParams) -> list[ZeroRecord]:
         for slot in range(3):
             case = _CASES[k > 0][slot + 3 * parity]
             profile, lo, hi = _PROFILES[case], ends[slot], ends[slot + 1]
-            a, b = band if case in THRESHOLD_CASES else (lo, lo)  # rows[lo:a] above c0, rows[a:b] in its band
+            # the threshold case is slot 0, so lo = 0: rows[:a] above c0, rows[a:b] in its band
+            a, b = _band(c, list(map(_big_c(m, k).__truediv__, alphas[:hi]))) if case in THRESHOLD_CASES else (lo, lo)
             for start, stop, n, degenerate in (
                 (lo, a, profile.above, False), (a, b, profile.at_threshold, True), (b, hi, profile.below, False)
             ):

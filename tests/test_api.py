@@ -10,7 +10,6 @@ import pytest
 
 import rayzeros
 from rayzeros import family, oracle, predict, rays, roots, unity
-from rayzeros.rays import RayTable
 
 MODULES = (family, unity, rays, roots, predict, oracle)
 
@@ -63,8 +62,7 @@ P = rayzeros.FamilyParams(m=5, k=4, c=1.0)
 RAY = rayzeros.RayDescriptor(j=3, angle=1.8849555921538759, parity=1, alpha_sign=rayzeros.Sign.POSITIVE, residue=2)
 PROFILE = rayzeros.CountProfile(below=0, at_threshold=1, above=2)
 # every record class: keyword values for its fields without a default, then
-# its defaults, each in field order.  RayTable's arrays are tuples here so
-# that the record hashes
+# its defaults, each in field order
 RECORDS = {
     rayzeros.FamilyParams: (dict(m=5, k=4, c=1.0), {}),
     rayzeros.RayDescriptor: (RAY._asdict(), {}),
@@ -80,16 +78,12 @@ RECORDS = {
     rayzeros.CountPrediction: (dict(min_count=5, max_count=11, direction="increasing"), {}),
     rayzeros.OracleResult: (dict(zeros=(-1 + 0j,), grid_resolution=64, annulus=(0.68, 5.5)), dict(params=None)),
     rayzeros.ComparisonReport: (dict(matched=7, max_distance=2.2e-16), dict(unmatched_oracle=(), unmatched_ray=())),
-    RayTable: (
-        dict(m=1, k=-1, alpha=(1.0, -1.0), kind=b"\0\0", order=(0,), c0s=(0.5,)),
-        {},
-    ),
 }
 
 
 def test_every_public_record_is_listed():
     public = {getattr(rayzeros, name) for name in rayzeros.__all__}
-    assert {cls for cls in public if isinstance(cls, type) and issubclass(cls, tuple)} == set(RECORDS) - {RayTable}
+    assert {cls for cls in public if isinstance(cls, type) and issubclass(cls, tuple)} == set(RECORDS)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)

@@ -21,7 +21,7 @@ import pytest
 
 from rayzeros import all_zeros, analyze_ray, bracket, validate
 from rayzeros import roots
-from rayzeros.rays import _CASES, _LOG2, _PROFILES, _log_r0, _side, ray_table
+from rayzeros.rays import _LOG2, _log_r0, _side, _threshold_rows
 
 from conftest import valid_k_choices
 
@@ -102,11 +102,12 @@ def solved_rows(seed: int, count: int):
         if math.gcd(m, abs(k)) != 1:
             continue
         c = 10.0 ** rng.uniform(-300, 300) if rng.random() < 0.25 else 10.0 ** rng.uniform(-3, 3)
-        t = ray_table(m, k)
-        c0 = dict(zip(t.order, t.c0s))
+        p, (order, c0s, _) = validate(m, k, c), _threshold_rows(m, k)
+        c0 = dict(zip(order, c0s))
         for j in rng.sample(range(m + 1), min(m + 1, 8)):
-            alpha, side = t.alpha[j], _side(c, c0.get(j))
-            n = _PROFILES[_CASES[k > 0][t.kind[j]]][side]
+            a = analyze_ray(p, j)
+            alpha, side = a.alpha, _side(c, c0.get(j))
+            n = a.profile[side]
             if n and alpha and side != 1:
                 found += 1
                 yield m, k, c, j, alpha, n
@@ -167,8 +168,7 @@ def test_alpha_zero_row_is_the_unit_radius(m, k):
     """alpha = 0 on an even ray, which needs 4 | m, leaves f = r^m - 1; the reference brackets it in
     [-1, 1] and its Newton stops at s = 0 at once, at any step tolerance."""
     p = validate(m, k, 0.7)
-    t = ray_table(m, k)
-    rows = [j for j in range(0, m + 1, 2) if t.alpha[j] == 0.0]
+    rows = [j for j in range(0, m + 1, 2) if analyze_ray(p, j).alpha == 0.0]
     assert rows
     by_ray = {rec.j: rec for rec in all_zeros(p)}
     for j in rows:

@@ -127,23 +127,21 @@ class TestEquivalence:
 @pytest.mark.parametrize("k", [1, -1, 2])
 def test_count_band_builds_no_ray_table(k):
     """Both bands and the census come from O(1) formulas, so none of them
-    builds the O(m) ray table."""
+    builds the O(m) threshold rows."""
     p = validate(100003, k, 1.0)
-    rays_mod.ray_table.cache_clear()
+    rays_mod._threshold_rows.cache_clear()
     predict_table(p), predict_census(p), census(p)
-    assert rays_mod.ray_table.cache_info().currsize == 0
+    assert rays_mod._threshold_rows.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("k", [1, -1, 2])
 def test_count_at_c_builds_no_ray_table(k):
     """thresholds and predict_at read only the threshold rows, which come from k's
-    inverse, so counting at c builds no (m + 1)-row ray table."""
+    inverse."""
     p = validate(100003, k, 1.0)
-    rays_mod.ray_table.cache_clear()
     ths = thresholds(p)
     lo, hi = math.log(ths[0].c0 / 10.0), math.log(ths[-1].c0 * 10.0)
     counts = [predict_at(p, math.exp(lo + (hi - lo) * i / 50)) for i in range(51)]
-    assert rays_mod.ray_table.cache_info().currsize == 0
     assert counts == sorted(counts, reverse=k < 0) and counts[0] != counts[-1]
 
 

@@ -1,9 +1,9 @@
-"""The cached per-(m, k) ray table and the paths that read it.
+"""The per-row facts of (m, k) against a plain per-row reference table.
 
-all_zeros solves one ray per conjugate group, with no table, and predict_at
-bisects the threshold rows' sorted c0s; both must agree with the plain
-per-ray loops they replace, exactly but for all_zeros' radii, which may move
-within the Newton stop.
+analyze_ray answers from the ray's own residue, all_zeros solves one ray per
+conjugate group, and thresholds and predict_at read the threshold rows'
+increasing c0s; all must agree with the plain per-ray loops they replace,
+exactly but for all_zeros' radii, which may move within the Newton stop.
 """
 from __future__ import annotations
 
@@ -37,11 +37,8 @@ from rayzeros.rays import (
     DEGENERACY_RTOL,
     EXTREMUM_CASES,
     THRESHOLD_CASES,
-    _IS_THRESHOLD,
-    RayTable,
     Threshold,
     _r0,
-    ray_table,
 )
 from rayzeros import rays, roots
 
@@ -73,35 +70,30 @@ def at_thresholds(m, k):
 
 class TestTable:
     def test_one_row_per_conjugate_group(self):
+        """Ray j and its mirror 2m - j are one row of the reference table: analyze_ray
+        gives both that row's alpha, case and c0, bit for bit."""
         for m, k in valid_pairs(14):
-            t = ray_table(m, k)
-            case, c0 = row_facts(t)
-            assert len(t.alpha) == len(t.kind) == len(case) == len(c0) == m + 1
-            assert sorted({t.row(j) for j in range(2 * m)}) == list(range(m + 1))
-            p = validate(m, k, 1.0)
+            p, ref = validate(m, k, 1.0), reference_table(m, k)
+            assert len(ref.alpha) == len(ref.kind) == len(ref.case) == len(ref.c0) == m + 1
             for j in range(2 * m):
-                a = analyze_ray(p, j)
-                row = t.row(j)
-                assert row == t.row(2 * m - j), (m, k, j)
-                assert (a.alpha, a.case, a.c0) == (t.alpha[row], case[row], c0[row])
+                a, row = analyze_ray(p, j), min(j, 2 * m - j)
+                got = (bits(a.alpha), a.case, bits(a.c0))
+                assert got == (bits(ref.alpha[row]), ref.case[row], bits(ref.c0[row])), (m, k, j)
 
 
-def row_facts(t):
-    """A RayTable's case and c0 (None outside the threshold cases) per row: the
-    case from the row's kind, and c0 from the c0s at the row's folded residue
-    s, at index s // 2."""
-    case = tuple(_CASES[t.k > 0][kind] for kind in t.kind)
-    c0 = [None] * (t.m + 1)
-    for row in range(t.m + 1):
-        if case[row] in THRESHOLD_CASES:
-            s = min(t.k * row % (2 * t.m), -t.k * row % (2 * t.m))
-            c0[row] = t.c0s[s // 2]
-    return case, tuple(c0)
+def row_kinds(m, k):
+    """Each row's kind, alpha's sign slot (positive, zero, negative) + 3 * parity,
+    from its folded residue s by integer arithmetic: alpha > 0 iff 2s < m and
+    alpha = 0 iff 2s = m."""
+    two_m = 2 * m
+    folded = [min(t, two_m - t) for t in map(two_m.__rmod__, range(0, k * (m + 1), k))]
+    return [3 * (j % 2) + (2 * s >= m) + (2 * s > m) for j, s in enumerate(folded)]
 
 
 class ReferenceTable(NamedTuple):
-    """RayTable's fields, then each row's case and c0 as the per-row loop computes
-    them, and its tally of the 2m rays by parity and alpha sign, which unity.census
+    """The facts of the m + 1 rows as a plain per-row loop computes them: alpha,
+    kind, the threshold rows sorted by c0 and their c0s, each row's case and c0,
+    and the tally of the 2m rays by parity and alpha sign, which unity.census
     must equal."""
 
     m: int
@@ -116,8 +108,8 @@ class ReferenceTable(NamedTuple):
 
 
 def reference_c0(m, k, alpha):
-    """A threshold row's c0 as one formula per row, C(m, k) / alpha, the form the
-    table's once-per-pair C must reproduce bit for bit."""
+    """A threshold row's c0 as one formula per row, C(m, k) / alpha, the form
+    rays._big_c's C must reproduce bit for bit."""
     a = abs(k)
     tail = (m - k) / m if k > 0 else (m + a) / m
     return math.exp(-(k * math.log(a / m) + (m - k) * math.log(tail)) / m) / 2.0 / alpha
@@ -186,22 +178,36 @@ def bits(x):
 
 
 def table_bits(t):
-    """Every field of a RayTable or ReferenceTable, its rows' case and c0, and
-    the census (the reference's own tally, or unity.census for a RayTable), in a
-    form that compares bit for bit."""
-    if isinstance(t, ReferenceTable):
-        case, c0, tally = t.case, t.c0, t.census
-    else:
-        (case, c0), tally = row_facts(t), tuple(census(validate(t.m, t.k, 1.0)))
+    """Every field of a ReferenceTable in a form that compares bit for bit."""
     return (
         t.m, t.k,
-        t.alpha.typecode, [bits(a) for a in t.alpha],
-        t.kind,
-        case,
-        [bits(c) for c in c0],
+        [bits(a) for a in t.alpha], t.kind, t.case, [bits(c) for c in t.c0],
         t.order.typecode, list(t.order),
         t.c0s.typecode, [bits(c) for c in t.c0s],
-        tally,
+        t.census,
+    )
+
+
+def row_bits(a):
+    """A ray's alpha, kind, case and c0 from its analysis, in table_bits' form."""
+    return bits(a.alpha), 1 - a.ray.alpha_sign + 3 * a.ray.parity, a.case, bits(a.c0)
+
+
+def analyzed_bits(m, k):
+    """table_bits' fields read with no table: each row's facts through analyze_ray
+    on ray j and on its mirror 2m - j, which must agree, the threshold rows'
+    order and c0s from rays._threshold_rows, and the tally from unity.census."""
+    p = validate(m, k, 1.0)
+    rows = [row_bits(analyze_ray(p, j)) for j in range(m + 1)]
+    assert [row_bits(analyze_ray(p, 2 * m - j)) for j in range(1, m)] == rows[1:m], (m, k)
+    alpha, kind, case, c0 = map(list, zip(*rows))
+    order, c0s, _ = rays._threshold_rows(m, k)
+    return (
+        m, k,
+        alpha, bytes(kind), tuple(case), c0,
+        order.typecode, list(order),
+        c0s.typecode, [bits(c) for c in c0s],
+        tuple(census(p)),
     )
 
 
@@ -217,22 +223,24 @@ def sampled_pairs(n, max_m, seed):
 
 
 class TestTableBuild:
-    """The table built by folded residue equals the per-row loop bit for bit."""
+    """analyze_ray and the threshold rows, each from residues, equal the per-row loop bit for bit."""
 
     def test_bitwise_equal_to_per_row_loop_small_m(self):
-        assert ReferenceTable._fields[:len(RayTable._fields)] == RayTable._fields
         pairs = list(valid_pairs(60))
         assert len(pairs) > 2000
-        # even m has alpha = 0 rows, which must keep their exact 0.0
-        assert any(0.0 in ray_table(m, k).alpha for m, k in pairs if m % 2 == 0)
+        zero_rows = 0
         for m, k in pairs:
-            assert table_bits(ray_table(m, k)) == table_bits(reference_table(m, k)), (m, k)
+            got = analyzed_bits(m, k)
+            assert got == table_bits(reference_table(m, k)), (m, k)
+            zero_rows += got[2].count(bits(0.0))
+        # even m has alpha = 0 rows, which must keep their exact 0.0
+        assert zero_rows
 
     LARGE = sampled_pairs(24, 10_000, seed=8) + [(10000, 9999), (10000, -9999), (10000, 1), (9999, -2)]
 
     @pytest.mark.parametrize("m, k", LARGE)
     def test_bitwise_equal_to_per_row_loop_large_m(self, m, k):
-        assert table_bits(ray_table(m, k)) == table_bits(reference_table(m, k))
+        assert analyzed_bits(m, k) == table_bits(reference_table(m, k))
 
     @pytest.mark.parametrize("m, k, c", [(12, 5, 0.8), (13, -6, 2.0), (31, -30, 1.0), (60, 7, 1e-3), (257, -101, 3.0)])
     def test_analyze_ray_unchanged(self, m, k, c):
@@ -253,53 +261,60 @@ class TestTableBuild:
     def test_threshold_rows_in_increasing_residue(self, m, k):
         """order[i] is the threshold row of folded residue q + 2i (q = 1 for odd
         k > 0, else 0), c0s[i] is that row's C / alpha, and c0 rises strictly
-        with i, with no sort."""
-        t = ray_table.__wrapped__(m, k)
+        with i, with no sort; alphas[i] is alpha_from_residue(m, q + 2i) bit for bit."""
+        order, c0s, alphas = rays._threshold_rows.__wrapped__(m, k)
         q = 1 if k > 0 and k % 2 else 0
-        assert [min(k * row % (2 * m), -k * row % (2 * m)) for row in t.order] == list(range(q, (m + 1) // 2, 2))
-        big_c = [c0 * t.alpha[row] for c0, row in zip(t.c0s, t.order)]
+        residues = range(q, (m + 1) // 2, 2)
+        assert [min(k * row % (2 * m), -k * row % (2 * m)) for row in order] == list(residues)
+        assert list(map(bits, alphas)) == [bits(alpha_from_residue(m, s)) for s in residues]
+        big_c = [c0 * alpha for c0, alpha in zip(c0s, alphas)]
         assert max(big_c) - min(big_c) <= 1e-15 * big_c[0]
-        assert all(a < b for a, b in zip(t.c0s, t.c0s[1:]))
+        assert all(a < b for a, b in zip(c0s, c0s[1:]))
 
     @staticmethod
-    def assert_kinds_place_the_threshold_rows(t):
-        """The rows whose kind is the threshold case of k's sign are exactly the rows
-        of order, each once: the table's kinds and the rows from k's inverse agree."""
-        flags = t.kind.translate(_IS_THRESHOLD[t.k > 0])
-        assert set(flags) <= {0, 1}, (t.m, t.k)
-        assert [row for row, flag in enumerate(flags) if flag] == sorted(t.order), (t.m, t.k)
-        assert len(set(t.order)) == len(t.order), (t.m, t.k)
+    def assert_kinds_place_the_threshold_rows(m, k):
+        """The rows whose integer kind is the threshold case of k's sign are exactly
+        the threshold rows' order, each once: the folded residues and the rows from
+        k's inverse agree."""
+        order = rays._threshold_rows.__wrapped__(m, k)[0]
+        rows = [row for row, kind in enumerate(row_kinds(m, k)) if _CASES[k > 0][kind] in THRESHOLD_CASES]
+        assert rows == sorted(order), (m, k)
+        assert len(set(order)) == len(order), (m, k)
 
     def test_kinds_place_the_threshold_rows_small_m(self):
         for m, k in valid_pairs(200):
-            self.assert_kinds_place_the_threshold_rows(ray_table.__wrapped__(m, k))
+            self.assert_kinds_place_the_threshold_rows(m, k)
 
     @pytest.mark.parametrize("m, k", LARGE_M)
     def test_kinds_place_the_threshold_rows_large_m(self, m, k):
-        self.assert_kinds_place_the_threshold_rows(ray_table.__wrapped__(m, k))
+        self.assert_kinds_place_the_threshold_rows(m, k)
 
     @pytest.mark.parametrize("m, k", [(8, 3), (9, -2), (61, -30), (2048, 1001), (1001, 500)])
-    def test_table_shares_the_threshold_rows(self, m, k):
-        """The table's order and c0s are the threshold rows' own arrays, not copies,
-        so c0 has one source."""
-        t = ray_table.__wrapped__(m, k)
-        order, c0s, _ = rays._threshold_rows(m, k)
-        assert t.order is order and t.c0s is c0s
+    def test_table_shares_the_threshold_rows(self, monkeypatch, m, k):
+        """analyze_ray's alpha and c0 on each threshold row are the threshold rows'
+        own, bit for bit, and both take C from rays._big_c: C has one source."""
+        p = validate(m, k, 1.0)
+        order, c0s, alphas = rays._threshold_rows.__wrapped__(m, k)
+        for row, c0, alpha in zip(order, c0s, alphas):
+            a = analyze_ray(p, row)
+            assert (bits(a.alpha), bits(a.c0)) == (bits(alpha), bits(c0)), (m, k, row)
+        monkeypatch.setattr(rays, "_big_c", lambda m, k: 2.0)
+        assert list(rays._threshold_rows.__wrapped__(m, k)[1]) == [2.0 / alpha for alpha in alphas]
+        assert [analyze_ray(p, row).c0 for row in order] == [2.0 / alpha for alpha in alphas]
 
     @pytest.mark.parametrize("m, k", LARGE_M)
     def test_kinds_tally_to_the_census(self, m, k):
-        """The table's exact-integer kinds, counted per ray (rows 0 and m once,
+        """The rows' exact-integer kinds, counted per ray (rows 0 and m once,
         every other row twice), give unity.census from the roots of unity."""
-        kind = ray_table.__wrapped__(m, k).kind
+        kind = row_kinds(m, k)
         tally = [2 * kind.count(i) - (kind[0] == i) - (kind[m] == i) for i in range(6)]
         assert tuple(tally) == census(validate(m, k, 1.0))
 
     @pytest.mark.parametrize("m, k", [(8, 3), (9, -2), (61, -30), (64, 33), (1001, 500)])
     def test_build_is_per_residue_not_per_row(self, monkeypatch, m, k):
-        """One cold build takes alpha for every residue s <= m/2 in one whole-range
-        pass, and the threshold rows' alphas in one strided pass over s = q, q + 2,
-        ..., and never folds a single cosine, analyzes or classifies a ray, so a
-        per-row loop cannot come back unnoticed."""
+        """One cold build of the threshold rows takes their alphas in one strided
+        pass over s = q, q + 2, ..., and never folds a single cosine, analyzes or
+        classifies a ray, so a per-row loop cannot come back unnoticed."""
         calls = {"_alpha_half": [], "alpha_from_residue": [], "classify_ray": [], "analyze_ray": []}
         for name in calls:
             fn = getattr(rays, name)
@@ -309,10 +324,9 @@ class TestTableBuild:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(rays, name, counted)
-        rays._threshold_rows.cache_clear()
-        ray_table.__wrapped__(m, k)
+        rays._threshold_rows.__wrapped__(m, k)
         q = 1 if k > 0 and k % 2 else 0
-        assert calls["_alpha_half"] == [(m,), (m, q, 2)]
+        assert calls["_alpha_half"] == [(m, q, 2)]
         assert calls["alpha_from_residue"] == calls["classify_ray"] == calls["analyze_ray"] == []
 
 
@@ -344,7 +358,7 @@ def log_uniform_pairs(n, max_m, seed):
 
 
 class TestThresholdsEqualPerRayReference:
-    """thresholds() built from the table's sorted rows equals the per-ray loop bit for bit."""
+    """thresholds() built from the threshold rows equals the per-ray loop bit for bit."""
 
     @staticmethod
     def assert_equal_reference(m, k):
@@ -356,8 +370,8 @@ class TestThresholdsEqualPerRayReference:
     def test_every_pair_small_m(self):
         pairs = list(valid_pairs(60))
         # both axis rows carry a threshold somewhere: row 0 for k < 0, row m for odd m and even k > 0
-        assert any(row_facts(ray_table(m, k))[1][0] is not None for m, k in pairs)
-        assert any(row_facts(ray_table(m, k))[1][m] is not None for m, k in pairs)
+        assert any(analyze_ray(validate(m, k, 1.0), 0).c0 is not None for m, k in pairs)
+        assert any(analyze_ray(validate(m, k, 1.0), m).c0 is not None for m, k in pairs)
         for m, k in pairs:
             self.assert_equal_reference(m, k)
 
@@ -444,10 +458,10 @@ class TestAllZerosEquivalence:
         assert str(new.value) == str(ref.value)
 
     def test_one_table_no_analysis_and_newton_through_roots(self, monkeypatch):
-        """all_zeros never reads the ray table or builds a per-ray analysis,
-        and takes every Newton step through the roots module's own binding."""
-        calls = {"ray_table": 0, "analyze_ray": 0, "_log_f": 0}
-        for module, name in ((rays, "ray_table"), (roots, "analyze_ray"), (roots, "_log_f")):
+        """all_zeros never builds a per-ray analysis, and takes every Newton step
+        through the roots module's own binding."""
+        calls = {"analyze_ray": 0, "_log_f": 0}
+        for module, name in ((roots, "analyze_ray"), (roots, "_log_f")):
             fn = getattr(module, name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -456,17 +470,19 @@ class TestAllZerosEquivalence:
 
             monkeypatch.setattr(module, name, counted)
         all_zeros(validate(8, 3, 0.7))
-        assert calls["ray_table"] == 0
         assert calls["analyze_ray"] == 0
         assert calls["_log_f"] > 0
 
     # odd k of both signs and even k; the tail of the benchmark's solve workload is m near 4096
     @pytest.mark.parametrize("m, k, c", [(4001, 3001, 0.05), (4001, -101, 1.0), (4001, 3000, 0.05)])
     def test_builds_no_ray_table(self, m, k, c):
+        """all_zeros takes its band split from its own runs' alphas: a cold call
+        builds no threshold rows."""
         p = validate(m, k, c)
-        ray_table.cache_clear()
-        assert len(all_zeros(p)) == predict_at(p, c)
-        assert ray_table.cache_info().currsize == 0
+        rays._threshold_rows.cache_clear()
+        recs = all_zeros(p)
+        assert rays._threshold_rows.cache_info().currsize == 0
+        assert len(recs) == predict_at(p, c)
 
 
 class TestPredictAtEquivalence:
@@ -530,23 +546,23 @@ def test_fold_zero_is_the_only_axis_threshold_and_the_first():
     """Fold 0 (alpha = 1, c0 = C) puts an axis row among the thresholds exactly
     when k < 0 or k is even, and that row's c0 is strictly the least."""
     for m, k in valid_pairs(200):
-        t = ray_table.__wrapped__(m, k)
-        c0 = row_facts(t)[1]
-        axes = [row for row in (0, m) if c0[row] is not None]
+        p = validate(m, k, 1.0)
+        order, c0s, _ = rays._threshold_rows.__wrapped__(m, k)
+        axes = [row for row in (0, m) if analyze_ray(p, row).c0 is not None]
         first = k < 0 or k % 2 == 0
-        assert axes == (list(t.order[:1]) if first else []), (m, k)
+        assert axes == (list(order[:1]) if first else []), (m, k)
         if first:
-            assert axes and t.alpha[axes[0]] == 1.0, (m, k)
-            assert len(t.c0s) == 1 or t.c0s[0] < t.c0s[1], (m, k)
+            assert axes and analyze_ray(p, axes[0]).alpha == 1.0, (m, k)
+            assert len(c0s) == 1 or c0s[0] < c0s[1], (m, k)
 
 
 def test_table_cache_memory_is_bounded():
-    """Tables and threshold rows of pairs no longer in use are dropped: retained
-    memory stays flat.
+    """Threshold rows of pairs no longer in use are dropped, and analyze_ray keeps
+    nothing: retained memory stays flat.
 
-    An unbounded cache would keep every entry, about 11 KB for a table and its
-    threshold rows at m = 500.  tracemalloc slows each build about eightfold, so
-    250 fresh pairs are traced.
+    An unbounded cache would keep every entry, about 4 KB of threshold rows at
+    m = 500.  tracemalloc slows each build about eightfold, so 250 fresh pairs
+    are traced.
     """
     pairs = [(m, k) for m in range(480, 530) for k in range(-m + 1, 0) if math.gcd(m, k) == 1]
     pairs = pairs[:: len(pairs) // 250][:250]
@@ -554,10 +570,39 @@ def test_table_cache_memory_is_bounded():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for m, k in pairs:
-            ray_table(m, k)
-            predict_at(validate(m, k, 1.0), 1.0)
+            p = validate(m, k, 1.0)
+            analyze_ray(p, 1)
+            predict_at(p, 1.0)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(set(pairs)) == 250
     assert retained < 1_500_000, retained
+
+
+@pytest.mark.parametrize("m", [10**6 + 3, 10**12 + 39])
+@pytest.mark.parametrize("k", [1, -2])
+def test_analyze_ray_reads_only_its_own_residue(monkeypatch, m, k):
+    """analyze_ray takes alpha, case and c0 from the ray's own integers in O(1),
+    so it answers at m = 10^12 + 39 too: it never takes a pass over residues or
+    builds the threshold rows.  A threshold ray, odd for k > 0 and even for
+    k < 0 with 2s < m, has c0 = C / alpha; every other ray has none."""
+    calls = {"_alpha_half": 0, "_threshold_rows": 0}
+    for name in calls:
+
+        def counted(*args, _fn=getattr(rays, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(rays, name, counted)
+    p = validate(m, k, 0.7)
+    seen = set()
+    for j in (0, 1, 2, 3, m // 2, m // 2 + 1, m - 1, m, m + 1, 2 * m - 2, 2 * m - 1):
+        a = analyze_ray(p, j)
+        s = min(k * j % (2 * m), -k * j % (2 * m))
+        threshold = j % 2 == (k > 0) and 2 * s < m
+        assert bits(a.alpha) == bits(alpha_from_residue(m, k * j)), (m, k, j)
+        assert bits(a.c0) == bits(reference_c0(m, k, a.alpha) if threshold else None), (m, k, j)
+        seen.add(threshold)
+    assert seen == {False, True}
+    assert calls == {"_alpha_half": 0, "_threshold_rows": 0}

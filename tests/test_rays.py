@@ -28,7 +28,7 @@ from rayzeros import (
     validate,
 )
 from rayzeros.family import _over_power, alpha_from_residue, power_term, unit_direction
-from rayzeros.rays import EXTREMUM_CASES, _r0, ray_table
+from rayzeros.rays import EXTREMUM_CASES, _r0, _threshold_rows
 
 from conftest import brute_ray_count, valid_k_choices, valid_pairs
 
@@ -503,7 +503,7 @@ class TestExtremum:
 class TestTangencyCircle:
     """At c = c0, f = f' = 0 leave r0^m = |k|/(m-k) whatever alpha is: every
     tangential double zero of a pair lies on |z| = (|k|/(m-k))^(1/m).  r0 is
-    taken from the table's c0.  The k = +-(m - 1) ladder divides _log_r0's sum
+    taken from the threshold rows' c0.  The k = +-(m - 1) ladder divides _log_r0's sum
     by m - k = 1 or nearly 2m; a log |k| - log m there, two terms near 9.2,
     missed rho* by up to 4.0e-15 at (6500, 6499), so _log_r0 takes log(|k|/m)."""
 
@@ -521,11 +521,11 @@ class TestTangencyCircle:
     def test_every_threshold_row_is_on_the_circle(self):
         rows = 0
         for m, k in self.pairs():
-            t = ray_table(m, k)
+            p, (order, c0s, _) = validate(m, k, 1.0), _threshold_rows(m, k)
             rho = (abs(k) / (m - k)) ** (1.0 / m)
-            for row, c0 in zip(t.order, t.c0s):
-                assert abs(_r0(m, k, t.alpha[row], c0) / rho - 1.0) <= 2e-15, (m, k, row)
-            rows += len(t.order)
+            for row, c0 in zip(order, c0s):
+                assert abs(_r0(m, k, analyze_ray(p, row).alpha, c0) / rho - 1.0) <= 2e-15, (m, k, row)
+            rows += len(order)
         assert rows > 10000
 
 
@@ -539,30 +539,30 @@ class TestThresholdAccuracy:
         then up to 30 seeded rows of each of 60 seeded pairs up to m = 10^4."""
         rng = random.Random(2210)
         for m, k in ((9999, 9998), (10000, -9999), (2000, 1999)):
-            yield m, k, list(ray_table(m, k).order)
+            yield m, k, list(_threshold_rows(m, k)[0])
         pairs = 0
         while pairs < 60:
             m = int(10.0 ** rng.uniform(0.5, 4.0))
             k = rng.choice((1, -1)) * rng.randrange(1, m)
             if math.gcd(m, abs(k)) == 1:
                 pairs += 1
-                rows = list(ray_table(m, k).order)
+                rows = list(_threshold_rows(m, k)[0])
                 yield m, k, rng.sample(rows, min(30, len(rows)))
 
     def test_relative_error_and_order_in_s(self):
         errors = []
         with mpmath.workdps(50):
             for m, k, rows in self.sample():
-                t = ray_table(m, k)
-                c0 = dict(zip(t.order, t.c0s))
+                order, c0s, _ = _threshold_rows(m, k)
+                c0 = dict(zip(order, c0s))
                 mm, kk = mpmath.mpf(m), mpmath.mpf(k)
                 big_c = (mm / abs(kk)) ** (kk / mm) * (mm / (mm - kk)) ** ((mm - kk) / mm) / 2
-                s = {row: min(k * row % (2 * m), -k * row % (2 * m)) for row in t.order}
+                s = {row: min(k * row % (2 * m), -k * row % (2 * m)) for row in order}
                 for row in rows:
                     exact = big_c / mpmath.cospi(mpmath.mpf(s[row]) / m)
                     errors.append(float(abs(c0[row] / exact - 1)))
                 # alpha does not increase with s, so c0 = C / alpha does not decrease
-                by_s = sorted((s[row], c0[row]) for row in t.order)
+                by_s = sorted((s[row], c0[row]) for row in order)
                 assert all(a[1] <= b[1] for a, b in zip(by_s, by_s[1:])), (m, k)
         assert len(errors) > 6000
         assert max(errors) <= 1e-15
