@@ -256,6 +256,12 @@ def evaluate(params: FamilyParams, z: complex) -> complex:
     r, theta = cmath.polar(z)
     if (z.real and z.imag) or math.isnan(theta):
         cos_m, cos_k, sin_m = math.cos(m * theta), math.cos(k * theta), math.sin(m * theta)
+        try:  # both parts share one r^m, with power_term's products, unless a factor is 0 or a power overflows
+            mid, rm = c * cos_k, r ** m
+            if cos_m and mid and sin_m and rm != math.inf:
+                return complex(cos_m * rm + 2.0 * (mid * r ** k) - 1.0, sin_m * rm)
+        except OverflowError:  # r^m, or r^k for k < 0, beyond the float range
+            pass
     else:  # sin(m q pi / 2) = cos((m q - 1) pi / 2)
         q = round(theta / (0.5 * math.pi))
         cos_m, cos_k, sin_m = (alpha_from_residue(2, n) for n in (m * q, k * q, m * q - 1))

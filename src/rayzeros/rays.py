@@ -220,12 +220,12 @@ def _r0(m: int, k: int, alpha: float, c: float) -> float:
     return _exp(_log_r0(m, k, alpha, c))
 
 
-def _band(c: float, c0s) -> tuple[int, int]:
+def _band(c: float, c0s, key=None, hi=None) -> tuple[int, int]:
     """The run c0s[a:b] of the increasing c0s whose tangency band holds c, those
     in [c / (1 + DEGENERACY_RTOL), c / (1 - DEGENERACY_RTOL)]; c lies above
-    the c0s[:a]."""
-    a = bisect_left(c0s, c / (1.0 + DEGENERACY_RTOL))
-    return a, bisect_right(c0s, c / (1.0 - DEGENERACY_RTOL), a)
+    the c0s[:a].  key(c0s[i]), if given, is c0s[i]'s c0; hi bounds the search."""
+    a = bisect_left(c0s, c / (1.0 + DEGENERACY_RTOL), 0, hi, key=key)
+    return a, bisect_right(c0s, c / (1.0 - DEGENERACY_RTOL), a, hi, key=key)
 
 
 def _side(c: float, c0: float | None) -> int:

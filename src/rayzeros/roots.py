@@ -6,22 +6,24 @@ through its parity and alpha = cos(pi s / m), s its folded residue.  So
 all_zeros solves rows in runs: the rows of one parity and one sign of alpha
 share a case and, outside the threshold case, a count, and the threshold rows
 split at their c0s = C / alpha, taken from the run's own alphas, into the
-runs above c0, inside the tangency band and below.
-With alpha = 0, f = r^m - 1 and the zero is r = 1.
-Otherwise, in s = log r, f's terms are three lines log |coefficient| + power s:
-(0, m), (L, k) and (0, 0), with L = log 2c|alpha|.  One side of f = P - N
-holds one of them, the lone line, and the other side the other two, so
-F = log P - log N, which has f's sign and never overflows, is +-G with
-G = log(two-line side) - lone line: + when the two lines are P's.  The lines
-cross at s = 0, L/(m - k) and -L/k.  One unit beyond the outermost crossing
-the tail term beats each other term by a factor e > 2 and gives F its sign,
-so the two ends bracket a single zero, and a pair is split at s0 = log r0.
-Each radius is refined by safeguarded Newton on G in s until a step is at
-most 1e-12; steps that leave the bracket bisect it.  Within a run, Newton
-starts from the secant in alpha through the same zero of the two rows solved
-before, whose alphas are the nearest.  Each record of ray j re-evaluates the
-full complex function at r times the ray's unit direction and must pass the
-residual gate, scaled by r^m where r^m overflows, as soon as its row is
+runs above c0, inside the tangency band and below.  With alpha = 0,
+f = r^m - 1 and the zero is r = 1.  Otherwise, in s = log r, f's terms are
+three lines log |coefficient| + power s: (0, m), (L, k) and (0, 0), with
+L = log 2c|alpha|.  One side of f = P - N holds one of them, the lone line,
+and the other side the other two, so F = log P - log N, which has f's sign
+and never overflows, is +-G with G = log(two-line side) - lone line: + when
+the two lines are P's.  The lines cross at s = 0, L/(m - k) and -L/k.  One
+unit beyond the outermost crossing the tail term beats each other term by a
+factor e > 2 and gives F its sign, so the two ends bracket a single zero, and
+a pair is split at s0 = log r0.  The sign of F over G and F's signs at the
+outer ends are the run's, settled once; a row takes only L, its lines, its
+crossings and, for a pair, s0 and F's sign there.  Each radius is refined by
+safeguarded Newton on G in s until a step is at most 1e-12; steps that leave
+the bracket bisect it.  Within a run, Newton starts from the secant in alpha
+through the same zero of the two rows solved before, whose alphas are the
+nearest.  Each record of ray j re-evaluates the full complex function at r
+times the ray's unit direction, one r^m shared by both parts, and must pass
+the residual gate, scaled by r^m where r^m overflows, as soon as its row is
 solved.  Since p(conj z) = conj p(z), ray 2m - j's records are the exact
 conjugates of ray j's, with the same residual; they are built after the last
 row without a second evaluation.  solve_ray runs the same run solver on one
@@ -31,9 +33,10 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import chain
 from typing import NamedTuple
 
-from .family import FamilyParams, _alpha_half, _alpha_range, _over_power, evaluate, power_term, unit_direction
+from .family import FamilyParams, _alpha_half, _alpha_range, _over_power, evaluate, unit_direction
 from .rays import (
     _CASES,
     _LOG2,
@@ -138,29 +141,27 @@ def _log_f(lines: tuple, s: float) -> tuple[float, float]:
     return (a1 - a0) + (p1 - p0) * s + math.log1p(w), (p1 + p2 * w) / (1.0 + w) - p0
 
 
-def _log_brackets(m: int, k: int, c: float, log_2c: float, parity: int, alpha: float, pair: bool):
-    """A row's lines (a0, p0, a1, p1, a2, p2), the sign of F over G, the bracket
-    ends in s, one more than its zeros, and whether F < 0 at each end.
+def _log_run(k: int, parity: int, alpha: float) -> tuple[float, bool, bool]:
+    """F over G on rows of one parity and one sign of alpha, and whether F < 0 at
+    their outer ends: the tail term's sign, below the constant -1's (k > 0) or
+    alpha's (k < 0), above (-1)^j's.  Odd j with alpha < 0 is never bracketed."""
+    return (1.0 if alpha > 0 and not parity else -1.0), k > 0 or alpha < 0, parity == 1
 
-    The lone line comes first, then the two-line side's in f's term order.
-    L = log_2c + log |alpha|.  Odd j with alpha < 0 has no zero and is never
-    bracketed.  At the outer ends F takes the tail term's sign: below, the
-    constant -1's (k > 0) or alpha's (k < 0); above, (-1)^j's.
-    """
+
+def _log_brackets(m: int, k: int, log_2c: float, parity: int, alpha: float) -> tuple[tuple, float, float]:
+    """A row's lines (a0, p0, a1, p1, a2, p2), lone line first, then the two-line
+    side's in f's term order, L = log_2c + log |alpha|, and its outer ends in s,
+    one unit beyond the outermost crossing 0, x or y, with no min or max call."""
     a_k = log_2c + math.log(abs(alpha))
     if parity:
-        lines, sign = (a_k, k, 0.0, m, 0.0, 0), -1.0
+        lines = (a_k, k, 0.0, m, 0.0, 0)
     elif alpha > 0:
-        lines, sign = (0.0, 0, 0.0, m, a_k, k), 1.0
+        lines = (0.0, 0, 0.0, m, a_k, k)
     else:
-        lines, sign = (0.0, m, a_k, k, 0.0, 0), -1.0
-    cross = (0.0, a_k / (m - k), -a_k / k)
-    ends, negs = [min(cross) - 1.0, max(cross) + 1.0], [k > 0 or alpha < 0, parity == 1]
-    if pair:
-        s0 = _log_r0(m, k, alpha, c)
-        ends.insert(1, s0)
-        negs.insert(1, sign * _log_f(lines, s0)[0] < 0)
-    return lines, sign, ends, negs
+        lines = (0.0, m, a_k, k, 0.0, 0)
+    x, y = a_k / (m - k), -a_k / k
+    lo, hi = (x, y) if x < y else (y, x)
+    return lines, (lo if lo < 0.0 else 0.0) - 1.0, (hi if hi > 0.0 else 0.0) + 1.0
 
 
 def bracket(analysis: RayAnalysis, c: float) -> list[tuple[float, float]]:
@@ -178,7 +179,8 @@ def bracket(analysis: RayAnalysis, c: float) -> list[tuple[float, float]]:
     m, k = analysis.params.m, analysis.params.k
     ends = [-1.0, 1.0]  # alpha = 0: f = r^m - 1, whose two lines cross at s = 0
     if analysis.alpha:
-        ends = _log_brackets(m, k, c, _LOG2 + math.log(c), analysis.ray.parity, analysis.alpha, n == 2)[2]
+        _, a, b = _log_brackets(m, k, _LOG2 + math.log(c), analysis.ray.parity, analysis.alpha)
+        ends = [a, _log_r0(m, k, analysis.alpha, c), b] if n == 2 else [a, b]
     try:
         return [(math.exp(a), math.exp(b)) for a, b in zip(ends, ends[1:])]
     except OverflowError:
@@ -217,22 +219,24 @@ def _refine(lines, a: float, b: float, a_neg: bool, start: float = math.nan) -> 
     return s
 
 
-def _solve_run(params: FamilyParams, case: RayCase, n: int, degenerate: bool, run, slots, failed=(math.inf, None)):
-    """Solve the rows of run, (row, alpha, unit direction) triples sharing one
-    case and n > 0 zeros at params.c, into slots[row], each row's records by
-    radius and gated before the next row; degenerate marks the band's merged
-    pair, which is not gated.  Zero i starts from the secant through zero i of
-    the previous two rows solved (nan, so the midpoint, on the first two).
-    failed is (row, error) of the lowest failing row so far: rows at or above
-    it are skipped, and the new lowest is returned.
-    """
+def _solve_run(params: FamilyParams, case: RayCase, n: int, degenerate: bool, rows, alphas, units, slots,
+               failed=(math.inf, None)):
+    """Solve rows, sharing one parity, one sign of alpha, one case and n > 0
+    zeros at params.c, into slots[row], each row's records by radius and gated
+    before the next row; alphas and units are the rows' own, and degenerate
+    marks the band's merged pair, which is not gated.  Zero i starts from the
+    secant through zero i of the previous two rows solved (nan, so the
+    midpoint, on the first two).  failed is (row, error) of the lowest failing
+    row so far: rows at or above it are skipped, and the new lowest is returned."""
     m, k, c = params
-    log_2c = _LOG2 + math.log(c)
+    log_2c, parity, rtol = _LOG2 + math.log(c), rows[0] % 2, _RESIDUAL_RTOL
+    sign, below, above = _log_run(k, parity, alphas[0])  # once per run
+    lead, neg = -1.0 if parity else 1.0, below != (sign < 0)  # G < 0 at the lower outer end
     limit, error = failed
     # zero i's log r on the previous two rows solved, at alpha = last and before
     back = older = [math.nan] * n
     last = before = math.nan
-    for x, alpha, u in run:
+    for x, alpha, u in zip(rows, alphas, units):
         if x >= limit:
             continue
         try:
@@ -241,12 +245,19 @@ def _solve_run(params: FamilyParams, case: RayCase, n: int, degenerate: bool, ru
             elif not alpha:  # f = r^m - 1: Newton from the bracket's midpoint s = 0 stops there at once
                 logs = [0.0]
             else:
-                lines, sign, ends, negs = _log_brackets(m, k, c, log_2c, x % 2, alpha, n == 2)
-                ratio, logs = (alpha - last) / (last - before), []
-                for a, b, a_neg, b_neg, s, t in zip(ends, ends[1:], negs, negs[1:], back, older):
-                    if a_neg == b_neg:
-                        raise _failure(m, k, c, x, case, f"endpoint signs agree on log r in [{a}, {b}]")
-                    logs.append(_refine(lines, a, b, a_neg != (sign < 0), s + (s - t) * ratio))
+                lines, a, b = _log_brackets(m, k, log_2c, parity, alpha)
+                ends, agree = (a, b), below == above
+                if n == 2:  # split at s0 = log r0, where F must have the sign opposite to both outer ends'
+                    s0 = _log_r0(m, k, alpha, c)
+                    mid = sign * _log_f(lines, s0)[0] < 0
+                    ends, agree = (a, s0, b), mid == below or mid == above
+                if agree:
+                    i = n == 2 and mid != below  # the first interval whose end signs agree
+                    raise _failure(m, k, c, x, case, f"endpoint signs agree on log r in [{ends[i]}, {ends[i + 1]}]")
+                ratio = (alpha - last) / (last - before)
+                logs = [_refine(lines, a, ends[1], neg, back[0] + (back[0] - older[0]) * ratio)]
+                if n == 2:
+                    logs.append(_refine(lines, s0, b, not neg, back[1] + (back[1] - older[1]) * ratio))
                 back, older, last, before = logs, back, alpha, last
             records = []
             for s in logs:
@@ -257,12 +268,10 @@ def _solve_run(params: FamilyParams, case: RayCase, n: int, degenerate: bool, ru
                 z = r * u
                 residual = abs(evaluate(params, z))
                 if not degenerate:
-                    scale = power_term(1.0, r, m)
-                    if scale == math.inf:  # the bound divided through by r^m, at the ray's exact angle
-                        real = _over_power(-1.0 if x % 2 else 1.0, c * alpha, r, m, k)
-                        label, size, bound = "residual |p(z)|/r^m", abs(real), _RESIDUAL_RTOL
-                    else:
-                        label, size, bound = "residual", residual, _RESIDUAL_RTOL * max(1.0, scale)
+                    try:  # max(1, r^m), with r^m taken only where it exceeds 1
+                        label, size, bound = "residual", residual, rtol * (r ** m if r > 1.0 else 1.0)
+                    except OverflowError:  # the bound divided through by r^m, at the ray's exact angle
+                        label, size, bound = "residual |p(z)|/r^m", abs(_over_power(lead, c * alpha, r, m, k)), rtol
                     if not size <= bound:
                         raise _failure(m, k, c, x, case, f"{label} {size} exceeds {bound} at r={r}")
                 records.append(_new_record((x, r, z, residual, degenerate)))
@@ -280,8 +289,8 @@ def solve_ray(params: FamilyParams, analysis: RayAnalysis) -> list[ZeroRecord]:
     n = analysis.profile[side]
     if not n:
         return []
-    records, run = {}, [(j, analysis.alpha, unit_direction(params.m, j))]
-    error = _solve_run(params, analysis.case, n, side == 1, run, records)[1]
+    records, u = {}, unit_direction(params.m, j)
+    error = _solve_run(params, analysis.case, n, side == 1, [j], [analysis.alpha], [u], records)[1]
     if error:
         raise error
     return records[j]
@@ -308,18 +317,18 @@ def all_zeros(params: FamilyParams) -> list[ZeroRecord]:
         for slot in range(3):
             case = _CASES[k > 0][slot + 3 * parity]
             profile, lo, hi = _PROFILES[case], ends[slot], ends[slot + 1]
-            # the threshold case is slot 0, so lo = 0: rows[:a] above c0, rows[a:b] in its band
-            a, b = _band(c, list(map(_big_c(m, k).__truediv__, alphas[:hi]))) if case in THRESHOLD_CASES else (lo, lo)
+            # the threshold case is slot 0, so lo = 0: rows[:a] above c0 = C / alpha, rows[a:b] in its band
+            a, b = _band(c, alphas, _big_c(m, k).__truediv__, hi) if case in THRESHOLD_CASES else (lo, lo)
             for start, stop, n, degenerate in (
                 (lo, a, profile.above, False), (a, b, profile.at_threshold, True), (b, hi, profile.below, False)
             ):
                 if n and start < stop:
                     run = rows[start:stop]
                     units = [complex(cosines[x], half[abs(2 * x - m)]) for x in run]
-                    failed = _solve_run(params, case, n, degenerate, zip(run, alphas[start:stop], units), slots, failed)
+                    failed = _solve_run(params, case, n, degenerate, run, alphas[start:stop], units, slots, failed)
     if failed[1]:
         raise failed[1]
-    return [rec for row in slots for rec in row] + [
+    return list(chain.from_iterable(slots)) + [
         _new_record((2 * m - j, r, z.conjugate(), residual, degenerate))
         for row in slots[m - 1:0:-1]
         for j, r, z, residual, degenerate in row

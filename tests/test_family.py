@@ -7,6 +7,7 @@ import random
 import re
 import sys
 from array import array
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -27,7 +28,7 @@ from rayzeros import (
     evaluate,
     validate,
 )
-from rayzeros.family import _alpha_half, alpha_from_residue, unit_direction
+from rayzeros.family import _alpha_half, _radial_sum, alpha_from_residue, power_term, unit_direction
 
 from conftest import ALPHA_ZERO_CUTOFF, mp_alpha, valid_pairs
 
@@ -234,8 +235,9 @@ class TestClassificationExactness:
 
 
 class TestAlphaHalf:
-    """The ray table's whole-range alpha pass and the scalar are two spellings of
-    one formula; float.hex tells every ulp apart and -0.0 from 0.0."""
+    """The whole-range alpha pass of all_zeros and the threshold rows and the
+    scalar are two spellings of one formula; float.hex tells every ulp apart
+    and -0.0 from 0.0."""
 
     @staticmethod
     def assert_equal_to_scalar(m):
@@ -364,3 +366,80 @@ class TestEvaluate:
         lhs = evaluate(p, z.conjugate())
         rhs = evaluate(p, z).conjugate()
         assert cmath.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def composed_evaluate(p, z):
+    """evaluate with each part through power_term: r^m taken once per part."""
+    m, k, c = p
+    r, theta = cmath.polar(z)
+    if (z.real and z.imag) or math.isnan(theta):
+        cos_m, cos_k, sin_m = math.cos(m * theta), math.cos(k * theta), math.sin(m * theta)
+    else:
+        q = round(theta / (0.5 * math.pi))
+        cos_m, cos_k, sin_m = (alpha_from_residue(2, n) for n in (m * q, k * q, m * q - 1))
+    return complex(_radial_sum(cos_m, c * cos_k, r, m, k), power_term(sin_m, r, m))
+
+
+def evaluate_route(p, z) -> str:
+    """The path evaluate takes at z, decided here from the factors and powers alone."""
+    m, k, c = p
+    r, theta = cmath.polar(z)
+    if not ((z.real and z.imag) or math.isnan(theta)):
+        return "axis"
+    if not (math.cos(m * theta) and c * math.cos(k * theta) and math.sin(m * theta)):
+        return "zero factor"
+    try:
+        rm = r ** m
+    except OverflowError:
+        return "r^m overflows"
+    if rm == math.inf:
+        return "r^m is inf"
+    try:
+        r ** k
+    except OverflowError:
+        return "r^k overflows"
+    return "nan" if math.isnan(rm) else "shared"
+
+
+def complex_bits(w: complex) -> tuple[str, str]:
+    return w.real.hex(), w.imag.hex()
+
+
+class TestEvaluateSharedPower:
+    """Off the axes evaluate takes r^m once for both parts.  On seeded z of
+    every route, shared and fallback, it must give the composition's bits."""
+
+    @staticmethod
+    def points(rng, m, k):
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        radii = [math.exp(rng.uniform(-5.0, 5.0) / m), math.exp(rng.uniform(-700.0, 700.0) / m)]
+        radii.append(math.exp(rng.uniform(710.0, 740.0) / m))  # r^m beyond the float range
+        if k < 0:
+            radii.append(math.exp(-rng.uniform(710.0, 740.0) / -k))  # r^k beyond the float range
+        points = [cmath.rect(r, theta) for r in radii]
+        r = radii[0]
+        return points + [complex(r, 0.0), complex(-r, 0.0), complex(0.0, r), complex(0.0, -r)]
+
+    def test_bit_for_bit_on_every_route(self):
+        rng = random.Random(3838)
+        routes = Counter()
+        cases = 0
+        while cases < 400:
+            m = int(math.exp(rng.uniform(math.log(2), math.log(10_000))))
+            k = rng.choice((1, -1)) * rng.randrange(1, m)
+            if math.gcd(m, abs(k)) != 1:
+                continue
+            cases += 1
+            c = 5e-324 if cases % 50 == 0 else 10.0 ** rng.uniform(-300.0, 300.0)
+            p = validate(m, k, c)
+            points = self.points(rng, m, k)
+            points += [complex(math.nan, 1.0), complex(1.0, math.nan), complex(math.inf, math.inf)]
+            # general z at angle +-0.0, where the sine is a signed zero
+            points += [complex(math.inf, 1.0), complex(1e10, 1e-320), complex(1e10, -1e-320)]
+            for z in points:
+                if z == 0:
+                    continue
+                routes[evaluate_route(p, z)] += 1
+                assert complex_bits(evaluate(p, z)) == complex_bits(composed_evaluate(p, z)), (m, k, c, z)
+        assert set(routes) == {"axis", "zero factor", "r^m overflows", "r^m is inf", "r^k overflows", "nan", "shared"}
+        assert routes["shared"] > 500

@@ -130,7 +130,12 @@ def test_rows_cover_every_shape_and_size():
 def test_g_is_plus_or_minus_f_bit_for_bit(i):
     rows = ROWS[i:i + 10]
     for m, k, c, j, alpha, n in rows:
-        lines, sign, ends, negs = roots._log_brackets(m, k, c, _LOG2 + math.log(c), j % 2, alpha, n == 2)
+        lines, lo, hi = roots._log_brackets(m, k, _LOG2 + math.log(c), j % 2, alpha)
+        sign, below, above = roots._log_run(k, j % 2, alpha)
+        ends, negs = [lo, hi], [below, above]
+        if n == 2:  # the pair's split point, as the run solver takes it
+            ends.insert(1, _log_r0(m, k, alpha, c))
+            negs.insert(1, sign * roots._log_f(lines, ends[1])[0] < 0)
         split, intervals = ref_brackets(m, k, c, j % 2, alpha, n == 2)
         ref_ends = [iv[0] for iv in intervals] + [intervals[-1][2]]
         ref_values = [iv[1] for iv in intervals] + [intervals[-1][3]]

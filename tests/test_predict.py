@@ -105,7 +105,7 @@ class TestEquivalence:
         """A wrong count profile moves the census band off the closed-form table."""
         p = validate(5, 4, 1.0)
         assert predict_census(p) == predict_table(p)
-        # the ray table is cached before the patch, so no table is built from the wrong profile
+        # the census reads _PROFILES on each call, so the patch alone moves it off the table
         monkeypatch.setitem(rays_mod._PROFILES, RayCase.POS_K_ODD_POS, CountProfile(0, 1, 4))
         assert predict_census(p) != predict_table(p)
 
@@ -126,8 +126,9 @@ class TestEquivalence:
 
 @pytest.mark.parametrize("k", [1, -1, 2])
 def test_count_band_builds_no_ray_table(k):
-    """Both bands and the census come from O(1) formulas, so none of them
-    builds the O(m) threshold rows."""
+    """Both bands and the census come from O(1) formulas: the threshold-row
+    cache stays empty after all three.  (The name predates the ray table's
+    deletion; no ray table exists.)"""
     p = validate(100003, k, 1.0)
     rays_mod._threshold_rows.cache_clear()
     predict_table(p), predict_census(p), census(p)
@@ -136,8 +137,9 @@ def test_count_band_builds_no_ray_table(k):
 
 @pytest.mark.parametrize("k", [1, -1, 2])
 def test_count_at_c_builds_no_ray_table(k):
-    """thresholds and predict_at read only the threshold rows, which come from k's
-    inverse."""
+    """thresholds and predict_at read only the threshold rows, built from k's
+    inverse: at m = 100003 the count is monotone in c and moves across the
+    thresholds.  (The name predates the ray table's deletion.)"""
     p = validate(100003, k, 1.0)
     ths = thresholds(p)
     lo, hi = math.log(ths[0].c0 / 10.0), math.log(ths[-1].c0 * 10.0)
