@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import bisect
-import csv
 import io
 import json
 import math
@@ -42,7 +41,6 @@ from . import __version__
 from .family import ParameterError, validate
 from .predict import predict_at, predict_census, predict_table
 from .rays import analyze_ray, count_at, thresholds
-from .roots import all_zeros
 
 __all__ = ["main"]
 
@@ -64,6 +62,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _InvalidInput(message)
+
+
+def all_zeros(params):
+    """roots.all_zeros, with the root finder imported on first use: only zeros
+    and verify locate zeros."""
+    from . import roots
+
+    return roots.all_zeros(params)
 
 
 def _oracle():
@@ -98,6 +104,8 @@ def _json_value(value):
 
 def _emit(args, rows: list[dict]) -> str:
     if args.format == "csv":
+        import csv  # only the csv format needs it
+
         buf = io.StringIO()
         if rows:
             writer = csv.writer(buf, lineterminator="\n")

@@ -14,8 +14,6 @@ alpha < 0 otherwise.  Floating point never gets a vote on the
 classification.  Where r^m overflows, a real part is the signed infinity of
 its sum divided through by r^m (_over_power), so every term votes on its sign.
 """
-from __future__ import annotations
-
 import cmath
 import math
 import operator

@@ -25,8 +25,6 @@ overflows, are coded node by node.  A candidate cell whose center does not
 converge is subdivided by the same scan over the cell's 2-by-2 sub-grid, so
 one kernel evaluates every node.
 """
-from __future__ import annotations
-
 import bisect
 import math
 import sys

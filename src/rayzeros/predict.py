@@ -12,8 +12,6 @@ below every threshold plus (k > 0) or minus (k < 0) the zeros the threshold
 rays gain there, two bisections of the threshold rows' increasing c0s at the
 bounds of the tangency band (rays module docstring).
 """
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .family import FamilyParams, _check_c

@@ -43,8 +43,6 @@ residue that puts an axis row, which stands for one ray, among the
 thresholds: row 0 for k < 0, row m for even k > 0.  So the first i threshold
 rows by c0 hold R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
 """
-from __future__ import annotations
-
 import math
 import sys
 from array import array

@@ -29,8 +29,6 @@ conjugates of ray j's, with the same residual; they are built after the last
 row without a second evaluation.  solve_ray runs the same run solver on one
 analyzed ray.
 """
-from __future__ import annotations
-
 import math
 from functools import partial
 from itertools import chain

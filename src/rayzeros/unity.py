@@ -6,8 +6,6 @@ even (forcing m odd) it generates the m-th roots and hits each twice, once
 from an even j and once from an odd j.  Counting exponents j in [0, 2m) by
 parity and by the sign of Re omega^j is all the global zero count needs.
 """
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .family import FamilyParams

@@ -8,11 +8,37 @@ angle tests.
 from __future__ import annotations
 
 import math
+import os
+import pathlib
 
 import mpmath
 import numpy as np
+import pytest
+
+import rayzeros
 
 mpmath.mp.dps = 50
+
+# the src directory the tested rayzeros is imported from
+SRC = pathlib.Path(rayzeros.__file__).resolve().parents[1]
+
+
+def pytest_report_header(config):
+    return f"rayzeros from {SRC}"
+
+
+def pytest_configure(config):
+    """pyproject.toml puts this checkout's src ahead of PYTHONPATH, so a
+    PYTHONPATH that names another checkout's src would silently go untested:
+    stop the session instead."""
+    for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+        if entry and (pathlib.Path(entry) / "rayzeros" / "__init__.py").is_file():
+            if pathlib.Path(entry).resolve() != SRC:
+                raise pytest.UsageError(
+                    f"PYTHONPATH puts rayzeros in {entry}, but the tests import it from {SRC}; "
+                    "run pytest from the checkout that holds that src"
+                )
+            return
 
 # smallest nonzero |cos(pi t / m)| is sin(pi/(2m)); anything below this is an
 # exact zero for the m ranges exercised here

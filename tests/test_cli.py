@@ -723,7 +723,8 @@ class TestLazyNumpy:
 
 class TestWhatEachCommandLoads:
     """A process imports only what its command needs: no command loads
-    dataclasses or inspect, and only verify loads the grid oracle."""
+    dataclasses or inspect, only zeros and verify load the root finder, only
+    verify loads the grid oracle, and only the csv format loads csv."""
 
     SCRIPT = (
         "import contextlib, io, sys\n"
@@ -752,8 +753,9 @@ class TestWhatEachCommandLoads:
             ["thresholds", "--m", "7", "--k", "2"],
             ["sweep", "--m", "5", "--k", "4", "--c-min", "0.5", "--c-max", "3", "--steps", "4"],
             ["verify", "--m", "5", "--k", "4", "--c", "1"],
+            ["thresholds", "--m", "7", "--k", "2", "--format", "csv"],
         ],
-        ids=lambda argv: argv[0],
+        ids=lambda argv: argv[0] + ("-csv" if "csv" in argv else ""),
     )
     def test_added_modules(self, argv):
         rc, *added = self.run(self.SCRIPT, *argv)
@@ -761,6 +763,8 @@ class TestWhatEachCommandLoads:
         assert "rayzeros.cli" in added
         assert not {"dataclasses", "inspect"} & set(added)
         assert ("rayzeros.oracle" in added) == (argv[0] == "verify")
+        assert ("rayzeros.roots" in added) == (argv[0] in ("zeros", "verify"))
+        assert ("csv" in added) == ("csv" in argv)
 
     def test_package_loads_the_oracle_on_first_use(self):
         script = (
@@ -769,5 +773,15 @@ class TestWhatEachCommandLoads:
             "print('rayzeros.oracle' in sys.modules)\n"
             "rayzeros.find_zeros_grid\n"
             "print('rayzeros.oracle' in sys.modules)\n"
+        )
+        assert self.run(script) == ["False", "True"]
+
+    def test_package_loads_the_root_finder_on_first_use(self):
+        script = (
+            "import sys\n"
+            "import rayzeros\n"
+            "print('rayzeros.roots' in sys.modules)\n"
+            "rayzeros.all_zeros\n"
+            "print('rayzeros.roots' in sys.modules)\n"
         )
         assert self.run(script) == ["False", "True"]

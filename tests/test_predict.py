@@ -136,10 +136,10 @@ def test_count_band_builds_no_ray_table(k):
 
 
 @pytest.mark.parametrize("k", [1, -1, 2])
-def test_count_at_c_builds_no_ray_table(k):
+def test_count_at_c_is_monotone_across_thresholds(k):
     """thresholds and predict_at read only the threshold rows, built from k's
     inverse: at m = 100003 the count is monotone in c and moves across the
-    thresholds.  (The name predates the ray table's deletion.)"""
+    thresholds."""
     p = validate(100003, k, 1.0)
     ths = thresholds(p)
     lo, hi = math.log(ths[0].c0 / 10.0), math.log(ths[-1].c0 * 10.0)

@@ -116,10 +116,10 @@ def reference_c0(m, k, alpha):
 
 
 def reference_table(m, k):
-    """The ray table built by a plain per-row loop: every row folds its own
-    residue, takes alpha and sign through the per-ray functions and its kind
-    and case from _CASES, and computes its own c0; the threshold rows are
-    sorted by that c0."""
+    """The facts of rows 0..m from a plain per-row loop: every row folds its
+    own residue, takes alpha and sign through the per-ray functions and its
+    kind and case from _CASES, and computes its own c0; the threshold rows
+    are sorted by that c0."""
     p = validate(m, k, 1.0)
     alphas = array("d")
     cases = []

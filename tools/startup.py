@@ -5,9 +5,12 @@
 BEFORE and AFTER are checkout roots (each holds src/rayzeros).  Every round
 runs each measurement once per checkout, alternating which goes first, so
 both see the same machine noise.  The measurements are the import time of
-``rayzeros`` and of ``rayzeros.cli``, each timed inside its own process, and
-the wall time of one ``rayzeros <command>`` process per command, timed from
-here with its output discarded.  It prints the min, first quartile and median
+``rayzeros`` and of ``rayzeros.cli``; the time of ``import rayzeros`` plus a
+first count query, ``predict_at(validate(49, 10, 1.0), 0.3)``, and plus a
+first root finding, ``all_zeros(validate(49, 10, 0.3))``, which shows where a
+module loaded on first use moves its cost; each of these is timed inside its
+own process.  Last comes the wall time of one ``rayzeros <command>`` process
+per command, timed from here with its output discarded.  It prints the min, first quartile and median
 of each, in ms.
 
 Every child runs ``python -B`` in a temporary working directory, so nothing
@@ -27,6 +30,7 @@ import tempfile
 import time
 
 IMPORT = "import time; t = time.perf_counter(); import {0}; print(time.perf_counter() - t)"
+FIRST = "import time; t = time.perf_counter(); import rayzeros as rz; rz.{0}; print(time.perf_counter() - t)"
 CLI = "import sys; from rayzeros.cli import main; sys.exit(main())"
 PAIR = ("--m", "49", "--k", "10")
 COMMANDS = (
@@ -41,6 +45,8 @@ COMMANDS = (
 MEASURES = {
     "import rayzeros": (["-c", IMPORT.format("rayzeros")], True),
     "import rayzeros.cli": (["-c", IMPORT.format("rayzeros.cli")], True),
+    "import + predict_at": (["-c", FIRST.format("predict_at(rz.validate(49, 10, 1.0), 0.3)")], True),
+    "import + all_zeros": (["-c", FIRST.format("all_zeros(rz.validate(49, 10, 0.3))")], True),
     **{"process " + cmd[0]: (["-c", CLI, *cmd], False) for cmd in COMMANDS},
 }
 
