@@ -10,8 +10,8 @@ first count query, ``predict_at(validate(49, 10, 1.0), 0.3)``, and plus a
 first root finding, ``all_zeros(validate(49, 10, 0.3))``, which shows where a
 module loaded on first use moves its cost; each of these is timed inside its
 own process.  Last comes the wall time of one ``rayzeros <command>`` process
-per command, timed from here with its output discarded.  It prints the min, first quartile and median
-of each, in ms.
+per command, timed from here with its output discarded.  It prints the min,
+first quartile and median of each, in ms.
 
 Every child runs ``python -B`` in a temporary working directory, so nothing
 is written under either checkout.  A fresh checkout has no __pycache__, so
