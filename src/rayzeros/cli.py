@@ -79,6 +79,11 @@ def _oracle():
     return oracle
 
 
+def _too_coarse():
+    """The oracle's ResolutionTooCoarse once verify has loaded the oracle, else ArithmeticError."""
+    return getattr(sys.modules.get(f"{__package__}.oracle"), "ResolutionTooCoarse", ArithmeticError)
+
+
 def find_zeros_grid(params, resolution):
     return _oracle().find_zeros_grid(params, resolution)
 
@@ -290,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         rows = args.run(args, params)
     except _InvalidInput as exc:
         return _invalid(str(exc))
-    except (ArithmeticError, _oracle().ResolutionTooCoarse) as exc:  # built only while an error propagates
+    except (ArithmeticError, _too_coarse()) as exc:  # built only while an error propagates
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -31,7 +31,7 @@ import sys
 from array import array
 from typing import NamedTuple
 
-from .family import FamilyParams
+from .family import FamilyParams, power_term
 
 __all__ = ["OracleResult", "ComparisonReport", "ResolutionTooCoarse", "find_zeros_grid", "compare"]
 
@@ -118,14 +118,6 @@ def _newton(m: int, k: int, c: float, z: complex, r_lo: float, r_hi: float) -> c
         return None
 
 
-def _pow(x: float, e: float) -> float:
-    """x ** e for x > 0, overflowing to inf as IEEE arithmetic does."""
-    try:
-        return x ** e
-    except OverflowError:
-        return math.inf
-
-
 def _sign_codes(us, vs) -> bytes:
     """One byte per node: bits 0-1 for u > 0 and u < 0, bits 2-3 the same for v,
     bit 4 for a nan.  A cell is a candidate iff the OR of its corners' bytes is
@@ -194,8 +186,8 @@ def _scan(m, k, c, log_r, theta, r_lo, r_hi, depth) -> list[complex]:
     prev = 0
     for i, lr in enumerate(log_r):
         r = math.exp(lr)
-        rm = _pow(r, m)
-        rk = 2.0 * c * _pow(r, k)
+        rm = power_term(1.0, r, m)
+        rk = power_term(2.0 * c, r, k)
         us = [rm * a + rk * b - 1.0 for a, b in zip(cos_m, cos_k)]
         row = _row_codes(us, rm, sin_m, s_min, v_row)
         if i:

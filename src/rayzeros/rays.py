@@ -29,10 +29,11 @@ carry the same alpha and the same radial function.  analyze_ray takes a
 ray's facts from its own integers in O(1): alpha from its residue, its case
 from its parity and exact alpha sign, and c0 = C / alpha, C from _big_c, the
 single source of C.  The rows of one parity in increasing folded residue
-s = min(t, 2m-t) follow from k's inverse alone (_rows), and all_zeros walks
-them so.  _threshold_rows gives the threshold rows, about a quarter of them,
-their c0s and alphas in increasing residue, which is increasing c0, with no
-sort; thresholds and predict_at read it.
+s = min(t, 2m-t) follow from k's inverse alone (_rows); _runs walks them so
+and hands all_zeros its runs of rows, one case and one count each.
+_threshold_rows gives the threshold rows, about a quarter of them, their c0s
+and alphas in increasing residue, which is increasing c0, with no sort;
+thresholds and predict_at read it.
 
 Every threshold ray gains (k > 0) or loses (k < 0) two zeros past its c0 and
 one inside its tangency band.  One bisection, _band(c, c0s), finds the run of
@@ -55,6 +56,7 @@ from .family import (
     FamilyParams,
     RayDescriptor,
     _alpha_half,
+    _alpha_range,
     _check_c,
     _over_power,
     _radial_sum,
@@ -271,6 +273,33 @@ def _threshold_rows(m: int, k: int) -> tuple[array, array, array]:
     alphas = array("d", _alpha_half(m, q, 2)[:len(range(q, (m + 1) // 2, 2))])
     order = array("q", _rows(m, k, k > 0, len(alphas)))
     return order, array("d", map(_big_c(m, k).__truediv__, alphas)), alphas
+
+
+def _runs(params: FamilyParams):
+    """(case, n, degenerate, rows, alphas, units) for each run of rows of one
+    parity and one case with n > 0 zeros at params.c, in increasing s;
+    degenerate marks the band's merged pair.  One pass alpha(2m, .) gives
+    cosines[s] = alpha_s and each row's unit direction, sin(j pi / m) =
+    alpha(2m, |2j - m|)."""
+    m, k, c = params
+    half = _alpha_half(2 * m)
+    cosines = _alpha_range(m, half[::2])
+    for parity in (0, 1):
+        q = parity if k % 2 else 0
+        rows, alphas = _rows(m, k, parity, len(range(q, m + 1, 2))), cosines[q::2]
+        ends = (0, len(range(q, (m + 1) // 2, 2)), len(range(q, m // 2 + 1, 2)), len(rows))  # 2s < m, = m, > m
+        for slot in range(3):
+            case = _CASES[k > 0][slot + 3 * parity]
+            profile, lo, hi = _PROFILES[case], ends[slot], ends[slot + 1]
+            # the threshold case is slot 0, so lo = 0: rows[:a] above c0 = C / alpha, rows[a:b] in its band
+            a, b = _band(c, alphas, _big_c(m, k).__truediv__, hi) if case in THRESHOLD_CASES else (lo, lo)
+            for start, stop, n, degenerate in (
+                (lo, a, profile.above, False), (a, b, profile.at_threshold, True), (b, hi, profile.below, False)
+            ):
+                if n and start < stop:
+                    run = rows[start:stop]
+                    units = [complex(cosines[x], half[abs(2 * x - m)]) for x in run]
+                    yield case, n, degenerate, run, alphas[start:stop], units
 
 
 def analyze_ray(params: FamilyParams, j: int) -> RayAnalysis:

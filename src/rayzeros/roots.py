@@ -3,10 +3,8 @@
 Row j stands for ray j and its mirror 2m - j, which carry the same radial
 function f(r) = (-1)^j r^m + 2 c alpha r^k - 1; f depends on the row only
 through its parity and alpha = cos(pi s / m), s its folded residue.  So
-all_zeros solves rows in runs: the rows of one parity and one sign of alpha
-share a case and, outside the threshold case, a count, and the threshold rows
-split at their c0s = C / alpha, taken from the run's own alphas, into the
-runs above c0, inside the tangency band and below.  With alpha = 0,
+all_zeros solves rows in the runs rays._runs hands it, rows of one parity,
+one case and one count.  With alpha = 0,
 f = r^m - 1 and the zero is r = 1.  Otherwise, in s = log r, f's terms are
 three lines log |coefficient| + power s: (0, m), (L, k) and (0, 0), with
 L = log 2c|alpha|.  One side of f = P - N holds one of them, the lone line,
@@ -34,23 +32,8 @@ from functools import partial
 from itertools import chain
 from typing import NamedTuple
 
-from .family import FamilyParams, _alpha_half, _alpha_range, _over_power, evaluate, unit_direction
-from .rays import (
-    _CASES,
-    _LOG2,
-    _PROFILES,
-    THRESHOLD_CASES,
-    RayAnalysis,
-    RayCase,
-    _band,
-    _big_c,
-    _log_r0,
-    _rows,
-    _side,
-    count_at,
-    degenerate_at,
-    extremum_radius,
-)
+from .family import FamilyParams, _over_power, evaluate, unit_direction
+from .rays import _LOG2, RayAnalysis, RayCase, _log_r0, _runs, _side, count_at, degenerate_at, extremum_radius
 # unused here but still bound: perfbench/tracing.py wraps these roots bindings
 from .rays import analyze_ray, f_derivative, f_value  # noqa: F401
 
@@ -297,33 +280,14 @@ def solve_ray(params: FamilyParams, analysis: RayAnalysis) -> list[ZeroRecord]:
 def all_zeros(params: FamilyParams) -> list[ZeroRecord]:
     """Every zero of p, ordered by ray index then radius.
 
-    _rows gives each parity's rows in increasing s, and one whole-range pass
-    alpha(2m, .) gives alpha_s, alpha(2m, 2s) for 2s <= m and -alpha(2m, 2(m - s))
-    beyond, and each row's unit direction, sin(j pi / m) = alpha(2m, |2j - m|).
-    Each run with zeros is one _solve_run; a failure raises once the rows below
-    the failing row are solved, so the lowest failing row names the error.
+    Each run rays._runs hands over is one _solve_run; a failure raises once
+    the rows below the failing row are solved, so the lowest failing row
+    names the error.
     """
-    m, k, c = params
-    half = _alpha_half(2 * m)
-    cosines = _alpha_range(m, half[::2])
+    m = params.m
     slots, failed = [()] * (m + 1), (math.inf, None)
-    for parity in (0, 1):
-        q = parity if k % 2 else 0
-        rows = _rows(m, k, parity, len(range(q, m + 1, 2)))
-        alphas = half[2 * q:m + 1:4] + [-a for a in reversed(half[(m - q) % 2 * 2:m:4])]
-        ends = (0, len(range(q, (m + 1) // 2, 2)), len(range(q, m // 2 + 1, 2)), len(rows))  # 2s < m, = m, > m
-        for slot in range(3):
-            case = _CASES[k > 0][slot + 3 * parity]
-            profile, lo, hi = _PROFILES[case], ends[slot], ends[slot + 1]
-            # the threshold case is slot 0, so lo = 0: rows[:a] above c0 = C / alpha, rows[a:b] in its band
-            a, b = _band(c, alphas, _big_c(m, k).__truediv__, hi) if case in THRESHOLD_CASES else (lo, lo)
-            for start, stop, n, degenerate in (
-                (lo, a, profile.above, False), (a, b, profile.at_threshold, True), (b, hi, profile.below, False)
-            ):
-                if n and start < stop:
-                    run = rows[start:stop]
-                    units = [complex(cosines[x], half[abs(2 * x - m)]) for x in run]
-                    failed = _solve_run(params, case, n, degenerate, run, alphas[start:stop], units, slots, failed)
+    for run in _runs(params):
+        failed = _solve_run(params, *run, slots, failed)
     if failed[1]:
         raise failed[1]
     return list(chain.from_iterable(slots)) + [

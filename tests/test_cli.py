@@ -754,12 +754,14 @@ class TestWhatEachCommandLoads:
             ["sweep", "--m", "5", "--k", "4", "--c-min", "0.5", "--c-max", "3", "--steps", "4"],
             ["verify", "--m", "5", "--k", "4", "--c", "1"],
             ["thresholds", "--m", "7", "--k", "2", "--format", "csv"],
+            # the root finder fails here (exit 3): matching the error loads no oracle
+            pytest.param(["zeros", "--m", "5", "--k", "-4", "--c", "5e-324"], id="zeros-failing"),
         ],
         ids=lambda argv: argv[0] + ("-csv" if "csv" in argv else ""),
     )
     def test_added_modules(self, argv):
         rc, *added = self.run(self.SCRIPT, *argv)
-        assert rc == "0"
+        assert rc == ("3" if "5e-324" in argv else "0")
         assert "rayzeros.cli" in added
         assert not {"dataclasses", "inspect"} & set(added)
         assert ("rayzeros.oracle" in added) == (argv[0] == "verify")

@@ -125,10 +125,9 @@ class TestEquivalence:
 
 
 @pytest.mark.parametrize("k", [1, -1, 2])
-def test_count_band_builds_no_ray_table(k):
+def test_count_band_builds_no_threshold_rows(k):
     """Both bands and the census come from O(1) formulas: the threshold-row
-    cache stays empty after all three.  (The name predates the ray table's
-    deletion; no ray table exists.)"""
+    cache stays empty after all three."""
     p = validate(100003, k, 1.0)
     rays_mod._threshold_rows.cache_clear()
     predict_table(p), predict_census(p), census(p)

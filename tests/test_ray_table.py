@@ -7,7 +7,9 @@ exactly but for all_zeros' radii, which may move within the Newton stop.
 """
 from __future__ import annotations
 
+import ast
 import math
+import pathlib
 import random
 import sys
 import tracemalloc
@@ -40,7 +42,7 @@ from rayzeros.rays import (
     Threshold,
     _r0,
 )
-from rayzeros import rays, roots
+from rayzeros import oracle, rays, roots
 
 from conftest import valid_pairs
 
@@ -475,7 +477,7 @@ class TestAllZerosEquivalence:
 
     # odd k of both signs and even k; the tail of the benchmark's solve workload is m near 4096
     @pytest.mark.parametrize("m, k, c", [(4001, 3001, 0.05), (4001, -101, 1.0), (4001, 3000, 0.05)])
-    def test_builds_no_ray_table(self, m, k, c):
+    def test_builds_no_threshold_rows(self, m, k, c):
         """all_zeros takes its band split from its own runs' alphas: a cold call
         builds no threshold rows."""
         p = validate(m, k, c)
@@ -483,6 +485,64 @@ class TestAllZerosEquivalence:
         recs = all_zeros(p)
         assert rays._threshold_rows.cache_info().currsize == 0
         assert len(recs) == predict_at(p, c)
+
+
+# the nine fixed c of tools/records.py, from 5e-324 to max_float
+FIXED_C = (5e-324, 1e-300, 1e-10, 0.3, 1.0, 3.0, 1e10, 1e300, sys.float_info.max)
+
+
+def test_runs_hand_over_every_row_once_with_its_own_facts():
+    """rays._runs, the runs all_zeros solves, against the per-row facts: at every
+    c0, c0 (1 +- 1e-9) and the fixed c of every pair with m <= 40, each run has
+    zeros, the rows are distinct, their zeros, the axis rows once and the others for both mirrors,
+    sum to predict_at, each alpha and unit is bit for bit alpha_from_residue's
+    and unit_direction's, and the merged pair is exactly the threshold rows
+    whose c lies in the band around C / alpha."""
+    for m, k in valid_pairs(40):
+        p = validate(m, k, 1.0)
+        big_c = rays._big_c(m, k)
+        alpha = [alpha_from_residue(m, k * x) for x in range(m + 1)]
+        unit = [unit_direction(m, x) for x in range(m + 1)]
+        threshold_c0s = [(x, big_c / alpha[x]) for x in range(m + 1) if analyze_ray(p, x).case in THRESHOLD_CASES]
+        cs = [c for th in thresholds(p) for c in (th.c0, th.c0 * (1 + DEGENERACY_RTOL), th.c0 * (1 - DEGENERACY_RTOL))]
+        for c in cs + list(FIXED_C):
+            rows, alphas, units, merged, zeros = [], [], [], set(), 0
+            for case, n, degenerate, run, run_alphas, run_units in rays._runs(validate(m, k, c)):
+                assert n > 0 and run, (m, k, c, case)
+                rows += run
+                alphas += run_alphas
+                units += run_units
+                merged.update(run if degenerate else ())
+                zeros += n * (2 * len(run) - (0 in run) - (m in run))
+            assert len(set(rows)) == len(rows), (m, k, c)
+            assert zeros == predict_at(p, c), (m, k, c)
+            assert array("d", alphas).tobytes() == array("d", [alpha[x] for x in rows]).tobytes(), (m, k, c)
+            got = array("d", [u.real for u in units] + [u.imag for u in units])
+            want = array("d", [unit[x].real for x in rows] + [unit[x].imag for x in rows])
+            assert got.tobytes() == want.tobytes(), (m, k, c)
+            assert merged == {x for x, c0 in threshold_c0s if rays._side(c, c0) == 1}, (m, k, c)
+
+
+class TestRunsBoundary:
+    """rays owns the walk over the runs of rows, and family the overflow rule:
+    roots reads the runs only through rays._runs, and the oracle keeps no copy
+    of power_term."""
+
+    @staticmethod
+    def imported(module):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text())
+        return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+    def test_roots_takes_its_runs_from_rays(self):
+        walk = {"_CASES", "_PROFILES", "THRESHOLD_CASES", "_band", "_big_c", "_rows", "_alpha_half", "_alpha_range"}
+        assert not walk & self.imported(roots)
+        assert "_runs" in self.imported(roots)
+
+    def test_oracle_takes_the_overflow_rule_from_family(self):
+        tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "_pow" not in defined
+        assert "power_term" in self.imported(oracle)
 
 
 class TestPredictAtEquivalence:

@@ -120,7 +120,7 @@ def describe(a: tuple, b: tuple) -> tuple[str, str]:
 
 
 def main() -> int:
-    before, after = sys.argv[1:3]
+    before, after = map(os.path.abspath, sys.argv[1:3])  # the children run in a temporary directory
     with tempfile.TemporaryDirectory() as scratch:
 
         def run(root: str, argv: list[str]):
