@@ -40,7 +40,7 @@ import sys
 from . import __version__
 from .family import ParameterError, validate
 from .predict import predict_at, predict_census, predict_table
-from .rays import analyze_ray, count_at, thresholds
+from .rays import analyze_ray, count_at, extremum_radius, thresholds
 
 __all__ = ["main"]
 
@@ -77,11 +77,6 @@ def _oracle():
     from . import oracle
 
     return oracle
-
-
-def _too_coarse():
-    """The oracle's ResolutionTooCoarse once verify has loaded the oracle, else ArithmeticError."""
-    return getattr(sys.modules.get(f"{__package__}.oracle"), "ResolutionTooCoarse", ArithmeticError)
 
 
 def find_zeros_grid(params, resolution):
@@ -146,7 +141,7 @@ def _cmd_classify(args, params) -> list[dict]:
                 "alpha": a.alpha,
                 "case": a.case.value,
                 "count": count_at(a, params.c),
-                "r0": a.r0,
+                "r0": extremum_radius(a, params.c),
                 "c0": a.c0,
             }
         )
@@ -295,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         rows = args.run(args, params)
     except _InvalidInput as exc:
         return _invalid(str(exc))
-    except (ArithmeticError, _too_coarse()) as exc:  # built only while an error propagates
+    except ArithmeticError as exc:  # the oracle's ResolutionTooCoarse is one too
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

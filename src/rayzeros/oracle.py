@@ -40,9 +40,11 @@ _MAX_SUBDIVISIONS = 4
 _MIN_RESOLUTION = 64
 
 
-class ResolutionTooCoarse(RuntimeError):
+class ResolutionTooCoarse(RuntimeError, ArithmeticError):
     """The grid cannot resolve the zeros: a sign-ambiguous cell survived the
-    subdivision budget (rescan finer), or the annulus leaves the float range."""
+    subdivision budget (rescan finer), or the annulus leaves the float range.
+    An ArithmeticError, as the root finder's BracketFailure is, so callers
+    catch both numerical failures alike."""
 
 
 class OracleResult(NamedTuple):

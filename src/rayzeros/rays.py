@@ -28,9 +28,11 @@ Ray j and ray 2m-j have the same parity and the residues t and 2m-t, so they
 carry the same alpha and the same radial function.  analyze_ray takes a
 ray's facts from its own integers in O(1): alpha from its residue, its case
 from its parity and exact alpha sign, and c0 = C / alpha, C from _big_c, the
-single source of C.  The rows of one parity in increasing folded residue
-s = min(t, 2m-t) follow from k's inverse alone (_rows); _runs walks them so
-and hands all_zeros its runs of rows, one case and one count each.
+single source of C.  None of them moves with c, so one analysis serves every
+c; count_at and extremum_radius take c and give the count and r0 there.
+The rows of one parity in increasing folded residue s = min(t, 2m-t) follow
+from k's inverse alone (_rows); _runs walks them so and hands all_zeros its
+runs of rows, one case and one count each.
 _threshold_rows gives the threshold rows, about a quarter of them, their c0s
 and alphas in increasing residue, which is increasing c0, with no sort;
 thresholds and predict_at read it.
@@ -135,28 +137,16 @@ EXTREMUM_CASES = THRESHOLD_CASES | {RayCase.POS_K_EVEN_NEG}
 
 
 class RayAnalysis(NamedTuple):
-    """Everything the counting and root finding need to know about one ray.
-
-    ``r0`` is the radius of f's interior extremum at params.c in EXTREMUM_CASES
-    (inf above the float range, 0.0 below it), and None in every other case:
-    f is monotone there, or, in NEG_K_ODD_NEG, every term of f is negative and
-    its maximum never reaches zero.  ``c0`` and ``log_beta`` exist only in the
-    two threshold cases.
-    """
+    """What one ray's counting and root finding need, all of it true at every
+    c: its case, count profile and, in the two threshold cases only, c0.
+    count_at and extremum_radius give the count and r0 at a given c."""
 
     params: FamilyParams
     ray: RayDescriptor
     alpha: float
     case: RayCase
     profile: CountProfile
-    r0: float | None = None
-    log_beta: float | None = None
     c0: float | None = None
-
-    @property
-    def beta(self) -> float | None:
-        """exp(log_beta), inf where that overflows (|k| close to m)."""
-        return None if self.log_beta is None else _exp(self.log_beta)
 
 
 class Threshold(NamedTuple):
@@ -208,16 +198,11 @@ def _log_r0(m: int, k: int, alpha: float, c: float) -> float:
     return (_LOG2 + math.log(c) + math.log(abs(alpha)) + math.log(abs(k) / m)) / (m - k)
 
 
-def _exp(x: float) -> float:
-    """exp(x), inf where that overflows."""
+def _r0(m: int, k: int, alpha: float, c: float) -> float:
     try:
-        return math.exp(x)
+        return math.exp(_log_r0(m, k, alpha, c))
     except OverflowError:
         return math.inf
-
-
-def _r0(m: int, k: int, alpha: float, c: float) -> float:
-    return _exp(_log_r0(m, k, alpha, c))
 
 
 def _band(c: float, c0s, key=None, hi=None) -> tuple[int, int]:
@@ -303,24 +288,13 @@ def _runs(params: FamilyParams):
 
 
 def analyze_ray(params: FamilyParams, j: int) -> RayAnalysis:
-    """Case label, count profile, and the closed-form critical quantities for ray j."""
+    """Ray j's case, count profile and threshold c0, all from m, k and j alone."""
     ray = classify_ray(params, j)
-    m, k, c = params
+    m, k = params.m, params.k
     alpha = alpha_from_residue(m, ray.residue)
     case = _CASES[k > 0][1 - ray.alpha_sign + 3 * ray.parity]
     c0 = _big_c(m, k) / alpha if case in THRESHOLD_CASES else None
-    r0 = _r0(m, k, alpha, c) if case in EXTREMUM_CASES else None
-    log_beta = None if c0 is None else -m / (m - k) * math.log(c0)
-    return RayAnalysis(
-        params=params,
-        ray=ray,
-        alpha=alpha,
-        case=case,
-        profile=_PROFILES[case],
-        r0=r0,
-        log_beta=log_beta,
-        c0=c0,
-    )
+    return RayAnalysis(params, ray, alpha, case, _PROFILES[case], c0)
 
 
 def degenerate_at(analysis: RayAnalysis, c: float) -> bool:
@@ -340,8 +314,10 @@ def count_at(analysis: RayAnalysis, c: float) -> int:
 
 
 def extremum_radius(analysis: RayAnalysis, c: float) -> float | None:
-    """r0 recomputed at an arbitrary c: None outside EXTREMUM_CASES, as for
-    RayAnalysis.r0, inf above the float range and 0.0 below it."""
+    """r0 = (2 c |k alpha| / m)^{1/(m-k)}, the radius of f's interior extremum
+    at c in EXTREMUM_CASES: inf above the float range and 0.0 below it.  None
+    in every other case: f is monotone there, or, in NEG_K_ODD_NEG, every term
+    of f is negative and its maximum never reaches zero."""
     _check_c(c)
     if analysis.case not in EXTREMUM_CASES:
         return None

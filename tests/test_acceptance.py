@@ -14,6 +14,7 @@ from rayzeros import (
     analyze_ray,
     compare,
     count_at,
+    extremum_radius,
     f_value,
     find_zeros_grid,
     positive_halfplane_count,
@@ -155,7 +156,7 @@ def test_threshold_sharpness():
                     assert abs(above - below) == 2, (m, k, j)
                     pc = validate(m, k, th.c0)
                     ac = analyze_ray(pc, j)
-                    assert abs(f_value(pc, ac.ray, ac.r0)) < 1e-8, (m, k, j)
+                    assert abs(f_value(pc, ac.ray, extremum_radius(ac, th.c0))) < 1e-8, (m, k, j)
                     rays_checked += 1
         assert rays_checked > 100  # the scan is not vacuous
 

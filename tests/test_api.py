@@ -70,7 +70,7 @@ RECORDS = {
     rayzeros.CountProfile: (dict(below=0, at_threshold=1, above=2), {}),
     rayzeros.RayAnalysis: (
         dict(params=P, ray=RAY, alpha=0.3090169943749474, case=rayzeros.RayCase.POS_K_ODD_POS, profile=PROFILE),
-        dict(r0=None, log_beta=None, c0=None),
+        dict(c0=None),
     ),
     rayzeros.Threshold: (dict(c0=0.8246924442330589, rays=(5,), alpha=1.0), {}),
     rayzeros.Tolerances: ({}, dict(residual_rtol=1e-10)),

@@ -16,8 +16,10 @@ import pytest
 
 import rayzeros
 import rayzeros.cli as cli_mod
-from rayzeros import Sign, count_at
+from rayzeros import Sign, count_at, extremum_radius, thresholds, validate
 from rayzeros.cli import main
+
+from conftest import valid_pairs
 
 
 def run_cli(capsys, *argv):
@@ -109,11 +111,18 @@ class TestClassifyCommand:
                     "alpha": a.alpha,
                     "case": a.case.value,
                     "count": count_at(a, params.c),
-                    "r0": a.r0,
+                    "r0": extremum_radius(a, params.c),
                     "c0": a.c0,
                 }
             )
         return rows
+
+    def test_r0_is_extremum_radius_of_an_analysis_built_at_another_c(self):
+        for m, k in valid_pairs(30):
+            analyses = [cli_mod.analyze_ray(validate(m, k, 1.0), j) for j in range(2 * m)]
+            for c in [5e-324, 1.0, 1.7e308] + [th.c0 for th in thresholds(validate(m, k, 1.0))[:1]]:
+                rows = cli_mod._cmd_classify(None, validate(m, k, c))
+                assert [row["r0"] for row in rows] == [extremum_radius(a, c) for a in analyses], (m, k, c)
 
     # even m with alpha = 0 rays, k < 0, both sides of a threshold, odd m
     @pytest.mark.parametrize(

@@ -65,6 +65,12 @@ class TestFindZerosGrid:
         with pytest.raises(ValueError):
             find_zeros_grid(validate(5, 4, 1.0), 32)
 
+    def test_too_coarse_is_an_arithmetic_and_a_runtime_error(self):
+        # the CLI's one ArithmeticError clause catches it with BracketFailure;
+        # callers that catch RuntimeError still do
+        assert issubclass(ResolutionTooCoarse, ArithmeticError)
+        assert issubclass(ResolutionTooCoarse, RuntimeError)
+
     def test_overflowing_power_rejects_the_candidate(self):
         # complex ** raises OverflowError where a float power would give inf
         assert _newton(2, 1, 1.0, 1e200 + 0j, 1.0, 1e300) is None

@@ -27,6 +27,7 @@ from rayzeros import (
     classify_ray,
     count_at,
     degenerate_at,
+    extremum_radius,
     predict_at,
     solve_ray,
     thresholds,
@@ -253,9 +254,8 @@ class TestTableBuild:
             row = min(j, 2 * m - j)
             alpha, case = ref.alpha[row], ref.case[row]
             r0 = _r0(m, k, alpha, c) if case in EXTREMUM_CASES else None
-            log_beta = -m / (m - k) * math.log(ref.c0[row]) if ref.c0[row] is not None else None
-            got = (bits(a.alpha), a.case, bits(a.c0), bits(a.log_beta), bits(a.r0))
-            assert got == (bits(alpha), case, bits(ref.c0[row]), bits(log_beta), bits(r0)), (m, k, j)
+            got = (bits(a.alpha), a.case, bits(a.c0), bits(extremum_radius(a, c)))
+            assert got == (bits(alpha), case, bits(ref.c0[row]), bits(r0)), (m, k, j)
 
     LARGE_M = [(100003, 1), (100003, -3), (100003, 2), (300007, 3001), (300007, -1), (300007, -2)]
 

@@ -109,7 +109,7 @@ class TestInvalidC:
         a = analyze_ray(validate(5, 4, 1.0), 3)
         big = 1e308 * (8.0 * a.alpha / 5.0)
         for c, r0 in ((1e308, big), (5e-324, 0.0)):
-            assert extremum_radius(a, c) == analyze_ray(validate(5, 4, c), 3).r0
+            assert extremum_radius(a, c) == extremum_radius(analyze_ray(validate(5, 4, c), 3), c)
             assert math.isclose(extremum_radius(a, c), r0, rel_tol=1e-12, abs_tol=0.0)
 
 
@@ -373,12 +373,11 @@ class TestThresholdClosedForm:
         assert a.case is RayCase.POS_K_ODD_POS
         expected = (3.0 * math.sqrt(3.0) / 2.0) ** (2.0 / 3.0)
         assert math.isclose(a.c0, expected, rel_tol=1e-12)
-        assert math.isclose(a.beta, 2.0 / (3.0 * math.sqrt(3.0)), rel_tol=1e-12)
 
     def test_threshold_flips_extremal_value(self):
         """Numerical verification: the extremal f value changes sign at c0.
 
-        f(r0) = c^{m/(m-k)} beta - 1 for both threshold shapes, so it is
+        f(r0) = (c / c0)^{m/(m-k)} - 1 for both threshold shapes, so it is
         negative below c0 and positive above, whatever the sign of k."""
         for m, k, j in ((3, 1, 1), (5, 4, 5), (7, -4, 0), (9, -8, 2)):
             base = analyze_ray(validate(m, k, 1.0), j)
@@ -389,7 +388,7 @@ class TestThresholdClosedForm:
             ):
                 p = validate(m, k, c)
                 a = analyze_ray(p, j)
-                extremal = f_value(p, a.ray, a.r0)
+                extremal = f_value(p, a.ray, extremum_radius(a, c))
                 assert (extremal < 0) == expect_negative, (m, k, j, c)
 
     def test_constant_count_case(self):
@@ -459,10 +458,11 @@ class TestExtremum:
             p = validate(m, k, c)
             for j in range(2 * m):
                 a = analyze_ray(p, j)
-                if a.r0 is None:
+                r0 = extremum_radius(a, c)
+                if r0 is None:
                     continue
-                lo = f_derivative(p, a.ray, a.r0 * (1 - 1e-5))
-                hi = f_derivative(p, a.ray, a.r0 * (1 + 1e-5))
+                lo = f_derivative(p, a.ray, r0 * (1 - 1e-5))
+                hi = f_derivative(p, a.ray, r0 * (1 + 1e-5))
                 assert lo * hi < 0, (m, k, c, j)
 
     def test_r0_scales_with_c(self):
@@ -474,14 +474,12 @@ class TestExtremum:
     def test_monotone_cases_have_no_r0(self):
         a = analyze_ray(validate(5, 4, 1.0), 0)
         assert a.case is RayCase.POS_K_EVEN_POS
-        assert a.r0 is None
         assert extremum_radius(a, 1.0) is None
 
     def test_all_negative_case_has_no_r0(self):
         """f' changes sign on a NEG_K_ODD_NEG ray, but f < 0 throughout."""
         a = analyze_ray(validate(5, -4, 1.0), 1)
         assert a.case is RayCase.NEG_K_ODD_NEG
-        assert a.r0 is None
         assert extremum_radius(a, 1.0) is None
 
     def test_extremum_cases_are_the_sign_changes_of_f_prime_but_one(self):
@@ -570,39 +568,37 @@ class TestThresholdAccuracy:
 
 class TestAnalysisFields:
     def test_presence_pattern(self):
-        """r0/beta/c0 exist exactly for the threshold cases; r0 alone also for
+        """c0 and r0 exist exactly for the threshold cases; r0 alone also for
         the dipping k>0 even-ray case, whose one zero lies beyond its minimum
         (the root finder splits only a pair at r0)."""
         for m, k in valid_pairs(11):
             p = validate(m, k, 0.8)
             for j in range(2 * m):
                 a = analyze_ray(p, j)
+                r0 = extremum_radius(a, 0.8)
                 if a.case in (RayCase.POS_K_ODD_POS, RayCase.NEG_K_EVEN_POS):
-                    assert a.r0 is not None and a.beta is not None and a.c0 is not None
-                    assert a.beta > 0 and a.c0 > 0 and a.r0 > 0
+                    assert r0 is not None and a.c0 is not None
+                    assert a.c0 > 0 and r0 > 0
                 elif a.case is RayCase.POS_K_EVEN_NEG:
-                    assert a.r0 is not None and a.beta is None and a.c0 is None
+                    assert r0 is not None and a.c0 is None
                 else:
-                    assert a.r0 is None and a.beta is None and a.c0 is None
-
-    def test_c0_beta_relation(self):
-        for m, k in valid_pairs(11):
-            p = validate(m, k, 1.0)
-            for j in range(2 * m):
-                a = analyze_ray(p, j)
-                if a.c0 is not None:
-                    assert math.isclose(
-                        a.c0, math.exp(-(m - k) / m * a.log_beta), rel_tol=1e-14
-                    )
-                    assert math.isclose(a.beta, math.exp(a.log_beta), rel_tol=1e-14)
+                    assert r0 is None and a.c0 is None
 
     def test_beta_overflow_leaves_c0_finite(self):
-        """log_beta is 712.4 on (2000, 1999) ray 1509: beta overflows, c0 does not."""
+        """beta = c0^(-m/(m-k)) is e^712.4 on (2000, 1999) ray 1509 and would
+        overflow; c0 = C / alpha does not."""
         a = analyze_ray(validate(2000, 1999, 1.0), 1509)
         assert a.case is RayCase.POS_K_ODD_POS
         assert math.isfinite(a.c0) and 0.69 < a.c0 < 0.71
-        assert a.log_beta > 709.0
-        assert a.beta == math.inf
+
+    def test_analysis_is_the_same_at_every_c(self):
+        """An analysis holds at every c: built at the least and the greatest
+        c, at 1 and at the pair's least c0, every field but params agrees."""
+        for m, k in valid_pairs(30):
+            cs = [5e-324, 1.0, 1.7e308] + [th.c0 for th in thresholds(validate(m, k, 1.0))[:1]]
+            for j in range(2 * m):
+                first, *rest = (analyze_ray(validate(m, k, c), j)[1:] for c in cs)
+                assert all(fields == first for fields in rest), (m, k, j)
 
     def test_counts_in_range(self):
         for m, k in valid_pairs(9):

@@ -15,6 +15,7 @@ from rayzeros import (
     analyze_ray,
     bracket,
     evaluate,
+    extremum_radius,
     f_value,
     predict_at,
     solve_ray,
@@ -46,7 +47,7 @@ class TestBracket:
         pairs = bracket(a, 4.0)
         assert len(pairs) == 2
         (lo1, hi1), (lo2, hi2) = pairs
-        assert hi1 == lo2 == a.r0
+        assert hi1 == lo2 == extremum_radius(a, 4.0)
         for lo, hi in pairs:
             assert f_value(p, a.ray, lo) * f_value(p, a.ray, hi) < 0
 
@@ -100,7 +101,7 @@ class TestSolveRay:
         recs = solve_ray(p, a)
         assert len(recs) == 1
         assert recs[0].degenerate
-        assert math.isclose(recs[0].r, a.r0, rel_tol=1e-12)
+        assert math.isclose(recs[0].r, extremum_radius(a, p.c), rel_tol=1e-12)
         assert recs[0].residual < 1e-8
 
     def test_quadratic_radius(self):

@@ -7,7 +7,7 @@ src/rayzeros is imported.  For every coprime pair with 2 <= m <= M (40 by
 default) and 0 < |k| < m, both signs of k, the queries are every threshold
 c0, c0 (1 +- 1e-9), one ulp either side of each, and nine fixed c from
 5e-324 to max_float.  Each query is one line of the dump: m, k, c as
-``float.hex``, predict_at, count_at and degenerate_at of every ray 0..2m-1,
+``float.hex``, predict_at, count_at and the merged-pair flag of every ray 0..2m-1,
 then every all_zeros record (ray, r, z and residual by ``float.hex``, and
 the degenerate flag) or the exception all_zeros raised.  The script prints
 the line count and the sha256 of the dump; --out also writes the dump, so
@@ -46,7 +46,8 @@ def dump(rz, m_max: int):
             analyses = [rz.analyze_ray(p, j) for j in range(2 * m)]
             for c in queries(rz.thresholds(p)):
                 counts = "".join(str(rz.count_at(a, c)) for a in analyses)
-                merged = "".join("1" if rz.degenerate_at(a, c) else "0" for a in analyses)
+                # a threshold ray counts 1 only inside its tangency band
+                merged = "".join("1" if a.c0 is not None and rz.count_at(a, c) == 1 else "0" for a in analyses)
                 try:
                     zeros = " ".join(map(record, rz.all_zeros(rz.validate(m, k, c))))
                 except Exception as exc:  # the failure is part of the answer
