@@ -12,6 +12,7 @@ below every threshold plus (k > 0) or minus (k < 0) the zeros the threshold
 rays gain there, two bisections of the threshold rows' increasing c0s at the
 bounds of the tangency band (rays module docstring).
 """
+from operator import mul
 from typing import NamedTuple
 
 from .family import FamilyParams, _check_c
@@ -48,6 +49,9 @@ _MODULAR = {
     (False, 2, 1): (-1, 0), (False, 3, 0): (0, -1), (False, 3, 1): (1, -1),
 }
 
+# _BOUNDS[k > 0]: the counts below and the counts above the threshold of each kind, in the kind order of _CASES
+_BOUNDS = tuple(tuple(zip(*((_PROFILES[case].below, _PROFILES[case].above) for case in cases))) for cases in _CASES)
+
 
 def predict_table(params: FamilyParams) -> CountPrediction:
     """Count band from the closed-form modular table."""
@@ -59,10 +63,8 @@ def predict_table(params: FamilyParams) -> CountPrediction:
 def predict_census(params: FamilyParams) -> CountPrediction:
     """Count band rebuilt from the exact parity/sign census of the rays and
     each case's counts below and above its threshold."""
-    tally = census(params)  # its fields are in the kind order of _CASES
-    profiles = [_PROFILES[case] for case in _CASES[params.k > 0]]
-    below = sum(n * profile.below for n, profile in zip(tally, profiles))
-    above = sum(n * profile.above for n, profile in zip(tally, profiles))
+    tally, (belows, aboves) = census(params), _BOUNDS[params.k > 0]  # census is in the kind order of _CASES
+    below, above = sum(map(mul, tally, belows)), sum(map(mul, tally, aboves))
     return CountPrediction(min(below, above), max(below, above), _direction(params.k))
 
 

@@ -48,7 +48,6 @@ rows by c0 hold R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
 """
 import math
 import sys
-from array import array
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import lru_cache, partial
@@ -85,7 +84,7 @@ __all__ = [
 # shared with the root finder so predicted counts always match emitted zeros
 DEGENERACY_RTOL = 1e-9
 
-# entries in the threshold rows' cache; under tracemalloc one entry takes 4 KB at m = 500, 63 KB at 10^4
+# threshold rows' cache entries; one takes 7-10 KB under tracemalloc at m = 500, 250 KB at 10^4, 2,570 KB at 100003
 _ROWS_CACHE_SIZE = 16
 
 _LOG2 = math.log(2.0)
@@ -236,7 +235,7 @@ def _rows(m: int, k: int, parity: int, n: int) -> list[int]:
     two_m = 2 * m
     w = 2 * pow(k, -1, two_m) if k % 2 else pow(k // 2, -1, m) * (m + 1)
     x0 = parity * w // 2 if k % 2 else parity * m
-    return [x if x <= m else two_m - x for x in map(two_m.__rmod__, range(x0, x0 + n * w, w))]
+    return [x if (x := y % two_m) <= m else two_m - x for y in range(x0, x0 + n * w, w)]
 
 
 def _big_c(m: int, k: int) -> float:
@@ -245,19 +244,18 @@ def _big_c(m: int, k: int) -> float:
 
 
 @lru_cache(maxsize=_ROWS_CACHE_SIZE)
-def _threshold_rows(m: int, k: int) -> tuple[array, array, array]:
+def _threshold_rows(m: int, k: int) -> tuple[list[int], list[float], list[float]]:
     """(order, c0s, alphas) of the threshold rows of (m, k), the _rows of the
     threshold parity (odd iff k > 0) with 2s < m, in increasing s, which is
-    increasing c0; kept in a small LRU cache.
+    increasing c0; kept as lists, which thresholds and predict_at read unboxed, in a small LRU cache.
 
     c0 = C / alpha needs no sort: neighbouring alphas differ by at least
     1 - cos(2 pi / m), over 1000 ulps for every m <= 10^7, and libm's cos and
     sin are within 1 ulp.
     """
-    q = k % 2 if k > 0 else 0
-    alphas = array("d", _alpha_half(m, q, 2)[:len(range(q, (m + 1) // 2, 2))])
-    order = array("q", _rows(m, k, k > 0, len(alphas)))
-    return order, array("d", map(_big_c(m, k).__truediv__, alphas)), alphas
+    q, big_c = k % 2 if k > 0 else 0, _big_c(m, k)
+    alphas = _alpha_half(m, q, 2)[:len(range(q, (m + 1) // 2, 2))]
+    return _rows(m, k, k > 0, len(alphas)), [big_c / a for a in alphas], alphas
 
 
 def _runs(params: FamilyParams):
@@ -333,8 +331,8 @@ def thresholds(params: FamilyParams) -> list[Threshold]:
     floating-point comparison.  Within one parity that class is exactly one
     row's conjugate group, ray j and ray 2m - j.
     """
-    order, c0s, alphas = _threshold_rows(params.m, params.k)
-    rays = list(zip(order, map((2 * params.m).__sub__, order)))
+    (order, c0s, alphas), two_m = _threshold_rows(params.m, params.k), 2 * params.m
+    rays = [(x, two_m - x) for x in order]
     if params.k < 0 or params.k % 2 == 0:  # fold 0's axis row, the first, stands for one ray
         rays[0] = (order[0],)
     return list(map(_new_threshold, zip(c0s, rays, alphas)))

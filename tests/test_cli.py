@@ -9,6 +9,7 @@ import math
 import os
 import pathlib
 import random
+import runpy
 import subprocess
 import sys
 
@@ -698,6 +699,19 @@ class TestModuleEntryPoint:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
         assert proc.returncode == code
+
+    def test_main_guard_in_process(self, capsys, monkeypatch):
+        """The __main__ guard, run in this process by runpy, exits with main's code
+        and writes main's output; rayzeros.cli is dropped from sys.modules first,
+        as runpy warns of running a module that is already loaded."""
+        argv = ["predict", "--m", "5", "--k", "4"]
+        monkeypatch.delitem(sys.modules, "rayzeros.cli")
+        monkeypatch.setattr(sys, "argv", ["rayzeros", *argv])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("rayzeros.cli", run_name="__main__")
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert out == run_cli(capsys, *argv)[1]
 
 
 class TestLazyNumpy:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import rayzeros.predict as predict_mod
 import rayzeros.rays as rays_mod
 from rayzeros import (
     CountProfile,
@@ -102,11 +103,18 @@ class TestEquivalence:
             assert predict_table(p) == predict_census(p), (m, k)
 
     def test_census_reads_the_case_table(self, monkeypatch):
-        """A wrong count profile moves the census band off the closed-form table."""
+        """A wrong count profile moves the census band off the closed-form table.
+        The census reads each kind's counts below and above its threshold from
+        predict._BOUNDS, which _PROFILES gives through _CASES once at import."""
         p = validate(5, 4, 1.0)
         assert predict_census(p) == predict_table(p)
-        # the census reads _PROFILES on each call, so the patch alone moves it off the table
-        monkeypatch.setitem(rays_mod._PROFILES, RayCase.POS_K_ODD_POS, CountProfile(0, 1, 4))
+        for pos, cases in enumerate(rays_mod._CASES):
+            profiles = [rays_mod._PROFILES[case] for case in cases]
+            assert predict_mod._BOUNDS[pos] == (tuple(pr.below for pr in profiles), tuple(pr.above for pr in profiles))
+        kind, wrong = rays_mod._CASES[1].index(RayCase.POS_K_ODD_POS), CountProfile(0, 1, 4)
+        belows, aboves = predict_mod._BOUNDS[1]
+        wrong_bounds = (belows, aboves[:kind] + (wrong.above,) + aboves[kind + 1:])
+        monkeypatch.setattr(predict_mod, "_BOUNDS", (predict_mod._BOUNDS[0], wrong_bounds))
         assert predict_census(p) != predict_table(p)
 
     def test_census_band_is_the_count_beyond_every_threshold_at_large_m(self):

@@ -185,8 +185,7 @@ def table_bits(t):
     return (
         t.m, t.k,
         [bits(a) for a in t.alpha], t.kind, t.case, [bits(c) for c in t.c0],
-        t.order.typecode, list(t.order),
-        t.c0s.typecode, [bits(c) for c in t.c0s],
+        list(t.order), [bits(c) for c in t.c0s],
         t.census,
     )
 
@@ -208,8 +207,7 @@ def analyzed_bits(m, k):
     return (
         m, k,
         alpha, bytes(kind), tuple(case), c0,
-        order.typecode, list(order),
-        c0s.typecode, [bits(c) for c in c0s],
+        list(order), [bits(c) for c in c0s],
         tuple(census(p)),
     )
 
@@ -620,7 +618,7 @@ def test_table_cache_memory_is_bounded():
     """Threshold rows of pairs no longer in use are dropped, and analyze_ray keeps
     nothing: retained memory stays flat.
 
-    An unbounded cache would keep every entry, about 4 KB of threshold rows at
+    An unbounded cache would keep every entry, 7-10 KB of threshold rows at
     m = 500.  tracemalloc slows each build about eightfold, so 250 fresh pairs
     are traced.
     """
@@ -638,6 +636,36 @@ def test_table_cache_memory_is_bounded():
         tracemalloc.stop()
     assert len(set(pairs)) == 250
     assert retained < 1_500_000, retained
+
+
+def test_full_cache_memory_at_m_ten_thousand():
+    """The threshold rows are lists of Python floats and ints, so a full cache of
+    16 pairs near m = 10^4 holds about 4 MB, bounded here at 5 MB."""
+    pairs = [(m, k) for m in range(10_000, 10_040) for k in (m // 2 - 1, -(m // 3) - 1) if math.gcd(m, k) == 1][:16]
+    rays._threshold_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for m, k in pairs:
+            predict_at(validate(m, k, 1.0), 1.0)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(set(pairs)) == 16 and rays._threshold_rows.cache_info().currsize == 16
+    assert retained < 5_000_000, retained
+
+
+@pytest.mark.parametrize("m, k", [(8, 3), (9, -2), (251, 77), (2039, 1001), (1001, -500)])
+def test_thresholds_read_the_cached_objects(m, k):
+    """On a warm cache each Threshold's c0 and alpha are the very float objects
+    the threshold rows hold: thresholds boxes no element of its own."""
+    p = validate(m, k, 1.0)
+    thresholds(p)
+    _, c0s, alphas = rays._threshold_rows(m, k)
+    got = thresholds(p)
+    assert len(got) == len(c0s)
+    for i, t in enumerate(got):
+        assert t.c0 is c0s[i] and t.alpha is alphas[i], (m, k, i)
 
 
 @pytest.mark.parametrize("m", [10**6 + 3, 10**12 + 39])
