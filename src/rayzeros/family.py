@@ -17,6 +17,7 @@ its sum divided through by r^m (_over_power), so every term votes on its sign.
 import cmath
 import math
 import operator
+import sys
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -73,6 +74,7 @@ class Sign(IntEnum):
 
 # alpha's sign where the folded residue s has 2s < m, 2s = m, 2s > m
 _SIGNS = (Sign.POSITIVE, Sign.ZERO, Sign.NEGATIVE)
+_MAX_FLOAT = sys.float_info.max  # the greatest c _check_c accepts
 
 
 class FamilyParams(NamedTuple):
@@ -104,11 +106,16 @@ def validate(m: int, k: int, c: float) -> FamilyParams:
     """Gate-keep the family parameters, raising a specific rejection.
 
     Raises ZeroKError, DegreeOrderError, NonCoprimeError or NonPositiveCError,
-    and ParameterError for a degree that is not equal to an integer.
+    and ParameterError for a degree not equal to an integer or a c not a number.
     """
     m = _degree("m", m)
     k = _degree("k", k)
-    c = float(c)
+    try:
+        c = float(c)
+    except OverflowError:  # beyond the float range, which _check_c rejects below
+        pass
+    except (TypeError, ValueError):
+        raise ParameterError(f"c must be a real number, got c={c!r}") from None
     if k == 0:
         raise ZeroKError("k must be a nonzero integer")
     if m <= abs(k):
@@ -130,9 +137,9 @@ def _degree(name: str, value) -> int:
 
 
 def _check_c(c: float) -> None:
-    """The one rule for a valid c wherever it arrives from outside: 0 < c < inf,
-    which nan fails."""
-    if not 0.0 < c < math.inf:
+    """The one rule for a valid c wherever it arrives from outside: 0 < c <= the
+    greatest float, which nan, inf and an int beyond the float range fail."""
+    if not 0.0 < c <= _MAX_FLOAT:
         raise NonPositiveCError(f"need finite c > 0, got c={c}")
 
 
@@ -198,13 +205,7 @@ def classify_ray(params: FamilyParams, j: int) -> RayDescriptor:
         raise RayIndexError(f"ray index {j} outside [0, {2 * m - 1}]")
     t = (params.k * j) % (2 * m)
     s = t if t <= m else 2 * m - t
-    return RayDescriptor(
-        j=j,
-        angle=j * math.pi / m,
-        parity=j % 2,
-        alpha_sign=_SIGNS[(2 * s >= m) + (2 * s > m)],
-        residue=t,
-    )
+    return RayDescriptor(j, j * math.pi / m, j % 2, _SIGNS[(2 * s >= m) + (2 * s > m)], t)
 
 
 def power_term(coeff: float, r: float, p: int) -> float:

@@ -8,15 +8,16 @@ names each kind's case, and the case's count profile gives its zeros below
 and above its threshold.  Both take O(1) per pair, and their agreeing for
 every coprime pair is a machine check of the case table that the exact counts
 and the root finder use.  The exact count at one c is the modular band's end
-below every threshold plus (k > 0) or minus (k < 0) the zeros the threshold
-rays gain there, two bisections of the threshold rows' increasing c0s at the
-bounds of the tangency band (rays module docstring).
+below every threshold plus (k > 0) or minus (k < 0) R(a) + R(b), with R the
+rays module docstring's and c0s[a:b] the run _band(c, c0s) finds in the
+threshold rows' increasing c0s, read from one cached record per pair.
 """
+from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
 from .family import FamilyParams, _check_c
-from .rays import _CASES, _PROFILES, _gained, _threshold_rows
+from .rays import _CASES, _PROFILES, _ROWS_CACHE_SIZE, _band, _threshold_rows
 # analyze_ray is unused here but stays bound: perfbench/tracing.py wraps predict.analyze_ray
 from .rays import analyze_ray  # noqa: F401
 from .unity import census
@@ -36,10 +37,7 @@ class CountPrediction(NamedTuple):
     direction: str
 
 
-def _direction(k: int) -> str:
-    return "increasing" if k > 0 else "decreasing"
-
-
+_DIRECTIONS = ("decreasing", "increasing")  # CountPrediction.direction by k > 0
 # the closed-form band as (min - m, max - min - m), keyed by (k > 0, m mod 4, k mod 2);
 # k is odd wherever m is even, since gcd(m, |k|) = 1
 _MODULAR = {
@@ -57,7 +55,7 @@ def predict_table(params: FamilyParams) -> CountPrediction:
     """Count band from the closed-form modular table."""
     m, k = params.m, params.k
     low, span = _MODULAR[k > 0, m % 4, k % 2]
-    return CountPrediction(m + low, 2 * m + low + span, _direction(k))
+    return CountPrediction(m + low, 2 * m + low + span, _DIRECTIONS[k > 0])
 
 
 def predict_census(params: FamilyParams) -> CountPrediction:
@@ -65,14 +63,22 @@ def predict_census(params: FamilyParams) -> CountPrediction:
     each case's counts below and above its threshold."""
     tally, (belows, aboves) = census(params), _BOUNDS[params.k > 0]  # census is in the kind order of _CASES
     below, above = sum(map(mul, tally, belows)), sum(map(mul, tally, aboves))
-    return CountPrediction(min(below, above), max(below, above), _direction(params.k))
+    return CountPrediction(min(below, above), max(below, above), _DIRECTIONS[params.k > 0])
+
+
+@lru_cache(maxsize=_ROWS_CACHE_SIZE)
+def _record(m: int, k: int) -> tuple[int, int, bool, list[float]]:
+    """(count below every threshold, +1 or -1 as the threshold rays add or remove
+    zeros, first threshold row on an axis, the rows cache's own c0s list)."""
+    low, span = _MODULAR[k > 0, m % 4, k % 2]
+    base, sign = (m + low, 1) if k > 0 else (2 * m + low + span, -1)
+    return base, sign, k < 0 or k % 2 == 0, _threshold_rows(m, k)[1]
 
 
 def predict_at(params: FamilyParams, c: float) -> int:
-    """Exact zero count at parameter c: the modular band's min (k > 0) or max
-    (k < 0), the count below every threshold, moved by the zeros gained at c."""
+    """Exact zero count at parameter c: the count below every threshold, moved
+    by R(a) + R(b) zeros at the run c0s[a:b] of threshold rows whose band holds c."""
     _check_c(c)
-    m, k = params.m, params.k
-    low, span = _MODULAR[k > 0, m % 4, k % 2]
-    gained = _gained(k, _threshold_rows(m, k)[1], c)  # [1]: the threshold rows' c0s
-    return m + low + gained if k > 0 else 2 * m + low + span - gained
+    base, sign, axis, c0s = _record(params.m, params.k)
+    a, b = _band(c, c0s)
+    return base + sign * (2 * (a + b) - axis * ((a > 0) + (b > 0)))

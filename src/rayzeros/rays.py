@@ -38,13 +38,14 @@ and alphas in increasing residue, which is increasing c0, with no sort;
 thresholds and predict_at read it.
 
 Every threshold ray gains (k > 0) or loses (k < 0) two zeros past its c0 and
-one inside its tangency band.  One bisection, _band(c, c0s), finds the run of
-increasing c0s whose band holds c: _side reads it for one ray's c0 in
-count_at, degenerate_at and the root finder, and _gained and all_zeros for
-the threshold rows' c0s.  Fold 0 (alpha = 1, c0 = C, the least c0) is the only
-residue that puts an axis row, which stands for one ray, among the
-thresholds: row 0 for k < 0, row m for even k > 0.  So the first i threshold
-rows by c0 hold R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
+one inside its tangency band.  One bisection, _band(c, c0s), whose edge
+divisors 1 +- DEGENERACY_RTOL are taken once beside that constant, finds the
+run of increasing c0s whose band holds c: _side reads it for one ray's c0 in
+count_at, degenerate_at and the root finder, predict_at and _runs for the
+threshold rows' c0s.  Fold 0 (alpha = 1, c0 = C, the least c0) is the only
+residue that puts an axis row, which stands for one ray, among the thresholds:
+row 0 for k < 0, row m for even k > 0.  So the first i threshold rows by c0
+hold R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
 """
 import math
 import sys
@@ -83,6 +84,8 @@ __all__ = [
 # relative half-width of the band around c0 treated as an exact tangency;
 # shared with the root finder so predicted counts always match emitted zeros
 DEGENERACY_RTOL = 1e-9
+# _band's edge divisors: c's band holds the c0s in [c / _LO_DIV, c / _HI_DIV]
+_LO_DIV, _HI_DIV = 1.0 + DEGENERACY_RTOL, 1.0 - DEGENERACY_RTOL
 
 # threshold rows' cache entries; one takes 7-10 KB under tracemalloc at m = 500, 250 KB at 10^4, 2,570 KB at 100003
 _ROWS_CACHE_SIZE = 16
@@ -206,24 +209,19 @@ def _r0(m: int, k: int, alpha: float, c: float) -> float:
 
 def _band(c: float, c0s, key=None, hi=None) -> tuple[int, int]:
     """The run c0s[a:b] of the increasing c0s whose tangency band holds c, those
-    in [c / (1 + DEGENERACY_RTOL), c / (1 - DEGENERACY_RTOL)]; c lies above
-    the c0s[:a].  key(c0s[i]), if given, is c0s[i]'s c0; hi bounds the search."""
-    a = bisect_left(c0s, c / (1.0 + DEGENERACY_RTOL), 0, hi, key=key)
-    return a, bisect_right(c0s, c / (1.0 - DEGENERACY_RTOL), a, hi, key=key)
+    in [c / _LO_DIV, c / _HI_DIV]; c lies above the c0s[:a].  key(c0s[i]), if
+    given, is c0s[i]'s c0 and hi bounds the search; else no keyword is passed."""
+    if key is None:
+        a = bisect_left(c0s, c / _LO_DIV)
+        return a, bisect_right(c0s, c / _HI_DIV, a)
+    a = bisect_left(c0s, c / _LO_DIV, 0, hi, key=key)
+    return a, bisect_right(c0s, c / _HI_DIV, a, hi, key=key)
 
 
 def _side(c: float, c0: float | None) -> int:
-    """The index of a ray's count at c in its CountProfile, a + b of _band on
-    c0 alone: 0 below c0 or with no c0, 1 inside the tangency band, where the
-    merged pair counts as 1, and 2 above."""
+    """The index of a ray's count at c in its CountProfile, a + b of _band on c0
+    alone: 0 below c0 or with no c0, 1 inside the tangency band, 2 above."""
     return 0 if c0 is None else sum(_band(c, (c0,)))
-
-
-def _gained(k: int, c0s, c: float) -> int:
-    """Zeros the threshold rays add (k > 0) or remove (k < 0) at c: R(a) + R(b), where
-    c0s[a:b] is the run _band(c, c0s) finds and R is the module docstring's."""
-    a, b = _band(c, c0s)
-    return 2 * (a + b) - (k < 0 or k % 2 == 0) * ((a > 0) + (b > 0))
 
 
 def _rows(m: int, k: int, parity: int, n: int) -> list[int]:
@@ -247,12 +245,10 @@ def _big_c(m: int, k: int) -> float:
 def _threshold_rows(m: int, k: int) -> tuple[list[int], list[float], list[float]]:
     """(order, c0s, alphas) of the threshold rows of (m, k), the _rows of the
     threshold parity (odd iff k > 0) with 2s < m, in increasing s, which is
-    increasing c0; kept as lists, which thresholds and predict_at read unboxed, in a small LRU cache.
-
-    c0 = C / alpha needs no sort: neighbouring alphas differ by at least
-    1 - cos(2 pi / m), over 1000 ulps for every m <= 10^7, and libm's cos and
-    sin are within 1 ulp.
-    """
+    increasing c0, as lists in a small LRU cache; thresholds and predict's
+    record read them unboxed.  c0 = C / alpha needs no sort: neighbouring
+    alphas differ by at least 1 - cos(2 pi / m), over 1000 ulps for every
+    m <= 10^7, and libm's cos and sin are within 1 ulp."""
     q, big_c = k % 2 if k > 0 else 0, _big_c(m, k)
     alphas = _alpha_half(m, q, 2)[:len(range(q, (m + 1) // 2, 2))]
     return _rows(m, k, k > 0, len(alphas)), [big_c / a for a in alphas], alphas
@@ -302,11 +298,8 @@ def degenerate_at(analysis: RayAnalysis, c: float) -> bool:
 
 
 def count_at(analysis: RayAnalysis, c: float) -> int:
-    """Zero count of the ray at parameter c.
-
-    Inside the tangency band the merged pair counts as 1; degenerate_at
-    carries the flag.
-    """
+    """Zero count of the ray at parameter c; inside the tangency band the
+    merged pair counts as 1, and degenerate_at carries the flag."""
     _check_c(c)
     return analysis.profile[_side(c, analysis.c0)]
 

@@ -67,9 +67,30 @@ def test_record_holds_every_run_and_the_bound_decision(bench):
     assert rate["change"] == pytest.approx(-0.25) and rate["bound"] == 0.2
     flat = rec["metrics"]["setup_s"]
     assert flat["change"] == 0.0 and flat["inside_bound"] and not flat["beyond_before_iqr"]
+    assert tail["gain_shown"] and not rate["gain_shown"] and not flat["gain_shown"]
 
 
-def test_main_alternates_sides_and_merges_workloads(bench, monkeypatch, tmp_path):
+def test_gain_shown_needs_nine_pairs_in_ten_and_a_better_median_beyond_the_iqr(bench):
+    """gain_shown is the claim rule: AFTER wins at least 9 of 10 pairs, ties
+    counting for neither, and its median is better by more than BEFORE's
+    quartile distance.  beyond_before_iqr reads True for a regression too."""
+    base = [36.0, 35.0, 37.0, 36.5, 35.5, 36.2, 35.8, 36.4, 35.6, 36.1]
+    before = [bench.parse_run(canned(t)) for t in base]
+
+    def tail(after_ms):
+        return bench.compare(SPEC, before, [bench.parse_run(canned(t)) for t in after_ms])["op_ms_tail"]
+
+    nine = tail([t - 5.0 for t in base[:9]] + [base[9]])  # the tie counts for neither side
+    assert nine["after_wins"] == 9 and nine["beyond_before_iqr"] and nine["gain_shown"]
+    eight = tail([t - 5.0 for t in base[:8]] + [base[8], base[9] + 1.0])
+    assert eight["after_wins"] == 8 and eight["beyond_before_iqr"] and not eight["gain_shown"]
+    worse = tail([t + 5.0 for t in base])
+    assert worse["after_wins"] == 0 and worse["beyond_before_iqr"] and not worse["gain_shown"]
+    close = tail([t - 0.1 for t in base])  # every pair won, the medians inside the IQR
+    assert close["after_wins"] == 10 and not close["beyond_before_iqr"] and not close["gain_shown"]
+
+
+def test_main_alternates_sides_and_merges_workloads(bench, monkeypatch, tmp_path, capsys):
     calls = []
 
     def fake_run(root, spec, workload, seed):
@@ -88,6 +109,9 @@ def test_main_alternates_sides_and_merges_workloads(bench, monkeypatch, tmp_path
         monkeypatch.setattr(sys, "argv", argv)
         assert bench.main() == 0
     assert calls == ["old", "new", "new", "old", "old", "new"] + ["old", "new", "new", "old"]
+    printed = capsys.readouterr().out
+    assert "solve  before failed/attempted 4/353 4/353 4/353" in printed
+    assert "sweep  after  failed/attempted 4/353 4/353" in printed
     doc = json.loads(out.read_text())
     assert set(doc["workloads"]) == {"solve", "sweep"}
     assert doc["workloads"]["solve"]["pairs"] == 3

@@ -43,7 +43,7 @@ from rayzeros.rays import (
     Threshold,
     _r0,
 )
-from rayzeros import oracle, rays, roots
+from rayzeros import oracle, predict, rays, roots
 
 from conftest import valid_pairs
 
@@ -480,6 +480,7 @@ class TestAllZerosEquivalence:
         builds no threshold rows."""
         p = validate(m, k, c)
         rays._threshold_rows.cache_clear()
+        predict._record.cache_clear()
         recs = all_zeros(p)
         assert rays._threshold_rows.cache_info().currsize == 0
         assert len(recs) == predict_at(p, c)
@@ -640,9 +641,12 @@ def test_table_cache_memory_is_bounded():
 
 def test_full_cache_memory_at_m_ten_thousand():
     """The threshold rows are lists of Python floats and ints, so a full cache of
-    16 pairs near m = 10^4 holds about 4 MB, bounded here at 5 MB."""
+    16 pairs near m = 10^4 holds about 4 MB, bounded here at 5 MB.  predict_at's
+    record of a pair holds the rows cache's own c0s list, so its cache of 16
+    records adds no rows of its own."""
     pairs = [(m, k) for m in range(10_000, 10_040) for k in (m // 2 - 1, -(m // 3) - 1) if math.gcd(m, k) == 1][:16]
     rays._threshold_rows.cache_clear()
+    predict._record.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -652,7 +656,10 @@ def test_full_cache_memory_at_m_ten_thousand():
     finally:
         tracemalloc.stop()
     assert len(set(pairs)) == 16 and rays._threshold_rows.cache_info().currsize == 16
+    assert predict._record.cache_info().currsize == 16
     assert retained < 5_000_000, retained
+    for m, k in pairs:
+        assert predict._record(m, k)[3] is rays._threshold_rows(m, k)[1], (m, k)
 
 
 @pytest.mark.parametrize("m, k", [(8, 3), (9, -2), (251, 77), (2039, 1001), (1001, -500)])

@@ -4,7 +4,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import re
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from rayzeros import (
     NonPositiveCError,
+    ParameterError,
     RayCase,
     analyze_ray,
     bracket,
@@ -78,7 +81,7 @@ class TestFValue:
 
 
 class TestInvalidC:
-    """validate and every per-ray query at an outside c share one rule: 0 < c < inf."""
+    """validate and every per-ray query at an outside c share one rule: 0 < c <= max float."""
 
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("query", [count_at, degenerate_at, extremum_radius, bracket])
@@ -94,6 +97,26 @@ class TestInvalidC:
             validate(5, 4, c)
         with pytest.raises(NonPositiveCError):
             predict_at(validate(5, 4, 1.0), c)
+
+    @pytest.mark.parametrize("c", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "negative_int", "fraction"])
+    def test_c_beyond_the_float_range_is_rejected(self, c):
+        """A c that float64 cannot hold fails the same rule: no OverflowError
+        escapes, and count_at answers no count there."""
+        p = validate(5, 4, 1.0)
+        with pytest.raises(NonPositiveCError):
+            validate(5, 4, c)
+        with pytest.raises(NonPositiveCError):
+            predict_at(p, c)
+        for query in (count_at, degenerate_at, extremum_radius):
+            for j in (0, 1, 3, 4):
+                with pytest.raises(NonPositiveCError):
+                    query(analyze_ray(p, j), c)
+
+    @pytest.mark.parametrize("c, shown", [("abc", "c='abc'"), (None, "c=None"), (1j, "c=1j"), ([1.0], "c=[1.0]")])
+    def test_validate_names_a_c_that_is_not_a_number(self, c, shown):
+        with pytest.raises(ParameterError, match=re.escape(shown)) as exc:
+            validate(5, 4, c)
+        assert type(exc.value) is ParameterError
 
     def test_largest_and_smallest_finite_c_are_valid(self):
         p = validate(5, 4, 1.0)

@@ -14,9 +14,13 @@ other workloads already in the file are kept, so one file can hold several
 invocations.  For each end-to-end metric of AFTER's BENCHMARK.json it holds
 every run's value per side, the median and quartiles per side, the pairs
 AFTER won, the bound, the relative change of the medians, whether that change
-stays inside the bound, and whether the medians differ by more than BEFORE's
-quartile distance.  It also holds each run's failed and attempted op counts,
-failure classes and host line, and each checkout's commit.  Neither checkout
+stays inside the bound, whether the medians differ by more than BEFORE's
+quartile distance, either way, and whether a gain is shown (``gain_shown``):
+AFTER won at least nine pairs in ten, ties counting for neither side, and its
+median is better than BEFORE's by more than BEFORE's quartile distance.  It
+also holds each run's failed and attempted op counts, failure classes and host
+line, and each checkout's commit; the summary printed last gives each side's
+failed and attempted counts too.  Neither checkout
 is changed, apart from the ``.perfbench/`` record each run writes.
 """
 from __future__ import annotations
@@ -82,16 +86,19 @@ def compare(spec: dict, before: list[dict], after: list[dict]) -> dict:
         b = [run["metrics"][name] for run in after]
         qa, qb = quartiles(a), quartiles(b)
         change = qb[1] / qa[1] - 1.0 if qa[1] else 0.0
+        wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+        beyond = abs(qb[1] - qa[1]) > qa[2] - qa[0]
         metrics[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             "bound": metric["bound"],
             "before": {"runs": a, "q1": qa[0], "median": qa[1], "q3": qa[2]},
             "after": {"runs": b, "q1": qb[0], "median": qb[1], "q3": qb[2]},
-            "after_wins": sum((y < x) if lower else (y > x) for x, y in zip(a, b)),
+            "after_wins": wins,
             "change": change,
             "inside_bound": change <= metric["bound"] if lower else change >= -metric["bound"],
-            "beyond_before_iqr": abs(qb[1] - qa[1]) > qa[2] - qa[0],
+            "beyond_before_iqr": beyond,
+            "gain_shown": 10 * wins >= 9 * len(a) and beyond and (qb[1] < qa[1] if lower else qb[1] > qa[1]),
         }
     return metrics
 
@@ -132,10 +139,15 @@ def main() -> int:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     doc["workloads"][args.workload] = record(spec, args.seed, sides, before, after)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for name, m in doc["workloads"][args.workload]["metrics"].items():
+    rec = doc["workloads"][args.workload]
+    for name, m in rec["metrics"].items():
         print(f"{args.workload:6} {name:12} {m['before']['median']:.4g} -> {m['after']['median']:.4g} "
               f"({m['change']:+.1%}, bound {m['bound']:.0%}, inside {m['inside_bound']}, "
-              f"wins {m['after_wins']}/{len(before)}, beyond IQR {m['beyond_before_iqr']})")
+              f"wins {m['after_wins']}/{len(before)}, beyond IQR {m['beyond_before_iqr']}, "
+              f"gain shown {m['gain_shown']})")
+    for side in ("before", "after"):
+        print(f"{args.workload:6} {side:6} failed/attempted " + " ".join(
+            f"{f}/{n}" for f, n in zip(rec["failed"][side], rec["attempted"][side])))
     return 0
 
 
