@@ -209,8 +209,8 @@ def _r0(m: int, k: int, alpha: float, c: float) -> float:
 
 def _band(c: float, c0s, key=None, hi=None) -> tuple[int, int]:
     """The run c0s[a:b] of the increasing c0s whose tangency band holds c, those
-    in [c / _LO_DIV, c / _HI_DIV]; c lies above the c0s[:a].  key(c0s[i]), if
-    given, is c0s[i]'s c0 and hi bounds the search; else no keyword is passed."""
+    in [c / _LO_DIV, c / _HI_DIV]; c lies above the c0s[:a].  key(c0s[i]), given
+    with hi, is c0s[i]'s c0 and hi bounds the search; without a key both are unset."""
     if key is None:
         a = bisect_left(c0s, c / _LO_DIV)
         return a, bisect_right(c0s, c / _HI_DIV, a)
