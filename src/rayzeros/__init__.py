@@ -18,7 +18,8 @@ __version__ = "0.1.0"
 # names (PEP 562)
 _DEFERRED = {
     "roots": [
-        "Tolerances", "ZeroRecord", "BracketFailure", "DegenerateTangency", "bracket", "solve_ray", "all_zeros",
+        "Tolerances", "ZeroRecord", "BracketFailure", "DegenerateTangency", "evaluate", "f_value", "f_derivative",
+        "bracket", "solve_ray", "all_zeros",
     ],
     "oracle": ["OracleResult", "ComparisonReport", "ResolutionTooCoarse", "find_zeros_grid", "compare"],
 }

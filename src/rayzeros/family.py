@@ -11,10 +11,9 @@ The cosine weight of ray j is alpha = cos(k j pi / m), and its sign is
 decided here exactly, with integer arithmetic on the residue t = k*j mod 2m
 folded to s = min(t, 2m - t): alpha > 0 iff 2s < m, alpha = 0 iff 2s = m,
 alpha < 0 otherwise.  Floating point never gets a vote on the
-classification.  Where r^m overflows, a real part is the signed infinity of
-its sum divided through by r^m (_over_power), so every term votes on its sign.
+classification.  Counting never evaluates p: evaluate and its overflow rule
+live in the root finder (roots), which loads on first use.
 """
-import cmath
 import math
 import operator
 import sys
@@ -34,7 +33,6 @@ __all__ = [
     "PoleAtOriginError",
     "validate",
     "classify_ray",
-    "evaluate",
 ]
 
 
@@ -111,9 +109,9 @@ def validate(m: int, k: int, c: float) -> FamilyParams:
     m = _degree("m", m)
     k = _degree("k", k)
     try:
-        c = float(c)
+        x = float(c)
     except OverflowError:  # beyond the float range, which _check_c rejects below
-        pass
+        x = c
     except (TypeError, ValueError):
         raise ParameterError(f"c must be a real number, got c={c!r}") from None
     if k == 0:
@@ -122,8 +120,12 @@ def validate(m: int, k: int, c: float) -> FamilyParams:
         raise DegreeOrderError(f"need m > |k|, got m={m}, k={k}")
     if math.gcd(m, abs(k)) != 1:
         raise NonCoprimeError(f"need gcd(m, |k|) = 1, got gcd({m}, {abs(k)}) = {math.gcd(m, abs(k))}")
-    _check_c(c)
-    return FamilyParams(m=m, k=k, c=c)
+    _check_c(x)
+    try:  # c as given too: float() rounds an int just past the float range down to max_float
+        _check_c(c)
+    except TypeError:  # a string that float() parsed
+        pass
+    return FamilyParams(m=m, k=k, c=x)
 
 
 def _degree(name: str, value) -> int:
@@ -178,17 +180,6 @@ def _alpha_range(m: int, half: list[float]) -> list[float]:
     return half + [-a for a in half[(m - 1) // 2::-1]]
 
 
-def unit_direction(m: int, j: int) -> complex:
-    """e^{i j pi / m} with the axis points exact.
-
-    cos(j pi/m) and sin(j pi/m) are both routed through the folded cosine,
-    so rays on the real axis have imaginary part exactly 0 and rays on the
-    imaginary axis have real part exactly 0.
-    """
-    # sin(j pi/m) = cos(pi (2j - m) / (2m))
-    return complex(alpha_from_residue(m, j), alpha_from_residue(2 * m, 2 * j - m))
-
-
 def classify_ray(params: FamilyParams, j: int) -> RayDescriptor:
     """Exact classification of ray j: parity and the sign of alpha.
 
@@ -223,45 +214,9 @@ def power_term(coeff: float, r: float, p: int) -> float:
         return math.copysign(math.inf, coeff)
 
 
-def _over_power(lead: float, mid: float, r: float, m: int, k: int, one: float = 1.0) -> float:
-    """(lead r^m + 2 mid r^k - one) / r^m, finite where r^m overflows: the one
-    overflow rule of evaluate, f_value, f_derivative and the residual gate."""
-    return lead + 2.0 * power_term(mid, r, k - m) - power_term(one, r, -m)
+def __getattr__(name):  # PEP 562: perfbench/workloads.py::check_solve reads family.evaluate, which roots defines
+    if name != "evaluate":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .roots import evaluate
 
-
-def _radial_sum(lead: float, mid: float, r: float, m: int, k: int) -> float:
-    """lead r^m + 2 mid r^k - 1; where lead r^m overflows, _over_power scaled back."""
-    tm = power_term(lead, r, m)
-    if math.isinf(tm):
-        return power_term(_over_power(lead, mid, r, m, k), r, m)
-    return tm + 2.0 * power_term(mid, r, k) - 1.0
-
-
-def evaluate(params: FamilyParams, z: complex) -> complex:
-    """p(z) through the polar decomposition.
-
-    Returns r^m cos(m theta) + 2 c r^k cos(k theta) - 1 + i r^m sin(m theta),
-    at theta = arg z.  On the axes theta is exactly q pi / 2, and the folded
-    cosine gives the trigonometric values as exact 0.0 or +-1.0.  z = 0 is the
-    constant -1 for k > 0 and a pole for k < 0.  Where r^m overflows, the real
-    part is the signed infinity of Re p / r^m.
-    """
-    m, k, c = params.m, params.k, params.c
-    z = complex(z)
-    if z == 0:
-        if k < 0:
-            raise PoleAtOriginError("z = 0 is a pole when k < 0")
-        return complex(-1.0, 0.0)
-    r, theta = cmath.polar(z)
-    if (z.real and z.imag) or math.isnan(theta):
-        cos_m, cos_k, sin_m = math.cos(m * theta), math.cos(k * theta), math.sin(m * theta)
-        try:  # both parts share one r^m, with power_term's products, unless a factor is 0 or a power overflows
-            mid, rm = c * cos_k, r ** m
-            if cos_m and mid and sin_m and rm != math.inf:
-                return complex(cos_m * rm + 2.0 * (mid * r ** k) - 1.0, sin_m * rm)
-        except OverflowError:  # r^m, or r^k for k < 0, beyond the float range
-            pass
-    else:  # sin(m q pi / 2) = cos((m q - 1) pi / 2)
-        q = round(theta / (0.5 * math.pi))
-        cos_m, cos_k, sin_m = (alpha_from_residue(2, n) for n in (m * q, k * q, m * q - 1))
-    return complex(_radial_sum(cos_m, c * cos_k, r, m, k), power_term(sin_m, r, m))
+    return evaluate

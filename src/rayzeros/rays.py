@@ -30,6 +30,7 @@ ray's facts from its own integers in O(1): alpha from its residue, its case
 from its parity and exact alpha sign, and c0 = C / alpha, C from _big_c, the
 single source of C.  None of them moves with c, so one analysis serves every
 c; count_at and extremum_radius take c and give the count and r0 there.
+Nothing here evaluates f: f_value and f_derivative live in roots.
 The rows of one parity in increasing folded residue s = min(t, 2m-t) follow
 from k's inverse alone (_rows); _runs walks them so and hands all_zeros its
 runs of rows, one case and one count each.
@@ -48,32 +49,18 @@ row 0 for k < 0, row m for even k > 0.  So the first i threshold rows by c0
 hold R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
 """
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .family import (
-    FamilyParams,
-    RayDescriptor,
-    _alpha_half,
-    _alpha_range,
-    _check_c,
-    _over_power,
-    _radial_sum,
-    alpha_from_residue,
-    classify_ray,
-    power_term,
-)
+from .family import FamilyParams, RayDescriptor, _alpha_half, _alpha_range, _check_c, alpha_from_residue, classify_ray
 
 __all__ = [
     "RayCase",
     "CountProfile",
     "RayAnalysis",
     "Threshold",
-    "f_value",
-    "f_derivative",
     "analyze_ray",
     "count_at",
     "degenerate_at",
@@ -160,38 +147,6 @@ class Threshold(NamedTuple):
 
 
 _new_threshold = partial(tuple.__new__, Threshold)
-
-
-def f_value(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
-    """(-1)^j r^m + 2 c alpha r^k - 1; where r^m overflows, the signed infinity
-    of the sum divided through by r^m."""
-    if not r > 0:
-        raise ValueError(f"need r > 0, got {r}")
-    alpha = alpha_from_residue(params.m, ray.residue)
-    return _radial_sum(-1.0 if ray.parity else 1.0, params.c * alpha, r, params.m, params.k)
-
-
-def f_derivative(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
-    """f'(r) = (-1)^j m r^{m-1} + 2 c k alpha r^{k-1}, under f_value's overflow
-    rule: where the first term overflows, f' / (m r^{m-1}) decides."""
-    if not r > 0:
-        raise ValueError(f"need r > 0, got {r}")
-    m, k, c = params.m, params.k, params.c
-    alpha = alpha_from_residue(m, ray.residue)
-    sgn = -1.0 if ray.parity else 1.0
-    tm = power_term(sgn * m, r, m - 1)
-    if math.isinf(tm):  # |k alpha / m| < 1, so no coefficient overflows
-        return power_term(m * _over_power(sgn, c * (k * alpha / m), r, m - 1, k - 1, 0.0), r, m - 1)
-    b = 2.0 * c * k * alpha
-    if math.isfinite(b):
-        mid = power_term(b, r, k - 1)
-    else:  # 2 c k overflowed: apply r^(k-1) before k, so no inf meets a 0
-        mid = 2.0 * k * power_term(c * alpha, r, k - 1)
-    if alpha and (mid == 0.0 or power_term(1.0, r, k - 1) < sys.float_info.min):
-        # r^(k-1) underflowed to a subnormal or 0, losing digits the product keeps: take it from logs
-        log_mid = _LOG2 + math.log(c) + math.log(abs(k * alpha)) + (k - 1) * math.log(r)
-        mid = math.copysign(math.exp(log_mid), k * alpha)
-    return tm + mid
 
 
 def _log_r0(m: int, k: int, alpha: float, c: float) -> float:

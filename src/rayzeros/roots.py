@@ -25,23 +25,31 @@ the residual gate, scaled by r^m where r^m overflows, as soon as its row is
 solved.  Since p(conj z) = conj p(z), ray 2m - j's records are the exact
 conjugates of ray j's, with the same residual; they are built after the last
 row without a second evaluation.  solve_ray runs the same run solver on one
-analyzed ray.
+analyzed ray.  p and f are evaluated only here, by evaluate, f_value and
+f_derivative, so counting never compiles them.  Where r^m overflows, a real
+part is the signed infinity of its sum divided through by r^m (_over_power),
+so every term votes on its sign; the residual gate reads the same quotient.
 """
+import cmath
 import math
+import sys
 from functools import partial
 from itertools import chain
 from typing import NamedTuple
 
-from .family import FamilyParams, _over_power, evaluate, unit_direction
+from .family import FamilyParams, PoleAtOriginError, RayDescriptor, alpha_from_residue, power_term
 from .rays import _LOG2, RayAnalysis, RayCase, _log_r0, _runs, _side, count_at, degenerate_at, extremum_radius
-# unused here but still bound: perfbench/tracing.py wraps these roots bindings
-from .rays import analyze_ray, f_derivative, f_value  # noqa: F401
+# unused here but still bound: perfbench/tracing.py wraps this roots binding
+from .rays import analyze_ray  # noqa: F401
 
 __all__ = [
     "Tolerances",
     "ZeroRecord",
     "BracketFailure",
     "DegenerateTangency",
+    "evaluate",
+    "f_value",
+    "f_derivative",
     "bracket",
     "solve_ray",
     "all_zeros",
@@ -99,6 +107,93 @@ class ZeroRecord(NamedTuple):
 
 # a ZeroRecord from its five fields, without the Python-level __new__
 _new_record = partial(tuple.__new__, ZeroRecord)
+
+
+def unit_direction(m: int, j: int) -> complex:
+    """e^{i j pi / m} with the axis points exact.
+
+    cos(j pi/m) and sin(j pi/m) are both routed through the folded cosine,
+    so rays on the real axis have imaginary part exactly 0 and rays on the
+    imaginary axis have real part exactly 0.
+    """
+    # sin(j pi/m) = cos(pi (2j - m) / (2m))
+    return complex(alpha_from_residue(m, j), alpha_from_residue(2 * m, 2 * j - m))
+
+
+def _over_power(lead: float, mid: float, r: float, m: int, k: int, one: float = 1.0) -> float:
+    """(lead r^m + 2 mid r^k - one) / r^m, finite where r^m overflows: the one
+    overflow rule of evaluate, f_value, f_derivative and the residual gate."""
+    return lead + 2.0 * power_term(mid, r, k - m) - power_term(one, r, -m)
+
+
+def _radial_sum(lead: float, mid: float, r: float, m: int, k: int) -> float:
+    """lead r^m + 2 mid r^k - 1; where lead r^m overflows, _over_power scaled back."""
+    tm = power_term(lead, r, m)
+    if math.isinf(tm):
+        return power_term(_over_power(lead, mid, r, m, k), r, m)
+    return tm + 2.0 * power_term(mid, r, k) - 1.0
+
+
+def evaluate(params: FamilyParams, z: complex) -> complex:
+    """p(z) through the polar decomposition.
+
+    Returns r^m cos(m theta) + 2 c r^k cos(k theta) - 1 + i r^m sin(m theta),
+    at theta = arg z.  On the axes theta is exactly q pi / 2, and the folded
+    cosine gives the trigonometric values as exact 0.0 or +-1.0.  z = 0 is the
+    constant -1 for k > 0 and a pole for k < 0.  Where r^m overflows, the real
+    part is the signed infinity of Re p / r^m.
+    """
+    m, k, c = params.m, params.k, params.c
+    z = complex(z)
+    if z == 0:
+        if k < 0:
+            raise PoleAtOriginError("z = 0 is a pole when k < 0")
+        return complex(-1.0, 0.0)
+    r, theta = cmath.polar(z)
+    if (z.real and z.imag) or math.isnan(theta):
+        cos_m, cos_k, sin_m = math.cos(m * theta), math.cos(k * theta), math.sin(m * theta)
+        try:  # both parts share one r^m, with power_term's products, unless a factor is 0 or a power overflows
+            mid, rm = c * cos_k, r ** m
+            if cos_m and mid and sin_m and rm != math.inf:
+                return complex(cos_m * rm + 2.0 * (mid * r ** k) - 1.0, sin_m * rm)
+        except OverflowError:  # r^m, or r^k for k < 0, beyond the float range
+            pass
+    else:  # sin(m q pi / 2) = cos((m q - 1) pi / 2)
+        q = round(theta / (0.5 * math.pi))
+        cos_m, cos_k, sin_m = (alpha_from_residue(2, n) for n in (m * q, k * q, m * q - 1))
+    return complex(_radial_sum(cos_m, c * cos_k, r, m, k), power_term(sin_m, r, m))
+
+
+def f_value(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
+    """(-1)^j r^m + 2 c alpha r^k - 1; where r^m overflows, the signed infinity
+    of the sum divided through by r^m."""
+    if not r > 0:
+        raise ValueError(f"need r > 0, got {r}")
+    alpha = alpha_from_residue(params.m, ray.residue)
+    return _radial_sum(-1.0 if ray.parity else 1.0, params.c * alpha, r, params.m, params.k)
+
+
+def f_derivative(params: FamilyParams, ray: RayDescriptor, r: float) -> float:
+    """f'(r) = (-1)^j m r^{m-1} + 2 c k alpha r^{k-1}, under f_value's overflow
+    rule: where the first term overflows, f' / (m r^{m-1}) decides."""
+    if not r > 0:
+        raise ValueError(f"need r > 0, got {r}")
+    m, k, c = params.m, params.k, params.c
+    alpha = alpha_from_residue(m, ray.residue)
+    sgn = -1.0 if ray.parity else 1.0
+    tm = power_term(sgn * m, r, m - 1)
+    if math.isinf(tm):  # |k alpha / m| < 1, so no coefficient overflows
+        return power_term(m * _over_power(sgn, c * (k * alpha / m), r, m - 1, k - 1, 0.0), r, m - 1)
+    b = 2.0 * c * k * alpha
+    if math.isfinite(b):
+        mid = power_term(b, r, k - 1)
+    else:  # 2 c k overflowed: apply r^(k-1) before k, so no inf meets a 0
+        mid = 2.0 * k * power_term(c * alpha, r, k - 1)
+    if alpha and (mid == 0.0 or power_term(1.0, r, k - 1) < sys.float_info.min):
+        # r^(k-1) underflowed to a subnormal or 0, losing digits the product keeps: take it from logs
+        log_mid = _LOG2 + math.log(c) + math.log(abs(k * alpha)) + (k - 1) * math.log(r)
+        mid = math.copysign(math.exp(log_mid), k * alpha)
+    return tm + mid
 
 
 def _failure(m: int, k: int, c: float, j: int, case: RayCase, what: str) -> BracketFailure:

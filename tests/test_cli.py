@@ -747,7 +747,8 @@ class TestLazyNumpy:
 class TestWhatEachCommandLoads:
     """A process imports only what its command needs: no command loads
     dataclasses or inspect, only zeros and verify load the root finder, only
-    verify loads the grid oracle, and only the csv format loads csv."""
+    verify loads the grid oracle, and only the csv format loads csv.  Counting
+    loads neither the root finder nor cmath: p is evaluated only in roots."""
 
     SCRIPT = (
         "import contextlib, io, sys\n"
@@ -810,3 +811,38 @@ class TestWhatEachCommandLoads:
             "print('rayzeros.roots' in sys.modules)\n"
         )
         assert self.run(script) == ["False", "True"]
+
+    def test_counting_never_loads_the_evaluation_of_p(self):
+        script = (
+            "import sys\n"
+            "import rayzeros as rz\n"
+            "p = rz.validate(49, 10, 1.0)\n"
+            "rz.predict_at(p, 0.3), rz.thresholds(p), rz.predict_census(p), rz.predict_table(p)\n"
+            "for j in (0, 1, 3):\n"
+            "    a = rz.analyze_ray(p, j)\n"
+            "    rz.count_at(a, 0.3), rz.degenerate_at(a, 0.3), rz.extremum_radius(a, 0.3)\n"
+            "print('rayzeros.roots' in sys.modules, 'cmath' in sys.modules)\n"
+        )
+        assert self.run(script) == ["False", "False"]
+
+    @pytest.mark.parametrize("name", ["evaluate", "f_value", "f_derivative", "family.evaluate"])
+    def test_evaluating_p_loads_the_root_finder_on_first_use(self, name):
+        script = (
+            "import sys\n"
+            "import rayzeros\n"
+            "print('rayzeros.roots' in sys.modules)\n"
+            f"f = rayzeros.{name}\n"
+            "print('rayzeros.roots' in sys.modules)\n"
+            f"print(f is rayzeros.roots.{name.split('.')[-1]})\n"
+        )
+        assert self.run(script) == ["False", "True", "True"]
+
+    def test_family_forwards_evaluate_alone(self):
+        """family.evaluate is roots' own object; the helpers that moved with
+        it, and every other unknown name, raise AttributeError."""
+        from rayzeros import family, roots
+
+        assert family.evaluate is roots.evaluate
+        for name in ("unit_direction", "_radial_sum", "_over_power", "f_value", "no_such_name"):
+            with pytest.raises(AttributeError, match=f"'rayzeros.family' has no attribute '{name}'"):
+                getattr(family, name)

@@ -8,6 +8,7 @@ import re
 import sys
 from array import array
 from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -26,9 +27,11 @@ from rayzeros import (
     analyze_ray,
     classify_ray,
     evaluate,
+    predict_at,
     validate,
 )
-from rayzeros.family import _alpha_half, _radial_sum, alpha_from_residue, power_term, unit_direction
+from rayzeros.family import _alpha_half, alpha_from_residue, power_term
+from rayzeros.roots import _radial_sum, unit_direction
 
 from conftest import ALPHA_ZERO_CUTOFF, mp_alpha, valid_pairs
 
@@ -60,6 +63,33 @@ class TestValidate:
         for c in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(NonPositiveCError):
                 validate(3, 1, c)
+
+    # max_float's last ulp is 2^971, so every int below max_float + 2^970 rounds down to it under float()
+    @pytest.mark.parametrize(
+        "c",
+        [int(sys.float_info.max) + 1, int(sys.float_info.max) + 2**970 - 1, Fraction(int(sys.float_info.max) + 1)],
+        ids=["int_one_past", "int_last_rounding_down", "fraction_one_past"],
+    )
+    def test_rejects_a_c_that_rounds_down_onto_max_float(self, c):
+        """validate checks the c it is given, not its rounding, so it rejects
+        what predict_at rejects."""
+        assert float(c) == sys.float_info.max
+        with pytest.raises(NonPositiveCError, match=re.escape(f"c={c}")):
+            validate(5, 4, c)
+        with pytest.raises(NonPositiveCError):
+            predict_at(validate(5, 4, 1.0), c)
+
+    @pytest.mark.parametrize(
+        "c", [int(sys.float_info.max), sys.float_info.max, repr(sys.float_info.max), "1.0", "5e-324"]
+    )
+    def test_accepts_max_float_as_an_int_and_c_as_a_string(self, c):
+        p = validate(5, 4, c)
+        assert p.c == float(c) and type(p.c) is float
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "-1.0", "0", "1e309", "2e-324"])
+    def test_rejects_a_string_c_outside_the_range(self, c):
+        with pytest.raises(NonPositiveCError):
+            validate(5, 4, c)
 
     def test_accepts_smallest_degree(self):
         # m = 2 satisfies every invariant; nothing special-cases it

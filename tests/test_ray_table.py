@@ -33,7 +33,7 @@ from rayzeros import (
     thresholds,
     validate,
 )
-from rayzeros.family import alpha_from_residue, unit_direction
+from rayzeros.family import alpha_from_residue
 from rayzeros.rays import (
     _CASES,
     _PROFILES,
@@ -43,6 +43,7 @@ from rayzeros.rays import (
     Threshold,
     _r0,
 )
+from rayzeros.roots import unit_direction
 from rayzeros import oracle, predict, rays, roots
 
 from conftest import valid_pairs

@@ -30,8 +30,9 @@ from rayzeros import (
     thresholds,
     validate,
 )
-from rayzeros.family import _over_power, alpha_from_residue, power_term, unit_direction
+from rayzeros.family import alpha_from_residue, power_term
 from rayzeros.rays import EXTREMUM_CASES, _r0, _threshold_rows
+from rayzeros.roots import _over_power, unit_direction
 
 from conftest import brute_ray_count, valid_k_choices, valid_pairs
 

@@ -6,10 +6,12 @@ BEFORE and AFTER are checkout roots (each holds src/rayzeros).  Every round
 runs each measurement once per checkout, alternating which goes first, so
 both see the same machine noise.  The measurements are the import time of
 ``rayzeros`` and of ``rayzeros.cli``; the time of ``import rayzeros`` plus a
-first count query, ``predict_at(validate(49, 10, 1.0), 0.3)``, and plus a
-first root finding, ``all_zeros(validate(49, 10, 0.3))``, which shows where a
-module loaded on first use moves its cost; each of these is timed inside its
-own process.  Last comes the wall time of one ``rayzeros <command>`` process
+first count query, ``predict_at(validate(49, 10, 1.0), 0.3)``, plus a first
+``thresholds(validate(49, 10, 1.0))``, plus a first root finding,
+``all_zeros(validate(49, 10, 0.3))``, and plus a first evaluation of p,
+``evaluate(validate(49, 10, 1.0), 0.5 + 0.5j)``, which show where a module
+loaded on first use moves its cost; each of these is timed inside its own
+process.  Last comes the wall time of one ``rayzeros <command>`` process
 per command, timed from here with its output discarded.  It prints the min,
 first quartile and median of each, in ms.
 
@@ -46,7 +48,9 @@ MEASURES = {
     "import rayzeros": (["-c", IMPORT.format("rayzeros")], True),
     "import rayzeros.cli": (["-c", IMPORT.format("rayzeros.cli")], True),
     "import + predict_at": (["-c", FIRST.format("predict_at(rz.validate(49, 10, 1.0), 0.3)")], True),
+    "import + thresholds": (["-c", FIRST.format("thresholds(rz.validate(49, 10, 1.0))")], True),
     "import + all_zeros": (["-c", FIRST.format("all_zeros(rz.validate(49, 10, 0.3))")], True),
+    "import + evaluate": (["-c", FIRST.format("evaluate(rz.validate(49, 10, 1.0), 0.5 + 0.5j)")], True),
     **{"process " + cmd[0]: (["-c", CLI, *cmd], False) for cmd in COMMANDS},
 }
 
