@@ -108,24 +108,13 @@ def validate(m: int, k: int, c: float) -> FamilyParams:
     """
     m = _degree("m", m)
     k = _degree("k", k)
-    try:
-        x = float(c)
-    except OverflowError:  # beyond the float range, which _check_c rejects below
-        x = c
-    except (TypeError, ValueError):
-        raise ParameterError(f"c must be a real number, got c={c!r}") from None
     if k == 0:
         raise ZeroKError("k must be a nonzero integer")
     if m <= abs(k):
         raise DegreeOrderError(f"need m > |k|, got m={m}, k={k}")
     if math.gcd(m, abs(k)) != 1:
         raise NonCoprimeError(f"need gcd(m, |k|) = 1, got gcd({m}, {abs(k)}) = {math.gcd(m, abs(k))}")
-    _check_c(x)
-    try:  # c as given too: float() rounds an int just past the float range down to max_float
-        _check_c(c)
-    except TypeError:  # a string that float() parsed
-        pass
-    return FamilyParams(m=m, k=k, c=x)
+    return FamilyParams(m=m, k=k, c=float(_check_c(c)))  # float() would round int(max_float) + 1 down
 
 
 def _degree(name: str, value) -> int:
@@ -138,11 +127,20 @@ def _degree(name: str, value) -> int:
     raise ParameterError(f"{name} must be an integer, got {name}={value!r}")
 
 
-def _check_c(c: float) -> None:
+def _check_c(c: float) -> float:
     """The one rule for a valid c wherever it arrives from outside: 0 < c <= the
-    greatest float, which nan, inf and an int beyond the float range fail."""
-    if not 0.0 < c <= _MAX_FLOAT:
-        raise NonPositiveCError(f"need finite c > 0, got c={c}")
+    greatest float, which nan, inf and an int beyond the float range fail.
+    Returns c, through float() only where it does not compare as a number."""
+    try:
+        if 0.0 < c <= _MAX_FLOAT:
+            return c
+    except TypeError:  # a numeric string, say
+        try:
+            x = float(c)
+        except (TypeError, ValueError):
+            raise ParameterError(f"c must be a real number, got c={c!r}") from None
+        return _check_c(x)
+    raise NonPositiveCError(f"need finite c > 0, got c={c}")
 
 
 def alpha_from_residue(m: int, t: int) -> float:

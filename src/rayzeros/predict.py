@@ -78,7 +78,7 @@ def _record(m: int, k: int) -> tuple[int, int, bool, list[float]]:
 def predict_at(params: FamilyParams, c: float) -> int:
     """Exact zero count at parameter c: the count below every threshold, moved
     by R(a) + R(b) zeros at the run c0s[a:b] of threshold rows whose band holds c."""
-    _check_c(c)
+    c = _check_c(c)
     base, sign, axis, c0s = _record(params.m, params.k)
     a, b = _band(c, c0s)
     return base + sign * (2 * (a + b) - axis * ((a > 0) + (b > 0)))

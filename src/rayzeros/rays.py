@@ -248,15 +248,13 @@ def analyze_ray(params: FamilyParams, j: int) -> RayAnalysis:
 
 def degenerate_at(analysis: RayAnalysis, c: float) -> bool:
     """True when c sits in the tangency band around the ray's threshold."""
-    _check_c(c)
-    return _side(c, analysis.c0) == 1
+    return _side(_check_c(c), analysis.c0) == 1
 
 
 def count_at(analysis: RayAnalysis, c: float) -> int:
     """Zero count of the ray at parameter c; inside the tangency band the
     merged pair counts as 1, and degenerate_at carries the flag."""
-    _check_c(c)
-    return analysis.profile[_side(c, analysis.c0)]
+    return analysis.profile[_side(_check_c(c), analysis.c0)]
 
 
 def extremum_radius(analysis: RayAnalysis, c: float) -> float | None:
@@ -264,7 +262,7 @@ def extremum_radius(analysis: RayAnalysis, c: float) -> float | None:
     at c in EXTREMUM_CASES: inf above the float range and 0.0 below it.  None
     in every other case: f is monotone there, or, in NEG_K_ODD_NEG, every term
     of f is negative and its maximum never reaches zero."""
-    _check_c(c)
+    c = _check_c(c)
     if analysis.case not in EXTREMUM_CASES:
         return None
     return _r0(analysis.params.m, analysis.params.k, analysis.alpha, c)

@@ -37,7 +37,7 @@ from functools import partial
 from itertools import chain
 from typing import NamedTuple
 
-from .family import FamilyParams, PoleAtOriginError, RayDescriptor, alpha_from_residue, power_term
+from .family import FamilyParams, PoleAtOriginError, RayDescriptor, _check_c, alpha_from_residue, power_term
 from .rays import _LOG2, RayAnalysis, RayCase, _log_r0, _runs, _side, count_at, degenerate_at, extremum_radius
 # unused here but still bound: perfbench/tracing.py wraps this roots binding
 from .rays import analyze_ray  # noqa: F401
@@ -247,6 +247,7 @@ def bracket(analysis: RayAnalysis, c: float) -> list[tuple[float, float]]:
     report the single merged zero at r0 instead), and BracketFailure where an
     end exceeds the float range.
     """
+    c = _check_c(c)
     n = count_at(analysis, c)
     if n == 0:
         return []

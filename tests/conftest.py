@@ -1,9 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's classification and
-bracketing machinery: alpha comes from 50-digit cosines, ray counts from
-dense sign-change grids, and root-of-unity censuses from exact rational
-angle tests.
+bracketing machinery: alpha comes from the exact reference (exact.py), ray
+counts from dense sign-change grids, and root-of-unity censuses from exact
+rational angle tests.
 """
 from __future__ import annotations
 
@@ -11,13 +11,11 @@ import math
 import os
 import pathlib
 
-import mpmath
 import numpy as np
 import pytest
 
+import exact
 import rayzeros
-
-mpmath.mp.dps = 50
 
 # the src directory the tested rayzeros is imported from
 SRC = pathlib.Path(rayzeros.__file__).resolve().parents[1]
@@ -45,15 +43,21 @@ def pytest_configure(config):
 ALPHA_ZERO_CUTOFF = 1e-20
 
 
-def mp_alpha(m: int, k: int, j: int) -> mpmath.mpf:
-    """cos(k j pi / m) at 50 digits."""
-    return mpmath.cospi(mpmath.mpf(k * j) / m)
-
-
 def alpha_float(m: int, k: int, j: int) -> float:
-    """Double-precision alpha from the high-precision path, exact zeros snapped."""
-    a = float(mp_alpha(m, k, j))
+    """Double-precision alpha of ray j from the exact cos(k j pi / m), exact zeros snapped."""
+    a = float(exact.alpha(m, k * j))
     return 0.0 if abs(a) < ALPHA_ZERO_CUTOFF else a
+
+
+def passes_gate(p, rec) -> bool:
+    """|p(z)| <= residual_rtol * max(1, |z|^m) at the record's z: the record's own
+    residual while r^m is a float, p evaluated exactly where r^m overflows."""
+    gate = rayzeros.Tolerances().residual_rtol
+    try:
+        return rec.residual <= gate * max(1.0, rec.r ** p.m)
+    except OverflowError:
+        bound = exact.radial(p.m, 0, gate, 0.0, abs(rec.z))[0] + 1  # f = gate |z|^m - 1
+        return abs(exact.p(p.m, p.k, p.c, rec.z)) <= bound
 
 
 def brute_ray_count(m: int, k: int, c: float, j: int, n: int = 60000) -> int:

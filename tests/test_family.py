@@ -10,7 +10,6 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +32,8 @@ from rayzeros import (
 from rayzeros.family import _alpha_half, alpha_from_residue, power_term
 from rayzeros.roots import _radial_sum, unit_direction
 
-from conftest import ALPHA_ZERO_CUTOFF, mp_alpha, valid_pairs
+from conftest import ALPHA_ZERO_CUTOFF, valid_pairs
+from exact import alpha as exact_alpha, p as exact_p
 
 
 class TestValidate:
@@ -133,7 +133,7 @@ class TestClassifyRay:
         d = classify_ray(validate(5, 4, 1.0), 5)
         assert d.parity == 1
         assert d.alpha_sign == Sign.POSITIVE
-        assert math.isclose(float(mp_alpha(5, 4, 5)), 1.0)
+        assert math.isclose(float(exact_alpha(5, 4 * 5)), 1.0)
 
     def test_exact_zero_on_even_m(self):
         d = classify_ray(validate(2, 1, 1.0), 1)
@@ -224,10 +224,10 @@ class TestClassificationExactness:
     @given(family_and_ray())
     @settings(max_examples=300, deadline=None)
     def test_sign_matches_high_precision(self, mkj):
-        """Integer classification agrees with 50-digit cosines everywhere."""
+        """Integer classification agrees with exact cosines everywhere."""
         m, k, j = mkj
         d = classify_ray(validate(m, k, 1.0), j)
-        a = mp_alpha(m, k, j)
+        a = exact_alpha(m, k * j)
         if abs(a) > 1e-12:
             expected = Sign.POSITIVE if a > 0 else Sign.NEGATIVE
             assert d.alpha_sign == expected
@@ -244,7 +244,7 @@ class TestClassificationExactness:
         m, k, j = mkj
         t = (k * j) % (2 * m)
         got = alpha_from_residue(m, t)
-        want = mp_alpha(m, k, j)
+        want = exact_alpha(m, k * j)
         if abs(want) < ALPHA_ZERO_CUTOFF:
             assert got == 0.0
         else:
@@ -372,18 +372,16 @@ class TestEvaluate:
     @pytest.mark.parametrize("c", [1e-300, 1.0, 5.516689610200797e134, 1e300])
     def test_exact_on_the_axes(self, m, k, c):
         """At +-r and +-ir the angle is a multiple of pi/2, so the cosines and the
-        sine are exact and p(z) is the 60-digit value within rounding of its terms."""
+        sine are exact and p(z) is the exact value within rounding of its terms."""
         p = validate(m, k, c)
         eps = sys.float_info.epsilon
-        with mpmath.workdps(60):
-            for r in (0.5, 1.0, 1.3):
-                for z in (complex(r, 0.0), complex(-r, 0.0), complex(0.0, r), complex(0.0, -r)):
-                    got = evaluate(p, z)
-                    w = mpmath.mpc(z.real, z.imag)
-                    exact = w**m + c * (w**k + mpmath.conj(w) ** k) - 1
-                    scale = r**m + 2.0 * c * r**k + 1.0
-                    assert abs(got.real - exact.real) <= 4 * eps * scale, (z, got, exact)
-                    assert abs(got.imag - exact.imag) <= 2 * eps * r**m, (z, got, exact)
+        for r in (0.5, 1.0, 1.3):
+            for z in (complex(r, 0.0), complex(-r, 0.0), complex(0.0, r), complex(0.0, -r)):
+                got = evaluate(p, z)
+                exact = exact_p(m, k, c, z)
+                scale = r**m + 2.0 * c * r**k + 1.0
+                assert abs(got.real - exact.real) <= 4 * eps * scale, (z, got, exact)
+                assert abs(got.imag - exact.imag) <= 2 * eps * r**m, (z, got, exact)
 
     @given(
         st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),

@@ -381,18 +381,30 @@ class TestIndependenceBoundary:
         assert "classify_ray" not in src
         assert "analyze_ray" not in src
 
+    def test_exact_reference_is_the_one_mpmath_user(self):
+        """Every exact value comes from tests/exact.py: the one test module that imports
+        mpmath, it imports no library code and leaves mpmath.mp at its default."""
+        tests = pathlib.Path(__file__).parent
+        assert [path.name for path in sorted(tests.glob("*.py")) if "mpmath" in imported(path)] == ["exact.py"]
+        assert "rayzeros" not in imported(tests / "exact.py")
+        import exact  # conftest imported it first
+
+        assert exact.mpmath.mp.dps == 15  # mpmath's default
+
+
+def imported(path: pathlib.Path) -> set[str]:
+    """The top-level names of the modules that the file at path imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").split(".")[0])
+    return names
+
 
 def test_library_does_not_import_numpy():
     """The library is pure Python; numpy is a test-only dependency."""
     src_dir = pathlib.Path(rayzeros.oracle.__file__).parent
-    offenders = []
-    for path in sorted(src_dir.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            offenders += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "numpy"]
+    offenders = [path.name for path in sorted(src_dir.glob("*.py")) if "numpy" in imported(path)]
     assert not offenders

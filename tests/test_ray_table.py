@@ -46,22 +46,11 @@ from rayzeros.rays import (
 from rayzeros.roots import unit_direction
 from rayzeros import oracle, predict, rays, roots
 
-from conftest import valid_pairs
+from conftest import passes_gate, valid_pairs
 
 
 def reference_zeros(p):
     return [rec for j in range(2 * p.m) for rec in solve_ray(p, analyze_ray(p, j))]
-
-
-def passes_gate(p, rec) -> bool:
-    """|p(z)| <= 1e-10 max(1, r^m); where r^m overflows, the bound divided through
-    by r^m at the ray's exact angle: |(-1)^j + 2 c alpha_j r^(k-m) - r^(-m)| <= 1e-10."""
-    gate = roots.Tolerances().residual_rtol
-    try:
-        return rec.residual <= gate * max(1.0, rec.r ** p.m)
-    except OverflowError:
-        alpha = alpha_from_residue(p.m, p.k * rec.j)
-        return abs((-1.0) ** rec.j + 2.0 * p.c * alpha * rec.r ** (p.k - p.m) - rec.r ** -p.m) <= gate
 
 
 def reference_count(p, c):

@@ -7,8 +7,8 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +35,7 @@ from rayzeros.rays import EXTREMUM_CASES, _r0, _threshold_rows
 from rayzeros.roots import _over_power, unit_direction
 
 from conftest import brute_ray_count, valid_k_choices, valid_pairs
+from exact import alpha as exact_alpha, big_c as exact_big_c, p as exact_p, radial
 
 
 class TestFValue:
@@ -115,9 +116,20 @@ class TestInvalidC:
 
     @pytest.mark.parametrize("c, shown", [("abc", "c='abc'"), (None, "c=None"), (1j, "c=1j"), ([1.0], "c=[1.0]")])
     def test_validate_names_a_c_that_is_not_a_number(self, c, shown):
-        with pytest.raises(ParameterError, match=re.escape(shown)) as exc:
-            validate(5, 4, c)
-        assert type(exc.value) is ParameterError
+        p = validate(5, 4, 1.0)
+        queries = [partial(q, analyze_ray(p, 3)) for q in (count_at, degenerate_at, extremum_radius, bracket)]
+        for call in [partial(validate, 5, 4), partial(predict_at, p)] + queries:
+            with pytest.raises(ParameterError, match=re.escape(shown)) as exc:
+                call(c)
+            assert type(exc.value) is ParameterError
+
+    @pytest.mark.parametrize("c", ["0.7", "1.0", "1e3"])
+    def test_a_numeric_string_c_answers_as_its_float(self, c):
+        p = validate(5, 4, c)
+        assert p == validate(5, 4, float(c)) and predict_at(p, c) == predict_at(p, float(c))
+        for a in map(partial(analyze_ray, p), range(10)):
+            for query in (count_at, degenerate_at, extremum_radius, bracket):
+                assert query(a, c) == query(a, float(c)), (query, a.ray.j)
 
     def test_largest_and_smallest_finite_c_are_valid(self):
         p = validate(5, 4, 1.0)
@@ -158,18 +170,16 @@ def reference_values(p, j: int, r: float, z: complex) -> tuple[float, float, flo
     return f, fd, re
 
 
-def exact_values(p, j: int, r: float, z: complex) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf]:
-    """f, f' and Re p(z) at 50 digits, on the same float r, z and c."""
+def exact_values(p, j: int, r: float, z: complex) -> tuple:
+    """f, f' and Re p(z) exactly, on the same float r, z and c."""
     m, k = p.m, p.k
-    c, rr = mpmath.mpf(p.c), mpmath.mpf(r)
-    alpha = mpmath.cospi(mpmath.mpf(k * j) / m)
-    sgn = -1 if j % 2 else 1
-    rz, theta = mpmath.polar(mpmath.mpc(z.real, z.imag))
-    return (
-        sgn * rr**m + 2 * c * alpha * rr**k - 1,
-        sgn * m * rr ** (m - 1) + 2 * c * k * alpha * rr ** (k - 1),
-        rz**m * mpmath.cos(m * theta) + 2 * c * rz**k * mpmath.cos(k * theta) - 1,
-    )
+    f, fd = radial(m, k, -1 if j % 2 else 1, 2 * exact_alpha(m, k * j) * p.c, r)
+    return f, fd, exact_p(m, k, p.c, z).real
+
+
+def sign(x) -> int:
+    """-1, 0 or 1 as the exact value x is negative, zero or positive."""
+    return (x > 0) - (x < 0)
 
 
 def library_values(p, j: int, r: float, z: complex) -> tuple[float, float, float]:
@@ -203,7 +213,7 @@ class TestOverflowRule:
             z = r * unit_direction(5, j)
             got = library_values(p, j, r, z)
             assert all(math.isinf(v) for v in got), (j, got)
-            want = [mpmath.sign(v) for v in exact_values(p, j, r, z)]
+            want = [sign(v) for v in exact_values(p, j, r, z)]
             assert [math.copysign(1.0, v) for v in got] == want, j
 
     def test_bitwise_equal_to_dominant_sum_where_finite(self):
@@ -228,7 +238,7 @@ class TestOverflowRule:
             for value, exact in zip(got, exact_values(p, j, r, z)):
                 if math.isinf(value):
                     infinite += 1
-                    assert math.copysign(1.0, value) == mpmath.sign(exact), (p, j, r, z, value)
+                    assert math.copysign(1.0, value) == sign(exact), (p, j, r, z, value)
         assert infinite > 1000
 
     @pytest.mark.parametrize(
@@ -307,23 +317,15 @@ class TestDerivativeCoefficientOverflow:
         assert f_derivative(p, classify_ray(p, 3), r) == -2.0 * r
 
     def test_never_nan_and_bitwise_equal_where_normal(self):
-        rnd = random.Random(20261018)
         normal = was_nan = 0
-        for _ in range(20000):
-            m = rnd.choice((rnd.randint(2, 12), rnd.randint(2, 300), rnd.randint(2, 3000)))
-            k = 0
-            while not (k and math.gcd(m, abs(k)) == 1):
-                k = rnd.randint(1 - m, m - 1)
-            c = rnd.choice((10 ** rnd.uniform(-300, 308), rnd.uniform(1e306, 1.7e308)))
-            p = validate(m, k, c)
-            j = rnd.randrange(2 * m)
-            r = 10 ** rnd.uniform(-300, 300)
+        for p, j, r in derivative_samples(20000, 20261018):
+            m, k, c = p
             got, ref = f_derivative(p, classify_ray(p, j), r), reference_f_derivative(p, j, r)
             assert not math.isnan(got), (m, k, c, j, r)
             if math.isnan(ref):
                 was_nan += 1
                 if math.isinf(got):
-                    assert math.copysign(1.0, got) == mpmath.sign(exact_values(p, j, r, complex(r))[1])
+                    assert math.copysign(1.0, got) == sign(exact_values(p, j, r, complex(r))[1])
             elif math.isfinite(ref) and abs(ref) >= sys.float_info.min:
                 normal += 1
                 if subnormal_middle_power(p, r):
@@ -552,7 +554,7 @@ class TestTangencyCircle:
 
 
 class TestThresholdAccuracy:
-    """Each threshold row's c0 = C / alpha against 50-digit mpmath, from the exact
+    """Each threshold row's c0 = C / alpha against the exact reference, from the exact
     C(m, k) and alpha = cos(pi s / m) of the row's folded residue s."""
 
     @staticmethod
@@ -573,19 +575,15 @@ class TestThresholdAccuracy:
 
     def test_relative_error_and_order_in_s(self):
         errors = []
-        with mpmath.workdps(50):
-            for m, k, rows in self.sample():
-                order, c0s, _ = _threshold_rows(m, k)
-                c0 = dict(zip(order, c0s))
-                mm, kk = mpmath.mpf(m), mpmath.mpf(k)
-                big_c = (mm / abs(kk)) ** (kk / mm) * (mm / (mm - kk)) ** ((mm - kk) / mm) / 2
-                s = {row: min(k * row % (2 * m), -k * row % (2 * m)) for row in order}
-                for row in rows:
-                    exact = big_c / mpmath.cospi(mpmath.mpf(s[row]) / m)
-                    errors.append(float(abs(c0[row] / exact - 1)))
-                # alpha does not increase with s, so c0 = C / alpha does not decrease
-                by_s = sorted((s[row], c0[row]) for row in order)
-                assert all(a[1] <= b[1] for a, b in zip(by_s, by_s[1:])), (m, k)
+        for m, k, rows in self.sample():
+            order, c0s, _ = _threshold_rows(m, k)
+            c0 = dict(zip(order, c0s))
+            big_c = exact_big_c(m, k)
+            s = {row: min(k * row % (2 * m), -k * row % (2 * m)) for row in order}
+            errors += [float(abs(c0[row] / (big_c / exact_alpha(m, s[row])) - 1)) for row in rows]
+            # alpha does not increase with s, so c0 = C / alpha does not decrease
+            by_s = sorted((s[row], c0[row]) for row in order)
+            assert all(a[1] <= b[1] for a, b in zip(by_s, by_s[1:])), (m, k)
         assert len(errors) > 6000
         assert max(errors) <= 1e-15
 

@@ -2,8 +2,8 @@
 
 The reference root is a bisection over the float grid inside the library's
 own bracket, run until no float is left between its ends.  Each sign is
-decided by evaluating f exactly (60-digit mpmath) on the same float
-coefficients the library uses, so the reference is the float nearest to
+decided by evaluating f exactly (the exact reference, exact.py) on the same
+float coefficients the library uses, so the reference is the float nearest to
 the true zero of that f, independent of how the library evaluates it.
 
 A zero agrees with the reference within the Newton stop, 1e-12 of r, plus
@@ -20,7 +20,6 @@ import math
 import random
 import struct
 
-import mpmath
 import pytest
 
 from rayzeros import (
@@ -40,6 +39,9 @@ from rayzeros import (
 )
 from rayzeros import roots
 
+import exact
+from conftest import passes_gate
+
 RTOL = roots._STEP_RTOL
 
 
@@ -52,22 +54,17 @@ def _float(i: int) -> float:
 
 
 def exact_f(p, analysis):
-    """f on the ray with the library's float coefficients, evaluated at 60 digits,
+    """f on the ray with the library's float coefficients, evaluated exactly,
     and the absolute condition limit of a zero r."""
-    ctx = mpmath.mp.clone()
-    ctx.dps = 60
-    sgn = ctx.mpf(-1 if analysis.ray.parity else 1)
-    b = ctx.mpf(2.0 * p.c * analysis.alpha)
+    sgn, b = -1 if analysis.ray.parity else 1, 2.0 * p.c * analysis.alpha
 
     def f(r: float):
-        x = ctx.mpf(r)
-        return sgn * x ** p.m + b * x ** p.k - 1
+        return exact.radial(p.m, p.k, sgn, b, r)[0]
 
     def limit(r: float) -> float:
-        x = ctx.mpf(r)
-        size = x ** p.m + abs(b) * x ** p.k + 1
-        slope = sgn * p.m * x ** (p.m - 1) + b * p.k * x ** (p.k - 1)
-        return float(ctx.mpf(2.0) ** -53 * size / abs(slope))
+        size = exact.radial(p.m, p.k, 1, abs(b), r)[0] + 2  # r^m + |b| r^k + 1
+        slope = exact.radial(p.m, p.k, sgn, b, r)[1]
+        return float(2.0**-53 * size / abs(slope))
 
     return f, limit
 
@@ -189,24 +186,6 @@ class TestSteps:
         assert len(recs) == n
         for rec in recs:
             assert rec.residual <= Tolerances().residual_rtol * max(1.0, rec.r ** p.m)
-
-
-_GATE_CTX = mpmath.mp.clone()
-_GATE_CTX.dps = 30
-
-
-def passes_gate(p, rec) -> bool:
-    """|p(z)| <= residual_rtol * max(1, |z|^m) at the record's z; where |z|^m
-    overflows, |p(z)| / |z|^m is evaluated exactly (30 digits) instead:
-    |e^{i m theta} + 2 c r^{k-m} cos(k theta) - r^{-m}| with z = r e^{i theta}."""
-    gate = Tolerances().residual_rtol
-    try:
-        return rec.residual <= gate * max(1.0, rec.r ** p.m)
-    except OverflowError:
-        ctx = _GATE_CTX
-        r, theta = ctx.polar(ctx.mpc(rec.z))
-        value = ctx.expj(p.m * theta) + 2 * p.c * r ** (p.k - p.m) * ctx.cos(p.k * theta) - r ** -p.m
-        return abs(value) <= gate
 
 
 class TestFloatRange:
