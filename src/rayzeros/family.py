@@ -114,7 +114,7 @@ def validate(m: int, k: int, c: float) -> FamilyParams:
         raise DegreeOrderError(f"need m > |k|, got m={m}, k={k}")
     if math.gcd(m, abs(k)) != 1:
         raise NonCoprimeError(f"need gcd(m, |k|) = 1, got gcd({m}, {abs(k)}) = {math.gcd(m, abs(k))}")
-    return FamilyParams(m=m, k=k, c=float(_check_c(c)))  # float() would round int(max_float) + 1 down
+    return FamilyParams(m=m, k=k, c=_check_c(c))
 
 
 def _degree(name: str, value) -> int:
@@ -130,10 +130,10 @@ def _degree(name: str, value) -> int:
 def _check_c(c: float) -> float:
     """The one rule for a valid c wherever it arrives from outside: 0 < c <= the
     greatest float, which nan, inf and an int beyond the float range fail.
-    Returns c, through float() only where it does not compare as a number."""
+    Returns float(c), checked again where new: a c that rounds to 0.0 fails."""
     try:
         if 0.0 < c <= _MAX_FLOAT:
-            return c
+            return c if c.__class__ is float else _check_c(float(c))
     except TypeError:  # a numeric string, say
         try:
             x = float(c)

@@ -36,7 +36,7 @@ from k's inverse alone (_rows); _runs walks them so and hands all_zeros its
 runs of rows, one case and one count each.
 _threshold_rows gives the threshold rows, about a quarter of them, their c0s
 and alphas in increasing residue, which is increasing c0, with no sort;
-thresholds and predict_at read it.
+thresholds and predict_at read it, the library's one per-pair cache.
 
 Every threshold ray gains (k > 0) or loses (k < 0) two zeros past its c0 and
 one inside its tangency band.  One bisection, _band(c, c0s), whose edge
@@ -76,6 +76,14 @@ _LO_DIV, _HI_DIV = 1.0 + DEGENERACY_RTOL, 1.0 - DEGENERACY_RTOL
 
 # threshold rows' cache entries; one takes 7-10 KB under tracemalloc at m = 500, 250 KB at 10^4, 2,570 KB at 100003
 _ROWS_CACHE_SIZE = 16
+# the closed-form band as (min - m, max - min - m), keyed by (k > 0, m mod 4, k mod 2);
+# k is odd wherever m is even, since gcd(m, |k|) = 1
+_MODULAR = {
+    (True, 0, 1): (0, 0), (True, 1, 0): (0, 1), (True, 1, 1): (0, -1),
+    (True, 2, 1): (0, -2), (True, 3, 0): (0, -1), (True, 3, 1): (0, 1),
+    (False, 0, 1): (1, -2), (False, 1, 0): (0, 1), (False, 1, 1): (-1, 1),
+    (False, 2, 1): (-1, 0), (False, 3, 0): (0, -1), (False, 3, 1): (1, -1),
+}
 
 _LOG2 = math.log(2.0)
 
@@ -162,15 +170,11 @@ def _r0(m: int, k: int, alpha: float, c: float) -> float:
         return math.inf
 
 
-def _band(c: float, c0s, key=None, hi=None) -> tuple[int, int]:
+def _band(c: float, c0s) -> tuple[int, int]:
     """The run c0s[a:b] of the increasing c0s whose tangency band holds c, those
-    in [c / _LO_DIV, c / _HI_DIV]; c lies above the c0s[:a].  key(c0s[i]), given
-    with hi, is c0s[i]'s c0 and hi bounds the search; without a key both are unset."""
-    if key is None:
-        a = bisect_left(c0s, c / _LO_DIV)
-        return a, bisect_right(c0s, c / _HI_DIV, a)
-    a = bisect_left(c0s, c / _LO_DIV, 0, hi, key=key)
-    return a, bisect_right(c0s, c / _HI_DIV, a, hi, key=key)
+    in [c / _LO_DIV, c / _HI_DIV]; c lies above the c0s[:a]."""
+    a = bisect_left(c0s, c / _LO_DIV)
+    return a, bisect_right(c0s, c / _HI_DIV, a)
 
 
 def _side(c: float, c0: float | None) -> int:
@@ -197,16 +201,19 @@ def _big_c(m: int, k: int) -> float:
 
 
 @lru_cache(maxsize=_ROWS_CACHE_SIZE)
-def _threshold_rows(m: int, k: int) -> tuple[list[int], list[float], list[float]]:
-    """(order, c0s, alphas) of the threshold rows of (m, k), the _rows of the
-    threshold parity (odd iff k > 0) with 2s < m, in increasing s, which is
-    increasing c0, as lists in a small LRU cache; thresholds and predict's
-    record read them unboxed.  c0 = C / alpha needs no sort: neighbouring
-    alphas differ by at least 1 - cos(2 pi / m), over 1000 ulps for every
-    m <= 10^7, and libm's cos and sin are within 1 ulp."""
+def _threshold_rows(m: int, k: int) -> tuple[list[int], list[float], list[float], int, int, bool]:
+    """(order, c0s, alphas, base, sign, axis) of (m, k) in a small LRU cache: the
+    _rows of the threshold parity (odd iff k > 0) with 2s < m in increasing s,
+    which is increasing c0, their c0s and alphas, as lists read unboxed; the
+    count below every threshold, +1 or -1 as the threshold rays add or remove
+    zeros, and whether order[0] is fold 0's axis row (s = q = 0).  c0 = C / alpha
+    needs no sort: neighbouring alphas differ by at least 1 - cos(2 pi / m),
+    over 1000 ulps for every m <= 10^7, and libm's cos and sin are within 1 ulp."""
     q, big_c = k % 2 if k > 0 else 0, _big_c(m, k)
     alphas = _alpha_half(m, q, 2)[:len(range(q, (m + 1) // 2, 2))]
-    return _rows(m, k, k > 0, len(alphas)), [big_c / a for a in alphas], alphas
+    low, span = _MODULAR[k > 0, m % 4, k % 2]
+    base, sign = (m + low, 1) if k > 0 else (2 * m + low + span, -1)
+    return _rows(m, k, k > 0, len(alphas)), [big_c / a for a in alphas], alphas, base, sign, q == 0
 
 
 def _runs(params: FamilyParams):
@@ -216,7 +223,7 @@ def _runs(params: FamilyParams):
     cosines[s] = alpha_s and each row's unit direction, sin(j pi / m) =
     alpha(2m, |2j - m|)."""
     m, k, c = params
-    half = _alpha_half(2 * m)
+    big_c, half = _big_c(m, k), _alpha_half(2 * m)
     cosines = _alpha_range(m, half[::2])
     for parity in (0, 1):
         q = parity if k % 2 else 0
@@ -226,7 +233,7 @@ def _runs(params: FamilyParams):
             case = _CASES[k > 0][slot + 3 * parity]
             profile, lo, hi = _PROFILES[case], ends[slot], ends[slot + 1]
             # the threshold case is slot 0, so lo = 0: rows[:a] above c0 = C / alpha, rows[a:b] in its band
-            a, b = _band(c, alphas, _big_c(m, k).__truediv__, hi) if case in THRESHOLD_CASES else (lo, lo)
+            a, b = _band(c, [big_c / alpha for alpha in alphas[:hi]]) if case in THRESHOLD_CASES else (lo, lo)
             for start, stop, n, degenerate in (
                 (lo, a, profile.above, False), (a, b, profile.at_threshold, True), (b, hi, profile.below, False)
             ):
@@ -277,8 +284,8 @@ def thresholds(params: FamilyParams) -> list[Threshold]:
     floating-point comparison.  Within one parity that class is exactly one
     row's conjugate group, ray j and ray 2m - j.
     """
-    (order, c0s, alphas), two_m = _threshold_rows(params.m, params.k), 2 * params.m
+    (order, c0s, alphas, _, _, axis), two_m = _threshold_rows(params.m, params.k), 2 * params.m
     rays = [(x, two_m - x) for x in order]
-    if params.k < 0 or params.k % 2 == 0:  # fold 0's axis row, the first, stands for one ray
+    if axis:  # fold 0's axis row, the first, stands for one ray
         rays[0] = (order[0],)
     return list(map(_new_threshold, zip(c0s, rays, alphas)))

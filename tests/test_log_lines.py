@@ -102,7 +102,7 @@ def solved_rows(seed: int, count: int):
         if math.gcd(m, abs(k)) != 1:
             continue
         c = 10.0 ** rng.uniform(-300, 300) if rng.random() < 0.25 else 10.0 ** rng.uniform(-3, 3)
-        p, (order, c0s, _) = validate(m, k, c), _threshold_rows(m, k)
+        p, (order, c0s) = validate(m, k, c), _threshold_rows(m, k)[:2]
         c0 = dict(zip(order, c0s))
         for j in rng.sample(range(m + 1), min(m + 1, 8)):
             a = analyze_ray(p, j)

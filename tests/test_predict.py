@@ -135,13 +135,11 @@ class TestEquivalence:
 @pytest.mark.parametrize("k", [1, -1, 2])
 def test_count_band_builds_no_threshold_rows(k):
     """Both bands and the census come from O(1) formulas: the threshold-row
-    cache and predict_at's record cache stay empty after all three."""
+    cache stays empty after all three."""
     p = validate(100003, k, 1.0)
     rays_mod._threshold_rows.cache_clear()
-    predict_mod._record.cache_clear()
     predict_table(p), predict_census(p), census(p)
     assert rays_mod._threshold_rows.cache_info().currsize == 0
-    assert predict_mod._record.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("k", [1, -1, 2])

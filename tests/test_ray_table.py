@@ -15,6 +15,7 @@ import sys
 import tracemalloc
 from array import array
 from bisect import bisect_left, bisect_right
+from functools import partial
 from typing import NamedTuple
 
 import pytest
@@ -44,7 +45,7 @@ from rayzeros.rays import (
     _r0,
 )
 from rayzeros.roots import unit_direction
-from rayzeros import oracle, predict, rays, roots
+from rayzeros import oracle, rays, roots
 
 from conftest import passes_gate, valid_pairs
 
@@ -193,7 +194,7 @@ def analyzed_bits(m, k):
     rows = [row_bits(analyze_ray(p, j)) for j in range(m + 1)]
     assert [row_bits(analyze_ray(p, 2 * m - j)) for j in range(1, m)] == rows[1:m], (m, k)
     alpha, kind, case, c0 = map(list, zip(*rows))
-    order, c0s, _ = rays._threshold_rows(m, k)
+    order, c0s = rays._threshold_rows(m, k)[:2]
     return (
         m, k,
         alpha, bytes(kind), tuple(case), c0,
@@ -252,7 +253,7 @@ class TestTableBuild:
         """order[i] is the threshold row of folded residue q + 2i (q = 1 for odd
         k > 0, else 0), c0s[i] is that row's C / alpha, and c0 rises strictly
         with i, with no sort; alphas[i] is alpha_from_residue(m, q + 2i) bit for bit."""
-        order, c0s, alphas = rays._threshold_rows.__wrapped__(m, k)
+        order, c0s, alphas = rays._threshold_rows.__wrapped__(m, k)[:3]
         q = 1 if k > 0 and k % 2 else 0
         residues = range(q, (m + 1) // 2, 2)
         assert [min(k * row % (2 * m), -k * row % (2 * m)) for row in order] == list(residues)
@@ -284,7 +285,7 @@ class TestTableBuild:
         """analyze_ray's alpha and c0 on each threshold row are the threshold rows'
         own, bit for bit, and both take C from rays._big_c: C has one source."""
         p = validate(m, k, 1.0)
-        order, c0s, alphas = rays._threshold_rows.__wrapped__(m, k)
+        order, c0s, alphas = rays._threshold_rows.__wrapped__(m, k)[:3]
         for row, c0, alpha in zip(order, c0s, alphas):
             a = analyze_ray(p, row)
             assert (bits(a.alpha), bits(a.c0)) == (bits(alpha), bits(c0)), (m, k, row)
@@ -381,7 +382,7 @@ class TestThresholdsEqualPerRayReference:
         """thresholds() builds its records without the keyword constructor; they are
         Threshold records equal to the same ones built by keyword."""
         got = thresholds(validate(m, k, 1.0))
-        order, c0s, alphas = rays._threshold_rows(m, k)
+        order, c0s, alphas = rays._threshold_rows(m, k)[:3]
         axis = k < 0 or k % 2 == 0
         want = [
             Threshold(c0=c0, rays=(row,) if i == 0 and axis else (row, 2 * m - row), alpha=alpha)
@@ -470,7 +471,6 @@ class TestAllZerosEquivalence:
         builds no threshold rows."""
         p = validate(m, k, c)
         rays._threshold_rows.cache_clear()
-        predict._record.cache_clear()
         recs = all_zeros(p)
         assert rays._threshold_rows.cache_info().currsize == 0
         assert len(recs) == predict_at(p, c)
@@ -596,7 +596,7 @@ def test_fold_zero_is_the_only_axis_threshold_and_the_first():
     when k < 0 or k is even, and that row's c0 is strictly the least."""
     for m, k in valid_pairs(200):
         p = validate(m, k, 1.0)
-        order, c0s, _ = rays._threshold_rows.__wrapped__(m, k)
+        order, c0s = rays._threshold_rows.__wrapped__(m, k)[:2]
         axes = [row for row in (0, m) if analyze_ray(p, row).c0 is not None]
         first = k < 0 or k % 2 == 0
         assert axes == (list(order[:1]) if first else []), (m, k)
@@ -631,25 +631,30 @@ def test_table_cache_memory_is_bounded():
 
 def test_full_cache_memory_at_m_ten_thousand():
     """The threshold rows are lists of Python floats and ints, so a full cache of
-    16 pairs near m = 10^4 holds about 4 MB, bounded here at 5 MB.  predict_at's
-    record of a pair holds the rows cache's own c0s list, so its cache of 16
-    records adds no rows of its own."""
-    pairs = [(m, k) for m in range(10_000, 10_040) for k in (m // 2 - 1, -(m // 3) - 1) if math.gcd(m, k) == 1][:16]
-    rays._threshold_rows.cache_clear()
-    predict._record.cache_clear()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for m, k in pairs:
-            predict_at(validate(m, k, 1.0), 1.0)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert len(set(pairs)) == 16 and rays._threshold_rows.cache_info().currsize == 16
-    assert predict._record.cache_info().currsize == 16
-    assert retained < 5_000_000, retained
-    for m, k in pairs:
-        assert predict._record(m, k)[3] is rays._threshold_rows(m, k)[1], (m, k)
+    16 pairs near m = 10^4 holds about 4 MB, bounded here at 5 MB.  thresholds
+    shares that one cache with predict_at: on 16 other pairs after predict_at's
+    16 it evicts those whole, and the same bound holds, where a second cache
+    that kept the evicted c0s lists alive would hold about 5.6 MB.  Each input
+    takes pairs of its own, so no entry of an earlier one can serve it."""
+    first, second, third = (
+        [(m, k) for m in range(start, start + 40) for k in (m // 2 - 1, -(m // 3) - 1) if math.gcd(m, k) == 1][:16]
+        for start in (10_000, 10_040, 10_080)
+    )
+    assert len(set(first + second + third)) == 48
+    count = partial(predict_at, c=1.0)
+    for calls in ([(count, first)], [(count, second), (thresholds, third)]):
+        rays._threshold_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for query, pairs in calls:
+                for m, k in pairs:
+                    query(validate(m, k, 1.0))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rays._threshold_rows.cache_info().currsize == 16
+        assert retained < 5_000_000, (len(calls), retained)
 
 
 @pytest.mark.parametrize("m, k", [(8, 3), (9, -2), (251, 77), (2039, 1001), (1001, -500)])
@@ -658,7 +663,7 @@ def test_thresholds_read_the_cached_objects(m, k):
     the threshold rows hold: thresholds boxes no element of its own."""
     p = validate(m, k, 1.0)
     thresholds(p)
-    _, c0s, alphas = rays._threshold_rows(m, k)
+    _, c0s, alphas = rays._threshold_rows(m, k)[:3]
     got = thresholds(p)
     assert len(got) == len(c0s)
     for i, t in enumerate(got):

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 
@@ -100,10 +101,14 @@ class TestInvalidC:
         with pytest.raises(NonPositiveCError):
             predict_at(validate(5, 4, 1.0), c)
 
-    @pytest.mark.parametrize("c", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "negative_int", "fraction"])
+    @pytest.mark.parametrize(
+        "c", [10**400, -(10**400), Fraction(10**400, 3), Fraction(1, 10**400)],
+        ids=["int", "negative_int", "fraction", "fraction_below_subnormal"],
+    )
     def test_c_beyond_the_float_range_is_rejected(self, c):
         """A c that float64 cannot hold fails the same rule: no OverflowError
-        escapes, and count_at answers no count there."""
+        escapes, a positive c that rounds to 0.0 is not taken as 0.0, and
+        count_at answers no count there."""
         p = validate(5, 4, 1.0)
         with pytest.raises(NonPositiveCError):
             validate(5, 4, c)
@@ -123,7 +128,7 @@ class TestInvalidC:
                 call(c)
             assert type(exc.value) is ParameterError
 
-    @pytest.mark.parametrize("c", ["0.7", "1.0", "1e3"])
+    @pytest.mark.parametrize("c", ["0.7", "1.0", "1e3", pytest.param(Decimal("0.7"), id="decimal")])
     def test_a_numeric_string_c_answers_as_its_float(self, c):
         p = validate(5, 4, c)
         assert p == validate(5, 4, float(c)) and predict_at(p, c) == predict_at(p, float(c))
@@ -545,7 +550,7 @@ class TestTangencyCircle:
     def test_every_threshold_row_is_on_the_circle(self):
         rows = 0
         for m, k in self.pairs():
-            p, (order, c0s, _) = validate(m, k, 1.0), _threshold_rows(m, k)
+            p, (order, c0s) = validate(m, k, 1.0), _threshold_rows(m, k)[:2]
             rho = (abs(k) / (m - k)) ** (1.0 / m)
             for row, c0 in zip(order, c0s):
                 assert abs(_r0(m, k, analyze_ray(p, row).alpha, c0) / rho - 1.0) <= 2e-15, (m, k, row)
@@ -576,7 +581,7 @@ class TestThresholdAccuracy:
     def test_relative_error_and_order_in_s(self):
         errors = []
         for m, k, rows in self.sample():
-            order, c0s, _ = _threshold_rows(m, k)
+            order, c0s = _threshold_rows(m, k)[:2]
             c0 = dict(zip(order, c0s))
             big_c = exact_big_c(m, k)
             s = {row: min(k * row % (2 * m), -k * row % (2 * m)) for row in order}
