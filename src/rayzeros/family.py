@@ -130,7 +130,7 @@ def _degree(name: str, value) -> int:
 def _check_c(c: float) -> float:
     """The one rule for a valid c wherever it arrives from outside: 0 < c <= the
     greatest float, which nan, inf and an int beyond the float range fail.
-    Returns float(c), checked again where new: a c that rounds to 0.0 fails."""
+    Returns float(c), checked again if c is no float: one rounding to 0.0 fails."""
     try:
         if 0.0 < c <= _MAX_FLOAT:
             return c if c.__class__ is float else _check_c(float(c))

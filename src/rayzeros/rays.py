@@ -36,7 +36,8 @@ from k's inverse alone (_rows); _runs walks them so and hands all_zeros its
 runs of rows, one case and one count each.
 _threshold_rows gives the threshold rows, about a quarter of them, their c0s
 and alphas in increasing residue, which is increasing c0, with no sort;
-thresholds and predict_at read it, the library's one per-pair cache.
+thresholds and predict_at read it; its LRU entry, the library's one cache,
+also holds predict_at's count below every threshold, its sign and axis flag.
 
 Every threshold ray gains (k > 0) or loses (k < 0) two zeros past its c0 and
 one inside its tangency band.  One bisection, _band(c, c0s), whose edge
