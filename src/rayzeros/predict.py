@@ -9,14 +9,18 @@ and above its threshold.  Both take O(1) per pair, and their agreeing for
 every coprime pair is a machine check of the case table that the exact counts
 and the root finder use.  The exact count at one c is the modular band's end
 below every threshold plus (k > 0) or minus (k < 0) R(a) + R(b), with R the
-rays module docstring's and c0s[a:b] the run _band(c, c0s) finds in the
-threshold rows' increasing c0s, cached with base, sign and the axis flag.
+rays module docstring's and c0s[a:b] the run of the threshold rows'
+increasing c0s whose band holds c.  A pair whose rows thresholds has cached
+takes a and b from _band on its c0s, and base, sign and the axis flag from
+the same entry; any other pair takes all five from rays._closed_band, in O(1)
+with nothing built or kept.  So call thresholds once before many queries of
+one pair: a cached query costs about 0.6 us, a closed-form one about 5 us.
 """
 from operator import mul
 from typing import NamedTuple
 
 from .family import FamilyParams, _check_c
-from .rays import _CASES, _MODULAR, _PROFILES, _band, _threshold_rows
+from .rays import _CASES, _PROFILES, _band, _closed_band, _modular_band, _row_cache
 # analyze_ray is unused here but stays bound: perfbench/tracing.py wraps predict.analyze_ray
 from .rays import analyze_ray  # noqa: F401
 from .unity import census
@@ -37,15 +41,14 @@ class CountPrediction(NamedTuple):
 
 
 _DIRECTIONS = ("decreasing", "increasing")  # CountPrediction.direction by k > 0
+_cached_rows = _row_cache.get  # bound once, a warm predict_at's one lookup; the cache dict is never rebound
 # _BOUNDS[k > 0]: the counts below and the counts above the threshold of each kind, in the kind order of _CASES
 _BOUNDS = tuple(tuple(zip(*((_PROFILES[case].below, _PROFILES[case].above) for case in cases))) for cases in _CASES)
 
 
 def predict_table(params: FamilyParams) -> CountPrediction:
     """Count band from the closed-form modular table."""
-    m, k = params.m, params.k
-    low, span = _MODULAR[k > 0, m % 4, k % 2]
-    return CountPrediction(m + low, 2 * m + low + span, _DIRECTIONS[k > 0])
+    return CountPrediction(*_modular_band(params.m, params.k), _DIRECTIONS[params.k > 0])
 
 
 def predict_census(params: FamilyParams) -> CountPrediction:
@@ -58,8 +61,13 @@ def predict_census(params: FamilyParams) -> CountPrediction:
 
 def predict_at(params: FamilyParams, c: float) -> int:
     """Exact zero count at parameter c: the count below every threshold, moved
-    by R(a) + R(b) zeros at the run c0s[a:b] of threshold rows whose band holds c."""
+    by R(a) + R(b) zeros at the run c0s[a:b] of threshold rows whose band holds c:
+    from the pair's cached rows if thresholds has kept them, else from the closed form."""
     c = _check_c(c)
-    _, c0s, _, base, sign, axis = _threshold_rows(params.m, params.k)
-    a, b = _band(c, c0s)
+    rows = _cached_rows((params.m, params.k))
+    if rows is None:
+        a, b, base, sign, axis = _closed_band(params.m, params.k, c)
+    else:
+        _, c0s, _, base, sign, axis = rows
+        a, b = _band(c, c0s)
     return base + sign * (2 * (a + b) - axis * ((a > 0) + (b > 0)))

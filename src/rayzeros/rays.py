@@ -35,9 +35,12 @@ The rows of one parity in increasing folded residue s = min(t, 2m-t) follow
 from k's inverse alone (_rows); _runs walks them so and hands all_zeros its
 runs of rows, one case and one count each.
 _threshold_rows gives the threshold rows, about a quarter of them, their c0s
-and alphas in increasing residue, which is increasing c0, with no sort;
-thresholds and predict_at read it; its LRU entry, the library's one cache,
-also holds predict_at's count below every threshold, its sign and axis flag.
+and alphas in increasing residue, which is increasing c0, with no sort, from
+the library's one cache, which only thresholds fills; each entry also holds
+predict_at's count below every threshold, its sign and axis flag.  predict_at
+reads an entry it finds and otherwise counts from _closed_band in O(1) at any
+m, keeping nothing: c0(s) = C / cos(pi s / m) rises with s, so one acos per
+band edge places it among the rows.
 
 Every threshold ray gains (k > 0) or loses (k < 0) two zeros past its c0 and
 one inside its tangency band.  One bisection, _band(c, c0s), whose edge
@@ -50,9 +53,10 @@ row 0 for k < 0, row m for even k > 0.  So the first i threshold rows by c0
 hold R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
 """
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from functools import lru_cache, partial
+from functools import partial
 from typing import NamedTuple
 
 from .family import FamilyParams, RayDescriptor, _alpha_half, _alpha_range, _check_c, alpha_from_residue, classify_ray
@@ -75,7 +79,8 @@ DEGENERACY_RTOL = 1e-9
 # _band's edge divisors: c's band holds the c0s in [c / _LO_DIV, c / _HI_DIV]
 _LO_DIV, _HI_DIV = 1.0 + DEGENERACY_RTOL, 1.0 - DEGENERACY_RTOL
 
-# threshold rows' cache entries; one takes 7-10 KB under tracemalloc at m = 500, 250 KB at 10^4, 2,570 KB at 100003
+# threshold rows' cache entries, kept by thresholds alone; one takes 7-10 KB under
+# tracemalloc at m = 500, 250 KB at 10^4, 2,570 KB at 100003
 _ROWS_CACHE_SIZE = 16
 # the closed-form band as (min - m, max - min - m), keyed by (k > 0, m mod 4, k mod 2);
 # k is odd wherever m is even, since gcd(m, |k|) = 1
@@ -85,6 +90,22 @@ _MODULAR = {
     (False, 0, 1): (1, -2), (False, 1, 0): (0, 1), (False, 1, 1): (-1, 1),
     (False, 2, 1): (-1, 0), (False, 3, 0): (0, -1), (False, 3, 1): (1, -1),
 }
+
+
+def _modular_band(m: int, k: int) -> tuple[int, int]:
+    """The least and the greatest zero count of (m, k) over all c, from _MODULAR."""
+    low, span = _MODULAR[k > 0, m % 4, k % 2]
+    return m + low, 2 * m + low + span
+
+
+def _count_base(m: int, k: int) -> tuple[int, int, int, bool]:
+    """(q, base, sign, axis) of (m, k): the threshold rows' least folded residue
+    (1 for odd k > 0, else 0), the count below every threshold (the modular
+    band's min for k > 0, its max for k < 0), +1 or -1 as the threshold rays add
+    or remove zeros, and whether the first threshold row is fold 0's axis row."""
+    low, high = _modular_band(m, k)
+    return (k % 2, low, 1, k % 2 == 0) if k > 0 else (0, high, -1, True)
+
 
 _LOG2 = math.log(2.0)
 
@@ -201,20 +222,58 @@ def _big_c(m: int, k: int) -> float:
     return math.exp(-(k * math.log(abs(k) / m) + (m - k) * math.log((m - k) / m)) / m) / 2.0
 
 
-@lru_cache(maxsize=_ROWS_CACHE_SIZE)
-def _threshold_rows(m: int, k: int) -> tuple[list[int], list[float], list[float], int, int, bool]:
-    """(order, c0s, alphas, base, sign, axis) of (m, k) in a small LRU cache: the
-    _rows of the threshold parity (odd iff k > 0) with 2s < m in increasing s,
-    which is increasing c0, their c0s and alphas, as lists read unboxed; the
-    count below every threshold, +1 or -1 as the threshold rays add or remove
-    zeros, and whether order[0] is fold 0's axis row (s = q = 0).  c0 = C / alpha
-    needs no sort: neighbouring alphas differ by at least 1 - cos(2 pi / m),
-    over 1000 ulps for every m <= 10^7, and libm's cos and sin are within 1 ulp."""
-    q, big_c = k % 2 if k > 0 else 0, _big_c(m, k)
+def _build_threshold_rows(m: int, k: int) -> tuple[list[int], list[float], list[float], int, int, bool]:
+    """(order, c0s, alphas, base, sign, axis) of (m, k): the _rows of the threshold
+    parity (odd iff k > 0) with 2s < m in increasing s, which is increasing c0,
+    their c0s and alphas, as lists read unboxed, and _count_base's record.
+    c0 = C / alpha needs no sort: neighbouring alphas differ by at least
+    1 - cos(2 pi / m), over 1000 ulps for every m <= 10^7, and libm's cos and
+    sin are within 1 ulp."""
+    (q, *record), big_c = _count_base(m, k), _big_c(m, k)
     alphas = _alpha_half(m, q, 2)[:len(range(q, (m + 1) // 2, 2))]
-    low, span = _MODULAR[k > 0, m % 4, k % 2]
-    base, sign = (m + low, 1) if k > 0 else (2 * m + low + span, -1)
-    return _rows(m, k, k > 0, len(alphas)), [big_c / a for a in alphas], alphas, base, sign, q == 0
+    return _rows(m, k, k > 0, len(alphas)), [big_c / a for a in alphas], alphas, *record
+
+
+# (m, k) -> _build_threshold_rows(m, k), the library's one cache, least recently
+# fetched by _threshold_rows first; cleared in place, never rebound: predict binds its get
+_row_cache: dict[tuple[int, int], tuple] = {}
+
+
+def _threshold_rows(m: int, k: int) -> tuple[list[int], list[float], list[float], int, int, bool]:
+    """_build_threshold_rows(m, k) from the cache, built and kept on a miss, where
+    the least recently fetched of _ROWS_CACHE_SIZE pairs makes room.  thresholds
+    is its only caller in the library; predict_at reads _row_cache without it."""
+    rows = _row_cache.pop((m, k), None)
+    if rows is None:
+        rows = _build_threshold_rows(m, k)
+        if len(_row_cache) >= _ROWS_CACHE_SIZE:
+            _row_cache.pop(next(iter(_row_cache)), None)
+    _row_cache[m, k] = rows
+    return rows
+
+
+def _closed_band(m: int, k: int, c: float) -> tuple[int, int, int, int, bool]:
+    """(a, b, base, sign, axis): _band(c, c0s) on the threshold rows of (m, k) and
+    _count_base's record, with no row built.  The c0s below x are those of
+    s < (m / pi) acos(C / x), so one acos places each edge, checked against the
+    float c0 C / alpha_from_residue(m, s) on either side, the rows' own bit for
+    bit.  Where a check fails, one row off at a band edge or near C at m beyond
+    about 10^9, where thousands of rows round to one c0, the edge is bisected on
+    those c0s on that side: O(1) c0s a query in general, O(log m) at worst."""
+    (q, *record), big_c = _count_base(m, k), _big_c(m, k)
+    n, scale, edges = len(range(q, (m + 1) // 2, 2)), m / math.pi, []
+
+    def c0(i: int) -> float:
+        return big_c / alpha_from_residue(m, q + 2 * i)
+
+    for x, find, below in ((c / _LO_DIV, bisect_left, operator.lt), (c / _HI_DIV, bisect_right, operator.le)):
+        i = min(max(math.ceil((scale * math.acos(min(1.0, big_c / x)) - q) / 2), 0), n)
+        if i > 0 and not below(c0(i - 1), x):
+            i = find(range(n), x, 0, i - 1, key=c0)
+        elif i < n and below(c0(i), x):
+            i = find(range(n), x, i + 1, n, key=c0)
+        edges.append(i)
+    return *edges, *record
 
 
 def _runs(params: FamilyParams):

@@ -137,9 +137,9 @@ def test_count_band_builds_no_threshold_rows(k):
     """Both bands and the census come from O(1) formulas: the threshold-row
     cache stays empty after all three."""
     p = validate(100003, k, 1.0)
-    rays_mod._threshold_rows.cache_clear()
+    rays_mod._row_cache.clear()
     predict_table(p), predict_census(p), census(p)
-    assert rays_mod._threshold_rows.cache_info().currsize == 0
+    assert len(rays_mod._row_cache) == 0
 
 
 @pytest.mark.parametrize("k", [1, -1, 2])

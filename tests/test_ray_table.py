@@ -253,7 +253,7 @@ class TestTableBuild:
         """order[i] is the threshold row of folded residue q + 2i (q = 1 for odd
         k > 0, else 0), c0s[i] is that row's C / alpha, and c0 rises strictly
         with i, with no sort; alphas[i] is alpha_from_residue(m, q + 2i) bit for bit."""
-        order, c0s, alphas = rays._threshold_rows.__wrapped__(m, k)[:3]
+        order, c0s, alphas = rays._build_threshold_rows(m, k)[:3]
         q = 1 if k > 0 and k % 2 else 0
         residues = range(q, (m + 1) // 2, 2)
         assert [min(k * row % (2 * m), -k * row % (2 * m)) for row in order] == list(residues)
@@ -267,7 +267,7 @@ class TestTableBuild:
         """The rows whose integer kind is the threshold case of k's sign are exactly
         the threshold rows' order, each once: the folded residues and the rows from
         k's inverse agree."""
-        order = rays._threshold_rows.__wrapped__(m, k)[0]
+        order = rays._build_threshold_rows(m, k)[0]
         rows = [row for row, kind in enumerate(row_kinds(m, k)) if _CASES[k > 0][kind] in THRESHOLD_CASES]
         assert rows == sorted(order), (m, k)
         assert len(set(order)) == len(order), (m, k)
@@ -285,12 +285,12 @@ class TestTableBuild:
         """analyze_ray's alpha and c0 on each threshold row are the threshold rows'
         own, bit for bit, and both take C from rays._big_c: C has one source."""
         p = validate(m, k, 1.0)
-        order, c0s, alphas = rays._threshold_rows.__wrapped__(m, k)[:3]
+        order, c0s, alphas = rays._build_threshold_rows(m, k)[:3]
         for row, c0, alpha in zip(order, c0s, alphas):
             a = analyze_ray(p, row)
             assert (bits(a.alpha), bits(a.c0)) == (bits(alpha), bits(c0)), (m, k, row)
         monkeypatch.setattr(rays, "_big_c", lambda m, k: 2.0)
-        assert list(rays._threshold_rows.__wrapped__(m, k)[1]) == [2.0 / alpha for alpha in alphas]
+        assert list(rays._build_threshold_rows(m, k)[1]) == [2.0 / alpha for alpha in alphas]
         assert [analyze_ray(p, row).c0 for row in order] == [2.0 / alpha for alpha in alphas]
 
     @pytest.mark.parametrize("m, k", LARGE_M)
@@ -315,7 +315,7 @@ class TestTableBuild:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(rays, name, counted)
-        rays._threshold_rows.__wrapped__(m, k)
+        rays._build_threshold_rows(m, k)
         q = 1 if k > 0 and k % 2 else 0
         assert calls["_alpha_half"] == [(m, q, 2)]
         assert calls["alpha_from_residue"] == calls["classify_ray"] == calls["analyze_ray"] == []
@@ -470,9 +470,9 @@ class TestAllZerosEquivalence:
         """all_zeros takes its band split from its own runs' alphas: a cold call
         builds no threshold rows."""
         p = validate(m, k, c)
-        rays._threshold_rows.cache_clear()
+        rays._row_cache.clear()
         recs = all_zeros(p)
-        assert rays._threshold_rows.cache_info().currsize == 0
+        assert len(rays._row_cache) == 0
         assert len(recs) == predict_at(p, c)
 
 
@@ -591,12 +591,75 @@ class TestPredictAtEqualsRunningCount:
         self.assert_equal_running_count(m, k)
 
 
+
+class TestClosedBand:
+    """predict_at on a pair whose rows thresholds has not cached counts from
+    rays._closed_band and keeps nothing; on a cached pair it runs _band on the
+    rows' c0s.  The two answer every query alike."""
+
+    @staticmethod
+    def queries(m, k, sample=None):
+        """The nine fixed c, then each c0, c0 (1 +- w) and c0 / (1 +- w) with one
+        ulp either side, of every threshold row or of a seeded sample of them."""
+        w, cs, c0s = DEGENERACY_RTOL, list(FIXED_C), rays._build_threshold_rows(m, k)[1]
+        if sample is not None:
+            c0s = random.Random(f"{m}:{k}").sample(c0s, min(sample, len(c0s)))
+        for c0 in c0s:
+            for c in (c0, c0 * (1 + w), c0 * (1 - w), c0 / (1 + w), c0 / (1 - w)):
+                cs += [math.nextafter(c, 0.0), c, math.nextafter(c, math.inf)]
+        return cs
+
+    @classmethod
+    def assert_cold_equals_warm(cls, m, k, sample=None):
+        p, cs = validate(m, k, 1.0), cls.queries(m, k, sample)
+        rays._row_cache.clear()
+        cold = [predict_at(p, c) for c in cs]
+        assert len(rays._row_cache) == 0, (m, k)
+        thresholds(p)
+        assert [predict_at(p, c) for c in cs] == cold, (m, k)
+        return len(cs)
+
+    def test_every_pair_small_m(self):
+        assert sum(self.assert_cold_equals_warm(m, k) for m, k in valid_pairs(60)) > 300_000
+
+    @pytest.mark.parametrize("m, k", sampled_pairs(6, 100_000, seed=48) + [(10000, 1), (100003, -2), (99991, 99990)])
+    def test_seeded_pairs_large_m(self, m, k):
+        self.assert_cold_equals_warm(m, k, sample=400)
+
+    @pytest.mark.parametrize("m", [10**6 + 3, 10**12 + 39])
+    @pytest.mark.parametrize("k", [1, -2])
+    def test_any_m_builds_nothing_and_meets_the_limit(self, monkeypatch, m, k):
+        """A cold predict_at builds no threshold rows and takes no pass over
+        residues, so it answers at m = 10^12 + 39 too.  Its count per m lies within
+        4/m of the large-m limit, with kappa = k/m and
+        C(kappa) = 1 / (2 |kappa|^kappa (1 - kappa)^(1 - kappa)):
+        1 + (2/pi) acos(min(1, C(kappa)/c)) for k > 0, 2 - (2/pi) acos(...) for k < 0."""
+        calls = {"_alpha_half": 0, "_build_threshold_rows": 0}
+        for name in calls:
+
+            def counted(*args, _fn=getattr(rays, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(rays, name, counted)
+        kappa = k / m
+        big_c = 1.0 / (2.0 * abs(kappa) ** kappa * (1.0 - kappa) ** (1.0 - kappa))
+        p = validate(m, k, 1.0)
+        rays._row_cache.clear()
+        # c near C is left out: there the limit's acos moves faster than 1/m per ulp of C
+        for c in [big_c * f for f in (0.5, 1.001, 1.01, 1.1, 1.5, 2.0, 10.0, 1e6)] + [5e-324, sys.float_info.max]:
+            arc = 2.0 / math.pi * math.acos(min(1.0, big_c / c))
+            limit = 1.0 + arc if k > 0 else 2.0 - arc
+            assert abs(predict_at(p, c) / m - limit) <= 4 / m, (m, k, c)
+        assert calls == {"_alpha_half": 0, "_build_threshold_rows": 0}
+        assert len(rays._row_cache) == 0
+
 def test_fold_zero_is_the_only_axis_threshold_and_the_first():
     """Fold 0 (alpha = 1, c0 = C) puts an axis row among the thresholds exactly
     when k < 0 or k is even, and that row's c0 is strictly the least."""
     for m, k in valid_pairs(200):
         p = validate(m, k, 1.0)
-        order, c0s = rays._threshold_rows.__wrapped__(m, k)[:2]
+        order, c0s = rays._build_threshold_rows(m, k)[:2]
         axes = [row for row in (0, m) if analyze_ray(p, row).c0 is not None]
         first = k < 0 or k % 2 == 0
         assert axes == (list(order[:1]) if first else []), (m, k)
@@ -631,19 +694,19 @@ def test_table_cache_memory_is_bounded():
 
 def test_full_cache_memory_at_m_ten_thousand():
     """The threshold rows are lists of Python floats and ints, so a full cache of
-    16 pairs near m = 10^4 holds about 4 MB, bounded here at 5 MB.  thresholds
-    shares that one cache with predict_at: on 16 other pairs after predict_at's
-    16 it evicts those whole, and the same bound holds, where a second cache
-    that kept the evicted c0s lists alive would hold about 5.6 MB.  Each input
-    takes pairs of its own, so no entry of an earlier one can serve it."""
+    16 pairs near m = 10^4 holds about 4 MB, bounded here at 5 MB.  Only
+    thresholds fills that cache: predict_at on 16 pairs keeps no entry, and
+    thresholds on 16 other pairs after 16 of its own evicts those whole, so the
+    same bound holds.  Each input takes pairs of its own, so no entry of an
+    earlier one can serve it."""
     first, second, third = (
         [(m, k) for m in range(start, start + 40) for k in (m // 2 - 1, -(m // 3) - 1) if math.gcd(m, k) == 1][:16]
         for start in (10_000, 10_040, 10_080)
     )
     assert len(set(first + second + third)) == 48
     count = partial(predict_at, c=1.0)
-    for calls in ([(count, first)], [(count, second), (thresholds, third)]):
-        rays._threshold_rows.cache_clear()
+    for calls, entries in (([(count, first)], 0), ([(thresholds, second), (thresholds, third)], 16)):
+        rays._row_cache.clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -653,7 +716,7 @@ def test_full_cache_memory_at_m_ten_thousand():
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert rays._threshold_rows.cache_info().currsize == 16
+        assert len(rays._row_cache) == entries
         assert retained < 5_000_000, (len(calls), retained)
 
 

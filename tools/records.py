@@ -6,7 +6,9 @@ ROOT is a checkout root (default: the one holding this script); its
 src/rayzeros is imported.  For every coprime pair with 2 <= m <= M (40 by
 default) and 0 < |k| < m, both signs of k, the queries are every threshold
 c0, c0 (1 +- 1e-9), one ulp either side of each, and nine fixed c from
-5e-324 to max_float.  Each query is one line of the dump: m, k, c as
+5e-324 to max_float.  The c0s are the distinct ones of the rays' analyses,
+so no call fills the threshold rows' cache and every predict_at takes its
+uncached route.  Each query is one line of the dump: m, k, c as
 ``float.hex``, predict_at, count_at and the merged-pair flag of every ray 0..2m-1,
 then every all_zeros record (ray, r, z and residual by ``float.hex``, and
 the degenerate flag) or the exception all_zeros raised.  The script prints
@@ -27,10 +29,10 @@ FIXED_C = (5e-324, 1e-300, 1e-10, 0.3, 1.0, 3.0, 1e10, 1e300, sys.float_info.max
 BAND = 1e-9
 
 
-def queries(thresholds) -> list[float]:
+def queries(c0s) -> list[float]:
     cs = []
-    for th in thresholds:
-        for c in (th.c0, th.c0 * (1 + BAND), th.c0 * (1 - BAND)):
+    for c0 in c0s:
+        for c in (c0, c0 * (1 + BAND), c0 * (1 - BAND)):
             cs += [math.nextafter(c, 0.0), c, math.nextafter(c, math.inf)]
     return list(dict.fromkeys(cs + list(FIXED_C)))
 
@@ -44,7 +46,7 @@ def dump(rz, m_max: int):
         for k in (k for k in range(1 - m, m) if k and math.gcd(m, abs(k)) == 1):
             p = rz.validate(m, k, 1.0)
             analyses = [rz.analyze_ray(p, j) for j in range(2 * m)]
-            for c in queries(rz.thresholds(p)):
+            for c in queries(sorted({a.c0 for a in analyses if a.c0 is not None})):
                 counts = "".join(str(rz.count_at(a, c)) for a in analyses)
                 # a threshold ray counts 1 only inside its tangency band
                 merged = "".join("1" if a.c0 is not None and rz.count_at(a, c) == 1 else "0" for a in analyses)
