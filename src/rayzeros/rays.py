@@ -53,7 +53,6 @@ row 0 for k < 0, row m for even k > 0.  So the first i threshold rows by c0
 hold R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
 """
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import partial
@@ -98,13 +97,15 @@ def _modular_band(m: int, k: int) -> tuple[int, int]:
     return m + low, 2 * m + low + span
 
 
-def _count_base(m: int, k: int) -> tuple[int, int, int, bool]:
-    """(q, base, sign, axis) of (m, k): the threshold rows' least folded residue
-    (1 for odd k > 0, else 0), the count below every threshold (the modular
-    band's min for k > 0, its max for k < 0), +1 or -1 as the threshold rays add
-    or remove zeros, and whether the first threshold row is fold 0's axis row."""
+def _pair_facts(m: int, k: int) -> tuple[int, int, float, int, int, bool]:
+    """(q, n, C, base, sign, axis) of (m, k): the threshold rows' folded residues
+    are s = q, q + 2, ... with 2s < m, n of them (q = 1 for odd k > 0, else 0);
+    the count below every threshold is base, the modular band's min for k > 0
+    and its max for k < 0; sign is +1 or -1 as the threshold rays add or remove
+    zeros; axis tells whether the first threshold row is fold 0's axis row."""
     low, high = _modular_band(m, k)
-    return (k % 2, low, 1, k % 2 == 0) if k > 0 else (0, high, -1, True)
+    q = k % 2 if k > 0 else 0
+    return q, len(range(q, (m + 1) // 2, 2)), _big_c(m, k), low if k > 0 else high, 1 if k > 0 else -1, q == 0
 
 
 _LOG2 = math.log(2.0)
@@ -225,13 +226,13 @@ def _big_c(m: int, k: int) -> float:
 def _build_threshold_rows(m: int, k: int) -> tuple[list[int], list[float], list[float], int, int, bool]:
     """(order, c0s, alphas, base, sign, axis) of (m, k): the _rows of the threshold
     parity (odd iff k > 0) with 2s < m in increasing s, which is increasing c0,
-    their c0s and alphas, as lists read unboxed, and _count_base's record.
-    c0 = C / alpha needs no sort: neighbouring alphas differ by at least
+    their c0s and alphas, as lists read unboxed, and _pair_facts' base, sign and
+    axis.  c0 = C / alpha needs no sort: neighbouring alphas differ by at least
     1 - cos(2 pi / m), over 1000 ulps for every m <= 10^7, and libm's cos and
     sin are within 1 ulp."""
-    (q, *record), big_c = _count_base(m, k), _big_c(m, k)
-    alphas = _alpha_half(m, q, 2)[:len(range(q, (m + 1) // 2, 2))]
-    return _rows(m, k, k > 0, len(alphas)), [big_c / a for a in alphas], alphas, *record
+    q, n, big_c, *record = _pair_facts(m, k)
+    alphas = _alpha_half(m, q, 2)[:n]
+    return _rows(m, k, k > 0, n), [big_c / a for a in alphas], alphas, *record
 
 
 # (m, k) -> _build_threshold_rows(m, k), the library's one cache, least recently
@@ -239,40 +240,32 @@ def _build_threshold_rows(m: int, k: int) -> tuple[list[int], list[float], list[
 _row_cache: dict[tuple[int, int], tuple] = {}
 
 
-def _threshold_rows(m: int, k: int) -> tuple[list[int], list[float], list[float], int, int, bool]:
+def _threshold_rows(m: int, k: int) -> tuple:
     """_build_threshold_rows(m, k) from the cache, built and kept on a miss, where
     the least recently fetched of _ROWS_CACHE_SIZE pairs makes room.  thresholds
     is its only caller in the library; predict_at reads _row_cache without it."""
-    rows = _row_cache.pop((m, k), None)
-    if rows is None:
-        rows = _build_threshold_rows(m, k)
-        if len(_row_cache) >= _ROWS_CACHE_SIZE:
-            _row_cache.pop(next(iter(_row_cache)), None)
+    rows = _row_cache.pop((m, k), None) or _build_threshold_rows(m, k)
+    if len(_row_cache) >= _ROWS_CACHE_SIZE:
+        _row_cache.pop(next(iter(_row_cache)))
     _row_cache[m, k] = rows
     return rows
 
 
 def _closed_band(m: int, k: int, c: float) -> tuple[int, int, int, int, bool]:
-    """(a, b, base, sign, axis): _band(c, c0s) on the threshold rows of (m, k) and
-    _count_base's record, with no row built.  The c0s below x are those of
-    s < (m / pi) acos(C / x), so one acos places each edge, checked against the
-    float c0 C / alpha_from_residue(m, s) on either side, the rows' own bit for
-    bit.  Where a check fails, one row off at a band edge or near C at m beyond
-    about 10^9, where thousands of rows round to one c0, the edge is bisected on
-    those c0s on that side: O(1) c0s a query in general, O(log m) at worst."""
-    (q, *record), big_c = _count_base(m, k), _big_c(m, k)
-    n, scale, edges = len(range(q, (m + 1) // 2, 2)), m / math.pi, []
-
-    def c0(i: int) -> float:
-        return big_c / alpha_from_residue(m, q + 2 * i)
-
-    for x, find, below in ((c / _LO_DIV, bisect_left, operator.lt), (c / _HI_DIV, bisect_right, operator.le)):
-        i = min(max(math.ceil((scale * math.acos(min(1.0, big_c / x)) - q) / 2), 0), n)
-        if i > 0 and not below(c0(i - 1), x):
-            i = find(range(n), x, 0, i - 1, key=c0)
-        elif i < n and below(c0(i), x):
-            i = find(range(n), x, i + 1, n, key=c0)
-        edges.append(i)
+    """(a, b, base, sign, axis): _band(c, c0s) on the threshold rows of (m, k)
+    and _pair_facts' base, sign and axis, with no row built.  The c0s below x
+    are those of s < (m / pi) acos(C / x): one acos per edge gives its estimate
+    i, and a bisection of rows i - 2 .. i + 2 on their float c0s
+    C / alpha_from_residue(m, s), the rows' own bit for bit, settles it within
+    one row of i.  An edge further off, as near C at m beyond about 10^9, where
+    thousands of rows round to one c0, is bisected on all of them: O(1) c0s a
+    query in general, O(log m) at worst."""
+    q, n, big_c, *record = _pair_facts(m, k)
+    c0, rows, edges = lambda i: big_c / alpha_from_residue(m, q + 2 * i), range(n), []
+    for x, find in ((c / _LO_DIV, bisect_left), (c / _HI_DIV, bisect_right)):
+        i = math.ceil((m / math.pi * math.acos(min(1.0, big_c / x)) - q) / 2)
+        j = find(rows, x, max(i - 2, 0), min(i + 2, n), key=c0)
+        edges.append(j if abs(j - i) < 2 else find(rows, x, key=c0))
     return *edges, *record
 
 
