@@ -53,6 +53,7 @@ row 0 for k < 0, row m for even k > 0.  So the first i threshold rows by c0
 hold R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
 """
 import math
+from _thread import allocate_lock
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import partial
@@ -238,16 +239,18 @@ def _build_threshold_rows(m: int, k: int) -> tuple[list[int], list[float], list[
 # (m, k) -> _build_threshold_rows(m, k), the library's one cache, least recently
 # fetched by _threshold_rows first; cleared in place, never rebound: predict binds its get
 _row_cache: dict[tuple[int, int], tuple] = {}
+_row_lock = allocate_lock()  # _threshold_rows' fetch, eviction and insert run as one step
 
 
 def _threshold_rows(m: int, k: int) -> tuple:
     """_build_threshold_rows(m, k) from the cache, built and kept on a miss, where
     the least recently fetched of _ROWS_CACHE_SIZE pairs makes room.  thresholds
     is its only caller in the library; predict_at reads _row_cache without it."""
-    rows = _row_cache.pop((m, k), None) or _build_threshold_rows(m, k)
-    if len(_row_cache) >= _ROWS_CACHE_SIZE:
-        _row_cache.pop(next(iter(_row_cache)))
-    _row_cache[m, k] = rows
+    with _row_lock:
+        rows = _row_cache.pop((m, k), None) or _build_threshold_rows(m, k)
+        if len(_row_cache) >= _ROWS_CACHE_SIZE:
+            _row_cache.pop(next(iter(_row_cache)))
+        _row_cache[m, k] = rows
     return rows
 
 

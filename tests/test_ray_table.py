@@ -12,6 +12,7 @@ import math
 import pathlib
 import random
 import sys
+import threading
 import tracemalloc
 from array import array
 from bisect import bisect_left, bisect_right
@@ -752,6 +753,42 @@ def test_full_cache_memory_at_m_ten_thousand():
         assert len(rays._row_cache) == entries
         assert retained < 5_000_000, (len(calls), retained)
 
+
+def test_cache_stays_bounded_under_threads():
+    """Threads that call thresholds and predict_at on more pairs than the cache
+    holds, switching every microsecond, leave at most _ROWS_CACHE_SIZE entries,
+    each the builder's rows of its own pair, and every answer equals the one
+    asked alone."""
+    pairs = [(m, k) for m in range(40, 52) for k in (7, -5) if math.gcd(m, abs(k)) == 1]
+    assert len(pairs) > rays._ROWS_CACHE_SIZE
+    want = {pair: (thresholds(validate(*pair, 1.0)), predict_at(validate(*pair, 1.0), 0.9)) for pair in pairs}
+    got, errors = [], []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(150):
+                pair = rng.choice(pairs)
+                p = validate(*pair, 1.0)
+                got.append((pair, (thresholds(p), predict_at(p, 0.9))))
+        except Exception as exc:  # a failure in a thread fails the test below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers) and not errors, errors
+    assert len(got) == 6 * 150 and all(answer == want[pair] for pair, answer in got)
+    assert len(rays._row_cache) <= rays._ROWS_CACHE_SIZE
+    for (m, k), rows in rays._row_cache.items():
+        assert rows[1] == rays._build_threshold_rows(m, k)[1], (m, k)
 
 @pytest.mark.parametrize("m, k", [(8, 3), (9, -2), (251, 77), (2039, 1001), (1001, -500)])
 def test_thresholds_read_the_cached_objects(m, k):
