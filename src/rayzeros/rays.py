@@ -231,9 +231,9 @@ def _build_threshold_rows(m: int, k: int) -> tuple[list[int], list[float], list[
     axis.  c0 = C / alpha needs no sort: neighbouring alphas differ by at least
     1 - cos(2 pi / m), over 1000 ulps for every m <= 10^7, and libm's cos and
     sin are within 1 ulp."""
-    q, n, big_c, *record = _pair_facts(m, k)
+    q, n, big_c, base, sign, axis = _pair_facts(m, k)
     alphas = _alpha_half(m, q, 2)[:n]
-    return _rows(m, k, k > 0, n), [big_c / a for a in alphas], alphas, *record
+    return _rows(m, k, k > 0, n), [big_c / a for a in alphas], alphas, base, sign, axis
 
 
 # (m, k) -> _build_threshold_rows(m, k), the library's one cache, least recently
@@ -263,13 +263,13 @@ def _closed_band(m: int, k: int, c: float) -> tuple[int, int, int, int, bool]:
     one row of i.  An edge further off, as near C at m beyond about 10^9, where
     thousands of rows round to one c0, is bisected on all of them: O(1) c0s a
     query in general, O(log m) at worst."""
-    q, n, big_c, *record = _pair_facts(m, k)
+    q, n, big_c, base, sign, axis = _pair_facts(m, k)
     c0, rows, edges = lambda i: big_c / alpha_from_residue(m, q + 2 * i), range(n), []
     for x, find in ((c / _LO_DIV, bisect_left), (c / _HI_DIV, bisect_right)):
         i = math.ceil((m / math.pi * math.acos(min(1.0, big_c / x)) - q) / 2)
         j = find(rows, x, max(i - 2, 0), min(i + 2, n), key=c0)
         edges.append(j if abs(j - i) < 2 else find(rows, x, key=c0))
-    return *edges, *record
+    return edges[0], edges[1], base, sign, axis
 
 
 def _runs(params: FamilyParams):

@@ -592,7 +592,6 @@ class TestPredictAtEqualsRunningCount:
         self.assert_equal_running_count(m, k)
 
 
-
 class TestClosedBand:
     """predict_at on a pair whose rows thresholds has not cached counts from
     rays._closed_band and keeps nothing; on a cached pair it runs _band on the
