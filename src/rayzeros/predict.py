@@ -48,7 +48,8 @@ _BOUNDS = tuple(tuple(zip(*((_PROFILES[case].below, _PROFILES[case].above) for c
 
 def predict_table(params: FamilyParams) -> CountPrediction:
     """Count band from the closed-form modular table."""
-    return CountPrediction(*_modular_band(params.m, params.k), _DIRECTIONS[params.k > 0])
+    low, high = _modular_band(params.m, params.k)
+    return CountPrediction(low, high, _DIRECTIONS[params.k > 0])
 
 
 def predict_census(params: FamilyParams) -> CountPrediction:
