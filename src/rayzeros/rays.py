@@ -38,9 +38,9 @@ _threshold_rows gives the threshold rows, about a quarter of them, their c0s
 and alphas in increasing residue, which is increasing c0, with no sort, from
 the library's one cache, which only thresholds fills; each entry also holds
 predict_at's count below every threshold, its sign and axis flag.  predict_at
-reads an entry it finds and otherwise counts from _closed_band in O(1) at any
-m, keeping nothing: c0(s) = C / cos(pi s / m) rises with s, so one acos per
-band edge places it among the rows.
+reads an entry it finds and otherwise counts from _closed_band, keeping
+nothing: c0(s) = C / cos(pi s / m) rises with s, so each band edge is one
+bisection of the rows' residues, O(log m) at any m.
 
 Every threshold ray gains (k > 0) or loses (k < 0) two zeros past its c0 and
 one inside its tangency band.  One bisection, _band(c, c0s), whose edge
@@ -53,7 +53,6 @@ row 0 for k < 0, row m for even k > 0.  So the first i threshold rows by c0
 hold R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
 """
 import math
-from _thread import allocate_lock
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import partial
@@ -92,21 +91,20 @@ _MODULAR = {
 }
 
 
-def _modular_band(m: int, k: int) -> tuple[int, int]:
+def _modular_band(m: int, k: int) -> tuple:
     """The least and the greatest zero count of (m, k) over all c, from _MODULAR."""
     low, span = _MODULAR[k > 0, m % 4, k % 2]
     return m + low, 2 * m + low + span
 
 
-def _pair_facts(m: int, k: int) -> tuple[int, int, float, int, int, bool]:
-    """(q, n, C, base, sign, axis) of (m, k): the threshold rows' folded residues
-    are s = q, q + 2, ... with 2s < m, n of them (q = 1 for odd k > 0, else 0);
-    the count below every threshold is base, the modular band's min for k > 0
-    and its max for k < 0; sign is +1 or -1 as the threshold rays add or remove
-    zeros; axis tells whether the first threshold row is fold 0's axis row."""
-    low, high = _modular_band(m, k)
-    q = k % 2 if k > 0 else 0
-    return q, len(range(q, (m + 1) // 2, 2)), _big_c(m, k), low if k > 0 else high, 1 if k > 0 else -1, q == 0
+def _pair_facts(m: int, k: int) -> tuple:
+    """(residues, C, (base, sign, axis)) of (m, k): the threshold rows' folded
+    residues s = q, q + 2, ... with 2s < m (q = 1 for odd k > 0, else 0); the
+    count below every threshold, the modular band's min for k > 0 and its max
+    for k < 0; +1 or -1 as the threshold rays add or remove zeros; and whether
+    the first threshold row is fold 0's axis row."""
+    residues = range(k % 2 if k > 0 else 0, (m + 1) // 2, 2)
+    return residues, _big_c(m, k), (_modular_band(m, k)[k < 0], 1 if k > 0 else -1, residues.start == 0)
 
 
 _LOG2 = math.log(2.0)
@@ -224,52 +222,43 @@ def _big_c(m: int, k: int) -> float:
     return math.exp(-(k * math.log(abs(k) / m) + (m - k) * math.log((m - k) / m)) / m) / 2.0
 
 
-def _build_threshold_rows(m: int, k: int) -> tuple[list[int], list[float], list[float], int, int, bool]:
+def _build_threshold_rows(m: int, k: int) -> tuple:
     """(order, c0s, alphas, base, sign, axis) of (m, k): the _rows of the threshold
     parity (odd iff k > 0) with 2s < m in increasing s, which is increasing c0,
-    their c0s and alphas, as lists read unboxed, and _pair_facts' base, sign and
-    axis.  c0 = C / alpha needs no sort: neighbouring alphas differ by at least
+    their c0s and alphas, as lists read unboxed, and _pair_facts' (base, sign,
+    axis).  c0 = C / alpha needs no sort: neighbouring alphas differ by at least
     1 - cos(2 pi / m), over 1000 ulps for every m <= 10^7, and libm's cos and
     sin are within 1 ulp."""
-    q, n, big_c, base, sign, axis = _pair_facts(m, k)
-    alphas = _alpha_half(m, q, 2)[:n]
-    return _rows(m, k, k > 0, n), [big_c / a for a in alphas], alphas, base, sign, axis
+    residues, big_c, tail = _pair_facts(m, k)
+    alphas = _alpha_half(m, residues.start, 2)[:len(residues)]
+    return _rows(m, k, k > 0, len(alphas)), [big_c / a for a in alphas], alphas, *tail
 
 
 # (m, k) -> _build_threshold_rows(m, k), the library's one cache, least recently
 # fetched by _threshold_rows first; cleared in place, never rebound: predict binds its get
-_row_cache: dict[tuple[int, int], tuple] = {}
-_row_lock = allocate_lock()  # _threshold_rows' fetch, eviction and insert run as one step
+_row_cache = {}
 
 
 def _threshold_rows(m: int, k: int) -> tuple:
-    """_build_threshold_rows(m, k) from the cache, built and kept on a miss, where
-    the least recently fetched of _ROWS_CACHE_SIZE pairs makes room.  thresholds
-    is its only caller in the library; predict_at reads _row_cache without it."""
-    with _row_lock:
-        rows = _row_cache.pop((m, k), None) or _build_threshold_rows(m, k)
-        if len(_row_cache) >= _ROWS_CACHE_SIZE:
-            _row_cache.pop(next(iter(_row_cache)))
-        _row_cache[m, k] = rows
+    """_build_threshold_rows(m, k) from the cache, built and kept on a miss, and
+    moved to the cache's end; then all but the last _ROWS_CACHE_SIZE pairs are
+    dropped.  list() of a dict and pop with a default are each one step under
+    threads, so the cache holds at most that many pairs once its callers return.
+    thresholds is its only caller in the library; predict_at reads _row_cache."""
+    rows = _row_cache[m, k] = _row_cache.pop((m, k), None) or _build_threshold_rows(m, k)
+    for key in list(_row_cache)[:-_ROWS_CACHE_SIZE]:
+        _row_cache.pop(key, None)
     return rows
 
 
-def _closed_band(m: int, k: int, c: float) -> tuple[int, int, int, int, bool]:
+def _closed_band(m: int, k: int, c: float) -> tuple:
     """(a, b, base, sign, axis): _band(c, c0s) on the threshold rows of (m, k)
-    and _pair_facts' base, sign and axis, with no row built.  The c0s below x
-    are those of s < (m / pi) acos(C / x): one acos per edge gives its estimate
-    i, and a bisection of rows i - 2 .. i + 2 on their float c0s
-    C / alpha_from_residue(m, s), the rows' own bit for bit, settles it within
-    one row of i.  An edge further off, as near C at m beyond about 10^9, where
-    thousands of rows round to one c0, is bisected on all of them: O(1) c0s a
-    query in general, O(log m) at worst."""
-    q, n, big_c, base, sign, axis = _pair_facts(m, k)
-    c0, rows, edges = lambda i: big_c / alpha_from_residue(m, q + 2 * i), range(n), []
-    for x, find in ((c / _LO_DIV, bisect_left), (c / _HI_DIV, bisect_right)):
-        i = math.ceil((m / math.pi * math.acos(min(1.0, big_c / x)) - q) / 2)
-        j = find(rows, x, max(i - 2, 0), min(i + 2, n), key=c0)
-        edges.append(j if abs(j - i) < 2 else find(rows, x, key=c0))
-    return edges[0], edges[1], base, sign, axis
+    and _pair_facts' (base, sign, axis), with no row built.  Each edge is one
+    bisection of the rows' residues s on their float c0s C / alpha_from_residue(m, s),
+    the rows' own bit for bit: O(log m) c0s a query at any m."""
+    residues, big_c, tail = _pair_facts(m, k)
+    c0 = lambda s: big_c / alpha_from_residue(m, s)
+    return bisect_left(residues, c / _LO_DIV, key=c0), bisect_right(residues, c / _HI_DIV, key=c0), *tail
 
 
 def _runs(params: FamilyParams):

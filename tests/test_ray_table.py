@@ -655,21 +655,12 @@ class TestClosedBand:
         assert len(rays._row_cache) == 0
 
     @pytest.mark.parametrize("k", [1, -2])
-    def test_edges_near_c_at_m_ten_to_the_twelve(self, monkeypatch, k):
-        """Near C at m = 10^12 + 39 thousands of rows share one float c0, so the
-        acos estimate can miss an edge by more than a row, and the edge is then
-        bisected on all the rows.  Either way a and b meet the float c0s
-        C / alpha_from_residue(m, s) as _band's bisections meet the cached list:
+    def test_edges_near_c_at_m_ten_to_the_twelve(self, k):
+        """Near C at m = 10^12 + 39 thousands of rows share one float c0; a and b
+        still meet the float c0s C / alpha_from_residue(m, s) as _band's
+        bisections meet the cached list:
         c0s[a - 1] < c / (1 + w) <= c0s[a] and c0s[b - 1] <= c / (1 - w) < c0s[b]."""
-        m, w, whole = 10**12 + 39, DEGENERACY_RTOL, []
-        for name in ("bisect_left", "bisect_right"):
-
-            def counted(seq, x, lo=0, hi=None, *, key=None, _fn=getattr(rays, name)):
-                if key is not None and hi is None:
-                    whole.append(x)
-                return _fn(seq, x, lo, len(seq) if hi is None else hi, key=key)
-
-            monkeypatch.setattr(rays, name, counted)
+        m, w = 10**12 + 39, DEGENERACY_RTOL
         big_c, q = rays._big_c(m, k), 1 if k % 2 and k > 0 else 0
         n = len(range(q, (m + 1) // 2, 2))
 
@@ -684,8 +675,8 @@ class TestClosedBand:
                     x, y = c / (1 + w), c / (1 - w)
                     assert (a == 0 or c0(a - 1) < x) and (a == n or x <= c0(a)), (k, c, a)
                     assert (b == 0 or c0(b - 1) <= y) and (b == n or y < c0(b)), (k, c, b)
-        assert whole, "no edge needed the whole bisection"
         assert len(rays._row_cache) == 0
+
 
 def test_fold_zero_is_the_only_axis_threshold_and_the_first():
     """Fold 0 (alpha = 1, c0 = C) puts an axis row among the thresholds exactly
