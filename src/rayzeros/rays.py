@@ -46,12 +46,13 @@ Every threshold ray gains (k > 0) or loses (k < 0) two zeros past its c0 and
 one inside its tangency band.  One bisection, _band(c, c0s), whose edge
 divisors 1 +- DEGENERACY_RTOL are taken once beside that constant, finds the
 run of increasing c0s whose band holds c: _side reads it for one ray's c0 in
-count_at, degenerate_at and the root finder, predict_at for a cached pair's
-threshold rows.  _closed_band finds the same run with no c0 list, for any
-other pair's predict_at and for _runs.  Fold 0 (alpha = 1, c0 = C, the least
-c0) is the only residue that puts an axis row, which stands for one ray,
-among the thresholds: row 0 for k < 0, row m for even k > 0.  So the first i
-threshold rows by c0 hold R(i) = 2i - [i > 0 and (k < 0 or k even)] rays.
+count_at, degenerate_at and the root finder, predict_at (on a cached pair)
+and _runs for the threshold rows' c0s; _closed_band finds the same run for
+any other pair's predict_at with no c0 list.  Fold 0 (alpha = 1, c0 = C, the
+least c0) is the only residue that puts an axis row, which stands for one
+ray, among the thresholds: row 0 for k < 0, row m for even k > 0.  So the
+first i threshold rows by c0 hold R(i) = 2i - [i > 0 and (k < 0 or k even)]
+rays.
 """
 import math
 from bisect import bisect_left, bisect_right
@@ -269,7 +270,7 @@ def _runs(params: FamilyParams):
     cosines[s] = alpha_s and each row's unit direction, sin(j pi / m) =
     alpha(2m, |2j - m|)."""
     m, k, c = params
-    half = _alpha_half(2 * m)
+    big_c, half = _big_c(m, k), _alpha_half(2 * m)
     cosines = _alpha_range(m, half[::2])
     for parity in (0, 1):
         q = parity if k % 2 else 0
@@ -279,7 +280,7 @@ def _runs(params: FamilyParams):
             case = _CASES[k > 0][slot + 3 * parity]
             profile, lo, hi = _PROFILES[case], ends[slot], ends[slot + 1]
             # the threshold case is slot 0, so lo = 0: rows[:a] above c0 = C / alpha, rows[a:b] in its band
-            a, b = _closed_band(m, k, c)[:2] if case in THRESHOLD_CASES else (lo, lo)
+            a, b = _band(c, [big_c / alpha for alpha in alphas[:hi]]) if case in THRESHOLD_CASES else (lo, lo)
             for start, stop, n, degenerate in (
                 (lo, a, profile.above, False), (a, b, profile.at_threshold, True), (b, hi, profile.below, False)
             ):

@@ -780,6 +780,7 @@ def test_cache_stays_bounded_under_threads():
     for (m, k), rows in rays._row_cache.items():
         assert rows[1] == rays._build_threshold_rows(m, k)[1], (m, k)
 
+
 @pytest.mark.parametrize("m, k", [(8, 3), (9, -2), (251, 77), (2039, 1001), (1001, -500)])
 def test_thresholds_read_the_cached_objects(m, k):
     """On a warm cache each Threshold's c0 and alpha are the very float objects
