@@ -236,8 +236,8 @@ def _build_threshold_rows(m: int, k: int) -> tuple:
     return _rows(m, k, k > 0, len(alphas)), [big_c / a for a in alphas], alphas, *tail
 
 
-# (m, k) -> _build_threshold_rows(m, k), the library's one cache, least recently
-# fetched by _threshold_rows first; cleared in place, never rebound: predict binds its get
+# (m, k) -> _build_threshold_rows(m, k), the library's one cache, in the order
+# _threshold_rows last fetched each pair; cleared in place, never rebound: predict binds its get
 _row_cache = {}
 
 
@@ -256,8 +256,9 @@ def _threshold_rows(m: int, k: int) -> tuple:
 def _closed_band(m: int, k: int, c: float) -> tuple:
     """(a, b, base, sign, axis): _band(c, c0s) on the threshold rows of (m, k)
     and _pair_facts' (base, sign, axis), with no row built.  Each edge is one
-    bisection of the rows' residues s on their float c0s C / alpha_from_residue(m, s),
-    the rows' own bit for bit: O(log m) c0s a query at any m."""
+    bisection of the rows' residues s on their float c0s
+    C / alpha_from_residue(m, s), the rows' own bit for bit: O(log m) c0s a
+    query at any m."""
     residues, big_c, tail = _pair_facts(m, k)
     c0 = lambda s: big_c / alpha_from_residue(m, s)
     return bisect_left(residues, c / _LO_DIV, key=c0), bisect_right(residues, c / _HI_DIV, key=c0), *tail
