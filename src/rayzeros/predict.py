@@ -10,18 +10,19 @@ every coprime pair is a machine check of the case table that the exact counts
 and the root finder use.  The exact count at one c is the modular band's end
 below every threshold plus (k > 0) or minus (k < 0) R(a) + R(b), with R the
 rays module docstring's and c0s[a:b] the run of the threshold rows'
-increasing c0s whose band holds c.  A pair whose rows thresholds has cached
-takes a and b from _band on its c0s, and base, sign and the axis flag from
-the same entry; any other pair takes all five from rays._closed_band, in
-O(log m) with nothing built or kept.  So call thresholds once before many
-queries of one pair: a cached query costs about 0.6 us, a closed-form one
-6-25 us up to m = 10^6.
+increasing c0s whose band holds c.  The cache holds one pair's rows, those of
+the pair thresholds was last called on: that pair takes a and b from _band on
+their c0s, and base, sign and the axis flag from the same rows; any other pair
+takes all five from rays._closed_band, in O(log m) with nothing built or kept.
+So call thresholds just before many queries of one pair: a cached query costs
+about 0.6 us, a closed-form one 6-25 us up to m = 10^6.
 """
 from operator import mul
 from typing import NamedTuple
 
+from . import rays
 from .family import FamilyParams, _check_c
-from .rays import _CASES, _PROFILES, _band, _closed_band, _modular_band, _row_cache
+from .rays import _CASES, _PROFILES, _band, _closed_band, _modular_band
 # analyze_ray is unused here but stays bound: perfbench/tracing.py wraps predict.analyze_ray
 from .rays import analyze_ray  # noqa: F401
 from .unity import census
@@ -42,7 +43,6 @@ class CountPrediction(NamedTuple):
 
 
 _DIRECTIONS = ("decreasing", "increasing")  # CountPrediction.direction by k > 0
-_cached_rows = _row_cache.get  # bound once, a warm predict_at's one lookup; the cache dict is never rebound
 # _BOUNDS[k > 0]: the counts below and the counts above the threshold of each kind, in the kind order of _CASES
 _BOUNDS = tuple(tuple(zip(*((_PROFILES[case].below, _PROFILES[case].above) for case in cases))) for cases in _CASES)
 
@@ -64,12 +64,12 @@ def predict_census(params: FamilyParams) -> CountPrediction:
 def predict_at(params: FamilyParams, c: float) -> int:
     """Exact zero count at parameter c: the count below every threshold, moved
     by R(a) + R(b) zeros at the run c0s[a:b] of threshold rows whose band holds c:
-    from the pair's cached rows if thresholds has kept them, else from the closed form."""
+    from the cached rows if thresholds was last called on this pair, else from the closed form."""
     c = _check_c(c)
-    rows = _cached_rows((params.m, params.k))
-    if rows is None:
-        a, b, base, sign, axis = _closed_band(params.m, params.k, c)
-    else:
+    key, rows = rays._last_rows
+    if key == (params.m, params.k):
         _, c0s, _, base, sign, axis = rows
         a, b = _band(c, c0s)
+    else:
+        a, b, base, sign, axis = _closed_band(params.m, params.k, c)
     return base + sign * (2 * (a + b) - axis * ((a > 0) + (b > 0)))

@@ -36,17 +36,18 @@ from k's inverse alone (_rows); _runs walks them so and hands all_zeros its
 runs of rows, one case and one count each.
 _threshold_rows gives the threshold rows, about a quarter of them, their c0s
 and alphas in increasing residue, which is increasing c0, with no sort, from
-the library's one cache, which only thresholds fills; each entry also holds
-predict_at's count below every threshold, its sign and axis flag.  predict_at
-reads an entry it finds and otherwise counts from _closed_band, keeping
-nothing: c0(s) = C / cos(pi s / m) rises with s, so each band edge is one
-bisection of the rows' residues, O(log m) at any m.
+the library's one cache: the rows of the pair thresholds was last called on,
+which also hold predict_at's count below every threshold, its sign and axis
+flag.  predict_at reads them on that pair only, and counts any other pair
+from _closed_band, keeping nothing: c0(s) = C / cos(pi s / m) rises with s, so
+each band edge is one bisection of the rows' residues, O(log m) at any m and
+6-25 us a query up to m = 10^6.
 
 Every threshold ray gains (k > 0) or loses (k < 0) two zeros past its c0 and
 one inside its tangency band.  One bisection, _band(c, c0s), whose edge
 divisors 1 +- DEGENERACY_RTOL are taken once beside that constant, finds the
 run of increasing c0s whose band holds c: _side reads it for one ray's c0 in
-count_at, degenerate_at and the root finder, predict_at (on a cached pair)
+count_at, degenerate_at and the root finder, predict_at (on the cached pair)
 and _runs for the threshold rows' c0s; _closed_band finds the same run for
 any other pair's predict_at with no c0 list.  Fold 0 (alpha = 1, c0 = C, the
 least c0) is the only residue that puts an axis row, which stands for one
@@ -80,9 +81,6 @@ DEGENERACY_RTOL = 1e-9
 # _band's edge divisors: c's band holds the c0s in [c / _LO_DIV, c / _HI_DIV]
 _LO_DIV, _HI_DIV = 1.0 + DEGENERACY_RTOL, 1.0 - DEGENERACY_RTOL
 
-# threshold rows' cache entries, kept by thresholds alone; one takes 7-10 KB under
-# tracemalloc at m = 500, 250 KB at 10^4, 2,570 KB at 100003
-_ROWS_CACHE_SIZE = 16
 # the closed-form band as (min - m, max - min - m), keyed by (k > 0, m mod 4, k mod 2);
 # k is odd wherever m is even, since gcd(m, |k|) = 1
 _MODULAR = {
@@ -236,20 +234,20 @@ def _build_threshold_rows(m: int, k: int) -> tuple:
     return _rows(m, k, k > 0, len(alphas)), [big_c / a for a in alphas], alphas, *tail
 
 
-# (m, k) -> _build_threshold_rows(m, k), the library's one cache, in the order
-# _threshold_rows last fetched each pair; cleared in place, never rebound: predict binds its get
-_row_cache = {}
+# ((m, k), _build_threshold_rows(m, k)) of the last pair _threshold_rows built, the
+# library's one cache, read by predict_at: 250 KB under tracemalloc at m = 10^4, 26 MB at 10^6 + 3
+_last_rows = ((), None)
 
 
 def _threshold_rows(m: int, k: int) -> tuple:
-    """_build_threshold_rows(m, k) from the cache, built and kept on a miss, and
-    moved to the cache's end; then all but the last _ROWS_CACHE_SIZE pairs are
-    dropped.  list() of a dict and pop with a default are each one step under
-    threads, so the cache holds at most that many pairs once its callers return.
-    thresholds is its only caller in the library; predict_at reads _row_cache."""
-    rows = _row_cache[m, k] = _row_cache.pop((m, k), None) or _build_threshold_rows(m, k)
-    for key in list(_row_cache)[:-_ROWS_CACHE_SIZE]:
-        _row_cache.pop(key, None)
+    """_build_threshold_rows(m, k): the cached rows if (m, k) is their key, else
+    new ones, cached with their key in one rebinding, so a reader under threads
+    gets one pair's key and rows.  thresholds is its only caller in the library."""
+    global _last_rows
+    key, rows = _last_rows
+    if key != (m, k):
+        rows = _build_threshold_rows(m, k)
+        _last_rows = (m, k), rows
     return rows
 
 

@@ -133,13 +133,13 @@ class TestEquivalence:
 
 
 @pytest.mark.parametrize("k", [1, -1, 2])
-def test_count_band_builds_no_threshold_rows(k):
+def test_count_band_builds_no_threshold_rows(monkeypatch, k):
     """Both bands and the census come from O(1) formulas: the threshold-row
     cache stays empty after all three."""
     p = validate(100003, k, 1.0)
-    rays_mod._row_cache.clear()
+    monkeypatch.setattr(rays_mod, "_last_rows", ((), None))
     predict_table(p), predict_census(p), census(p)
-    assert len(rays_mod._row_cache) == 0
+    assert rays_mod._last_rows[0] == ()
 
 
 @pytest.mark.parametrize("k", [1, -1, 2])

@@ -46,7 +46,7 @@ from rayzeros.rays import (
     _r0,
 )
 from rayzeros.roots import unit_direction
-from rayzeros import oracle, rays, roots
+from rayzeros import oracle, predict, rays, roots
 
 from conftest import passes_gate, valid_pairs
 
@@ -467,13 +467,13 @@ class TestAllZerosEquivalence:
 
     # odd k of both signs and even k; the tail of the benchmark's solve workload is m near 4096
     @pytest.mark.parametrize("m, k, c", [(4001, 3001, 0.05), (4001, -101, 1.0), (4001, 3000, 0.05)])
-    def test_builds_no_threshold_rows(self, m, k, c):
+    def test_builds_no_threshold_rows(self, monkeypatch, m, k, c):
         """all_zeros takes its band split from its own runs' alphas: a cold call
         builds no threshold rows."""
         p = validate(m, k, c)
-        rays._row_cache.clear()
+        monkeypatch.setattr(rays, "_last_rows", ((), None))
         recs = all_zeros(p)
-        assert len(rays._row_cache) == 0
+        assert rays._last_rows[0] == ()
         assert len(recs) == predict_at(p, c)
 
 
@@ -593,9 +593,9 @@ class TestPredictAtEqualsRunningCount:
 
 
 class TestClosedBand:
-    """predict_at on a pair whose rows thresholds has not cached counts from
-    rays._closed_band and keeps nothing; on a cached pair it runs _band on the
-    rows' c0s.  The two answer every query alike."""
+    """predict_at on any pair but the one thresholds was last called on counts
+    from rays._closed_band and keeps nothing; on that pair it runs _band on the
+    cached rows' c0s.  The two answer every query alike."""
 
     @staticmethod
     def queries(m, k, sample=None):
@@ -610,21 +610,21 @@ class TestClosedBand:
         return cs
 
     @classmethod
-    def assert_cold_equals_warm(cls, m, k, sample=None):
+    def assert_cold_equals_warm(cls, monkeypatch, m, k, sample=None):
         p, cs = validate(m, k, 1.0), cls.queries(m, k, sample)
-        rays._row_cache.clear()
+        monkeypatch.setattr(rays, "_last_rows", ((), None))
         cold = [predict_at(p, c) for c in cs]
-        assert len(rays._row_cache) == 0, (m, k)
+        assert rays._last_rows[0] == (), (m, k)
         thresholds(p)
         assert [predict_at(p, c) for c in cs] == cold, (m, k)
         return len(cs)
 
-    def test_every_pair_small_m(self):
-        assert sum(self.assert_cold_equals_warm(m, k) for m, k in valid_pairs(60)) > 300_000
+    def test_every_pair_small_m(self, monkeypatch):
+        assert sum(self.assert_cold_equals_warm(monkeypatch, m, k) for m, k in valid_pairs(60)) > 300_000
 
     @pytest.mark.parametrize("m, k", sampled_pairs(6, 100_000, seed=48) + [(10000, 1), (100003, -2), (99991, 99990)])
-    def test_seeded_pairs_large_m(self, m, k):
-        self.assert_cold_equals_warm(m, k, sample=400)
+    def test_seeded_pairs_large_m(self, monkeypatch, m, k):
+        self.assert_cold_equals_warm(monkeypatch, m, k, sample=400)
 
     @pytest.mark.parametrize("m", [10**6 + 3, 10**12 + 39])
     @pytest.mark.parametrize("k", [1, -2])
@@ -645,17 +645,17 @@ class TestClosedBand:
         kappa = k / m
         big_c = 1.0 / (2.0 * abs(kappa) ** kappa * (1.0 - kappa) ** (1.0 - kappa))
         p = validate(m, k, 1.0)
-        rays._row_cache.clear()
+        monkeypatch.setattr(rays, "_last_rows", ((), None))
         # c near C is left out: there the limit's acos moves faster than 1/m per ulp of C
         for c in [big_c * f for f in (0.5, 1.001, 1.01, 1.1, 1.5, 2.0, 10.0, 1e6)] + [5e-324, sys.float_info.max]:
             arc = 2.0 / math.pi * math.acos(min(1.0, big_c / c))
             limit = 1.0 + arc if k > 0 else 2.0 - arc
             assert abs(predict_at(p, c) / m - limit) <= 4 / m, (m, k, c)
         assert calls == {"_alpha_half": 0, "_build_threshold_rows": 0}
-        assert len(rays._row_cache) == 0
+        assert rays._last_rows[0] == ()
 
     @pytest.mark.parametrize("k", [1, -2])
-    def test_edges_near_c_at_m_ten_to_the_twelve(self, k):
+    def test_edges_near_c_at_m_ten_to_the_twelve(self, monkeypatch, k):
         """Near C at m = 10^12 + 39 thousands of rows share one float c0; a and b
         still meet the float c0s C / alpha_from_residue(m, s) as _band's
         bisections meet the cached list:
@@ -667,7 +667,7 @@ class TestClosedBand:
         def c0(i):
             return big_c / alpha_from_residue(m, q + 2 * i)
 
-        rays._row_cache.clear()
+        monkeypatch.setattr(rays, "_last_rows", ((), None))
         for t in (0.0, 1e-16, 1e-15, 1e-13, 1e-12, 1e-10, 1e-9, 2e-9):
             for c in (big_c * (1 - t), big_c * (1 + t)):
                 for c in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf)):
@@ -675,7 +675,35 @@ class TestClosedBand:
                     x, y = c / (1 + w), c / (1 - w)
                     assert (a == 0 or c0(a - 1) < x) and (a == n or x <= c0(a)), (k, c, a)
                     assert (b == 0 or c0(b - 1) <= y) and (b == n or y < c0(b)), (k, c, b)
-        assert len(rays._row_cache) == 0
+        assert rays._last_rows[0] == ()
+
+    def test_only_the_pair_thresholds_last_built_is_warm(self, monkeypatch):
+        """After thresholds(p), predict_at(p, .) never calls _closed_band (at its
+        binding in predict); after thresholds on another pair it calls it for
+        every query of p, and both give the cold answers.  thresholds(p) again rebuilds rows equal
+        to the first ones."""
+        (m, k), other = (251, 77), validate(2039, 1001, 1.0)
+        p, cs = validate(m, k, 1.0), self.queries(m, k)
+        thresholds(other)
+        cold = [predict_at(p, c) for c in cs]
+        calls = {"_closed_band": 0, "_build_threshold_rows": 0}
+        for module, name in ((predict, "_closed_band"), (rays, "_build_threshold_rows")):
+
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        thresholds(p)
+        first = rays._last_rows
+        assert [predict_at(p, c) for c in cs] == cold
+        assert calls == {"_closed_band": 0, "_build_threshold_rows": 1}
+        thresholds(other)
+        assert [predict_at(p, c) for c in cs] == cold
+        assert calls == {"_closed_band": len(cs), "_build_threshold_rows": 2}
+        thresholds(p)
+        assert calls["_build_threshold_rows"] == 3
+        assert rays._last_rows == first and rays._last_rows[1] is not first[1]
 
 
 def test_fold_zero_is_the_only_axis_threshold_and_the_first():
@@ -716,41 +744,44 @@ def test_table_cache_memory_is_bounded():
     assert retained < 1_500_000, retained
 
 
-def test_full_cache_memory_at_m_ten_thousand():
-    """The threshold rows are lists of Python floats and ints, so a full cache of
-    16 pairs near m = 10^4 holds about 4 MB, bounded here at 5 MB.  Only
-    thresholds fills that cache: predict_at on 16 pairs keeps no entry, and
-    thresholds on 16 other pairs after 16 of its own evicts those whole, so the
-    same bound holds.  Each input takes pairs of its own, so no entry of an
-    earlier one can serve it."""
+def test_full_cache_memory_at_m_ten_thousand(monkeypatch):
+    """The threshold rows are lists of Python floats and ints, and the cache
+    holds one pair's: about 250 KB near m = 10^4 and 2.6 MB near 10^5.  So
+    thresholds on 32 pairs near 10^4 keeps under 0.5 MB, on 3 pairs near 10^5
+    under 4 MB, and the cache holds the last pair; predict_at alone on 16 pairs
+    keeps no rows.  Each input takes pairs of its own, so no rows of an earlier
+    one can serve it."""
     first, second, third = (
         [(m, k) for m in range(start, start + 40) for k in (m // 2 - 1, -(m // 3) - 1) if math.gcd(m, k) == 1][:16]
         for start in (10_000, 10_040, 10_080)
     )
-    assert len(set(first + second + third)) == 48
+    fourth = [(m, m // 2 - 1) for m in range(100_000, 100_040) if math.gcd(m, m // 2 - 1) == 1][:3]
+    assert len(set(first + second + third)) == 48 and len(fourth) == 3
     count = partial(predict_at, c=1.0)
-    for calls, entries in (([(count, first)], 0), ([(thresholds, second), (thresholds, third)], 16)):
-        rays._row_cache.clear()
+    for query, pairs, key, bound in (
+        (count, first, (), 500_000),
+        (thresholds, second + third, third[-1], 500_000),
+        (thresholds, fourth, fourth[-1], 4_000_000),
+    ):
+        monkeypatch.setattr(rays, "_last_rows", ((), None))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for query, pairs in calls:
-                for m, k in pairs:
-                    query(validate(m, k, 1.0))
+            for m, k in pairs:
+                query(validate(m, k, 1.0))
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(rays._row_cache) == entries
-        assert retained < 5_000_000, (len(calls), retained)
+        assert rays._last_rows[0] == key
+        assert retained < bound, (key, retained)
 
 
 def test_cache_stays_bounded_under_threads():
-    """Threads that call thresholds and predict_at on more pairs than the cache
-    holds, switching every microsecond, leave at most _ROWS_CACHE_SIZE entries,
-    each the builder's rows of its own pair, and every answer equals the one
-    asked alone."""
+    """Threads that call thresholds and predict_at on many pairs, switching
+    every microsecond, leave the cache holding one pair's key and rows, the
+    builder's rows of that key, and every answer equals the one asked alone."""
     pairs = [(m, k) for m in range(40, 52) for k in (7, -5) if math.gcd(m, abs(k)) == 1]
-    assert len(pairs) > rays._ROWS_CACHE_SIZE
+    assert len(pairs) > 1
     want = {pair: (thresholds(validate(*pair, 1.0)), predict_at(validate(*pair, 1.0), 0.9)) for pair in pairs}
     got, errors = [], []
 
@@ -776,9 +807,8 @@ def test_cache_stays_bounded_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers) and not errors, errors
     assert len(got) == 6 * 150 and all(answer == want[pair] for pair, answer in got)
-    assert len(rays._row_cache) <= rays._ROWS_CACHE_SIZE
-    for (m, k), rows in rays._row_cache.items():
-        assert rows[1] == rays._build_threshold_rows(m, k)[1], (m, k)
+    key, rows = rays._last_rows
+    assert key in pairs and rows == rays._build_threshold_rows(*key), key
 
 
 @pytest.mark.parametrize("m, k", [(8, 3), (9, -2), (251, 77), (2039, 1001), (1001, -500)])

@@ -2,11 +2,11 @@
 
 Runs the tests in this process under sys.settrace, recording line events of
 src/rayzeros frames only, in every thread, and prints each statement that
-never ran as ``file:line source``.  Definitions, imports and docstrings are
-left out.  Code that a test runs in a subprocess is not traced, so it shows
-up here.  The pytest cache and bytecode writing are off and hypothesis keeps
-its example database in a temporary directory, so nothing is written under
-the repository.
+never ran as ``file:line source``.  Definitions, imports, global and nonlocal
+declarations and docstrings are left out.  Code that a test runs in a
+subprocess is not traced, so it shows up here.  The pytest cache and bytecode
+writing are off and hypothesis keeps its example database in a temporary
+directory, so nothing is written under the repository.
 
     python tools/unexecuted.py [pytest arguments]
 
@@ -22,7 +22,8 @@ import threading
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "rayzeros"
-_NOT_RUN = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
+# definitions and imports; global and nonlocal declarations compile to no code at all
+_NOT_RUN = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom, ast.Global, ast.Nonlocal)
 
 
 def statements(path: pathlib.Path) -> dict[int, set[int]]:
