@@ -680,8 +680,8 @@ class TestClosedBand:
     def test_only_the_pair_thresholds_last_built_is_warm(self, monkeypatch):
         """After thresholds(p), predict_at(p, .) never calls _closed_band (at its
         binding in predict); after thresholds on another pair it calls it for
-        every query of p, and both give the cold answers.  thresholds(p) again rebuilds rows equal
-        to the first ones."""
+        every query of p, and both give the cold answers.  thresholds(p) again
+        rebuilds rows equal to the first ones."""
         (m, k), other = (251, 77), validate(2039, 1001, 1.0)
         p, cs = validate(m, k, 1.0), self.queries(m, k)
         thresholds(other)
