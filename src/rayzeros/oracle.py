@@ -27,6 +27,7 @@ one kernel evaluates every node.
 """
 import bisect
 import math
+import operator
 import sys
 from array import array
 from typing import NamedTuple
@@ -209,8 +210,12 @@ def find_zeros_grid(params: FamilyParams, resolution: int = 256) -> OracleResult
     resolution sets the radial grid; the angular grid is at least as fine and
     always finer than pi/m so no cell can straddle two sign sectors of Im p.
     """
-    if resolution < _MIN_RESOLUTION:
-        raise ValueError(f"need resolution >= {_MIN_RESOLUTION}, got {resolution}")
+    try:
+        resolution = operator.index(resolution)
+    except TypeError:
+        pass
+    if not isinstance(resolution, int) or resolution < _MIN_RESOLUTION:
+        raise ValueError(f"need an integer resolution >= {_MIN_RESOLUTION}, got {resolution!r}")
     m, k, c = params.m, params.k, params.c
     r_lo, r_hi = _annulus(m, k, c)
     if not 0.0 < r_lo <= r_hi < math.inf:

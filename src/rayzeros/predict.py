@@ -10,19 +10,19 @@ every coprime pair is a machine check of the case table that the exact counts
 and the root finder use.  The exact count at one c is the modular band's end
 below every threshold plus (k > 0) or minus (k < 0) R(a) + R(b), with R the
 rays module docstring's and c0s[a:b] the run of the threshold rows'
-increasing c0s whose band holds c.  The cache holds one pair's rows, those of
-the pair thresholds was last called on: that pair takes a and b from _band on
-their c0s, and base, sign and the axis flag from the same rows; any other pair
-takes all five from rays._closed_band, in O(log m) with nothing built or kept.
-So call thresholds just before many queries of one pair: a cached query costs
-about 0.6 us, a closed-form one 6-25 us up to m = 10^6.
+increasing c0s whose band holds c.  The cache, rays._last_rows, holds one
+record, that of the pair thresholds was last called on: its c0s, base, sign
+and axis flag.  That pair takes a and b from _band on the record's c0s and
+the other three from the record; any other pair takes all five from
+rays._closed_band, in O(log m) with nothing built or kept.  So call
+thresholds just before many queries of one pair: a cached query costs about
+0.6 us, a closed-form one 6-25 us up to m = 10^6.
 """
 from operator import mul
 from typing import NamedTuple
 
-from . import rays
 from .family import FamilyParams, _check_c
-from .rays import _CASES, _PROFILES, _band, _closed_band, _modular_band
+from .rays import _CASES, _PROFILES, _band, _closed_band, _last_rows, _modular_band
 # analyze_ray is unused here but stays bound: perfbench/tracing.py wraps predict.analyze_ray
 from .rays import analyze_ray  # noqa: F401
 from .unity import census
@@ -64,11 +64,11 @@ def predict_census(params: FamilyParams) -> CountPrediction:
 def predict_at(params: FamilyParams, c: float) -> int:
     """Exact zero count at parameter c: the count below every threshold, moved
     by R(a) + R(b) zeros at the run c0s[a:b] of threshold rows whose band holds c:
-    from the cached rows if thresholds was last called on this pair, else from the closed form."""
+    from the cached record if thresholds was last called on this pair, else from the closed form."""
     c = _check_c(c)
-    key, rows = rays._last_rows
+    key, record = _last_rows[0]
     if key == (params.m, params.k):
-        _, c0s, _, base, sign, axis = rows
+        c0s, base, sign, axis = record
         a, b = _band(c, c0s)
     else:
         a, b, base, sign, axis = _closed_band(params.m, params.k, c)

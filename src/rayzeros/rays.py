@@ -34,14 +34,14 @@ Nothing here evaluates f: f_value and f_derivative live in roots.
 The rows of one parity in increasing folded residue s = min(t, 2m-t) follow
 from k's inverse alone (_rows); _runs walks them so and hands all_zeros its
 runs of rows, one case and one count each.
-_threshold_rows gives the threshold rows, about a quarter of them, their c0s
-and alphas in increasing residue, which is increasing c0, with no sort, from
-the library's one cache: the rows of the pair thresholds was last called on,
-which also hold predict_at's count below every threshold, its sign and axis
-flag.  predict_at reads them on that pair only, and counts any other pair
-from _closed_band, keeping nothing: c0(s) = C / cos(pi s / m) rises with s, so
-each band edge is one bisection of the rows' residues, O(log m) at any m and
-6-25 us a query up to m = 10^6.
+_build_threshold_rows gives the threshold rows, about a quarter of them, their
+c0s and alphas in increasing residue, which is increasing c0, with no sort.
+thresholds builds them on every call and keeps, as the library's one cache,
+predict_at's record of that pair: its c0s, the count below every threshold,
+its sign and axis flag.  predict_at reads the record on that pair only, and
+counts any other pair from _closed_band, keeping nothing: c0(s) =
+C / cos(pi s / m) rises with s, so each band edge is one bisection of the
+rows' residues, O(log m) at any m and 6-25 us a query up to m = 10^6.
 
 Every threshold ray gains (k > 0) or loses (k < 0) two zeros past its c0 and
 one inside its tangency band.  One bisection, _band(c, c0s), whose edge
@@ -234,21 +234,11 @@ def _build_threshold_rows(m: int, k: int) -> tuple:
     return _rows(m, k, k > 0, len(alphas)), [big_c / a for a in alphas], alphas, *tail
 
 
-# ((m, k), _build_threshold_rows(m, k)) of the last pair _threshold_rows built, the
-# library's one cache, read by predict_at: 250 KB under tracemalloc at m = 10^4, 26 MB at 10^6 + 3
-_last_rows = ((), None)
-
-
-def _threshold_rows(m: int, k: int) -> tuple:
-    """_build_threshold_rows(m, k): the cached rows if (m, k) is their key, else
-    new ones, cached with their key in one rebinding, so a reader under threads
-    gets one pair's key and rows.  thresholds is its only caller in the library."""
-    global _last_rows
-    key, rows = _last_rows
-    if key != (m, k):
-        rows = _build_threshold_rows(m, k)
-        _last_rows = (m, k), rows
-    return rows
+# predict_at's record of the pair thresholds was last called on, ((m, k), (c0s, base,
+# sign, axis)) in its one slot, the library's one cache: thresholds is its only writer and
+# rebinds the slot in one store, so a reader under threads gets one pair's key and
+# fields.  0.2 MB under tracemalloc at m = 10^4, 0.93 MB at 10^5 + 3, 8.2 MB at 10^6 + 3
+_last_rows = [((), None)]
 
 
 def _closed_band(m: int, k: int, c: float) -> tuple:
@@ -330,7 +320,9 @@ def thresholds(params: FamilyParams) -> list[Threshold]:
     floating-point comparison.  Within one parity that class is exactly one
     row's conjugate group, ray j and ray 2m - j.
     """
-    (order, c0s, alphas, _, _, axis), two_m = _threshold_rows(params.m, params.k), 2 * params.m
+    key, two_m = (params.m, params.k), 2 * params.m
+    order, c0s, alphas, base, sign, axis = _build_threshold_rows(*key)
+    _last_rows[0] = key, (c0s, base, sign, axis)
     rays = [(x, two_m - x) for x in order]
     if axis:  # fold 0's axis row, the first, stands for one ray
         rays[0] = (order[0],)

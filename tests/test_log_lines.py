@@ -21,7 +21,7 @@ import pytest
 
 from rayzeros import all_zeros, analyze_ray, bracket, validate
 from rayzeros import roots
-from rayzeros.rays import _LOG2, _log_r0, _side, _threshold_rows
+from rayzeros.rays import _LOG2, _build_threshold_rows, _log_r0, _side
 
 from conftest import valid_k_choices
 
@@ -102,7 +102,7 @@ def solved_rows(seed: int, count: int):
         if math.gcd(m, abs(k)) != 1:
             continue
         c = 10.0 ** rng.uniform(-300, 300) if rng.random() < 0.25 else 10.0 ** rng.uniform(-3, 3)
-        p, (order, c0s) = validate(m, k, c), _threshold_rows(m, k)[:2]
+        p, (order, c0s) = validate(m, k, c), _build_threshold_rows(m, k)[:2]
         c0 = dict(zip(order, c0s))
         for j in rng.sample(range(m + 1), min(m + 1, 8)):
             a = analyze_ray(p, j)

@@ -6,6 +6,7 @@ import math
 import pathlib
 
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,8 +63,10 @@ class TestFindZerosGrid:
                 assert abs(a - b) > 1e-7
 
     def test_rejects_coarse_resolution(self):
-        with pytest.raises(ValueError):
-            find_zeros_grid(validate(5, 4, 1.0), 32)
+        """A resolution below 64 or not an integer is refused by value, before any scan."""
+        for resolution in (32, 64.0, 256.5, "256"):
+            with pytest.raises(ValueError, match=re.escape(repr(resolution))):
+                find_zeros_grid(validate(5, 4, 1.0), resolution)
 
     def test_too_coarse_is_an_arithmetic_and_a_runtime_error(self):
         # the CLI's one ArithmeticError clause catches it with BracketFailure;

@@ -133,13 +133,13 @@ class TestEquivalence:
 
 
 @pytest.mark.parametrize("k", [1, -1, 2])
-def test_count_band_builds_no_threshold_rows(monkeypatch, k):
+def test_count_band_builds_no_threshold_rows(k):
     """Both bands and the census come from O(1) formulas: the threshold-row
     cache stays empty after all three."""
     p = validate(100003, k, 1.0)
-    monkeypatch.setattr(rays_mod, "_last_rows", ((), None))
+    rays_mod._last_rows[0] = ((), None)
     predict_table(p), predict_census(p), census(p)
-    assert rays_mod._last_rows[0] == ()
+    assert rays_mod._last_rows[0][0] == ()
 
 
 @pytest.mark.parametrize("k", [1, -1, 2])

@@ -190,12 +190,12 @@ def row_bits(a):
 def analyzed_bits(m, k):
     """table_bits' fields read with no table: each row's facts through analyze_ray
     on ray j and on its mirror 2m - j, which must agree, the threshold rows'
-    order and c0s from rays._threshold_rows, and the tally from unity.census."""
+    order and c0s from rays._build_threshold_rows, and the tally from unity.census."""
     p = validate(m, k, 1.0)
     rows = [row_bits(analyze_ray(p, j)) for j in range(m + 1)]
     assert [row_bits(analyze_ray(p, 2 * m - j)) for j in range(1, m)] == rows[1:m], (m, k)
     alpha, kind, case, c0 = map(list, zip(*rows))
-    order, c0s = rays._threshold_rows(m, k)[:2]
+    order, c0s = rays._build_threshold_rows(m, k)[:2]
     return (
         m, k,
         alpha, bytes(kind), tuple(case), c0,
@@ -383,7 +383,7 @@ class TestThresholdsEqualPerRayReference:
         """thresholds() builds its records without the keyword constructor; they are
         Threshold records equal to the same ones built by keyword."""
         got = thresholds(validate(m, k, 1.0))
-        order, c0s, alphas = rays._threshold_rows(m, k)[:3]
+        order, c0s, alphas = rays._build_threshold_rows(m, k)[:3]
         axis = k < 0 or k % 2 == 0
         want = [
             Threshold(c0=c0, rays=(row,) if i == 0 and axis else (row, 2 * m - row), alpha=alpha)
@@ -467,13 +467,13 @@ class TestAllZerosEquivalence:
 
     # odd k of both signs and even k; the tail of the benchmark's solve workload is m near 4096
     @pytest.mark.parametrize("m, k, c", [(4001, 3001, 0.05), (4001, -101, 1.0), (4001, 3000, 0.05)])
-    def test_builds_no_threshold_rows(self, monkeypatch, m, k, c):
+    def test_builds_no_threshold_rows(self, m, k, c):
         """all_zeros takes its band split from its own runs' alphas: a cold call
         builds no threshold rows."""
         p = validate(m, k, c)
-        monkeypatch.setattr(rays, "_last_rows", ((), None))
+        rays._last_rows[0] = ((), None)
         recs = all_zeros(p)
-        assert rays._last_rows[0] == ()
+        assert rays._last_rows[0][0] == ()
         assert len(recs) == predict_at(p, c)
 
 
@@ -610,21 +610,21 @@ class TestClosedBand:
         return cs
 
     @classmethod
-    def assert_cold_equals_warm(cls, monkeypatch, m, k, sample=None):
+    def assert_cold_equals_warm(cls, m, k, sample=None):
         p, cs = validate(m, k, 1.0), cls.queries(m, k, sample)
-        monkeypatch.setattr(rays, "_last_rows", ((), None))
+        rays._last_rows[0] = ((), None)
         cold = [predict_at(p, c) for c in cs]
-        assert rays._last_rows[0] == (), (m, k)
+        assert rays._last_rows[0][0] == (), (m, k)
         thresholds(p)
         assert [predict_at(p, c) for c in cs] == cold, (m, k)
         return len(cs)
 
-    def test_every_pair_small_m(self, monkeypatch):
-        assert sum(self.assert_cold_equals_warm(monkeypatch, m, k) for m, k in valid_pairs(60)) > 300_000
+    def test_every_pair_small_m(self):
+        assert sum(self.assert_cold_equals_warm(m, k) for m, k in valid_pairs(60)) > 300_000
 
     @pytest.mark.parametrize("m, k", sampled_pairs(6, 100_000, seed=48) + [(10000, 1), (100003, -2), (99991, 99990)])
-    def test_seeded_pairs_large_m(self, monkeypatch, m, k):
-        self.assert_cold_equals_warm(monkeypatch, m, k, sample=400)
+    def test_seeded_pairs_large_m(self, m, k):
+        self.assert_cold_equals_warm(m, k, sample=400)
 
     @pytest.mark.parametrize("m", [10**6 + 3, 10**12 + 39])
     @pytest.mark.parametrize("k", [1, -2])
@@ -645,17 +645,17 @@ class TestClosedBand:
         kappa = k / m
         big_c = 1.0 / (2.0 * abs(kappa) ** kappa * (1.0 - kappa) ** (1.0 - kappa))
         p = validate(m, k, 1.0)
-        monkeypatch.setattr(rays, "_last_rows", ((), None))
+        rays._last_rows[0] = ((), None)
         # c near C is left out: there the limit's acos moves faster than 1/m per ulp of C
         for c in [big_c * f for f in (0.5, 1.001, 1.01, 1.1, 1.5, 2.0, 10.0, 1e6)] + [5e-324, sys.float_info.max]:
             arc = 2.0 / math.pi * math.acos(min(1.0, big_c / c))
             limit = 1.0 + arc if k > 0 else 2.0 - arc
             assert abs(predict_at(p, c) / m - limit) <= 4 / m, (m, k, c)
         assert calls == {"_alpha_half": 0, "_build_threshold_rows": 0}
-        assert rays._last_rows[0] == ()
+        assert rays._last_rows[0][0] == ()
 
     @pytest.mark.parametrize("k", [1, -2])
-    def test_edges_near_c_at_m_ten_to_the_twelve(self, monkeypatch, k):
+    def test_edges_near_c_at_m_ten_to_the_twelve(self, k):
         """Near C at m = 10^12 + 39 thousands of rows share one float c0; a and b
         still meet the float c0s C / alpha_from_residue(m, s) as _band's
         bisections meet the cached list:
@@ -667,7 +667,7 @@ class TestClosedBand:
         def c0(i):
             return big_c / alpha_from_residue(m, q + 2 * i)
 
-        monkeypatch.setattr(rays, "_last_rows", ((), None))
+        rays._last_rows[0] = ((), None)
         for t in (0.0, 1e-16, 1e-15, 1e-13, 1e-12, 1e-10, 1e-9, 2e-9):
             for c in (big_c * (1 - t), big_c * (1 + t)):
                 for c in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf)):
@@ -675,7 +675,7 @@ class TestClosedBand:
                     x, y = c / (1 + w), c / (1 - w)
                     assert (a == 0 or c0(a - 1) < x) and (a == n or x <= c0(a)), (k, c, a)
                     assert (b == 0 or c0(b - 1) <= y) and (b == n or y < c0(b)), (k, c, b)
-        assert rays._last_rows[0] == ()
+        assert rays._last_rows[0][0] == ()
 
     def test_only_the_pair_thresholds_last_built_is_warm(self, monkeypatch):
         """After thresholds(p), predict_at(p, .) never calls _closed_band (at its
@@ -695,7 +695,7 @@ class TestClosedBand:
 
             monkeypatch.setattr(module, name, counted)
         thresholds(p)
-        first = rays._last_rows
+        first = rays._last_rows[0]
         assert [predict_at(p, c) for c in cs] == cold
         assert calls == {"_closed_band": 0, "_build_threshold_rows": 1}
         thresholds(other)
@@ -703,7 +703,7 @@ class TestClosedBand:
         assert calls == {"_closed_band": len(cs), "_build_threshold_rows": 2}
         thresholds(p)
         assert calls["_build_threshold_rows"] == 3
-        assert rays._last_rows == first and rays._last_rows[1] is not first[1]
+        assert rays._last_rows[0] == first and rays._last_rows[0][1] is not first[1]
 
 
 def test_fold_zero_is_the_only_axis_threshold_and_the_first():
@@ -744,13 +744,14 @@ def test_table_cache_memory_is_bounded():
     assert retained < 1_500_000, retained
 
 
-def test_full_cache_memory_at_m_ten_thousand(monkeypatch):
-    """The threshold rows are lists of Python floats and ints, and the cache
-    holds one pair's: about 250 KB near m = 10^4 and 2.6 MB near 10^5.  So
-    thresholds on 32 pairs near 10^4 keeps under 0.5 MB, on 3 pairs near 10^5
-    under 4 MB, and the cache holds the last pair; predict_at alone on 16 pairs
-    keeps no rows.  Each input takes pairs of its own, so no rows of an earlier
-    one can serve it."""
+def test_full_cache_memory_at_m_ten_thousand():
+    """The cache holds predict_at's record of the last pair thresholds was
+    called on, its c0s, base, sign and axis flag: about 0.2 MB near m = 10^4
+    and 0.93 MB near 10^5, a third of the full threshold rows.  So thresholds
+    on 32 pairs near 10^4 keeps under 0.3 MB, on 3 pairs near 10^5 under
+    1.5 MB, and the cache holds the last pair's record, with exactly the four
+    fields predict_at reads; predict_at alone on 16 pairs keeps nothing.  Each
+    input takes pairs of its own, so no record of an earlier one can serve it."""
     first, second, third = (
         [(m, k) for m in range(start, start + 40) for k in (m // 2 - 1, -(m // 3) - 1) if math.gcd(m, k) == 1][:16]
         for start in (10_000, 10_040, 10_080)
@@ -760,10 +761,10 @@ def test_full_cache_memory_at_m_ten_thousand(monkeypatch):
     count = partial(predict_at, c=1.0)
     for query, pairs, key, bound in (
         (count, first, (), 500_000),
-        (thresholds, second + third, third[-1], 500_000),
-        (thresholds, fourth, fourth[-1], 4_000_000),
+        (thresholds, second + third, third[-1], 300_000),
+        (thresholds, fourth, fourth[-1], 1_500_000),
     ):
-        monkeypatch.setattr(rays, "_last_rows", ((), None))
+        rays._last_rows[0] = ((), None)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -772,14 +773,18 @@ def test_full_cache_memory_at_m_ten_thousand(monkeypatch):
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert rays._last_rows[0] == key
+        assert rays._last_rows[0][0] == key
         assert retained < bound, (key, retained)
+        if key:
+            _, c0s, _, *tail = rays._build_threshold_rows(*key)
+            assert rays._last_rows[0][1] == (c0s, *tail), key
 
 
 def test_cache_stays_bounded_under_threads():
     """Threads that call thresholds and predict_at on many pairs, switching
-    every microsecond, leave the cache holding one pair's key and rows, the
-    builder's rows of that key, and every answer equals the one asked alone."""
+    every microsecond, leave the cache holding one pair's key and record, the
+    c0s, base, sign and axis flag of the builder's rows of that key, and every
+    answer equals the one asked alone."""
     pairs = [(m, k) for m in range(40, 52) for k in (7, -5) if math.gcd(m, abs(k)) == 1]
     assert len(pairs) > 1
     want = {pair: (thresholds(validate(*pair, 1.0)), predict_at(validate(*pair, 1.0), 0.9)) for pair in pairs}
@@ -807,21 +812,23 @@ def test_cache_stays_bounded_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers) and not errors, errors
     assert len(got) == 6 * 150 and all(answer == want[pair] for pair, answer in got)
-    key, rows = rays._last_rows
-    assert key in pairs and rows == rays._build_threshold_rows(*key), key
+    key, record = rays._last_rows[0]
+    _, c0s, _, *tail = rays._build_threshold_rows(*key)
+    assert key in pairs and record == (c0s, *tail), key
 
 
 @pytest.mark.parametrize("m, k", [(8, 3), (9, -2), (251, 77), (2039, 1001), (1001, -500)])
 def test_thresholds_read_the_cached_objects(m, k):
-    """On a warm cache each Threshold's c0 and alpha are the very float objects
-    the threshold rows hold: thresholds boxes no element of its own."""
+    """Each Threshold's c0 is the very float object the stored record holds:
+    thresholds boxes no c0 of its own.  Two calls on one pair give equal lists."""
     p = validate(m, k, 1.0)
-    thresholds(p)
-    _, c0s, alphas = rays._threshold_rows(m, k)[:3]
     got = thresholds(p)
-    assert len(got) == len(c0s)
+    key, (c0s, *_) = rays._last_rows[0]
+    assert key == (m, k) and len(got) == len(c0s)
     for i, t in enumerate(got):
-        assert t.c0 is c0s[i] and t.alpha is alphas[i], (m, k, i)
+        assert t.c0 is c0s[i], (m, k, i)
+    assert [t.alpha for t in got] == list(rays._build_threshold_rows(m, k)[2])
+    assert thresholds(p) == got
 
 
 @pytest.mark.parametrize("m", [10**6 + 3, 10**12 + 39])
@@ -831,7 +838,7 @@ def test_analyze_ray_reads_only_its_own_residue(monkeypatch, m, k):
     so it answers at m = 10^12 + 39 too: it never takes a pass over residues or
     builds the threshold rows.  A threshold ray, odd for k > 0 and even for
     k < 0 with 2s < m, has c0 = C / alpha; every other ray has none."""
-    calls = {"_alpha_half": 0, "_threshold_rows": 0}
+    calls = {"_alpha_half": 0, "_build_threshold_rows": 0}
     for name in calls:
 
         def counted(*args, _fn=getattr(rays, name), _name=name):
@@ -849,4 +856,4 @@ def test_analyze_ray_reads_only_its_own_residue(monkeypatch, m, k):
         assert bits(a.c0) == bits(reference_c0(m, k, a.alpha) if threshold else None), (m, k, j)
         seen.add(threshold)
     assert seen == {False, True}
-    assert calls == {"_alpha_half": 0, "_threshold_rows": 0}
+    assert calls == {"_alpha_half": 0, "_build_threshold_rows": 0}

@@ -32,7 +32,7 @@ from rayzeros import (
     validate,
 )
 from rayzeros.family import alpha_from_residue, power_term
-from rayzeros.rays import EXTREMUM_CASES, _r0, _threshold_rows
+from rayzeros.rays import EXTREMUM_CASES, _build_threshold_rows, _r0
 from rayzeros.roots import _over_power, unit_direction
 
 from conftest import brute_ray_count, valid_k_choices, valid_pairs
@@ -550,7 +550,7 @@ class TestTangencyCircle:
     def test_every_threshold_row_is_on_the_circle(self):
         rows = 0
         for m, k in self.pairs():
-            p, (order, c0s) = validate(m, k, 1.0), _threshold_rows(m, k)[:2]
+            p, (order, c0s) = validate(m, k, 1.0), _build_threshold_rows(m, k)[:2]
             rho = (abs(k) / (m - k)) ** (1.0 / m)
             for row, c0 in zip(order, c0s):
                 assert abs(_r0(m, k, analyze_ray(p, row).alpha, c0) / rho - 1.0) <= 2e-15, (m, k, row)
@@ -568,20 +568,20 @@ class TestThresholdAccuracy:
         then up to 30 seeded rows of each of 60 seeded pairs up to m = 10^4."""
         rng = random.Random(2210)
         for m, k in ((9999, 9998), (10000, -9999), (2000, 1999)):
-            yield m, k, list(_threshold_rows(m, k)[0])
+            yield m, k, list(_build_threshold_rows(m, k)[0])
         pairs = 0
         while pairs < 60:
             m = int(10.0 ** rng.uniform(0.5, 4.0))
             k = rng.choice((1, -1)) * rng.randrange(1, m)
             if math.gcd(m, abs(k)) == 1:
                 pairs += 1
-                rows = list(_threshold_rows(m, k)[0])
+                rows = list(_build_threshold_rows(m, k)[0])
                 yield m, k, rng.sample(rows, min(30, len(rows)))
 
     def test_relative_error_and_order_in_s(self):
         errors = []
         for m, k, rows in self.sample():
-            order, c0s = _threshold_rows(m, k)[:2]
+            order, c0s = _build_threshold_rows(m, k)[:2]
             c0 = dict(zip(order, c0s))
             big_c = exact_big_c(m, k)
             s = {row: min(k * row % (2 * m), -k * row % (2 * m)) for row in order}
