@@ -22,11 +22,12 @@ through the same zero of the two rows solved before, whose alphas are the
 nearest.  Each record of ray j re-evaluates the full complex function at r
 times the ray's unit direction, one r^m shared by both parts, and must pass
 the residual gate, scaled by r^m where r^m overflows, as soon as its row is
-solved.  Since p(conj z) = conj p(z), ray 2m - j's records are the exact
-conjugates of ray j's, with the same residual; they are built after the last
-row without a second evaluation.  solve_ray runs the same run solver on one
-analyzed ray.  p and f are evaluated only here, by evaluate, f_value and
-f_derivative, so counting never compiles them.  Where r^m overflows, a real
+solved; the first row that fails, in the runs' order, raises, and no row
+after it is solved.  Since p(conj z) = conj p(z), ray 2m - j's records are
+the exact conjugates of ray j's, with the same residual; they are built
+after the last row without a second evaluation.  solve_ray runs the same
+run solver on one analyzed ray.  p and f are evaluated only here, by
+evaluate, f_value and f_derivative, so counting never compiles them.  Where r^m overflows, a real
 part is the signed infinity of its sum divided through by r^m (_over_power),
 so every term votes on its sign; the residual gate reads the same quotient.
 """
@@ -296,67 +297,57 @@ def _refine(lines, a: float, b: float, a_neg: bool, start: float = math.nan) -> 
     return s
 
 
-def _solve_run(params: FamilyParams, case: RayCase, n: int, degenerate: bool, rows, alphas, units, slots,
-               failed=(math.inf, None)):
+def _solve_run(params: FamilyParams, case: RayCase, n: int, degenerate: bool, rows, alphas, units, slots):
     """Solve rows, sharing one parity, one sign of alpha, one case and n > 0
     zeros at params.c, into slots[row], each row's records by radius and gated
     before the next row; alphas and units are the rows' own, and degenerate
     marks the band's merged pair, which is not gated.  Zero i starts from the
     secant through zero i of the previous two rows solved (nan, so the
-    midpoint, on the first two).  failed is (row, error) of the lowest failing
-    row so far: rows at or above it are skipped, and the new lowest is returned."""
+    midpoint, on the first two).  The first row that fails raises its
+    BracketFailure, and no row after it is solved."""
     m, k, c = params
     log_2c, parity, rtol = _LOG2 + math.log(c), rows[0] % 2, _RESIDUAL_RTOL
     sign, below, above = _log_run(k, parity, alphas[0])  # once per run
     lead, neg = -1.0 if parity else 1.0, below != (sign < 0)  # G < 0 at the lower outer end
-    limit, error = failed
     # zero i's log r on the previous two rows solved, at alpha = last and before
     back = older = [math.nan] * n
     last = before = math.nan
     for x, alpha, u in zip(rows, alphas, units):
-        if x >= limit:
-            continue
-        try:
-            if degenerate:
-                logs = [_log_r0(m, k, alpha, c)]
-            elif not alpha:  # f = r^m - 1: Newton from the bracket's midpoint s = 0 stops there at once
-                logs = [0.0]
-            else:
-                lines, a, b = _log_brackets(m, k, log_2c, parity, alpha)
-                ends, agree = (a, b), below == above
-                if n == 2:  # split at s0 = log r0, where F must have the sign opposite to both outer ends'
-                    s0 = _log_r0(m, k, alpha, c)
-                    mid = sign * _log_f(lines, s0)[0] < 0
-                    ends, agree = (a, s0, b), mid == below or mid == above
-                if agree:
-                    i = n == 2 and mid != below  # the first interval whose end signs agree
-                    raise _failure(m, k, c, x, case, f"endpoint signs agree on log r in [{ends[i]}, {ends[i + 1]}]")
-                ratio = (alpha - last) / (last - before)
-                logs = [_refine(lines, a, ends[1], neg, back[0] + (back[0] - older[0]) * ratio)]
-                if n == 2:
-                    logs.append(_refine(lines, s0, b, not neg, back[1] + (back[1] - older[1]) * ratio))
-                back, older, last, before = logs, back, alpha, last
-            records = []
-            for s in logs:
-                try:
-                    r = math.exp(s)
-                except OverflowError:
-                    raise _failure(m, k, c, x, case, f"zero at log r = {s} beyond the float range") from None
-                z = r * u
-                residual = abs(evaluate(params, z))
-                if not degenerate:
-                    try:  # max(1, r^m), with r^m taken only where it exceeds 1
-                        label, size, bound = "residual", residual, rtol * (r ** m if r > 1.0 else 1.0)
-                    except OverflowError:  # the bound divided through by r^m, at the ray's exact angle
-                        label, size, bound = "residual |p(z)|/r^m", abs(_over_power(lead, c * alpha, r, m, k)), rtol
-                    if not size <= bound:
-                        raise _failure(m, k, c, x, case, f"{label} {size} exceeds {bound} at r={r}")
-                records.append(_new_record((x, r, z, residual, degenerate)))
-        except BracketFailure as exc:
-            limit, error = x, exc
-            continue
-        slots[x] = records
-    return limit, error
+        if degenerate:
+            logs = [_log_r0(m, k, alpha, c)]
+        elif not alpha:  # f = r^m - 1: Newton from the bracket's midpoint s = 0 stops there at once
+            logs = [0.0]
+        else:
+            lines, a, b = _log_brackets(m, k, log_2c, parity, alpha)
+            ends, agree = (a, b), below == above
+            if n == 2:  # split at s0 = log r0, where F must have the sign opposite to both outer ends'
+                s0 = _log_r0(m, k, alpha, c)
+                mid = sign * _log_f(lines, s0)[0] < 0
+                ends, agree = (a, s0, b), mid == below or mid == above
+            if agree:
+                i = n == 2 and mid != below  # the first interval whose end signs agree
+                raise _failure(m, k, c, x, case, f"endpoint signs agree on log r in [{ends[i]}, {ends[i + 1]}]")
+            ratio = (alpha - last) / (last - before)
+            logs = [_refine(lines, a, ends[1], neg, back[0] + (back[0] - older[0]) * ratio)]
+            if n == 2:
+                logs.append(_refine(lines, s0, b, not neg, back[1] + (back[1] - older[1]) * ratio))
+            back, older, last, before = logs, back, alpha, last
+        slots[x] = records = []
+        for s in logs:
+            try:
+                r = math.exp(s)
+            except OverflowError:
+                raise _failure(m, k, c, x, case, f"zero at log r = {s} beyond the float range") from None
+            z = r * u
+            residual = abs(evaluate(params, z))
+            if not degenerate:
+                try:  # max(1, r^m), with r^m taken only where it exceeds 1
+                    label, size, bound = "residual", residual, rtol * (r ** m if r > 1.0 else 1.0)
+                except OverflowError:  # the bound divided through by r^m, at the ray's exact angle
+                    label, size, bound = "residual |p(z)|/r^m", abs(_over_power(lead, c * alpha, r, m, k)), rtol
+                if not size <= bound:
+                    raise _failure(m, k, c, x, case, f"{label} {size} exceeds {bound} at r={r}")
+            records.append(_new_record((x, r, z, residual, degenerate)))
 
 
 def solve_ray(params: FamilyParams, analysis: RayAnalysis) -> list[ZeroRecord]:
@@ -366,26 +357,21 @@ def solve_ray(params: FamilyParams, analysis: RayAnalysis) -> list[ZeroRecord]:
     n = analysis.profile[side]
     if not n:
         return []
-    records, u = {}, unit_direction(params.m, j)
-    error = _solve_run(params, analysis.case, n, side == 1, [j], [analysis.alpha], [u], records)[1]
-    if error:
-        raise error
+    records = {}
+    _solve_run(params, analysis.case, n, side == 1, [j], [analysis.alpha], [unit_direction(params.m, j)], records)
     return records[j]
 
 
 def all_zeros(params: FamilyParams) -> list[ZeroRecord]:
     """Every zero of p, ordered by ray index then radius.
 
-    Each run rays._runs hands over is one _solve_run; a failure raises once
-    the rows below the failing row are solved, so the lowest failing row
-    names the error.
+    Each run rays._runs hands over is one _solve_run; the first row that
+    fails, in the runs' order, raises its BracketFailure.
     """
     m = params.m
-    slots, failed = [()] * (m + 1), (math.inf, None)
+    slots = [()] * (m + 1)
     for run in _runs(params):
-        failed = _solve_run(params, *run, slots, failed)
-    if failed[1]:
-        raise failed[1]
+        _solve_run(params, *run, slots)
     return list(chain.from_iterable(slots)) + [
         _new_record((2 * m - j, r, z.conjugate(), residual, degenerate))
         for row in slots[m - 1:0:-1]

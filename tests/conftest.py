@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,17 @@ def passes_gate(p, rec) -> bool:
     except OverflowError:
         bound = exact.radial(p.m, 0, gate, 0.0, abs(rec.z))[0] + 1  # f = gate |z|^m - 1
         return abs(exact.p(p.m, p.k, p.c, rec.z)) <= bound
+
+
+def assert_named_ray_fails_alone(p, error) -> int:
+    """The ray a failing all_zeros names fails on its own: solve_ray on that
+    ray's analysis raises a BracketFailure that names the same ray and case.
+    Returns the ray."""
+    named = re.search(r", ray (\d+), case (\w+)$", str(error)).groups()
+    with pytest.raises(rayzeros.BracketFailure) as alone:
+        rayzeros.solve_ray(p, rayzeros.analyze_ray(p, int(named[0])))
+    assert re.search(r", ray (\d+), case (\w+)$", str(alone.value)).groups() == named
+    return int(named[0])
 
 
 def brute_ray_count(m: int, k: int, c: float, j: int, n: int = 60000) -> int:

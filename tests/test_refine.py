@@ -37,10 +37,10 @@ from rayzeros import (
     thresholds,
     validate,
 )
-from rayzeros import roots
+from rayzeros import rays, roots
 
 import exact
-from conftest import passes_gate
+from conftest import assert_named_ray_fails_alone, passes_gate
 
 RTOL = roots._STEP_RTOL
 
@@ -238,8 +238,9 @@ class TestR0BeyondFloatRange:
             all_zeros(p)
         with pytest.raises(BracketFailure) as one:
             solve_ray(p, a)
-        assert str(one.value) == str(whole.value)
         assert "beyond the float range" in str(one.value)
+        assert "beyond the float range" in str(whole.value)
+        assert_named_ray_fails_alone(p, whole.value)
 
     def test_tangency_beyond_float_range_raises(self, monkeypatch):
         # no real tangency lies beyond max_float; a patched log r0 puts one there
@@ -265,10 +266,12 @@ class TestFailureMessages:
     def test_endpoint_message_names_the_row(self, monkeypatch):
         # a split point below the inner end leaves [a, s0] with one sign
         monkeypatch.setattr(roots, "_log_r0", lambda *args: -50.0)
+        p = validate(5, 4, 3.0)
         with pytest.raises(BracketFailure) as err:
-            all_zeros(validate(5, 4, 3.0))
+            all_zeros(p)
         assert str(err.value).startswith("endpoint signs agree on log r in [")
-        assert str(err.value).endswith(": m=5, k=4, c=3.0, ray 3, case pos_k_odd_pos")
+        assert str(err.value).endswith(": m=5, k=4, c=3.0, ray 5, case pos_k_odd_pos")
+        assert assert_named_ray_fails_alone(p, err.value) == 5
 
 
 class TestResidualGate:
@@ -282,3 +285,25 @@ class TestResidualGate:
         monkeypatch.setattr(roots, "_RESIDUAL_RTOL", 0.0)
         with pytest.raises(BracketFailure, match=r"^residual \S+ exceeds 0\.0 at r=.*, ray 2, case "):
             all_zeros(validate(5, 4, 3.0))
+
+    def test_no_row_is_solved_after_the_failing_one(self, monkeypatch):
+        """At a bound of 0 the first row with a nonzero residual, in the order
+        _runs hands the rows over, raises: every row before it solves on its
+        own, and _refine runs only for the rows up to and including it, so no
+        row of a later run is solved, not even one below the failing row."""
+        monkeypatch.setattr(roots, "_RESIDUAL_RTOL", 0.0)
+        calls = []
+        refine = roots._refine
+        monkeypatch.setattr(roots, "_refine", lambda *args: calls.append(args) or refine(*args))
+        p = validate(8, 3, 0.7)
+        with pytest.raises(BracketFailure) as err:
+            all_zeros(p)
+        solved, failed = len(calls), assert_named_ray_fails_alone(p, err.value)
+        order = [(x, n if alpha and not degenerate else 0)
+                 for _, n, degenerate, rows, alphas, _ in rays._runs(p) for x, alpha in zip(rows, alphas)]
+        i = [x for x, _ in order].index(failed)
+        for x, _ in order[:i]:
+            solve_ray(p, analyze_ray(p, x))
+        assert solved == sum(refines for _, refines in order[:i + 1])
+        # (8, 3, 0.7) fails on ray 6, and ray 2 of a later run is not solved
+        assert (failed, solved) == (6, 2)
