@@ -13,9 +13,9 @@ from .predict import *
 
 __version__ = "0.1.0"
 
-# roots.__all__ and oracle.__all__: counting needs neither the root finder nor
-# the grid oracle, so __getattr__ loads each module on first use of one of its
-# names (PEP 562)
+# the public names of roots and oracle, which each module binds as its __all__:
+# counting needs neither the root finder nor the grid oracle, so __getattr__
+# loads each module on first use of one of its names (PEP 562)
 _DEFERRED = {
     "roots": [
         "Tolerances", "ZeroRecord", "BracketFailure", "DegenerateTangency", "evaluate", "f_value", "f_derivative",

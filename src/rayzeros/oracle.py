@@ -32,9 +32,10 @@ import sys
 from array import array
 from typing import NamedTuple
 
+from . import _DEFERRED
 from .family import FamilyParams, power_term
 
-__all__ = ["OracleResult", "ComparisonReport", "ResolutionTooCoarse", "find_zeros_grid", "compare"]
+__all__ = _DEFERRED["oracle"]
 
 REFINE_TOL = 1e-8  # accepted candidates satisfy |p(z)| <= REFINE_TOL
 _MAX_SUBDIVISIONS = 4

@@ -38,23 +38,13 @@ from functools import partial
 from itertools import chain
 from typing import NamedTuple
 
+from . import _DEFERRED
 from .family import FamilyParams, PoleAtOriginError, RayDescriptor, _check_c, alpha_from_residue, power_term
 from .rays import _LOG2, RayAnalysis, RayCase, _log_r0, _runs, _side, count_at, degenerate_at, extremum_radius
 # unused here but still bound: perfbench/tracing.py wraps this roots binding
 from .rays import analyze_ray  # noqa: F401
 
-__all__ = [
-    "Tolerances",
-    "ZeroRecord",
-    "BracketFailure",
-    "DegenerateTangency",
-    "evaluate",
-    "f_value",
-    "f_derivative",
-    "bracket",
-    "solve_ray",
-    "all_zeros",
-]
+__all__ = _DEFERRED["roots"]
 
 
 # bound on the Newton-or-bisection steps per zero; bisection alone takes the
