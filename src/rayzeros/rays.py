@@ -44,7 +44,9 @@ C / cos(pi s / m) rises with s, so each band edge is one bisection of the
 rows' residues, O(log m) at any m and 6-25 us a query up to m = 10^6.
 
 Every threshold ray gains (k > 0) or loses (k < 0) two zeros past its c0 and
-one inside its tangency band.  One bisection, _band(c, c0s), whose edge
+one inside its tangency band, c0 (1 +- DEGENERACY_RTOL), 4e-15 relative: a
+bound on c0's float error, derived beside the constant, so only c the float
+c0 cannot place counts as merged.  One bisection, _band(c, c0s), whose edge
 divisors 1 +- DEGENERACY_RTOL are taken once beside that constant, finds the
 run of increasing c0s whose band holds c: _side reads it for one ray's c0 in
 count_at, degenerate_at and the root finder, predict_at (on the cached pair)
@@ -76,8 +78,19 @@ __all__ = [
 ]
 
 # relative half-width of the band around c0 treated as an exact tangency;
-# shared with the root finder so predicted counts always match emitted zeros
-DEGENERACY_RTOL = 1e-9
+# shared with the root finder so predicted counts always match emitted zeros.
+# It bounds the float error of c0 = C / alpha, with u = 2^-53 and libm within
+# 1 ulp (2u).  _big_c's exponent: the quotients |k|/m and (m-k)/m, whose sum
+# is at most 3, carry u each; their logs weighted by them sum to S < 1.76, and
+# the logs add 2uS and the products, the sum and the division by m uS each,
+# so 3u + 5uS < 12u, and exp adds 2u: C within 14u.  alpha's angle carries
+# 2.4u, which moves cos or sin, taken at most pi/4, by at most 2.4u, and libm
+# adds 2u.  The division adds u, and _band's 1 +- band and c / (1 +- band) 2u:
+# 21.4u = 2.4e-15 in all, against 6.3u measured at worst (2,622 pairs up to
+# m = 10^12).  Neighbouring c0s differ by at least 2 pi^2 / m^2 relative
+# (residues 0 and 2), so from m = pi / sqrt(band) = 5.0e7 on the bands stop
+# being disjoint and one c may count two merged pairs
+DEGENERACY_RTOL = 4e-15
 # _band's edge divisors: c's band holds the c0s in [c / _LO_DIV, c / _HI_DIV]
 _LO_DIV, _HI_DIV = 1.0 + DEGENERACY_RTOL, 1.0 - DEGENERACY_RTOL
 

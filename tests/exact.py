@@ -27,3 +27,8 @@ def p(m: int, k: int, c: float, z: complex):
     """p(z) = z^m + c (z^k + conj(z)^k) - 1 at the float z."""
     r, theta = _CTX.polar(_CTX.mpc(z))
     return r**m * _CTX.expj(m * theta) + 2 * _CTX.mpf(c) * r**k * _CTX.cos(k * theta) - 1
+
+
+def c0(m: int, k: int, s: int):
+    """c0 = C(m, k) / alpha(m, s), the threshold of the rows of folded residue s."""
+    return big_c(m, k) / alpha(m, s)

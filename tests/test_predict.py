@@ -8,10 +8,12 @@ import pytest
 
 import rayzeros.predict as predict_mod
 import rayzeros.rays as rays_mod
+from rayzeros.family import alpha_from_residue
 from rayzeros import (
     CountProfile,
     FamilyParams,
     RayCase,
+    all_zeros,
     analyze_ray,
     census,
     count_at,
@@ -22,7 +24,8 @@ from rayzeros import (
     validate,
 )
 
-from conftest import valid_k_choices, valid_pairs
+import exact
+from conftest import passes_gate, valid_k_choices, valid_pairs
 
 
 def reference_ladder(m, k):
@@ -223,3 +226,63 @@ class TestPredictAt:
     def test_rejects_nonpositive_c(self):
         with pytest.raises(ValueError):
             predict_at(validate(3, 1, 1.0), 0.0)
+
+
+def exact_count(m, k, c):
+    """The count at c from the exact side of each threshold row: the ladder's
+    min (k > 0) or max (k < 0), plus (k > 0) or minus (k < 0) two zeros for
+    each ray whose exact c0 lies below c.  The rows' residues are the
+    threshold parity's with 2s < m, their c0 rises with s, and fold 0's axis
+    row (s = 0) stands for one ray."""
+    low, high = reference_ladder(m, k)
+    rays = 0
+    for s in range(k % 2 if k > 0 else 0, (m + 1) // 2, 2):
+        if not exact.c0(m, k, s) < c:
+            break
+        rays += 1 if s == 0 else 2
+    return low + 2 * rays if k > 0 else high - 2 * rays
+
+
+class TestBandFromC0Error:
+    """The tangency band is c0's float error bound, DEGENERACY_RTOL = 4e-15, so
+    every c the float c0 places on one side gets that side's exact count."""
+
+    @pytest.mark.parametrize("m", [10**5 + 3, 10**6 + 3, 10**9 + 7, 10**12 + 39])
+    def test_c0_error_is_inside_the_derived_bound(self, m):
+        """The float c0 = C / alpha of the first two and the last threshold rows
+        of k = +-1, +-2 and +-(m - 1) is within 19.4 u of the exact one, the
+        derivation's bound on c0 before the band's own edges add 2 u."""
+        bound = 19.4 * 2.0**-53
+        assert bound + 2 * 2.0**-53 < rays_mod.DEGENERACY_RTOL
+        for k in (1, -1, 2, -2, m - 1, 1 - m):
+            residues, big_c = rays_mod._pair_facts(m, k)[:2]
+            for s in (residues[0], residues[1], residues[-1]):
+                c0 = big_c / alpha_from_residue(m, s)
+                assert abs(c0 / exact.c0(m, k, s) - 1) <= bound, (m, k, s)
+
+    # the geometric mean of the first two c0s, where the two rows' 1e-9 bands overlapped
+    @pytest.mark.parametrize("m, k, c, count", [
+        (100003, 2, 0.5001182089016019, 100005), (100003, -1, 0.4999374414819113, 200004),
+    ])
+    def test_between_the_first_two_c0s_at_large_m(self, m, k, c, count):
+        p = validate(m, k, c)
+        c0s = [th.c0 for th in thresholds(p)[:2]]
+        assert c == math.sqrt(c0s[0] * c0s[1])
+        assert exact_count(m, k, c) == count
+        assert predict_at(p, c) == count
+        recs = all_zeros(p)
+        assert len(recs) == count
+        assert not any(rec.degenerate for rec in recs)
+
+    # from the old band's edge down to just above the new one
+    DELTAS = (1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 5e-15)
+
+    @pytest.mark.parametrize("m, k", [(5, 4), (5, -4), (12, 7), (13, -6), (30, -29), (49, 10), (96, -95), (201, -61)])
+    def test_next_to_every_c0_the_count_is_the_exact_side(self, m, k):
+        for th in thresholds(validate(m, k, 1.0)):
+            for c in (th.c0 * (1 + d) for d in self.DELTAS + tuple(-d for d in self.DELTAS)):
+                p, want = validate(m, k, c), exact_count(m, k, c)
+                assert predict_at(p, c) == want, (m, k, c)
+                recs = all_zeros(p)
+                assert len(recs) == want, (m, k, c)
+                assert all(not rec.degenerate and passes_gate(p, rec) for rec in recs), (m, k, c)

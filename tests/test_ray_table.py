@@ -483,11 +483,11 @@ FIXED_C = (5e-324, 1e-300, 1e-10, 0.3, 1.0, 3.0, 1e10, 1e300, sys.float_info.max
 
 def test_runs_hand_over_every_row_once_with_its_own_facts():
     """rays._runs, the runs all_zeros solves, against the per-row facts: at every
-    c0, c0 (1 +- 1e-9) and the fixed c of every pair with m <= 40, each run has
-    zeros, the rows are distinct, their zeros (the axis rows once, the others
-    for both mirrors) sum to predict_at, each alpha and unit is bit for bit
-    alpha_from_residue's and unit_direction's, and the merged pair is exactly
-    the threshold rows whose c lies in the band around C / alpha."""
+    c0, c0 (1 +- DEGENERACY_RTOL) and the fixed c of every pair with m <= 40,
+    each run has zeros, the rows are distinct, their zeros (the axis rows once,
+    the others for both mirrors) sum to predict_at, each alpha and unit is bit
+    for bit alpha_from_residue's and unit_direction's, and the merged pair is
+    exactly the threshold rows whose c lies in the band around C / alpha."""
     for m, k in valid_pairs(40):
         p = validate(m, k, 1.0)
         big_c = rays._big_c(m, k)
