@@ -20,9 +20,12 @@ output paths, argparse usage errors, each flag a command does not take
 (--tol-radius and --tol-residual on every command) and four flags
 abbreviated to a prefix (exit 1); coarse-grid verify mismatches (exit 2); and
 numerical failures (exit 3), among them the residual-gate failure of zeros at
-(1987, -1528).  288 more lines probe the edges of the tangency band: classify,
-zeros and a two-point sweep at c0 (1 +- 1e-9) and one ulp either side, for the
-smallest and largest c0 of each pair as BEFORE's thresholds command lists them.
+(1987, -1528).  576 more lines probe the edges of the tangency band: classify,
+zeros and a two-point sweep at c0 (1 +- 1e-9), c0 (1 +- 4e-15) and one ulp
+either side, for the smallest and largest c0 of each pair as BEFORE's
+thresholds command lists them: the 1e-9 band, and the 4e-15 one sized from
+c0's float error bound, as fixed literals, so a change to the band changes
+the answers on the same lines.
 """
 from __future__ import annotations
 
@@ -90,12 +93,13 @@ def command_lines() -> list[list[str]]:
 
 def band_edge_lines(run) -> list[list[str]]:
     """classify, zeros and sweep next to each pair's smallest and largest c0, read
-    from run(["thresholds", ...])'s JSON: at c0 (1 +- 1e-9) and one ulp either side."""
+    from run(["thresholds", ...])'s JSON: at c0 (1 +- 1e-9), c0 (1 +- 4e-15) and
+    one ulp either side."""
     lines = []
     for m, k in PAIRS:
         base = ["--m", str(m), "--k", str(k), "--format", "json"]
         c0s = [row["c0"] for row in json.loads(run(["thresholds", *base])[1])["results"]]
-        for c0, rtol in itertools.product(sorted({c0s[0], c0s[-1]}), (1e-9, -1e-9)):
+        for c0, rtol in itertools.product(sorted({c0s[0], c0s[-1]}), (1e-9, -1e-9, 4e-15, -4e-15)):
             edge = c0 * (1 + rtol)
             for c in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
                 up = repr(math.nextafter(c, math.inf))

@@ -5,15 +5,15 @@
 ROOT is a checkout root (default: the one holding this script); its
 src/rayzeros is imported.  For every coprime pair with 2 <= m <= M (40 by
 default) and 0 < |k| < m, both signs of k, the queries are every threshold
-c0, c0 (1 +- 1e-9), one ulp either side of each, and nine fixed c from
-5e-324 to max_float.  The c0s are the distinct ones of the rays' analyses,
-so no call fills the threshold rows' cache and every predict_at takes its
-uncached route.  Each query is one line of the dump: m, k, c as
-``float.hex``, predict_at, count_at and the merged-pair flag of every ray 0..2m-1,
-then every all_zeros record (ray, r, z and residual by ``float.hex``, and
-the degenerate flag) or the exception all_zeros raised.  The script prints
-the line count and the sha256 of the dump; --out also writes the dump, so
-two checkouts' dumps can be diffed.
+c0, c0 (1 +- 1e-9) and c0 (1 +- 4e-15), one ulp either side of each, and
+nine fixed c from 5e-324 to max_float: 110652 queries at M = 40.  The c0s
+are the distinct ones of the rays' analyses, so no call fills the threshold
+rows' cache and every predict_at takes its uncached route.  Each query is
+one line of the dump: m, k, c as ``float.hex``, predict_at, count_at and the
+merged-pair flag of every ray 0..2m-1, then every all_zeros record (ray, r,
+z and residual by ``float.hex``, and the degenerate flag) or the exception
+all_zeros raised.  The script prints the line count and the sha256 of the
+dump; --out also writes the dump, so two checkouts' dumps can be diffed.
 """
 from __future__ import annotations
 
@@ -25,14 +25,15 @@ import sys
 
 FIXED_C = (5e-324, 1e-300, 1e-10, 0.3, 1.0, 3.0, 1e10, 1e300, sys.float_info.max)
 # the band's edges as fixed probe points, not read from the library, so a
-# change to the band changes the answers at the same queries
-BAND = 1e-9
+# change to the band changes the answers at the same queries: the 1e-9 band,
+# and the 4e-15 one sized from c0's float error bound
+BANDS = (1e-9, 4e-15)
 
 
 def queries(c0s) -> list[float]:
     cs = []
     for c0 in c0s:
-        for c in (c0, c0 * (1 + BAND), c0 * (1 - BAND)):
+        for c in (c0, *(c0 * (1 + band) for band in BANDS), *(c0 * (1 - band) for band in BANDS)):
             cs += [math.nextafter(c, 0.0), c, math.nextafter(c, math.inf)]
     return list(dict.fromkeys(cs + list(FIXED_C)))
 
