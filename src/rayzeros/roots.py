@@ -27,9 +27,10 @@ after it is solved.  Since p(conj z) = conj p(z), ray 2m - j's records are
 the exact conjugates of ray j's, with the same residual; they are built
 after the last row without a second evaluation.  solve_ray runs the same
 run solver on one analyzed ray.  p and f are evaluated only here, by
-evaluate, f_value and f_derivative, so counting never compiles them.  Where r^m overflows, a real
-part is the signed infinity of its sum divided through by r^m (_over_power),
-so every term votes on its sign; the residual gate reads the same quotient.
+evaluate, f_value and f_derivative, so counting never compiles them.  Where
+r^m overflows, a real part is the signed infinity of its sum divided through
+by r^m (_over_power), so every term votes on its sign; the residual gate
+reads the same quotient.
 """
 import cmath
 import math

@@ -65,10 +65,11 @@ def assert_named_ray_fails_alone(p, error) -> int:
     """The ray a failing all_zeros names fails on its own: solve_ray on that
     ray's analysis raises a BracketFailure that names the same ray and case.
     Returns the ray."""
-    named = re.search(r", ray (\d+), case (\w+)$", str(error)).groups()
+    ray_and_case = re.compile(r", ray (\d+), case (\w+)$")
+    named = ray_and_case.search(str(error)).groups()
     with pytest.raises(rayzeros.BracketFailure) as alone:
         rayzeros.solve_ray(p, rayzeros.analyze_ray(p, int(named[0])))
-    assert re.search(r", ray (\d+), case (\w+)$", str(alone.value)).groups() == named
+    assert ray_and_case.search(str(alone.value)).groups() == named
     return int(named[0])
 
 
